@@ -29,7 +29,7 @@ from .diffops import (
     spherical_gamma,
 )
 from .domains import Domain
-from .errors import EmptySampleError, PreconditionError
+from .errors import EmptySampleError, IntegrityError, PreconditionError
 from .golden import field_names, get_field
 from .liftings import PolyPathO, ccl_search, lift_approximate
 from .quotient import build_quotient
@@ -45,7 +45,7 @@ from .stems import (
 
 
 def _dump(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def _write(payload, out: Optional[str]) -> None:
@@ -56,13 +56,25 @@ def _write(payload, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise PreconditionError(f"non-finite number {text!r} in the input")
+    return value
+
+
+def _strict_json(text: str):
+    # NaN, Infinity and overflowing literals such as 1e999 are refused.
+    return json.loads(text, parse_float=_finite, parse_constant=_finite)
+
+
 def _json_arg(text: str):
     """JSON from an inline literal, an @file reference, or a plain path."""
     if text.startswith("@"):
-        return json.loads(Path(text[1:]).read_text())
+        return _strict_json(Path(text[1:]).read_text())
     if text.lstrip()[:1] in ("{", "["):
-        return json.loads(text)
-    return json.loads(Path(text).read_text())
+        return _strict_json(text)
+    return _strict_json(Path(text).read_text())
 
 
 def _point(text: str) -> Octonion:
@@ -284,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["gamma", "euler", "slice-fueter", "cauchy-fueter", "slice-laplacian"],
         help="operator to apply",
     )
-    p.add_argument("--tolerance", type=float, help="pass/fail threshold on |result|")
+    p.add_argument("--tolerance", type=_finite, help="pass/fail threshold on |result|")
     p.add_argument("--fd", action="store_true", help="force finite differences")
 
     p = add("stem", _cmd_stem, "stem vector of a field at z", field=True)
@@ -295,17 +307,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("bv-residual", _cmd_bv, "Bers-Vekua residuals of a closed stem at z", field=True)
     p.add_argument("--z", required=True, help='base point as "[alpha, beta]"')
-    p.add_argument("--tolerance", type=float, help="pass/fail threshold on the residual")
+    p.add_argument("--tolerance", type=_finite, help="pass/fail threshold on the residual")
     p.add_argument("--fd", action="store_true", help="differentiate the stem numerically")
 
     p = add("sfr-check", _cmd_sfr, "sampled slice Fueter-regularity check", field=True, seed=True)
     p.add_argument("--domain", help="domain JSON; defaults to the field's own")
-    p.add_argument("--tolerance", type=float, default=1e-5)
+    p.add_argument("--tolerance", type=_finite, default=1e-5)
     p.add_argument("--fd", action="store_true", help="force finite differences")
 
     p = add("slice-check", _cmd_slice, "sampled sliceness check", field=True, seed=True)
     p.add_argument("--domain", help="domain JSON; defaults to the field's own")
-    p.add_argument("--tolerance", type=float, default=1e-6)
+    p.add_argument("--tolerance", type=_finite, default=1e-6)
     p.add_argument("--fd", action="store_true", help="force finite differences")
 
     p = add("maxmod-scan", _cmd_maxmod, "strict local maxima of |f| on a slice grid", field=True)
@@ -315,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("lift-approx", _cmd_lift, "circular lifting within delta of a polygonal path")
     p.add_argument("--path", required=True, help="path JSON: vertices (n x 8), optional times")
-    p.add_argument("--delta", type=float, required=True, help="approximation bound, > 0")
+    p.add_argument("--delta", type=_finite, required=True, help="approximation bound, > 0")
     p.add_argument("--samples", type=int, help="decomposition resolution override")
 
     p = add("ccl-search", _cmd_ccl, "search for a coupled-lifting witness", seed=True)
@@ -350,7 +362,15 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return int(args.handler(args))
-    except (ValueError, KeyError, TypeError, OSError, EmptySampleError) as exc:
+    except (
+        ValueError,  # DomainError, PreconditionError and ConditioningError among them
+        KeyError,
+        TypeError,
+        OSError,
+        ZeroDivisionError,
+        EmptySampleError,
+        IntegrityError,
+    ) as exc:
         sys.stderr.write(_dump({"error": f"{type(exc).__name__}: {exc}"}))
         return 2
 

@@ -334,7 +334,8 @@ class BallChain(Domain):
         return float(self.thetas[int(idx)]), float(dist)
 
     def contains_batch(self, pts: np.ndarray) -> np.ndarray:
-        dist, _ = self._tree.query(pts)
+        # Points with no center within RADIUS come back at distance inf.
+        dist, _ = self._tree.query(pts, distance_upper_bound=self.RADIUS)
         return dist < self.RADIUS
 
     def margin(self, x: Octonion) -> float:
@@ -390,11 +391,6 @@ class PredicateDomain(Domain):
 
     def to_json(self) -> dict:
         raise PreconditionError("predicate domains have no JSON form")
-
-
-def contains(domain: Domain, x: Octonion) -> bool:
-    """Exact membership of x in the domain."""
-    return domain.contains(x)
 
 
 def sphere_slice_member(domain: Domain, a: float, b: float, i: UnitImaginary) -> bool:

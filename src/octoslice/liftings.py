@@ -33,10 +33,14 @@ from .sampling import (
     adaptive_unit_pool,
     arc_probe_graph,
     chord_of_angle,
+    z_grid_step,
 )
 from .stems import StemVector, stem_from_gamma
 
 _ANTIPODAL_TOL = 1e-6
+# Sample times of a base move between neighbouring grid columns, start
+# excluded (the start column's membership is already known).
+_BASE_MOVE_TIMES = np.linspace(0.0, 1.0, 7)[1:]
 
 
 def _check_times(times: np.ndarray, count: int) -> np.ndarray:
@@ -208,10 +212,6 @@ class CoupledLifting:
         )
 
 
-def lift_eval(lifting: CircularLifting, t: float) -> Octonion:
-    return lifting.eval(t)
-
-
 def lift_decompose(path: PolyPathO, samples: int = 4096) -> CircularLifting:
     """Split a space path into base and unit paths, x = tau_{Theta}(gamma).
 
@@ -340,7 +340,9 @@ def lift_in_domain(lifting: CircularLifting, domain: Domain, resolution: int = 2
 
 @dataclass
 class SearchResult:
-    status: str  # found | not-equivalent | budget-exhausted
+    # found | not-equivalent | budget-exhausted | unverified (the search found
+    # a path whose witness then failed ccl_verify)
+    status: str
     witness: Optional[CoupledLifting]
     nodes: int = 0
     detail: str = ""
@@ -470,8 +472,9 @@ class _FiberSearch:
         self.units = np.vstack([units, u1, u2])
         self.i1 = len(self.units) - 2
         self.i2 = len(self.units) - 1
-        a_lo, a_hi, b_max = domain.z_window()
-        step = plan.quotient_z_step or plan.quotient_step_factor * max(a_hi - a_lo, b_max)
+        window = domain.z_window()
+        a_lo, a_hi, b_max = window
+        step = z_grid_step(window, plan)
         self.alphas = np.arange(a_lo - step, a_hi + step + step / 2, step)
         self.betas = np.arange(0.0, b_max + step, step)
         # snap the query column onto the grid
@@ -479,15 +482,16 @@ class _FiberSearch:
         self.betas = np.sort(np.append(self.betas, z.imag))
         self.col_x = (int(np.searchsorted(self.alphas, z.real)), int(np.searchsorted(self.betas, z.imag)))
         link = max(chord_of_angle(plan.link_angle), 2.5 * sep)
-        ends, self.edge_probes = arc_probe_graph(self.units, link)
+        self.ends, self.edge_probes = arc_probe_graph(self.units, link)
         self.adj: dict[int, list[tuple[int, int]]] = {i: [] for i in range(len(self.units))}
-        for eidx, (a, b) in enumerate(ends):
+        for eidx, (a, b) in enumerate(self.ends):
             self.adj[int(a)].append((int(b), eidx))
             self.adj[int(b)].append((int(a), eidx))
-        self.edge_index = {(int(a), int(b)): e for e, (a, b) in enumerate(ends)}
-        self.edge_index.update({(int(b), int(a)): e for e, (a, b) in enumerate(ends)})
+        self.edge_index = {(int(a), int(b)): e for e, (a, b) in enumerate(self.ends)}
+        self.edge_index.update({(int(b), int(a)): e for e, (a, b) in enumerate(self.ends)})
         self._members: dict[tuple[int, int], np.ndarray] = {}
         self._edges_ok: dict[tuple[int, int], np.ndarray] = {}
+        self._moves_ok: dict[tuple[tuple[int, int], tuple[int, int]], np.ndarray] = {}
         self._real_cols: dict[int, bool] = {}
 
     def z_of(self, col):
@@ -511,11 +515,7 @@ class _FiberSearch:
             pts[:, 1:] = z.imag * self.edge_probes.reshape(-1, 7)
             arc_ok = self.domain.contains_batch(pts).reshape(n_edges, n_probes).all(axis=1)
             mem = self.members(col)
-            ends_ok = np.empty(n_edges, dtype=bool)
-            for (a, b), e in self.edge_index.items():
-                if a < b:
-                    ends_ok[e] = mem[a] and mem[b]
-            self._edges_ok[col] = arc_ok & ends_ok
+            self._edges_ok[col] = arc_ok & mem[self.ends[:, 0]] & mem[self.ends[:, 1]]
         return self._edges_ok[col]
 
     def is_real_col(self, col) -> bool:
@@ -532,17 +532,25 @@ class _FiberSearch:
             return True
         return bool(self.edges_ok(col)[eidx])
 
+    def moves_ok(self, col_a, col_b) -> np.ndarray:
+        """Per unit: does the base move from col_a to col_b stay in the domain?"""
+        key = (col_a, col_b)
+        if key not in self._moves_ok:
+            za, zb = self.z_of(col_a), self.z_of(col_b)
+            t = _BASE_MOVE_TIMES
+            zs = (1.0 - t) * za + t * zb
+            if self.is_real_col(col_b):
+                # the real end column is checked on its own
+                zs = zs[:-1]
+            pts = np.zeros((len(self.units), len(zs), 8))
+            pts[:, :, 0] = zs.real
+            pts[:, :, 1:] = zs.imag[None, :, None] * self.units[:, None, :]
+            inside = self.domain.contains_batch(pts.reshape(-1, 8))
+            self._moves_ok[key] = inside.reshape(len(self.units), len(zs)).all(axis=1)
+        return self._moves_ok[key]
+
     def base_move_ok(self, col_a, col_b, i) -> bool:
-        za, zb = self.z_of(col_a), self.z_of(col_b)
-        u = self.units[i]
-        t = np.linspace(0.0, 1.0, 7)[1:]
-        zs = (1.0 - t) * za + t * zb
-        if self.is_real_col(col_b):
-            zs = zs[:-1]
-        pts = np.zeros((len(zs), 8))
-        pts[:, 0] = zs.real
-        pts[:, 1:] = zs.imag[:, None] * u
-        return bool(np.all(self.domain.contains_batch(pts)))
+        return bool(self.moves_ok(col_a, col_b)[i])
 
     def neighbor_cols(self, col):
         ia, ib = col
@@ -691,7 +699,7 @@ def ccl_search(
         got = finish(witness, pops, "fiber-product search")
         if got:
             return got
-        return SearchResult("budget-exhausted", None, pops, "witness failed re-verification")
+        return SearchResult("unverified", None, pops, "witness failed re-verification")
     return SearchResult(status, None, pops, "fiber-product search")
 
 

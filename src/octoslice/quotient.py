@@ -41,6 +41,7 @@ from .sampling import (
     adaptive_unit_pool,
     arc_probe_graph,
     chord_of_angle,
+    z_grid_step,
 )
 from .stems import StemVector, stem_from_gamma
 
@@ -159,8 +160,9 @@ class _Builder:
         self.subsphere = subsphere
         rng = plan.rng()
         self.units, self.sep = adaptive_unit_pool(domain, subsphere, plan, rng)
-        a_lo, a_hi, b_max = domain.z_window()
-        step = plan.quotient_z_step or plan.quotient_step_factor * max(a_hi - a_lo, b_max)
+        window = domain.z_window()
+        a_lo, a_hi, b_max = window
+        step = z_grid_step(window, plan)
         self.alphas = np.arange(a_lo - step, a_hi + step + step / 2, step)
         pos = np.arange(step, b_max + step, step)
         self.betas = np.concatenate([-pos[::-1], [0.0], pos])

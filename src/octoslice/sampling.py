@@ -8,6 +8,7 @@ every check records what it actually used.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -16,6 +17,12 @@ from scipy.spatial import cKDTree
 
 from .algebra import NEAR_UNIT_TOL, UnitImaginary
 from .errors import EmptySampleError, PreconditionError
+
+# Upper limit on the columns of a z grid (alphas x betas).  The default plans
+# build about a thousand; a grid past the limit is refused before it is built.
+MAX_Z_COLUMNS = 50_000
+# Candidate units tested in one call against the pool kept so far.
+_THIN_BLOCK = 64
 
 
 class Subsphere:
@@ -66,6 +73,23 @@ class Subsphere:
         return cls([UnitImaginary(np.asarray(row, dtype=float)) for row in data])
 
 
+_PLAN_COUNTS = (
+    "sphere_samples",
+    "component_detect_min",
+    "residual_samples",
+    "residual_unit_samples",
+    "search_budget",
+    "pool_harvest",
+    "pool_max",
+    "verify_samples",
+)
+# Steps, angles and separations; the optional ones may also be None.
+_PLAN_SIZES = ("link_angle", "base_step", "quotient_step_factor", "pool_sep_floor")
+_PLAN_OPTIONAL_SIZES = ("quotient_z_step", "pool_sep")
+_INTEGERS = (int, np.integer)
+_REALS = (int, float, np.integer, np.floating)
+
+
 @dataclass
 class SamplePlan:
     """Resolution and budget knobs for every sampled check in the package."""
@@ -97,11 +121,45 @@ class SamplePlan:
     # Witness verification.
     verify_samples: int = 256
 
+    def __post_init__(self) -> None:
+        for name in _PLAN_COUNTS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, _INTEGERS) or value <= 0:
+                raise PreconditionError(f"plan {name} must be a positive integer, got {value!r}")
+        for name in _PLAN_SIZES + _PLAN_OPTIONAL_SIZES:
+            value = getattr(self, name)
+            if value is None and name in _PLAN_OPTIONAL_SIZES:
+                continue
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, _REALS)
+                or not (math.isfinite(value) and value > 0)
+            ):
+                raise PreconditionError(f"plan {name} must be finite and positive, got {value!r}")
+
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
 
     def with_seed(self, seed: int) -> "SamplePlan":
         return replace(self, seed=seed)
+
+
+def z_grid_step(window: tuple[float, float, float], plan: SamplePlan) -> float:
+    """Step of the sampled z grid over a z window (alpha_lo, alpha_hi, beta_max).
+
+    Refuses, before any grid is built, a step whose grid could exceed
+    MAX_Z_COLUMNS columns; the count used bounds both the quotient grid
+    (betas of both signs) and the fiber-search grid (one snapped column).
+    """
+    a_lo, a_hi, b_max = window
+    step = plan.quotient_z_step or plan.quotient_step_factor * max(a_hi - a_lo, b_max)
+    columns = ((a_hi - a_lo) / step + 4.0) * (2.0 * b_max / step + 3.0)
+    if not columns <= MAX_Z_COLUMNS:
+        raise PreconditionError(
+            f"z step {step:g} gives about {columns:.3g} grid columns,"
+            f" over the limit {MAX_Z_COLUMNS}"
+        )
+    return step
 
 
 def chord_of_angle(angle: float) -> float:
@@ -191,12 +249,24 @@ def adaptive_unit_pool(
     spread = min(spread, np.pi)
     sep = plan.pool_sep if plan.pool_sep is not None else max(plan.pool_sep_floor, spread / 15.0)
     min_chord = chord_of_angle(sep)
-    kept: list[np.ndarray] = []
-    kept_arr = np.empty((0, 7))
-    for u in units:
-        if len(kept) >= plan.pool_max:
+    # Greedy thinning in order: a unit is kept when it lies at least
+    # min_chord from every unit kept before it.
+    kept = np.empty((min(plan.pool_max, len(units)), 7))
+    n = 0
+    for start in range(0, len(units), _THIN_BLOCK):
+        if n >= plan.pool_max:
             break
-        if len(kept) == 0 or float(np.linalg.norm(kept_arr - u, axis=1).min()) >= min_chord:
-            kept.append(u)
-            kept_arr = np.vstack([kept_arr, u])
-    return kept_arr, sep
+        block = units[start : start + _THIN_BLOCK]
+        if n:
+            # one test against every unit kept before this block
+            gaps = np.linalg.norm(kept[None, :n] - block[:, None], axis=2).min(axis=1)
+            block = block[gaps >= min_chord]
+        # then the survivors, one by one, against units kept within the block
+        first = n
+        for u in block:
+            if n >= plan.pool_max:
+                break
+            if n == first or float(np.linalg.norm(kept[first:n] - u, axis=1).min()) >= min_chord:
+                kept[n] = u
+                n += 1
+    return kept[:n], sep

@@ -37,7 +37,13 @@ from .diffops import (
     stencil_safe,
 )
 from .domains import Ball, Domain
-from .errors import ConditioningError, DomainError, EmptySampleError, IntegrityError
+from .errors import (
+    ConditioningError,
+    DomainError,
+    EmptySampleError,
+    IntegrityError,
+    PreconditionError,
+)
 from .report import Report, ScanReport
 from .sampling import SamplePlan, Subsphere
 
@@ -182,7 +188,8 @@ def local_stem(f: OctField, ball: Ball, z: complex) -> StemVector:
     if cap_center is None:
         if cos_thr > 0:
             raise DomainError("no slice of the ball passes through z")
-        i1 = _first_unit_in_ball(ball, a, b)
+        # real-centred ball with a full slice sphere: any unit works
+        i1 = UnitImaginary.basis(1)
         i2 = UnitImaginary.from_vector(_orthogonal_direction(i1.vec))
     else:
         if cos_thr >= 1.0:
@@ -201,11 +208,6 @@ def local_stem(f: OctField, ball: Ball, z: complex) -> StemVector:
     if z.imag < 0:
         stem = StemVector(stem.u, -stem.v)
     return stem
-
-
-def _first_unit_in_ball(ball: Ball, a: float, b: float) -> UnitImaginary:
-    # Real-centered ball with a full slice sphere: any unit works.
-    return UnitImaginary.basis(1)
 
 
 def bers_vekua_residual(
@@ -292,6 +294,13 @@ class GridSpec:
     center: tuple[float, float, float, float]
     half_widths: tuple[float, float, float, float]
     counts: tuple[int, int, int, int]
+
+    def __post_init__(self) -> None:
+        if not len(self.center) == len(self.half_widths) == len(self.counts) == 4:
+            raise PreconditionError("a grid needs four centers, half widths and counts")
+        if any(n < 3 for n in self.counts):
+            # with fewer than 3 nodes an axis has no interior node to test
+            raise PreconditionError(f"every grid count must be at least 3, got {list(self.counts)}")
 
     def axes(self) -> list[np.ndarray]:
         return [

@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from octoslice.cli import main
+from octoslice import cli
+from octoslice.cli import _dump, main
+from octoslice.errors import IntegrityError
 
 BALL2 = json.dumps({"type": "ball", "center": [0.0] * 8, "radius": 2.0})
 CHAIN = json.dumps(
@@ -264,3 +266,81 @@ def test_json_args_accept_files(tmp_path, capsys):
         "--xp", "[1, 0, 1, 0, 0, 0, 0, 0]",
     )
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (
+            "op", "--name", "slice-fueter", "--field", "identity",
+            "--point", "[1, Infinity, 0, 0, 0, 0, 0, 0]",
+        ),
+        ("eval", "--field", "identity", "--point", "[NaN, 1, 0, 0, 0, 0, 0, 0]"),
+        ("eval", "--field", "identity", "--point", "[1e999, 1, 0, 0, 0, 0, 0, 0]"),
+        (
+            "stem", "--field", "sqrt-example",
+            "--z", "[1, -Infinity]", "--unit", "[1, 0, 0, 0, 0, 0, 0]",
+        ),
+        ("stem", "--field", "sqrt-example", "--z", "[1, 2]", "--unit", "[NaN, 0, 0, 0, 0, 0, 0]"),
+        (
+            "quotient",
+            "--domain", '{"type": "ball", "center": [0, 0, 0, 0, 0, 0, 0, 0], "radius": Infinity}',
+        ),
+        ("quotient", "--domain", BALL2, "--plan", '{"pool_sep": NaN}'),
+    ],
+)
+def test_non_finite_input_is_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "non-finite" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # a grid with fewer than 3 nodes per axis has no interior node
+        (
+            "maxmod-scan", "--field", "gaussian", "--grid",
+            '{"center": [0, 0, 0, 0], "half_widths": [1, 1, 1, 1], "counts": [1, 1, 1, 1]}',
+        ),
+        ("quotient", "--domain", BALL2, "--plan", '{"pool_max": 0}'),
+        ("quotient", "--domain", BALL2, "--plan", '{"quotient_z_step": -0.1}'),
+        # about 1e13 columns: refused before any grid is built
+        ("quotient", "--domain", BALL2, "--plan", '{"quotient_z_step": 1e-6}'),
+        (
+            "ccl-search", "--domain", BALL2, "--plan", '{"search_budget": 0}',
+            "--x", "[1, 1, 0, 0, 0, 0, 0, 0]", "--xp", "[1, 0, 1, 0, 0, 0, 0, 0]",
+        ),
+    ],
+)
+def test_unresolvable_plans_and_grids_are_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"].startswith("PreconditionError")
+
+
+def test_non_finite_flag_is_exit_2(capsys):
+    code, out, _ = run(
+        capsys,
+        "op", "--name", "gamma", "--field", "identity",
+        "--point", "[1, 1, 0, 0, 0, 0, 0, 0]", "--tolerance", "nan",
+    )
+    assert code == 2 and out == ""
+
+
+def test_output_is_strict_json():
+    with pytest.raises(ValueError):
+        _dump({"norm": float("nan")})
+
+
+@pytest.mark.parametrize(
+    "error", [IntegrityError("inconsistent merge"), ZeroDivisionError("float division")]
+)
+def test_every_package_error_is_exit_2(capsys, monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "build_quotient", fail)
+    code, out, err = run(capsys, "quotient", "--domain", BALL2)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == f"{type(error).__name__}: {error}"

@@ -220,3 +220,31 @@ def test_subsphere_validation():
     assert not sub.contains(UnitImaginary.basis(5))
     with pytest.raises(PreconditionError):
         Subsphere([E1, E1])
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("sphere_samples", 0),
+        ("search_budget", -5),
+        ("pool_max", 0),
+        ("pool_harvest", 2.5),
+        ("verify_samples", True),
+        ("link_angle", 0.0),
+        ("base_step", float("nan")),
+        ("quotient_step_factor", -0.05),
+        ("quotient_z_step", float("inf")),
+        ("quotient_z_step", 0.0),
+        ("pool_sep_floor", float("-inf")),
+        ("pool_sep", "0.1"),
+    ],
+)
+def test_sample_plan_rejects_unresolvable_values(field, value):
+    with pytest.raises(PreconditionError, match=field):
+        SamplePlan(**{field: value})
+
+
+def test_sample_plan_keeps_valid_values():
+    plan = SamplePlan(quotient_z_step=0.1, pool_sep=0.05, pool_max=1, search_budget=3)
+    assert plan.with_seed(4).seed == 4
+    assert SamplePlan().quotient_z_step is None and SamplePlan().pool_sep is None

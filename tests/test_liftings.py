@@ -7,6 +7,7 @@ from octoslice.errors import DomainError, PreconditionError
 from octoslice.golden import get_field
 from octoslice.liftings import (
     CoupledLifting,
+    _FiberSearch,
     PolyPathC,
     PolyPathO,
     PolyPathS,
@@ -17,7 +18,7 @@ from octoslice.liftings import (
     lift_in_domain,
     stem_transport,
 )
-from octoslice.sampling import SamplePlan
+from octoslice.sampling import SamplePlan, Subsphere
 
 E = [Octonion.basis(k) for k in range(8)]
 
@@ -222,3 +223,21 @@ def test_ccl_verify_rejects_bad_witness():
     res = ccl_search(BALL, x, xp, PLAN)
     ok, info = ccl_verify(res.witness, x, Octonion.one() + 2 * E[3], BALL)
     assert not ok and info["end2_error"] > 1e-3
+
+
+def test_path_failing_reverification_is_unverified():
+    # the sampled fiber search links the two caps, but the 2048-point
+    # re-check of its witness leaves the union
+    two_balls = BallUnion([Ball(2 * E[1], 1.6), Ball(2 * E[2], 1.6)])
+    x = tau(UnitImaginary.basis(1), 3j)
+    xp = tau(UnitImaginary.basis(2), 3j)
+    res = ccl_search(two_balls, x, xp, SamplePlan(seed=0))
+    assert res.status == "unverified" and not res.found
+    assert res.witness is None and res.nodes > 0
+    assert res.detail == "witness failed re-verification"
+
+
+def test_fiber_search_refuses_runaway_z_grid():
+    with pytest.raises(PreconditionError, match="grid columns"):
+        plan = SamplePlan(quotient_z_step=1e-7)
+        _FiberSearch(BALL, plan, Subsphere.default(), 1 + 2j, np.eye(7)[0], np.eye(7)[1])

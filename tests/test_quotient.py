@@ -7,7 +7,7 @@ import pytest
 
 from octoslice.algebra import Octonion, UnitImaginary, tau
 from octoslice.domains import Ball, BallChain, PredicateDomain, SlabCone
-from octoslice.errors import DomainError, EmptySampleError, IntegrityError
+from octoslice.errors import DomainError, EmptySampleError, IntegrityError, PreconditionError
 from octoslice.golden import get_field
 from octoslice.quotient import (
     QuotientClass,
@@ -268,3 +268,10 @@ def test_empty_domain_raises():
     nothing = PredicateDomain(lambda x: False, (np.full(8, -1.0), np.full(8, 1.0)))
     with pytest.raises(EmptySampleError):
         build_quotient(nothing)
+
+
+def test_runaway_z_grid_is_refused_before_it_is_built():
+    with pytest.raises(PreconditionError, match="grid columns"):
+        build_quotient(Ball(Octonion.zero(), 1.0), SamplePlan(quotient_z_step=1e-7))
+    with pytest.raises(PreconditionError, match="grid columns"):
+        build_quotient(Ball(Octonion.zero(), 1.0), SamplePlan(quotient_step_factor=1e-5))

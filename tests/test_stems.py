@@ -4,7 +4,7 @@ import pytest
 from octoslice.algebra import Octonion, OrthoPair, UnitImaginary, tau
 from octoslice.diffops import OctField
 from octoslice.domains import Ball
-from octoslice.errors import ConditioningError, DomainError
+from octoslice.errors import ConditioningError, DomainError, PreconditionError
 from octoslice.golden import get_field, slab_cone_stem, sqrt_stem_main
 from octoslice.stems import (
     GridSpec,
@@ -217,3 +217,14 @@ def test_modulus_scan_domain_boundary_not_interior():
     grid = GridSpec((0, 2, 0, 0), (1.5, 1.5, 0.2, 0.2), (7, 7, 3, 3))
     rep = modulus_local_max_scan(gau.field, pair, grid, domain=shifted)
     assert rep.strict_maxima == []
+
+
+@pytest.mark.parametrize("counts", [(1, 1, 1, 1), (2, 5, 5, 5), (5, 5, 5, 0)])
+def test_grid_without_interior_nodes_is_refused(counts):
+    with pytest.raises(PreconditionError, match="at least 3"):
+        GridSpec((0, 0, 0, 0), (1, 1, 1, 1), counts)
+
+
+def test_grid_needs_four_axes():
+    with pytest.raises(PreconditionError, match="four"):
+        GridSpec.from_json({"center": [0, 0, 0], "half_widths": [1, 1, 1], "counts": [5, 5, 5]})
