@@ -21,13 +21,12 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.cluster.hierarchy import DisjointSet
 
 from .algebra import Octonion, OrthoPair, UnitImaginary, mul, tau
 from .domains import Domain, _member_units
 from .errors import DomainError, EmptySampleError
 from .report import Report
-from .sampling import SamplePlan, Subsphere, unit_graph_edges
+from .sampling import SamplePlan, Subsphere, components, unit_graph_edges
 
 DERIVATION_PAIRS = tuple((m, n) for m in range(1, 8) for n in range(m + 1, 8))
 
@@ -276,11 +275,10 @@ def sliceness_check(
             members = units[member_mask]
             if len(members) < max(2, plan.component_detect_min):
                 continue
-            ds = DisjointSet(range(len(members)))
-            for p, q in unit_graph_edges(members, plan.link_angle):
-                ds.merge(int(p), int(q))
-            for comp in ds.subsets():
-                idx = sorted(comp)
+            count, labels = components(len(members), unit_graph_edges(members, plan.link_angle))
+            # member indices of each component, smallest-member component first
+            order = np.argsort(labels, kind="stable")
+            for idx in np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1]):
                 if len(idx) < 2:
                     continue
                 take = idx[:: max(1, len(idx) // plan.residual_unit_samples)]

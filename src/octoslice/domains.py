@@ -15,13 +15,12 @@ import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.cluster.hierarchy import DisjointSet
 from scipy.spatial import cKDTree
 
 from .algebra import REAL_AXIS_TOL, Octonion, UnitImaginary, angle_between, tau
 from .errors import DomainError, PreconditionError
 from .report import Report
-from .sampling import SamplePlan, Subsphere, unit_graph_edges
+from .sampling import SamplePlan, Subsphere, components, unit_graph_edges
 
 
 class Domain:
@@ -434,26 +433,21 @@ def same_component(
     units = units[_member_units(domain, a, b, units)]
     nodes = np.vstack([units, i1.vec[None, :], i2.vec[None, :]])
     n1, n2 = len(nodes) - 2, len(nodes) - 1
-    ds = DisjointSet(range(len(nodes)))
-    for p, q in unit_graph_edges(nodes, plan.link_angle):
-        ds.merge(int(p), int(q))
-    if ds.connected(n1, n2):
+    _, labels = components(len(nodes), unit_graph_edges(nodes, plan.link_angle))
+    if labels[n1] == labels[n2]:
         return "same"
-    size1 = sum(1 for k in ds.subset(n1) if k < len(units))
-    size2 = sum(1 for k in ds.subset(n2) if k < len(units))
+    sampled = labels[: len(units)]
+    size1 = int(np.count_nonzero(sampled == labels[n1]))
+    size2 = int(np.count_nonzero(sampled == labels[n2]))
     if size1 >= plan.component_detect_min and size2 >= plan.component_detect_min:
         return "different"
     return "unknown"
 
 
-def _component_count(units: np.ndarray, link_angle: float, detect_min: int) -> tuple[int, int]:
+def _component_count(units: np.ndarray, link_angle: float, detect_min: int) -> int:
     """Components of the unit proximity graph, ignoring undersampled ones."""
-    ds = DisjointSet(range(len(units)))
-    for p, q in unit_graph_edges(units, link_angle):
-        ds.merge(int(p), int(q))
-    sizes = [len(s) for s in ds.subsets()]
-    counted = sum(1 for s in sizes if s >= detect_min)
-    return counted, len(sizes)
+    count, labels = components(len(units), unit_graph_edges(units, link_angle))
+    return int(np.count_nonzero(np.bincount(labels, minlength=count) >= detect_min))
 
 
 def circularly_connected_scan(
@@ -483,7 +477,7 @@ def circularly_connected_scan(
             if len(members) < plan.component_detect_min:
                 continue
             evaluated += 1
-            count, _ = _component_count(members, plan.link_angle, plan.component_detect_min)
+            count = _component_count(members, plan.link_angle, plan.component_detect_min)
             count = max(count, 1)
             counts.append(count)
             if count > worst_count:

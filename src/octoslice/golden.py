@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import Octonion, UnitImaginary, mul, unit_imaginary_of
+from .algebra import Octonion, UnitImaginary, unit_imaginary_of
 from .diffops import OctField
 from .domains import Ball, BallChain, Domain, SlabCone
 from .errors import ConditioningError, DomainError

@@ -19,28 +19,18 @@ instead, never a fabricated verdict.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from .algebra import Octonion, UnitImaginary, tau, unit_imaginary_of
+from .algebra import Octonion, UnitImaginary, unit_imaginary_of
 from .diffops import DEFAULT_SCHEME, FDScheme, OctField
 from .domains import Domain
 from .errors import DomainError, PreconditionError
-from .sampling import (
-    SamplePlan,
-    Subsphere,
-    adaptive_unit_pool,
-    arc_probe_graph,
-    chord_of_angle,
-    z_grid_step,
-)
+from .sampling import SamplePlan, SlicePairGrid, Subsphere
 from .stems import StemVector, stem_from_gamma
 
 _ANTIPODAL_TOL = 1e-6
-# Sample times of a base move between neighbouring grid columns, start
-# excluded (the start column's membership is already known).
-_BASE_MOVE_TIMES = np.linspace(0.0, 1.0, 7)[1:]
 
 
 def _check_times(times: np.ndarray, count: int) -> np.ndarray:
@@ -462,106 +452,28 @@ def _real_anchor(domain: Domain, z: complex, u1: np.ndarray, u2: np.ndarray) -> 
 
 
 class _FiberSearch:
-    """Breadth-first search on the sampled fiber product of a domain."""
+    """Breadth-first search on the sampled fiber product of a domain.
+
+    Nodes are (column, unit, unit) on a SlicePairGrid holding the query
+    units and column; a node at a real column or with equal units couples.
+    """
 
     def __init__(self, domain, plan, subsphere, z, u1, u2):
-        self.domain = domain
         self.plan = plan
-        rng = plan.rng()
-        units, sep = adaptive_unit_pool(domain, subsphere, plan, rng)
-        self.units = np.vstack([units, u1, u2])
-        self.i1 = len(self.units) - 2
-        self.i2 = len(self.units) - 1
-        window = domain.z_window()
-        a_lo, a_hi, b_max = window
-        step = z_grid_step(window, plan)
-        self.alphas = np.arange(a_lo - step, a_hi + step + step / 2, step)
-        self.betas = np.arange(0.0, b_max + step, step)
-        # snap the query column onto the grid
-        self.alphas = np.sort(np.append(self.alphas, z.real))
-        self.betas = np.sort(np.append(self.betas, z.imag))
-        self.col_x = (int(np.searchsorted(self.alphas, z.real)), int(np.searchsorted(self.betas, z.imag)))
-        link = max(chord_of_angle(plan.link_angle), 2.5 * sep)
-        self.ends, self.edge_probes = arc_probe_graph(self.units, link)
-        self.adj: dict[int, list[tuple[int, int]]] = {i: [] for i in range(len(self.units))}
-        for eidx, (a, b) in enumerate(self.ends):
+        self.grid = SlicePairGrid(domain, plan, subsphere, query=(z, np.vstack([u1, u2])))
+        self.i1 = len(self.grid.units) - 2
+        self.i2 = len(self.grid.units) - 1
+        self.adj: dict[int, list[tuple[int, int]]] = {i: [] for i in range(len(self.grid.units))}
+        for eidx, (a, b) in enumerate(self.grid.edges):
             self.adj[int(a)].append((int(b), eidx))
             self.adj[int(b)].append((int(a), eidx))
-        self.edge_index = {(int(a), int(b)): e for e, (a, b) in enumerate(self.ends)}
-        self.edge_index.update({(int(b), int(a)): e for e, (a, b) in enumerate(self.ends)})
-        self._members: dict[tuple[int, int], np.ndarray] = {}
-        self._edges_ok: dict[tuple[int, int], np.ndarray] = {}
-        self._moves_ok: dict[tuple[tuple[int, int], tuple[int, int]], np.ndarray] = {}
-        self._real_cols: dict[int, bool] = {}
-
-    def z_of(self, col):
-        return complex(self.alphas[col[0]], self.betas[col[1]])
-
-    def members(self, col) -> np.ndarray:
-        if col not in self._members:
-            z = self.z_of(col)
-            pts = np.zeros((len(self.units), 8))
-            pts[:, 0] = z.real
-            pts[:, 1:] = z.imag * self.units
-            self._members[col] = self.domain.contains_batch(pts)
-        return self._members[col]
-
-    def edges_ok(self, col) -> np.ndarray:
-        if col not in self._edges_ok:
-            z = self.z_of(col)
-            n_edges, n_probes, _ = self.edge_probes.shape
-            pts = np.zeros((n_edges * n_probes, 8))
-            pts[:, 0] = z.real
-            pts[:, 1:] = z.imag * self.edge_probes.reshape(-1, 7)
-            arc_ok = self.domain.contains_batch(pts).reshape(n_edges, n_probes).all(axis=1)
-            mem = self.members(col)
-            self._edges_ok[col] = arc_ok & mem[self.ends[:, 0]] & mem[self.ends[:, 1]]
-        return self._edges_ok[col]
-
-    def is_real_col(self, col) -> bool:
-        if self.betas[col[1]] > 1e-9:
-            return False
-        if col[0] not in self._real_cols:
-            x = np.zeros(8)
-            x[0] = self.alphas[col[0]]
-            self._real_cols[col[0]] = bool(self.domain.contains_batch(x[None, :])[0])
-        return self._real_cols[col[0]]
-
-    def edge_ok(self, col, eidx) -> bool:
-        if self.is_real_col(col):
-            return True
-        return bool(self.edges_ok(col)[eidx])
-
-    def moves_ok(self, col_a, col_b) -> np.ndarray:
-        """Per unit: does the base move from col_a to col_b stay in the domain?"""
-        key = (col_a, col_b)
-        if key not in self._moves_ok:
-            za, zb = self.z_of(col_a), self.z_of(col_b)
-            t = _BASE_MOVE_TIMES
-            zs = (1.0 - t) * za + t * zb
-            if self.is_real_col(col_b):
-                # the real end column is checked on its own
-                zs = zs[:-1]
-            pts = np.zeros((len(self.units), len(zs), 8))
-            pts[:, :, 0] = zs.real
-            pts[:, :, 1:] = zs.imag[None, :, None] * self.units[:, None, :]
-            inside = self.domain.contains_batch(pts.reshape(-1, 8))
-            self._moves_ok[key] = inside.reshape(len(self.units), len(zs)).all(axis=1)
-        return self._moves_ok[key]
-
-    def base_move_ok(self, col_a, col_b, i) -> bool:
-        return bool(self.moves_ok(col_a, col_b)[i])
-
-    def neighbor_cols(self, col):
-        ia, ib = col
-        for da, db in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            ja, jb = ia + da, ib + db
-            if 0 <= ja < len(self.alphas) and 0 <= jb < len(self.betas):
-                yield (ja, jb)
+        self.edge_index = {(int(a), int(b)): e for e, (a, b) in enumerate(self.grid.edges)}
+        self.edge_index.update({(int(b), int(a)): e for e, (a, b) in enumerate(self.grid.edges)})
 
     def run(self) -> tuple[str, Optional[list], int]:
-        start = (self.col_x, self.i1, self.i2)
-        mem = self.members(self.col_x)
+        grid = self.grid
+        start = (grid.query_col, self.i1, self.i2)
+        mem = grid.members(grid.query_col)
         if not (mem[self.i1] and mem[self.i2]):
             return "budget-exhausted", None, 0
         parents = {start: None}
@@ -573,38 +485,30 @@ class _FiberSearch:
             node = queue.popleft()
             pops += 1
             col, i, j = node
-            if i == j or self.is_real_col(col):
+            if i == j or grid.is_real_col(col):
                 return "found", self._walk_back(parents, node), pops
+            arcs = grid.arc_mask(col)
             direct = self.edge_index.get((i, j))
-            if direct is not None and self.edge_ok(col, direct):
+            if direct is not None and arcs[direct]:
                 # one unit slide away from the diagonal: finish it
                 final = (col, i, i)
                 parents.setdefault(final, node)
                 return "found", self._walk_back(parents, final), pops
             for k, eidx in self.adj[i]:
-                if self.edge_ok(col, eidx):
+                if arcs[eidx]:
                     nxt = (col, k, j)
                     if nxt not in parents:
                         parents[nxt] = node
                         queue.append(nxt)
             for k, eidx in self.adj[j]:
-                if self.edge_ok(col, eidx):
+                if arcs[eidx]:
                     nxt = (col, i, k)
                     if nxt not in parents:
                         parents[nxt] = node
                         queue.append(nxt)
-            for col2 in self.neighbor_cols(col):
-                if self.is_real_col(col2):
-                    ok = self.base_move_ok(col, col2, i) and self.base_move_ok(col, col2, j)
-                else:
-                    mem2 = self.members(col2)
-                    ok = (
-                        mem2[i]
-                        and mem2[j]
-                        and self.base_move_ok(col, col2, i)
-                        and self.base_move_ok(col, col2, j)
-                    )
-                if ok:
+            for col2 in grid.neighbors(col):
+                move = grid.move_mask(col, col2)
+                if move[i] and move[j]:
                     nxt = (col2, i, j)
                     if nxt not in parents:
                         parents[nxt] = node
@@ -619,10 +523,10 @@ class _FiberSearch:
         return out  # coupling point first, query column last
 
 
-def _witness_from_nodes(search: _FiberSearch, nodes: list, x: Octonion, xp: Octonion) -> CoupledLifting:
-    zs = [search.z_of(col) for col, _, _ in nodes]
-    us1 = [search.units[i] for _, i, _ in nodes]
-    us2 = [search.units[j] for _, _, j in nodes]
+def _witness_from_nodes(grid: SlicePairGrid, nodes: list, x: Octonion, xp: Octonion) -> CoupledLifting:
+    zs = [grid.z_of(col) for col, _, _ in nodes]
+    us1 = [grid.units[i] for _, i, _ in nodes]
+    us2 = [grid.units[j] for _, _, j in nodes]
     # exact leg from the grid column to the query projection; the final node
     # already carries the exact query units
     zs.append(complex(x.re, x.im_norm))
@@ -695,7 +599,7 @@ def ccl_search(
     search = _FiberSearch(domain, plan, subsphere, z, u1, u2)
     status, nodes, pops = search.run()
     if status == "found":
-        witness = _witness_from_nodes(search, nodes, x, xp)
+        witness = _witness_from_nodes(search.grid, nodes, x, xp)
         got = finish(witness, pops, "fiber-product search")
         if got:
             return got

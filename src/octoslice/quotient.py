@@ -6,8 +6,9 @@ point of the domain therefore appears on two conjugate sheets.  Gluing
 pairs with equal z whose underlying points are CCL-equivalent yields a
 Riemann domain over C with projection P[(z, I)] = z.
 
-`build_quotient` samples the pairs on a rectangular z grid crossed with an
-adapted unit pool and merges them using three certified moves only:
+`build_quotient` samples the pairs on a `SlicePairGrid` (a rectangular z
+grid crossed with an adapted unit pool, shared with the fiber search of
+`ccl_search`) and merges them using three certified moves only:
 
 * an admissible arc between two units at fixed z, i.e. a constant-base
   coupled lifting,
@@ -15,19 +16,26 @@ adapted unit pool and merges them using three certified moves only:
 * infectivity: a pair already merged at a neighboring column rides over
   when both unit legs stay inside the domain.
 
-Each effective union appends a record; classes are transitive closures of
-recorded merges and `replay_merge_record` re-verifies any single record
-from scratch.  Since merging is certificate-backed only, component counts
-of the class graph are upper bounds on the true quotient's.
+Classes are the connected components of the certified edges, the ride
+edges iterated to a fixpoint.  The merge records are a spanning forest of
+each column's classes: taking the column's arc or real edges in admissible
+order and then its ride edges, an edge is recorded when it joins two
+classes of the edges before it, so a column with m members and c classes
+has m - c records.  Classes are therefore the transitive closures of the
+records, and `replay_merge_record` re-verifies any single record from
+scratch.  Since merging is certificate-backed only, component counts of the
+class graph are upper bounds on the true quotient's.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import minimum_spanning_tree
 
 from .algebra import Octonion
 from .diffops import DEFAULT_SCHEME, FDScheme, OctField
@@ -35,20 +43,12 @@ from .domains import Domain
 from .errors import DomainError, EmptySampleError, IntegrityError
 from .liftings import CoupledLifting, PolyPathC, PolyPathS, ccl_verify, lift_in_domain
 from .report import Report
-from .sampling import (
-    SamplePlan,
-    Subsphere,
-    adaptive_unit_pool,
-    arc_probe_graph,
-    chord_of_angle,
-    z_grid_step,
-)
+from .sampling import SamplePlan, SlicePairGrid, Subsphere, components
 from .stems import StemVector, stem_from_gamma
 
 ColKey = tuple[int, int]
 
 _Z_MATCH_TOL = 1e-9
-_RIDE_FRACTIONS = np.linspace(0.0, 1.0, 7)[1:-1]
 
 
 @dataclass(frozen=True)
@@ -85,9 +85,6 @@ class QuotientSample:
     def z_of(self, col: ColKey) -> complex:
         return complex(self.alphas[col[0]], self.betas[col[1]])
 
-    def is_real_col(self, col: ColKey) -> bool:
-        return abs(self.betas[col[1]]) <= 1e-12
-
     def point_of(self, col: ColKey, unit_id: int) -> Octonion:
         z = self.z_of(col)
         coeffs = np.zeros(8)
@@ -119,38 +116,21 @@ class QuotientSample:
         }
 
 
-class _ColumnForest:
-    """Union-find over unit indices, kept separately per column."""
+def _ordered_forest(n: int, edges: np.ndarray) -> np.ndarray:
+    """Indices of the edges that join two components when taken in order.
 
-    def __init__(self, size: int) -> None:
-        self.size = size
-        self.parent: dict[ColKey, np.ndarray] = {}
-
-    def ensure(self, col: ColKey) -> None:
-        if col not in self.parent:
-            self.parent[col] = np.arange(self.size)
-
-    def find(self, col: ColKey, i: int) -> int:
-        p = self.parent[col]
-        while p[i] != i:
-            p[i] = p[p[i]]
-            i = p[i]
-        return int(i)
-
-    def union(self, col: ColKey, i: int, j: int) -> bool:
-        ri, rj = self.find(col, i), self.find(col, j)
-        if ri == rj:
-            return False
-        lo, hi = (ri, rj) if ri < rj else (rj, ri)
-        self.parent[col][hi] = lo
-        return True
-
-
-def _column_members(domain: Domain, units: np.ndarray, z: complex) -> np.ndarray:
-    pts = np.zeros((len(units), 8))
-    pts[:, 0] = z.real
-    pts[:, 1:] = z.imag * units
-    return domain.contains_batch(pts)
+    This is the spanning forest Kruskal's algorithm builds from the edge
+    order, i.e. the minimum spanning forest under weights 1, 2, 3, ...
+    """
+    if len(edges) == 0:
+        return np.empty(0, dtype=np.int64)
+    lo, hi = edges.min(axis=1), edges.max(axis=1)
+    # a repeat of an earlier edge, or a self-loop, never joins anything
+    _, first = np.unique(lo * n + hi, return_index=True)
+    keep = np.sort(first)
+    keep = keep[lo[keep] != hi[keep]]
+    graph = coo_matrix((keep + 1.0, (lo[keep], hi[keep])), shape=(n, n))
+    return np.sort(minimum_spanning_tree(graph).tocoo().data.astype(np.int64) - 1)
 
 
 class _Builder:
@@ -158,169 +138,147 @@ class _Builder:
         self.domain = domain
         self.plan = plan
         self.subsphere = subsphere
-        rng = plan.rng()
-        self.units, self.sep = adaptive_unit_pool(domain, subsphere, plan, rng)
-        window = domain.z_window()
-        a_lo, a_hi, b_max = window
-        step = z_grid_step(window, plan)
-        self.alphas = np.arange(a_lo - step, a_hi + step + step / 2, step)
-        pos = np.arange(step, b_max + step, step)
-        self.betas = np.concatenate([-pos[::-1], [0.0], pos])
-        self.link = max(chord_of_angle(plan.link_angle), 2.5 * self.sep)
-        self.edges, self.edge_arcs = arc_probe_graph(self.units, self.link)
-        self.members: dict[ColKey, np.ndarray] = {}
-        for ia in range(len(self.alphas)):
-            for ib in range(len(self.betas)):
-                z = complex(self.alphas[ia], self.betas[ib])
-                mask = _column_members(domain, self.units, z)
-                if mask.any():
-                    self.members[(ia, ib)] = mask
-        if not self.members:
+        self.grid = SlicePairGrid(domain, plan, subsphere)
+        # the nonempty columns, in order, and each one's slot in that order
+        self.cols = [col for col in self.grid.columns() if self.grid.members(col).any()]
+        if not self.cols:
             raise EmptySampleError("no sampled slice pair lies in the domain")
-        self.forest = _ColumnForest(len(self.units))
-        self.records: list[tuple] = []
-        self._rides: dict[tuple[ColKey, ColKey], np.ndarray] = {}
-
-    def z_of(self, col: ColKey) -> complex:
-        return complex(self.alphas[col[0]], self.betas[col[1]])
-
-    def is_real_col(self, col: ColKey) -> bool:
-        return abs(self.betas[col[1]]) <= 1e-12
+        self.slot = {col: k for k, col in enumerate(self.cols)}
+        # Edges live on all columns side by side: unit u of slot k is node
+        # k*n + u.  Ride edges that joined two classes, each tagged with its
+        # source slot:
+        self.rides: list[tuple[np.ndarray, np.ndarray]] = []
 
     def neighbors(self, col: ColKey):
-        ia, ib = col
-        for da, db in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            nb = (ia + da, ib + db)
-            if nb in self.members:
-                yield nb
-
-    def admissible_edges(self, col: ColKey) -> np.ndarray:
-        """Indices of pool edges whose full arc stays in the domain at this z."""
-        mask = self.members[col]
-        ends_ok = mask[self.edges[:, 0]] & mask[self.edges[:, 1]]
-        cand = np.where(ends_ok)[0]
-        if len(cand) == 0:
-            return cand
-        z = self.z_of(col)
-        arcs = self.edge_arcs[cand]
-        pts = np.zeros((arcs.shape[0] * arcs.shape[1], 8))
-        pts[:, 0] = z.real
-        pts[:, 1:] = z.imag * arcs.reshape(-1, 7)
-        ok = self.domain.contains_batch(pts).reshape(arcs.shape[0], arcs.shape[1]).all(axis=1)
-        return cand[ok]
-
-    def ride_mask(self, a: ColKey, b: ColKey) -> np.ndarray:
-        """Units that stay in the domain along the z segment between columns."""
-        key = (a, b) if a < b else (b, a)
-        if key not in self._rides:
-            both = self.members[key[0]] & self.members[key[1]]
-            cand = np.where(both)[0]
-            mask = np.zeros(len(self.units), dtype=bool)
-            if len(cand):
-                za, zb = self.z_of(key[0]), self.z_of(key[1])
-                zs = (1.0 - _RIDE_FRACTIONS) * za + _RIDE_FRACTIONS * zb
-                pts = np.zeros((len(cand) * len(zs), 8))
-                pts[:, 0] = np.repeat(zs.real, len(cand))
-                pts[:, 1:] = (zs.imag[:, None, None] * self.units[cand][None, :, :]).reshape(-1, 7)
-                ok = self.domain.contains_batch(pts).reshape(len(zs), len(cand)).all(axis=0)
-                mask[cand[ok]] = True
-            self._rides[key] = mask
-        return self._rides[key]
+        return (nb for nb in self.grid.neighbors(col) if nb in self.slot)
 
     def merge_within_columns(self) -> None:
-        for col in sorted(self.members):
-            self.forest.ensure(col)
-            if self.is_real_col(col):
-                ids = np.where(self.members[col])[0]
-                for k in ids[1:]:
-                    if self.forest.union(col, int(ids[0]), int(k)):
-                        self.records.append(("real", col, int(ids[0]), int(k)))
-                continue
-            for eidx in self.admissible_edges(col):
-                i, j = int(self.edges[eidx, 0]), int(self.edges[eidx, 1])
-                if self.forest.union(col, i, j):
-                    self.records.append(("arc", col, i, j, int(eidx)))
+        """Certified edges at fixed z, and the classes they make per column.
+
+        `within` holds the edges in the order the records take them, as
+        (ends (m, 2), tags), a tag being the arc edge index or -1 at a real
+        column.  `labels[k]` numbers the classes of slot k by smallest unit;
+        non-members are singletons.
+        """
+        n = len(self.grid.units)
+        ends, tags = [], []
+        for k, col in enumerate(self.cols):
+            if self.grid.is_real_col(col):
+                ids = np.flatnonzero(self.grid.members(col))
+                ends.append(np.column_stack([np.full(len(ids) - 1, ids[0]), ids[1:]]) + k * n)
+                tags.append(np.full(len(ids) - 1, -1))
+            else:
+                tags.append(np.flatnonzero(self.grid.arc_mask(col)))
+                ends.append(self.grid.edges[tags[-1]] + k * n)
+        self.within = (np.concatenate(ends), np.concatenate(tags))
+        # a slot's components are numbered consecutively from its unit 0's
+        _, labels = components(len(self.cols) * n, self.within[0])
+        self.labels = labels.reshape(len(self.cols), n)
+        self.labels -= self.labels[:, :1]
 
     def propagate_infectivity(self) -> None:
-        work = deque(sorted(self.members))
+        """Merge the units that ride over together from one neighbouring class, to the fixpoint."""
+        work = deque(self.cols)
         queued = set(work)
         while work:
             col = work.popleft()
             queued.discard(col)
-            changed = False
+            lab = self.labels[self.slot[col]]
+            heads, tails = [], []
             for nb in self.neighbors(col):
-                ridable = np.where(self.ride_mask(col, nb))[0]
+                ridable = np.flatnonzero(self.grid.move_mask(col, nb))
                 if len(ridable) < 2:
                     continue
-                roots_nb = np.array([self.forest.find(nb, int(i)) for i in ridable])
-                for root in np.unique(roots_nb):
-                    group = ridable[roots_nb == root]
-                    if len(group) < 2:
-                        continue
-                    head = int(group[0])
-                    for k in group[1:]:
-                        if self.forest.union(col, head, int(k)):
-                            self.records.append(("ride", col, head, int(k), nb))
-                            changed = True
-            if changed:
+                # each unit rides with the first ridable unit of its class at nb
+                _, first, group = np.unique(
+                    self.labels[self.slot[nb], ridable], return_index=True, return_inverse=True
+                )
+                head = ridable[first][group]
+                joins = lab[head] != lab[ridable]
+                if joins.any():
+                    node = self.slot[col] * len(lab)
+                    ends = np.column_stack([head[joins], ridable[joins]]) + node
+                    self.rides.append((ends, np.full(len(ends), self.slot[nb])))
+                    heads.append(lab[head[joins]])
+                    tails.append(lab[ridable[joins]])
+            if heads:
+                pairs = np.column_stack([np.concatenate(heads), np.concatenate(tails)])
+                lab[:] = components(int(lab.max()) + 1, pairs)[1][lab]
                 for nb in self.neighbors(col):
                     if nb not in queued:
                         work.append(nb)
                         queued.add(nb)
 
+    def merge_records(self) -> list[tuple]:
+        """One certified edge per merge: a spanning forest of every column's classes.
+
+        Each column's edges are taken in certified order, its arc or real
+        edges in admissible order and then its ride edges; a record is an
+        edge that joins two classes of the edges before it.
+        """
+        n = len(self.grid.units)
+        ends = np.concatenate([self.within[0]] + [e for e, _ in self.rides])
+        tags = np.concatenate([self.within[1]] + [t for _, t in self.rides])
+        chosen = _ordered_forest(len(self.cols) * n, ends)
+        records: list[tuple] = []
+        for e, (a, b), tag in zip(chosen.tolist(), ends[chosen].tolist(), tags[chosen].tolist()):
+            col, i, j = self.cols[a // n], a % n, b % n
+            if e >= len(self.within[1]):
+                records.append(("ride", col, i, j, self.cols[tag]))
+            elif tag < 0:
+                records.append(("real", col, i, j))
+            else:
+                records.append(("arc", col, i, j, tag))
+        return records
+
     def finish(self) -> QuotientSample:
-        classes: list[QuotientClass] = []
-        labels: dict[ColKey, np.ndarray] = {}
-        for col in sorted(self.members):
-            lab = np.full(len(self.units), -1, dtype=int)
-            ids = np.where(self.members[col])[0]
-            roots = np.array([self.forest.find(col, int(i)) for i in ids])
-            for root in np.unique(roots):
-                group = tuple(int(i) for i in ids[roots == root])
-                lab[list(group)] = len(classes)
-                classes.append(QuotientClass(len(classes), col, self.z_of(col), group))
-            labels[col] = lab
-        adjacency: list[set[int]] = [set() for _ in classes]
-        for col in sorted(self.members):
+        grid = self.grid
+        member = np.stack([grid.members(col) for col in self.cols])
+        # classes in column order, then by smallest unit
+        slots, units = np.nonzero(member)
+        _, cls, sizes = np.unique(
+            slots * len(grid.units) + self.labels[slots, units], return_inverse=True, return_counts=True
+        )
+        labels = np.full(member.shape, -1, dtype=int)
+        labels[slots, units] = cls
+        order = np.argsort(cls, kind="stable")
+        starts = np.cumsum(sizes) - sizes
+        classes = [
+            QuotientClass(c, self.cols[k], grid.z_of(self.cols[k]), tuple(ids.tolist()))
+            for c, (k, ids) in enumerate(
+                zip(slots[order][starts].tolist(), np.split(units[order], starts[1:]))
+            )
+        ]
+        pairs = [np.empty((0, 2), dtype=int)]
+        for col in self.cols:
             for nb in self.neighbors(col):
-                if nb < col:
-                    continue
-                ridable = self.ride_mask(col, nb)
-                for uid in np.where(ridable)[0]:
-                    c1, c2 = int(labels[col][uid]), int(labels[nb][uid])
-                    adjacency[c1].add(c2)
-                    adjacency[c2].add(c1)
-        comp = np.arange(len(classes))
-
-        def find(i: int) -> int:
-            while comp[i] != i:
-                comp[i] = comp[comp[i]]
-                i = comp[i]
-            return int(i)
-
-        for cid, nbrs in enumerate(adjacency):
-            for other in nbrs:
-                ra, rb = find(cid), find(other)
-                if ra != rb:
-                    comp[max(ra, rb)] = min(ra, rb)
-        component_of = np.array([find(i) for i in range(len(classes))])
+                if nb > col:
+                    ridable = np.flatnonzero(grid.move_mask(col, nb))
+                    pairs.append(labels[[self.slot[col], self.slot[nb]]][:, ridable].T)
+        pairs = np.concatenate(pairs)
+        both = np.unique(np.concatenate([pairs, pairs[:, ::-1]]), axis=0)
+        bounds = np.searchsorted(both[:, 0], np.arange(len(classes) + 1))
+        adjacency = [tuple(both[bounds[c] : bounds[c + 1], 1].tolist()) for c in range(len(classes))]
+        # each component is named by its smallest class index
+        _, comp = components(len(classes), pairs)
+        _, smallest = np.unique(comp, return_index=True)
         return QuotientSample(
             domain=self.domain,
             plan=self.plan,
             subsphere=self.subsphere,
-            alphas=self.alphas,
-            betas=self.betas,
-            units=self.units,
-            edges=self.edges,
-            edge_arcs=self.edge_arcs,
-            members=self.members,
-            labels=labels,
+            alphas=grid.alphas,
+            betas=grid.betas,
+            units=grid.units,
+            edges=grid.edges,
+            edge_arcs=grid.edge_arcs,
+            members={col: grid.members(col) for col in self.cols},
+            labels=dict(zip(self.cols, labels)),
             classes=classes,
-            class_adjacency=[tuple(sorted(s)) for s in adjacency],
-            component_of=component_of,
-            merge_records=self.records,
-            link=self.link,
-            separation=self.sep,
+            class_adjacency=adjacency,
+            component_of=smallest[comp],
+            merge_records=self.merge_records(),
+            link=grid.link,
+            separation=grid.sep,
         )
 
 
@@ -334,7 +292,7 @@ def build_quotient(
 
     Merges come from admissible arcs, real-column recoupling, and (when
     `infectivity` is on, the default) equivalences riding over from
-    neighboring columns; every effective union is recorded.
+    neighboring columns; a spanning forest of the merges is recorded.
     """
     plan = plan or SamplePlan()
     subsphere = subsphere or Subsphere.default()

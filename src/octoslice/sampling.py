@@ -8,11 +8,14 @@ every check records what it actually used.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .algebra import NEAR_UNIT_TOL, UnitImaginary
@@ -23,6 +26,9 @@ from .errors import EmptySampleError, PreconditionError
 MAX_Z_COLUMNS = 50_000
 # Candidate units tested in one call against the pool kept so far.
 _THIN_BLOCK = 64
+# Interior sample times of a z leg between neighbouring grid columns; the
+# two end columns are checked by their membership.
+_LEG_TIMES = np.linspace(0.0, 1.0, 7)[1:-1]
 
 
 class Subsphere:
@@ -148,8 +154,8 @@ def z_grid_step(window: tuple[float, float, float], plan: SamplePlan) -> float:
     """Step of the sampled z grid over a z window (alpha_lo, alpha_hi, beta_max).
 
     Refuses, before any grid is built, a step whose grid could exceed
-    MAX_Z_COLUMNS columns; the count used bounds both the quotient grid
-    (betas of both signs) and the fiber-search grid (one snapped column).
+    MAX_Z_COLUMNS columns; the count used is that of a SlicePairGrid (betas
+    of both signs), give or take a snapped query column.
     """
     a_lo, a_hi, b_max = window
     step = plan.quotient_z_step or plan.quotient_step_factor * max(a_hi - a_lo, b_max)
@@ -202,24 +208,6 @@ def arc_probe_graph(
     return np.asarray(ends, dtype=int), np.asarray(arcs)
 
 
-def slerp(u: np.ndarray, w: np.ndarray, s: float) -> np.ndarray:
-    """Chordal interpolation between unit vectors, renormalized to the sphere."""
-    v = (1.0 - s) * u + s * w
-    n = float(np.linalg.norm(v))
-    if n <= 1e-12:
-        raise PreconditionError("cannot interpolate between antipodal units")
-    return v / n
-
-
-def slerp_many(u: np.ndarray, w: np.ndarray, fractions: np.ndarray) -> np.ndarray:
-    """Renormalized chordal interpolation at several fractions, (k, dim)."""
-    v = np.outer(1.0 - fractions, u) + np.outer(fractions, w)
-    n = np.linalg.norm(v, axis=1, keepdims=True)
-    if float(n.min()) <= 1e-12:
-        raise PreconditionError("cannot interpolate between antipodal units")
-    return v / n
-
-
 def adaptive_unit_pool(
     domain,
     subsphere: Subsphere,
@@ -270,3 +258,126 @@ def adaptive_unit_pool(
                 kept[n] = u
                 n += 1
     return kept[:n], sep
+
+
+def components(n: int, edges) -> tuple[int, np.ndarray]:
+    """Connected components of the graph on nodes 0..n-1 with the given edges.
+
+    Returns (count, labels).  Labels follow each component's smallest node,
+    so component 0 holds node 0 and labels first appear in increasing order.
+    Self-loops and repeated edges are allowed.
+    """
+    if n == 0:
+        return 0, np.empty(0, dtype=np.int64)
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    graph = coo_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(n, n))
+    count, raw = connected_components(graph, directed=False)
+    # renumber by smallest node, whatever order the traversal used
+    _, first = np.unique(raw, return_index=True)
+    rank = np.empty(count, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(count)
+    return int(count), rank[raw]
+
+
+class SlicePairGrid:
+    """Sampled slice pairs (z, I) of a domain: a z grid crossed with a unit pool.
+
+    The units are an adaptive pool, followed by the query units when there is
+    a query.  The z axis has alphas over the domain's window and betas
+    [-pos[::-1], 0, pos]; a query's z is snapped in as one more alpha and
+    one more beta.  Columns are index pairs (alpha, beta).  Three masks over
+    the units are computed on first use and cached:
+
+    * `members(col)`: units I with tau(I, z) in the domain;
+    * `arc_mask(col)`, over the arc edges: both ends members and every probe
+      of the arc inside;
+    * `move_mask(a, b)` for neighbouring columns: the closed z leg, i.e.
+      members at both ends and inside at the interior times `_LEG_TIMES`.
+      A leg is sampled from the smaller column to the larger, so the mask
+      does not depend on the order of a and b.
+
+    A column is real when its beta is 0: every unit lifts one real point
+    there, so its units are all members or none are.
+    """
+
+    def __init__(self, domain, plan: SamplePlan, subsphere: Subsphere, query=None) -> None:
+        """`query`, when given, is (z, units (k, 7)): a point's projection and units."""
+        self.domain = domain
+        self.units, self.sep = adaptive_unit_pool(domain, subsphere, plan, plan.rng())
+        window = domain.z_window()
+        a_lo, a_hi, b_max = window
+        step = z_grid_step(window, plan)
+        self.alphas = np.arange(a_lo - step, a_hi + step + step / 2, step)
+        pos = np.arange(step, b_max + step, step)
+        self.betas = np.concatenate([-pos[::-1], [0.0], pos])
+        self.query_col = None
+        if query is not None:
+            z, query_units = query
+            self.units = np.vstack([self.units, query_units])
+            self.alphas = np.sort(np.append(self.alphas, z.real))
+            self.betas = np.sort(np.append(self.betas, z.imag))
+            self.query_col = (
+                int(np.searchsorted(self.alphas, z.real)),
+                int(np.searchsorted(self.betas, z.imag)),
+            )
+        self.link = max(chord_of_angle(plan.link_angle), 2.5 * self.sep)
+        self.edges, self.edge_arcs = arc_probe_graph(self.units, self.link)
+        self._members: dict[tuple[int, int], np.ndarray] = {}
+        self._arcs: dict[tuple[int, int], np.ndarray] = {}
+        self._moves: dict[tuple[tuple[int, int], tuple[int, int]], np.ndarray] = {}
+
+    def columns(self):
+        """Every column, in increasing order."""
+        return itertools.product(range(len(self.alphas)), range(len(self.betas)))
+
+    def z_of(self, col) -> complex:
+        return complex(self.alphas[col[0]], self.betas[col[1]])
+
+    def neighbors(self, col):
+        ia, ib = col
+        for da, db in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            ja, jb = ia + da, ib + db
+            if 0 <= ja < len(self.alphas) and 0 <= jb < len(self.betas):
+                yield (ja, jb)
+
+    def is_real_col(self, col) -> bool:
+        return abs(self.betas[col[1]]) <= 1e-12
+
+    def members(self, col) -> np.ndarray:
+        if col not in self._members:
+            z = self.z_of(col)
+            pts = np.zeros((len(self.units), 8))
+            pts[:, 0] = z.real
+            pts[:, 1:] = z.imag * self.units
+            self._members[col] = self.domain.contains_batch(pts)
+        return self._members[col]
+
+    def arc_mask(self, col) -> np.ndarray:
+        if col not in self._arcs:
+            mem = self.members(col)
+            mask = mem[self.edges[:, 0]] & mem[self.edges[:, 1]]
+            cand = np.flatnonzero(mask)
+            if len(cand):
+                z = self.z_of(col)
+                arcs = self.edge_arcs[cand]
+                pts = np.zeros((arcs.shape[0] * arcs.shape[1], 8))
+                pts[:, 0] = z.real
+                pts[:, 1:] = z.imag * arcs.reshape(-1, 7)
+                mask[cand] = self.domain.contains_batch(pts).reshape(arcs.shape[:2]).all(axis=1)
+            self._arcs[col] = mask
+        return self._arcs[col]
+
+    def move_mask(self, a, b) -> np.ndarray:
+        key = (a, b) if a < b else (b, a)
+        if key not in self._moves:
+            mask = self.members(key[0]) & self.members(key[1])
+            cand = np.flatnonzero(mask)
+            if len(cand):
+                za, zb = self.z_of(key[0]), self.z_of(key[1])
+                zs = (1.0 - _LEG_TIMES) * za + _LEG_TIMES * zb
+                pts = np.zeros((len(cand) * len(zs), 8))
+                pts[:, 0] = np.repeat(zs.real, len(cand))
+                pts[:, 1:] = (zs.imag[:, None, None] * self.units[cand][None, :, :]).reshape(-1, 7)
+                mask[cand] = self.domain.contains_batch(pts).reshape(len(zs), len(cand)).all(axis=0)
+            self._moves[key] = mask
+        return self._moves[key]

@@ -46,3 +46,10 @@ def test_unknown_criterion_rejected():
 
     with pytest.raises(PreconditionError):
         acceptance.run_criterion(13)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_battery_holds_across_seeds(seed):
+    failed = [r for r in acceptance.run_all(seed=seed, fail_fast=False) if not r["pass"]]
+    assert not failed, json.dumps(failed, sort_keys=True)

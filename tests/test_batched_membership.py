@@ -1,9 +1,9 @@
 """Batched membership work must give bit-for-bit the answers of the plain loops.
 
 Each test holds a reference written the straightforward way: an unbounded
-nearest-centre query for the ball chain, a per-unit six-point loop for base
-moves, an edge-by-edge loop for arc end checks, and a candidate-by-candidate
-greedy thinning for unit pools.
+nearest-centre query for the ball chain, a per-unit loop over the seven
+points of a closed z leg for base moves, an edge-by-edge loop for arc end
+checks, and a candidate-by-candidate greedy thinning for unit pools.
 """
 
 import math
@@ -83,27 +83,29 @@ def test_chain_margin_and_nearest_theta_keep_true_distance():
 # -- _FiberSearch base moves and arc ends ------------------------------------
 
 
-def _reference_base_move_ok(search, col_a, col_b, i):
-    za, zb = search.z_of(col_a), search.z_of(col_b)
-    u = search.units[i]
-    t = np.linspace(0.0, 1.0, 7)[1:]
+def _reference_base_move_ok(grid, col_a, col_b, i):
+    # the closed leg, both end columns included, sampled from the smaller
+    # column; a real end column's sample is the real point itself
+    lo, hi = sorted((col_a, col_b))
+    za, zb = grid.z_of(lo), grid.z_of(hi)
+    u = grid.units[i]
+    t = np.linspace(0.0, 1.0, 7)
     zs = (1.0 - t) * za + t * zb
-    if search.is_real_col(col_b):
-        zs = zs[:-1]
     pts = np.zeros((len(zs), 8))
     pts[:, 0] = zs.real
     pts[:, 1:] = zs.imag[:, None] * u
-    return bool(np.all(search.domain.contains_batch(pts)))
+    return bool(np.all(grid.domain.contains_batch(pts)))
 
 
 def _reference_edges_ok(search, col):
-    z = search.z_of(col)
-    n_edges, n_probes, _ = search.edge_probes.shape
+    grid = search.grid
+    z = grid.z_of(col)
+    n_edges, n_probes, _ = grid.edge_arcs.shape
     pts = np.zeros((n_edges * n_probes, 8))
     pts[:, 0] = z.real
-    pts[:, 1:] = z.imag * search.edge_probes.reshape(-1, 7)
-    arc_ok = search.domain.contains_batch(pts).reshape(n_edges, n_probes).all(axis=1)
-    mem = search.members(col)
+    pts[:, 1:] = z.imag * grid.edge_arcs.reshape(-1, 7)
+    arc_ok = grid.domain.contains_batch(pts).reshape(n_edges, n_probes).all(axis=1)
+    mem = grid.members(col)
     ends_ok = np.empty(n_edges, dtype=bool)
     for (a, b), e in search.edge_index.items():
         if a < b:
@@ -113,20 +115,20 @@ def _reference_edges_ok(search, col):
 
 def _recorded_search(domain, plan, z, u1, u2):
     search = _FiberSearch(domain, plan, Subsphere.default(), z, u1, u2)
+    grid = search.grid
     moves, cols = [], set()
-    base_move_ok, edges_ok = search.base_move_ok, search.edges_ok
+    move_mask, arc_mask = grid.move_mask, grid.arc_mask
 
-    def recording_base_move_ok(col_a, col_b, i):
-        got = base_move_ok(col_a, col_b, i)
-        moves.append((col_a, col_b, i, got))
-        return got
+    def recording_move_mask(col_a, col_b):
+        moves.append((col_a, col_b))
+        return move_mask(col_a, col_b)
 
-    def recording_edges_ok(col):
+    def recording_arc_mask(col):
         cols.add(col)
-        return edges_ok(col)
+        return arc_mask(col)
 
-    search.base_move_ok = recording_base_move_ok
-    search.edges_ok = recording_edges_ok
+    grid.move_mask = recording_move_mask
+    grid.arc_mask = recording_arc_mask
     status, _, pops = search.run()
     return search, status, pops, moves, cols
 
@@ -137,7 +139,7 @@ SEARCHES = {
     "seam": (CHAIN, SamplePlan(seed=0, quotient_z_step=0.25, pool_sep=0.08), -1 + 2j, E2, -E2),
     # bridged union: equivalent only through base-point moves
     "bridged": (_bridged_union(), SamplePlan(seed=0), 2j, E1, E2),
-    # ball meeting the real axis: moves onto real columns drop their last sample
+    # ball meeting the real axis: some moves end on a real column
     "real-ball": (
         Ball(0.5 * E[1], 1.0), SamplePlan(seed=0, quotient_z_step=0.1), 0.5 + 0.25j, E2, -E2
     ),
@@ -148,23 +150,22 @@ SEARCHES = {
 def test_base_moves_and_arc_ends_match_per_unit_loops(name):
     domain, plan, z, u1, u2 = SEARCHES[name]
     search, status, pops, moves, cols = _recorded_search(domain, plan, z, u1, u2)
+    grid = search.grid
     assert pops > 0 and len(moves) > 0
     assert status == {"seam": "not-equivalent", "bridged": "found", "real-ball": "found"}[name]
     if name == "real-ball":
-        assert any(search.is_real_col(col_b) for _, col_b, _, _ in moves)
-    for col_a, col_b, i, got in moves:
-        assert got == _reference_base_move_ok(search, col_a, col_b, i), (col_a, col_b, i)
+        assert any(grid.is_real_col(col_b) for _, col_b in moves)
     # every unit of every visited column pair, not only the units visited
     outcomes = set()
-    for col_a, col_b in {(col_a, col_b) for col_a, col_b, _, _ in moves}:
-        mask = search.moves_ok(col_a, col_b)
-        want = [_reference_base_move_ok(search, col_a, col_b, i) for i in range(len(search.units))]
+    for col_a, col_b in set(moves):
+        mask = grid.move_mask(col_a, col_b)
+        want = [_reference_base_move_ok(grid, col_a, col_b, i) for i in range(len(grid.units))]
         assert mask.tolist() == want, (col_a, col_b)
         outcomes.update(want)
     assert outcomes == {True, False}
     assert cols
     for col in cols:
-        assert np.array_equal(search.edges_ok(col), _reference_edges_ok(search, col)), col
+        assert np.array_equal(grid.arc_mask(col), _reference_edges_ok(search, col)), col
 
 
 # -- adaptive_unit_pool ------------------------------------------------------

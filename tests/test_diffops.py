@@ -173,7 +173,30 @@ def test_sliceness_verdicts():
     slab = get_field("slab-cone")
     rep = sliceness_check(slab.field, slab.domain, plan)
     assert rep.passed
+    # the reports of the DisjointSet labelling, to the last bit
+    assert rep.to_json() == {
+        "op": "sliceness",
+        "samples": 795,
+        "max_residual": 5.618320409991008e-15,
+        "mean_residual": 2.186358106646397e-15,
+        "tolerance": 1e-06,
+        "pass": True,
+        "worst_point": [
+            -2.0, -2.390684745089354, -0.04756305944948361, -0.729632924814153, 0.0, 0.0, 0.0, 0.0
+        ],
+    }
     probe = get_field("coord-probe")
     rep = sliceness_check(probe.field, probe.domain, plan)
     assert not rep.passed
     assert rep.max_residual > 1e-2
+    assert rep.to_json() == {
+        "op": "sliceness",
+        "samples": 403,
+        "max_residual": 4.6188755298818425,
+        "mean_residual": 1.7415346660621285,
+        "tolerance": 1e-06,
+        "pass": False,
+        "worst_point": [
+            -1.0, 2.4700898384017584, -0.3199656550879381, -0.2151236151344697, 0.0, 0.0, 0.0, 0.0
+        ],
+    }

@@ -18,7 +18,7 @@ from octoslice.domains import (
     sphere_slice_member,
 )
 from octoslice.errors import DomainError, PreconditionError
-from octoslice.sampling import SamplePlan, Subsphere, adaptive_unit_pool
+from octoslice.sampling import SamplePlan, Subsphere, adaptive_unit_pool, components
 
 E1 = UnitImaginary.basis(1)
 E2 = UnitImaginary.basis(2)
@@ -160,15 +160,86 @@ def test_same_component_soundness_positive_cases():
         # Real-centered ball: the whole great circle through i1, i2 is in-slice.
         verdict = same_component(dom, 0.0, b, i1, i2, plan=plan.with_seed(trial))
         assert verdict != "different"
+        # every verdict of the DisjointSet labelling here was "same"
+        assert verdict == "same"
 
 
 def test_circularly_connected_scan():
     plan = SamplePlan()
-    assert circularly_connected_scan(Ball(oct_(0), 2.0), plan).passed
+    ball = circularly_connected_scan(Ball(oct_(0), 2.0), plan)
+    assert ball.passed
     rep = circularly_connected_scan(SlabCone(E1, math.pi / 4), plan)
     assert not rep.passed
     assert rep.max_residual >= 2.0
     assert rep.to_json()["pass"] is False
+    # the reports of the DisjointSet labelling, to the last bit
+    assert ball.to_json() == {
+        "op": "circular-connectivity",
+        "samples": 6,
+        "max_residual": 1.0,
+        "mean_residual": 1.0,
+        "tolerance": 1.0,
+        "pass": True,
+        "worst_point": [
+            -1.0, 0.12525695114429128, -0.4060605918295994, 0.26348717606940975, 0.0, 0.0, 0.0, 0.0
+        ],
+    }
+    assert rep.to_json() == {
+        "op": "circular-connectivity",
+        "samples": 15,
+        "max_residual": 2.0,
+        "mean_residual": 1.6666666666666667,
+        "tolerance": 1.0,
+        "pass": False,
+        "worst_point": [
+            -2.0, -1.3376504148725021, 0.6723739672407298, -0.09276106817186304, 0.0, 0.0, 0.0, 0.0
+        ],
+    }
+
+
+def _plain_union_find(n, edges):
+    """Component count and labels numbered by smallest member, the plain way."""
+    parent = list(range(n))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for a, b in edges:
+        ra, rb = root(a), root(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    names: dict[int, int] = {}
+    labels = [names.setdefault(root(i), len(names)) for i in range(n)]
+    return len(names), labels
+
+
+def test_components_match_plain_union_find():
+    rng = np.random.default_rng(20260819)
+    seen = set()
+    for trial in range(300):
+        n = trial if trial < 2 else int(rng.integers(1, 90))
+        m = 0 if trial % 10 == 2 else int(rng.integers(0, 2 * n + 1))
+        edges = rng.integers(0, max(n, 1), size=(m, 2)) if n else np.empty((0, 2), dtype=int)
+        if n and trial % 3 == 0:
+            loops = rng.integers(0, n, size=3)
+            edges = np.vstack([edges, np.column_stack([loops, loops]), edges[: m // 2, ::-1], edges[: m // 3]])
+        count, labels = components(n, edges)
+        want_count, want = _plain_union_find(n, edges.tolist())
+        assert count == want_count, trial
+        assert labels.shape == (n,) and labels.tolist() == want, trial
+        # component k first appears after component k - 1
+        firsts = [int(np.flatnonzero(labels == k)[0]) for k in range(count)]
+        assert firsts == sorted(firsts), trial
+        seen.add("n=0" if n == 0 else "n=1" if n == 1 else "no edges" if len(edges) == 0 else "edges")
+        if len(edges):
+            if (edges[:, 0] == edges[:, 1]).any():
+                seen.add("self-loop")
+            if len(np.unique(np.sort(edges, axis=1), axis=0)) < len(edges):
+                seen.add("repeat")
+    assert seen == {"n=0", "n=1", "no edges", "edges", "self-loop", "repeat"}
 
 
 def test_domain_json_roundtrip():

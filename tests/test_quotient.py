@@ -1,12 +1,14 @@
 """Sampled CCL quotients: components, projection, infectivity, class stems."""
 
 import functools
+import math
+from collections import deque
 
 import numpy as np
 import pytest
 
 from octoslice.algebra import Octonion, UnitImaginary, tau
-from octoslice.domains import Ball, BallChain, PredicateDomain, SlabCone
+from octoslice.domains import Ball, BallChain, BallUnion, PredicateDomain, SlabCone
 from octoslice.errors import DomainError, EmptySampleError, IntegrityError, PreconditionError
 from octoslice.golden import get_field
 from octoslice.quotient import (
@@ -275,3 +277,199 @@ def test_runaway_z_grid_is_refused_before_it_is_built():
         build_quotient(Ball(Octonion.zero(), 1.0), SamplePlan(quotient_z_step=1e-7))
     with pytest.raises(PreconditionError, match="grid columns"):
         build_quotient(Ball(Octonion.zero(), 1.0), SamplePlan(quotient_step_factor=1e-5))
+
+
+# -- reference: one union-find per column ------------------------------------
+
+
+def _bridged_union():
+    balls = [Ball(2 * E[1], 0.5), Ball(2 * E[2], 0.5)]
+    for phi in np.linspace(0.0, math.pi / 2.0, 9):
+        balls.append(Ball(2.6 * (math.cos(phi) * E[1] + math.sin(phi) * E[2]), 0.5))
+    return BallUnion(balls)
+
+
+class _UnionFind:
+    def __init__(self, n):
+        self.parent = np.arange(n)
+
+    def find(self, i):
+        p = self.parent
+        while p[i] != i:
+            p[i] = p[p[i]]
+            i = p[i]
+        return int(i)
+
+    def union(self, i, j):
+        ri, rj = self.find(i), self.find(j)
+        if ri == rj:
+            return False
+        self.parent[max(ri, rj)] = min(ri, rj)
+        return True
+
+
+class _UnionFindQuotient:
+    """The quotient built the plain way: a union-find per column, arcs and
+    real columns first, then an infectivity worklist, every effective union
+    recorded.  It takes the unit pool, z grid and arc graph of a built
+    quotient and redoes everything else with plain membership calls."""
+
+    RIDE_FRACTIONS = np.linspace(0.0, 1.0, 7)[1:-1]
+
+    def __init__(self, q):
+        self.q = q
+        self.members = {}
+        for ia in range(len(q.alphas)):
+            for ib in range(len(q.betas)):
+                mask = self.inside([q.z_of((ia, ib))], q.units)[0]
+                if mask.any():
+                    self.members[(ia, ib)] = mask
+        self.forest = {col: _UnionFind(len(q.units)) for col in self.members}
+        self.records = []
+        self.rides = {}
+        self.merge_within_columns()
+        self.propagate_infectivity()
+        self.finish()
+
+    def inside(self, zs, units):
+        zs = np.asarray(zs, dtype=complex)
+        pts = np.zeros((len(zs) * len(units), 8))
+        pts[:, 0] = np.repeat(zs.real, len(units))
+        pts[:, 1:] = (zs.imag[:, None, None] * units[None, :, :]).reshape(-1, 7)
+        return self.q.domain.contains_batch(pts).reshape(len(zs), len(units))
+
+    def neighbors(self, col):
+        ia, ib = col
+        for da, db in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            if (ia + da, ib + db) in self.members:
+                yield (ia + da, ib + db)
+
+    def admissible_edges(self, col):
+        q, mask = self.q, self.members[col]
+        cand = np.where(mask[q.edges[:, 0]] & mask[q.edges[:, 1]])[0]
+        if len(cand) == 0:
+            return cand
+        z = q.z_of(col)
+        arcs = q.edge_arcs[cand]
+        pts = np.zeros((arcs.shape[0] * arcs.shape[1], 8))
+        pts[:, 0] = z.real
+        pts[:, 1:] = z.imag * arcs.reshape(-1, 7)
+        return cand[q.domain.contains_batch(pts).reshape(arcs.shape[:2]).all(axis=1)]
+
+    def ride_mask(self, a, b):
+        key = (a, b) if a < b else (b, a)
+        if key not in self.rides:
+            cand = np.where(self.members[key[0]] & self.members[key[1]])[0]
+            mask = np.zeros(len(self.q.units), dtype=bool)
+            if len(cand):
+                za, zb = self.q.z_of(key[0]), self.q.z_of(key[1])
+                zs = (1.0 - self.RIDE_FRACTIONS) * za + self.RIDE_FRACTIONS * zb
+                mask[cand[self.inside(zs, self.q.units[cand]).all(axis=0)]] = True
+            self.rides[key] = mask
+        return self.rides[key]
+
+    def merge_within_columns(self):
+        for col in sorted(self.members):
+            forest = self.forest[col]
+            if abs(self.q.betas[col[1]]) <= 1e-12:
+                ids = np.where(self.members[col])[0]
+                for k in ids[1:]:
+                    if forest.union(int(ids[0]), int(k)):
+                        self.records.append(("real", col, int(ids[0]), int(k)))
+                continue
+            for eidx in self.admissible_edges(col):
+                i, j = int(self.q.edges[eidx, 0]), int(self.q.edges[eidx, 1])
+                if forest.union(i, j):
+                    self.records.append(("arc", col, i, j, int(eidx)))
+
+    def propagate_infectivity(self):
+        work = deque(sorted(self.members))
+        queued = set(work)
+        while work:
+            col = work.popleft()
+            queued.discard(col)
+            changed = False
+            for nb in self.neighbors(col):
+                ridable = np.where(self.ride_mask(col, nb))[0]
+                roots_nb = np.array([self.forest[nb].find(int(i)) for i in ridable])
+                for root in np.unique(roots_nb):
+                    group = ridable[roots_nb == root]
+                    for k in group[1:]:
+                        if self.forest[col].union(int(group[0]), int(k)):
+                            self.records.append(("ride", col, int(group[0]), int(k), nb))
+                            changed = True
+            if changed:
+                for nb in self.neighbors(col):
+                    if nb not in queued:
+                        work.append(nb)
+                        queued.add(nb)
+
+    def finish(self):
+        self.classes, self.labels = [], {}
+        n = len(self.q.units)
+        for col in sorted(self.members):
+            lab = np.full(n, -1, dtype=int)
+            ids = np.where(self.members[col])[0]
+            roots = np.array([self.forest[col].find(int(i)) for i in ids])
+            for root in np.unique(roots):
+                group = tuple(int(i) for i in ids[roots == root])
+                lab[list(group)] = len(self.classes)
+                self.classes.append(QuotientClass(len(self.classes), col, self.q.z_of(col), group))
+            self.labels[col] = lab
+        adjacency = [set() for _ in self.classes]
+        for col in sorted(self.members):
+            for nb in self.neighbors(col):
+                if nb > col:
+                    for uid in np.where(self.ride_mask(col, nb))[0]:
+                        c1, c2 = int(self.labels[col][uid]), int(self.labels[nb][uid])
+                        adjacency[c1].add(c2)
+                        adjacency[c2].add(c1)
+        self.adjacency = [tuple(sorted(s)) for s in adjacency]
+        comp = _UnionFind(len(self.classes))
+        for cid, nbrs in enumerate(adjacency):
+            for other in nbrs:
+                comp.union(cid, other)
+        self.component_of = [comp.find(i) for i in range(len(self.classes))]
+
+
+REFERENCE_CASES = {
+    "real-ball": (Ball(Octonion.zero(), 1.0), {"pool_max": 150, "quotient_step_factor": 0.1}),
+    "off-axis-ball": (Ball(0.3 * E[0] + 1.5 * E[1] + 0.5 * E[3], 0.8), {}),
+    "slab-cone": (SlabCone(I1), {"pool_max": 90, "quotient_step_factor": 0.1}),
+    "chain": (BallChain(I1, I2), {"pool_max": 140, "quotient_z_step": 0.2, "pool_sep": 0.08}),
+    "bridged-union": (_bridged_union(), {}),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", sorted(REFERENCE_CASES))
+def test_quotient_matches_union_find_reference(name, seed):
+    domain, extra = REFERENCE_CASES[name]
+    q = build_quotient(domain, SamplePlan(seed=seed, **extra))
+    ref = _UnionFindQuotient(q)
+    assert list(q.members) == sorted(ref.members)
+    for col, mask in ref.members.items():
+        assert q.members[col].tobytes() == mask.tobytes(), col
+        assert q.labels[col].dtype == ref.labels[col].dtype
+        assert np.array_equal(q.labels[col], ref.labels[col]), col
+    assert q.classes == ref.classes
+    assert q.class_adjacency == ref.adjacency
+    assert q.component_of.tolist() == ref.component_of
+    assert [r for r in q.merge_records if r[0] != "ride"] == [r for r in ref.records if r[0] != "ride"]
+    assert len(q.merge_records) == len(ref.records)
+    if name in ("real-ball", "slab-cone", "bridged-union"):
+        assert any(r[0] == "ride" for r in q.merge_records)
+
+    # per column the records are a spanning forest of the column's classes
+    by_col = {col: [] for col in q.members}
+    for record in q.merge_records:
+        by_col[record[1]].append(record)
+    for col, records in by_col.items():
+        lab = q.labels[col]
+        n_classes = len(np.unique(lab[q.members[col]]))
+        assert len(records) == int(q.members[col].sum()) - n_classes, col
+        forest = _UnionFind(len(q.units))
+        for record in records:
+            i, j = record[2], record[3]
+            assert lab[i] == lab[j] >= 0, record
+            assert forest.union(i, j), record
