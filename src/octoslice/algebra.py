@@ -57,6 +57,10 @@ MUL_SIGN, MUL_INDEX, MUL_TENSOR = _build_tables()
 # permutation of 0..7, so fancy-index assignment never collides.
 _ROW_INDEX = [MUL_INDEX[l] for l in range(8)]
 _ROW_SIGN = [MUL_SIGN[l].astype(float) for l in range(8)]
+# The same rows gathered by output index: e_l * e_j lands on k when
+# j = _GATHER_INDEX[l, k], with sign _GATHER_SIGN[l, k].
+_GATHER_INDEX = np.argsort(MUL_INDEX, axis=1)
+_GATHER_SIGN = np.take_along_axis(MUL_SIGN, _GATHER_INDEX, axis=1).astype(float)
 
 
 def basis_product(l: int, m: int) -> tuple[int, int]:
@@ -180,8 +184,30 @@ def mul(a: Octonion, b: Octonion) -> Octonion:
 
 
 def mul_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise octonion products of two (n, 8) coefficient arrays."""
-    return np.einsum("ni,nj,ijk->nk", a, b, MUL_TENSOR, optimize=True)
+    """Row-wise octonion products of two (n, 8) coefficient arrays.
+
+    Each row is summed in the order of the scalar `mul`, so row k equals
+    `mul(Octonion(a[k]), Octonion(b[k]))` to the bit for finite input.
+    """
+    return sum_in_order((a[:, :, None] * _GATHER_SIGN) * b[:, _GATHER_INDEX])
+
+
+def sum_in_order(terms: np.ndarray) -> np.ndarray:
+    """Sum an (n, k, 8) array over k as a loop `out = out + term` from +0.0 does."""
+    start = np.zeros((len(terms), 1) + terms.shape[2:])
+    return np.add.accumulate(np.concatenate([start, terms], axis=1), axis=1)[:, -1]
+
+
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-row dot products of two (n, k) arrays, equal to the bit to `a[r] @ b[r]`.
+
+    A stack of (1, k) @ (k, 1) products runs the same dot kernel as the
+    1-D product; `einsum` and `(a * b).sum(axis=1)` round some rows
+    differently.  `b` may also be one (k,) vector shared by every row.
+    """
+    if b.ndim == 1:
+        return (a[:, None, :] @ b[:, None])[:, 0, 0]
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def conj(x: Octonion) -> Octonion:

@@ -13,6 +13,20 @@ parenthesization; reassociating the products changes the operator.  The slice
 Fueter operator combines it with the Euler operator E = sum x_l df/dx_l as
 
     dbar_F f = df/dx_0 - Im(x)^{-1} (E f) - (1/3) Im(x)^{-1} (Gamma f).
+
+Numeric core.  Gamma, the Euler and the slice Fueter operators run on
+(n, 8) coefficient batches; the one-point functions (`spherical_gamma`,
+`euler_e`, `slice_fueter_op`) are batches of one.  A field may carry two batched hooks, `evaluate_many`
+((n, 8) -> (n, 8)) and `partials_many` ((n, 8) -> (n, 8, 8), [i, k] the
+partial along axis k at row i, NaN rows where no closed form applies).  A
+field without them, a NaN row, and `use_closed=False` all go through one
+per-point fallback (`evaluate` and `partial_fd`).  Batched results equal the
+one-point results to the bit, so sampled reports stay byte-identical for a
+seed: the Gamma kernel applies y -> e_m (e_n y) as a signed permutation
+and sums the pairs in DERIVATION_PAIRS order, `mul_batch` sums in the order
+of `mul` (both through `sum_in_order`), and per-row dot products use
+`row_dot`, which runs the same dot kernel as `x @ x` (`einsum` and
+`sum(axis=1)` round some rows differently).
 """
 
 from __future__ import annotations
@@ -22,7 +36,18 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import Octonion, OrthoPair, UnitImaginary, mul, tau
+from .algebra import (
+    MUL_INDEX,
+    MUL_SIGN,
+    Octonion,
+    OrthoPair,
+    UnitImaginary,
+    mul,
+    mul_batch,
+    row_dot,
+    sum_in_order,
+    tau,
+)
 from .domains import Domain, _member_units
 from .errors import DomainError, EmptySampleError
 from .report import Report
@@ -30,7 +55,21 @@ from .sampling import SamplePlan, Subsphere, components, unit_graph_edges
 
 DERIVATION_PAIRS = tuple((m, n) for m in range(1, 8) for n in range(m + 1, 8))
 
-_BASIS = [Octonion.basis(k) for k in range(8)]
+
+def _pair_maps() -> tuple[np.ndarray, np.ndarray]:
+    """y -> e_m (e_n y) for each pair, as out[:, k] = sign[p, k] * y[:, src[p, k]]."""
+    src = np.empty((len(DERIVATION_PAIRS), 8), dtype=int)
+    sign = np.empty((len(DERIVATION_PAIRS), 8))
+    for p, (m, n) in enumerate(DERIVATION_PAIRS):
+        dest = MUL_INDEX[m][MUL_INDEX[n]]
+        src[p] = np.argsort(dest)
+        sign[p] = (MUL_SIGN[m][MUL_INDEX[n]] * MUL_SIGN[n])[src[p]]
+    return src, sign
+
+
+_PAIR_M = np.array([m for m, _ in DERIVATION_PAIRS])
+_PAIR_N = np.array([n for _, n in DERIVATION_PAIRS])
+_PAIR_SRC, _PAIR_SIGN = _pair_maps()
 
 
 @dataclass
@@ -55,13 +94,17 @@ class OctField:
     """An octonion-valued field with an optional closed-form derivative.
 
     `closed_partial(x, axis)` may return None where no closed form applies;
-    callers then fall back to finite differences.
+    callers then fall back to finite differences.  `evaluate_many` and
+    `partials_many` are the optional batched hooks of the module docstring;
+    they must agree with `evaluate` and `closed_partial` to the bit.
     """
 
     name: str
     evaluate: Callable[[Octonion], Octonion]
     closed_partial: Optional[Callable[[Octonion, int], Optional[Octonion]]] = None
     smoothness: str = "smooth"
+    evaluate_many: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    partials_many: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __call__(self, x: Octonion) -> Octonion:
         return self.evaluate(x)
@@ -93,14 +136,84 @@ def partial_fd(
     return _central_diff(f, x, axis, scheme.step(x.norm()))
 
 
-def _partials(
+def evaluate_batch(f: OctField, pts: np.ndarray) -> np.ndarray:
+    """Values of f at the rows of an (n, 8) array, as (n, 8)."""
+    if f.evaluate_many is not None:
+        return f.evaluate_many(pts)
+    out = np.empty((len(pts), 8))
+    for i, p in enumerate(pts):
+        out[i] = f.evaluate(Octonion(p)).coeffs
+    return out
+
+
+def partials_batch(
     f: OctField,
-    x: Octonion,
+    pts: np.ndarray,
     axes: range,
-    scheme: FDScheme,
-    use_closed: bool,
-) -> dict[int, Octonion]:
-    return {k: partial_fd(f, x, k, scheme, use_closed) for k in axes}
+    scheme: FDScheme = DEFAULT_SCHEME,
+    use_closed: bool = True,
+) -> np.ndarray:
+    """(n, 8, 8) array whose [i, k] is df/dx_k at pts[i], for k in `axes`."""
+    if use_closed and f.partials_many is not None:
+        parts = f.partials_many(pts)
+        todo = np.flatnonzero(np.isnan(parts).any(axis=(1, 2)))
+    else:
+        parts = np.zeros((len(pts), 8, 8))
+        todo = range(len(pts))
+    for i in todo:
+        x = Octonion(pts[i])
+        for k in axes:
+            parts[i, k] = partial_fd(f, x, k, scheme, use_closed).coeffs
+    return parts
+
+
+def _euler(pts: np.ndarray, parts: np.ndarray) -> np.ndarray:
+    return sum_in_order(pts[:, 1:, None] * parts[:, 1:])
+
+
+def _gamma(pts: np.ndarray, parts: np.ndarray) -> np.ndarray:
+    # L_mn f for all 21 pairs, then e_m (e_n .) applied to each, summed in pair order
+    lmn = pts[:, _PAIR_M, None] * parts[:, _PAIR_N] - pts[:, _PAIR_N, None] * parts[:, _PAIR_M]
+    return -sum_in_order(np.take_along_axis(lmn, _PAIR_SRC[None], axis=2) * _PAIR_SIGN)
+
+
+def _imag_inverse(pts: np.ndarray) -> np.ndarray:
+    """Row-wise Im(x)^{-1}, computed as `Octonion.inv` computes it."""
+    im = pts.copy()
+    im[:, 0] = 0.0
+    n2 = row_dot(im, im)
+    if not n2.all():
+        raise ZeroDivisionError("zero octonion has no inverse")
+    inv = -(im / n2[:, None])
+    inv[:, 0] = -inv[:, 0]
+    return inv
+
+
+def gamma_batch(
+    f: OctField,
+    pts: np.ndarray,
+    scheme: FDScheme = DEFAULT_SCHEME,
+    use_closed: bool = True,
+) -> np.ndarray:
+    """Spherical operator Gamma f at the rows of an (n, 8) array."""
+    return _gamma(pts, partials_batch(f, pts, range(1, 8), scheme, use_closed))
+
+
+def slice_fueter_batch(
+    f: OctField,
+    pts: np.ndarray,
+    scheme: FDScheme = DEFAULT_SCHEME,
+    use_closed: bool = True,
+) -> np.ndarray:
+    """Slice Fueter operator dbar_F f at the off-axis rows of an (n, 8) array."""
+    ims = pts[:, 1:]
+    if (np.sqrt(row_dot(ims, ims)) <= 1e-9).any():
+        raise DomainError("slice Fueter operator needs an off-axis point")
+    parts = partials_batch(f, pts, range(0, 8), scheme, use_closed)
+    e_term = _euler(pts, parts)
+    gamma = _gamma(pts, parts)
+    inv_im = _imag_inverse(pts)
+    return parts[:, 0] - mul_batch(inv_im, e_term) - mul_batch(inv_im, gamma) / 3.0
 
 
 def euler_e(
@@ -110,11 +223,8 @@ def euler_e(
     use_closed: bool = True,
 ) -> Octonion:
     """Euler operator sum_{l=1..7} x_l df/dx_l at x."""
-    parts = _partials(f, x, range(1, 8), scheme, use_closed)
-    out = Octonion.zero()
-    for l in range(1, 8):
-        out = out + float(x.coeffs[l]) * parts[l]
-    return out
+    pts = x.coeffs[None, :]
+    return Octonion(_euler(pts, partials_batch(f, pts, range(1, 8), scheme, use_closed))[0])
 
 
 def tangential_l(
@@ -133,15 +243,6 @@ def tangential_l(
     return float(x.coeffs[m]) * pn - float(x.coeffs[n]) * pm
 
 
-def _gamma_from_partials(x: Octonion, parts: dict[int, Octonion]) -> Octonion:
-    c = x.coeffs
-    out = Octonion.zero()
-    for m, n in DERIVATION_PAIRS:
-        lmn = float(c[m]) * parts[n] - float(c[n]) * parts[m]
-        out = out + mul(_BASIS[m], mul(_BASIS[n], lmn))
-    return -out
-
-
 def spherical_gamma(
     f: OctField,
     x: Octonion,
@@ -149,8 +250,7 @@ def spherical_gamma(
     use_closed: bool = True,
 ) -> Octonion:
     """Spherical operator Gamma f at x (see module docstring)."""
-    parts = _partials(f, x, range(1, 8), scheme, use_closed)
-    return _gamma_from_partials(x, parts)
+    return Octonion(gamma_batch(f, x.coeffs[None, :], scheme, use_closed)[0])
 
 
 def slice_fueter_op(
@@ -160,15 +260,7 @@ def slice_fueter_op(
     use_closed: bool = True,
 ) -> Octonion:
     """Slice Fueter operator dbar_F f at an off-axis point x."""
-    if x.im_norm <= 1e-9:
-        raise DomainError("slice Fueter operator needs an off-axis point")
-    parts = _partials(f, x, range(0, 8), scheme, use_closed)
-    e_term = Octonion.zero()
-    for l in range(1, 8):
-        e_term = e_term + float(x.coeffs[l]) * parts[l]
-    gamma = _gamma_from_partials(x, parts)
-    inv_im = x.imag_part().inv()
-    return parts[0] - mul(inv_im, e_term) - mul(inv_im, gamma) / 3.0
+    return Octonion(slice_fueter_batch(f, x.coeffs[None, :], scheme, use_closed)[0])
 
 
 def cauchy_fueter_op(
@@ -282,20 +374,19 @@ def sliceness_check(
                 if len(idx) < 2:
                     continue
                 take = idx[:: max(1, len(idx) // plan.residual_unit_samples)]
-                vals1, vals2, pts = [], [], []
+                pts = []
                 for k in take:
                     x = tau(UnitImaginary.from_vector(members[k]), complex(a, b))
-                    if not stencil_safe(domain, x, scheme.step(x.norm())):
-                        continue
-                    gamma = spherical_gamma(f, x, scheme, use_closed)
-                    inv_im = x.imag_part().inv()
-                    vals1.append((f.evaluate(x) - gamma / 6.0).coeffs)
-                    vals2.append(mul(inv_im, gamma).coeffs)
-                    pts.append(x)
-                if len(vals1) < 2:
+                    if stencil_safe(domain, x, scheme.step(x.norm())):
+                        pts.append(x)
+                if len(pts) < 2:
                     continue
-                n_samples += len(vals1)
-                for vals in (np.array(vals1), np.array(vals2)):
+                n_samples += len(pts)
+                xs = np.array([x.coeffs for x in pts])
+                gamma = gamma_batch(f, xs, scheme, use_closed)
+                vals1 = evaluate_batch(f, xs) - gamma / 6.0
+                vals2 = mul_batch(_imag_inverse(xs), gamma)
+                for vals in (vals1, vals2):
                     diffs = np.linalg.norm(vals[:, None, :] - vals[None, :, :], axis=2)
                     spread = float(diffs.max())
                     spreads.append(spread)

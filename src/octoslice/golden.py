@@ -22,13 +22,15 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import Octonion, UnitImaginary, unit_imaginary_of
+from .algebra import Octonion, UnitImaginary, row_dot, unit_imaginary_of
 from .diffops import OctField
 from .domains import Ball, BallChain, Domain, SlabCone
 from .errors import ConditioningError, DomainError
 from .stems import StemField, StemVector
 
 _COS_HALF = math.cos(math.pi / 4.0)
+_EYE = np.eye(8)
+_E0 = _EYE[0]
 
 
 @dataclass
@@ -41,6 +43,20 @@ class GoldenField:
 
 def _scalar(value: float) -> Octonion:
     return float(value) * Octonion.one()
+
+
+def _scalar_rows(values: np.ndarray) -> np.ndarray:
+    """Rows `_scalar(v)` for an (n,) array of reals."""
+    return _E0 * values[:, None]
+
+
+def _tiled(block: np.ndarray, n: int) -> np.ndarray:
+    return np.tile(block, (n,) + (1,) * block.ndim)
+
+
+def _im_norms(pts: np.ndarray) -> np.ndarray:
+    ims = pts[:, 1:]
+    return np.sqrt(row_dot(ims, ims))
 
 
 # ---------------------------------------------------------------------------
@@ -79,11 +95,26 @@ def slab_cone_field(i0: Optional[UnitImaginary] = None) -> GoldenField:
             return -1
         raise DomainError("point lies outside the slab-cone domain")
 
+    def branch_signs(pts: np.ndarray, b: np.ndarray) -> np.ndarray:
+        cosang = row_dot(pts[:, 1:], axis) / b
+        signs = np.where(cosang > _COS_HALF, 1.0, np.where(cosang < -_COS_HALF, -1.0, 0.0))
+        if not signs.all():
+            raise DomainError("point lies outside the slab-cone domain")
+        return signs
+
     def evaluate(x: Octonion) -> Octonion:
         b = x.im_norm
         if b < 1.0:
             return Octonion.zero()
         return branch_sign(x) * (b - 1.0) * x
+
+    def evaluate_many(pts: np.ndarray) -> np.ndarray:
+        b = _im_norms(pts)
+        out = np.zeros(pts.shape)
+        cone = ~(b < 1.0)
+        x, bc = pts[cone], b[cone]
+        out[cone] = x * (branch_signs(x, bc) * (bc - 1.0))[:, None]
+        return out
 
     def closed_partial(x: Octonion, axis_idx: int) -> Optional[Octonion]:
         b = x.im_norm
@@ -97,7 +128,30 @@ def slab_cone_field(i0: Optional[UnitImaginary] = None) -> GoldenField:
         xk = float(x.coeffs[axis_idx])
         return s * ((xk / b) * x + (b - 1.0) * Octonion.basis(axis_idx))
 
-    field = OctField("slab-cone", evaluate, closed_partial, smoothness="piecewise")
+    def partials_many(pts: np.ndarray) -> np.ndarray:
+        b = _im_norms(pts)
+        parts = np.zeros((len(pts), 8, 8))
+        cone = ~(b < 1.0)
+        seam = cone & (np.abs(b - 1.0) <= 1e-12)
+        parts[seam] = np.nan
+        live = cone & ~seam
+        x, bl = pts[live], b[live]
+        s = branch_signs(x, bl)
+        rows = np.empty((len(x), 8, 8))
+        rows[:, 0] = _scalar_rows(s * (bl - 1.0))
+        radial = (x[:, 1:] / bl[:, None])[:, :, None] * x[:, None, :]
+        rows[:, 1:] = (radial + _EYE[1:] * (bl - 1.0)[:, None, None]) * s[:, None, None]
+        parts[live] = rows
+        return parts
+
+    field = OctField(
+        "slab-cone",
+        evaluate,
+        closed_partial,
+        smoothness="piecewise",
+        evaluate_many=evaluate_many,
+        partials_many=partials_many,
+    )
     return GoldenField("slab-cone", field, domain)
 
 
@@ -200,7 +254,7 @@ def sqrt_sfr_field(
         u, v, _ = branch_uv(x)
         return _scalar(u) + v * unit_imaginary_of(x).as_octonion()
 
-    def closed_partial(x: Octonion, axis_idx: int) -> Optional[Octonion]:
+    def closed_partial(x: Octonion, axis_idx: int) -> Octonion:
         theta, dist = domain.nearest_theta(x)
         if dist >= domain.RADIUS:
             raise DomainError("point lies outside the ball chain")
@@ -209,9 +263,8 @@ def sqrt_sfr_field(
         if abs(theta) <= cutoff:
             sgn = 1.0
         else:
-            if abs(b - 2.0) <= 1e-12:
-                return None
-            sgn = 1.0 if b > 2.0 else -1.0
+            # on Im z = 2 itself atan2(+0.0, alpha < 0) = pi, the limit from above
+            sgn = 1.0 if b - 2.0 >= 0.0 else -1.0
             if theta < -cutoff:
                 sgn = -sgn
         du_da, du_db, dv_da, dv_db = (sgn * p for p in _sqrt_partials_raw(z))
@@ -245,6 +298,8 @@ def constant_field() -> GoldenField:
         "constant",
         lambda x: value,
         lambda x, axis: Octonion.zero(),
+        evaluate_many=lambda pts: _tiled(_CONSTANT, len(pts)),
+        partials_many=lambda pts: np.zeros((len(pts), 8, 8)),
     )
     return GoldenField("constant", field, Ball(Octonion.zero(), 3.0), stem=_const_stem(value))
 
@@ -254,6 +309,8 @@ def identity_field() -> GoldenField:
         "identity",
         lambda x: x,
         lambda x, axis: Octonion.basis(axis),
+        evaluate_many=lambda pts: pts.copy(),
+        partials_many=lambda pts: _tiled(_EYE, len(pts)),
     )
     one, zero = Octonion.one(), Octonion.zero()
     stem = StemField(
@@ -271,7 +328,17 @@ def gaussian_field() -> GoldenField:
     def closed_partial(x: Octonion, axis: int) -> Octonion:
         return -2.0 * float(x.coeffs[axis]) * evaluate(x)
 
-    field = OctField("gaussian", evaluate, closed_partial)
+    def evaluate_many(pts: np.ndarray) -> np.ndarray:
+        # math.exp per row: numpy's exp differs from libm's in the last bit
+        sq = row_dot(pts, pts).tolist()
+        return _scalar_rows(np.array([math.exp(-t) for t in sq]))
+
+    def partials_many(pts: np.ndarray) -> np.ndarray:
+        return evaluate_many(pts)[:, None, :] * (-2.0 * pts)[:, :, None]
+
+    field = OctField(
+        "gaussian", evaluate, closed_partial, evaluate_many=evaluate_many, partials_many=partials_many
+    )
 
     def u_fn(z: complex) -> Octonion:
         return _scalar(math.exp(-(z.real ** 2 + z.imag ** 2)))
@@ -287,10 +354,14 @@ def gaussian_field() -> GoldenField:
 
 def coord_probe_field() -> GoldenField:
     """f(x) = x_1 as a real scalar: a non-slice control field."""
+    probe_partials = np.zeros((8, 8))
+    probe_partials[1, 0] = 1.0
     field = OctField(
         "coord-probe",
         lambda x: _scalar(float(x.coeffs[1])),
         lambda x, axis: Octonion.one() if axis == 1 else Octonion.zero(),
+        evaluate_many=lambda pts: _scalar_rows(pts[:, 1]),
+        partials_many=lambda pts: _tiled(probe_partials, len(pts)),
     )
     return GoldenField("coord-probe", field, Ball(Octonion.zero(), 3.0))
 
@@ -306,7 +377,20 @@ def affine_regular_field() -> GoldenField:
             return _scalar(3.0)
         return Octonion.basis(axis)
 
-    field = OctField("affine-regular", evaluate, closed_partial)
+    def evaluate_many(pts: np.ndarray) -> np.ndarray:
+        im = pts.copy()
+        im[:, 0] = 0.0
+        return _scalar_rows(3.0 * pts[:, 0]) + im
+
+    affine_partials = np.eye(8)
+    affine_partials[0, 0] = 3.0
+    field = OctField(
+        "affine-regular",
+        evaluate,
+        closed_partial,
+        evaluate_many=evaluate_many,
+        partials_many=lambda pts: _tiled(affine_partials, len(pts)),
+    )
     one, zero = Octonion.one(), Octonion.zero()
     stem = StemField(
         lambda z: _scalar(3.0 * z.real),

@@ -21,17 +21,19 @@ axis; its residual is what `sfr_check` drives to zero on samples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import REAL_AXIS_TOL, Octonion, OrthoPair, UnitImaginary, mul, tau
+from .algebra import REAL_AXIS_TOL, Octonion, OrthoPair, UnitImaginary, mul, row_dot, tau
 from .diffops import (
     DEFAULT_SCHEME,
     FDScheme,
     OctField,
-    slice_fueter_op,
+    evaluate_batch,
+    slice_fueter_batch,
     sliceness_check,
     spherical_gamma,
     stencil_safe,
@@ -49,6 +51,11 @@ from .sampling import SamplePlan, Subsphere
 
 # Minimum chordal separation between interpolation units.
 SEP_MIN = 0.1
+# Upper limit on the nodes of a modulus-scan grid; a larger grid is refused
+# before any node is embedded or evaluated.
+MAX_GRID_NODES = 1_000_000
+# Grid nodes embedded, tested and evaluated in one batch by the modulus scan.
+_SCAN_BLOCK = 4096
 
 
 @dataclass
@@ -260,22 +267,24 @@ def sfr_check(
     )
     rng = plan.rng()
     pts = domain.sample_interior(4 * plan.residual_samples, rng, min_im=plan.min_im)
-    residuals = []
-    worst = 0.0
-    worst_point = None
+    safe = []
     for p in pts:
-        if len(residuals) >= plan.residual_samples:
+        if len(safe) >= plan.residual_samples:
             break
         x = Octonion(p)
-        if not stencil_safe(domain, x, scheme.step(x.norm())):
-            continue
-        r = slice_fueter_op(f, x, scheme, use_closed).norm()
-        residuals.append(r)
+        if stencil_safe(domain, x, scheme.step(x.norm())):
+            safe.append(p)
+    if not safe:
+        raise EmptySampleError("no stencil-safe off-axis samples in the domain")
+    xs = np.array(safe)
+    dbar = slice_fueter_batch(f, xs, scheme, use_closed)
+    residuals = np.sqrt(row_dot(dbar, dbar))
+    worst = 0.0
+    worst_point = None
+    for p, r in zip(xs, residuals.tolist()):
         if r > worst:
             worst = r
-            worst_point = x
-    if not residuals:
-        raise EmptySampleError("no stencil-safe off-axis samples in the domain")
+            worst_point = p
     return Report(
         op="slice-fueter-regularity",
         samples=len(residuals),
@@ -283,7 +292,7 @@ def sfr_check(
         mean_residual=float(np.mean(residuals)),
         tolerance=tolerance,
         passed=bool(worst <= tolerance and slice_rep.passed),
-        worst_point=worst_point.to_list() if worst_point is not None else None,
+        worst_point=[float(v) for v in worst_point] if worst_point is not None else None,
     )
 
 
@@ -301,6 +310,9 @@ class GridSpec:
         if any(n < 3 for n in self.counts):
             # with fewer than 3 nodes an axis has no interior node to test
             raise PreconditionError(f"every grid count must be at least 3, got {list(self.counts)}")
+        nodes = math.prod(self.counts)
+        if nodes > MAX_GRID_NODES:
+            raise PreconditionError(f"grid of {nodes} nodes is over the limit {MAX_GRID_NODES}")
 
     def axes(self) -> list[np.ndarray]:
         return [
@@ -332,11 +344,19 @@ def modulus_local_max_scan(
     axes = grid.axes()
     counts = tuple(grid.counts)
     vals = np.full(counts, np.nan)
-    for idx in np.ndindex(*counts):
-        q = np.array([axes[d][idx[d]] for d in range(4)])
-        x = pair.embed(q)
-        if domain is None or domain.contains(x):
-            vals[idx] = f.evaluate(x).norm()
+    flat = vals.reshape(-1)
+    for start in range(0, flat.size, _SCAN_BLOCK):
+        nodes = np.arange(start, min(start + _SCAN_BLOCK, flat.size))
+        idx = np.unravel_index(nodes, counts)
+        q = np.stack([axes[d][idx[d]] for d in range(4)], axis=1)
+        # a stack of (1, 4) @ (4, 8) products rounds as `pair.embed` does
+        pts = (q[:, None, :] @ pair.basis)[:, 0, :]
+        if domain is not None:
+            inside = domain.contains_batch(pts)
+            nodes, pts = nodes[inside], pts[inside]
+        if len(nodes):
+            values = evaluate_batch(f, pts)
+            flat[nodes] = np.sqrt(row_dot(values, values))
     core = vals[1:-1, 1:-1, 1:-1, 1:-1]
     strict = np.isfinite(core)
     for axis in range(4):

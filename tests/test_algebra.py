@@ -9,6 +9,7 @@ from octoslice.algebra import (
     EXACT_TOL,
     MUL_INDEX,
     MUL_SIGN,
+    MUL_TENSOR,
     ORIENTED_TRIPLES,
     Octonion,
     OrthoPair,
@@ -149,7 +150,17 @@ def test_batch_matches_scalar_mul():
     prods = mul_batch(a, b)
     for k in range(50):
         single = mul(Octonion(a[k]), Octonion(b[k]))
-        assert np.allclose(prods[k], single.coeffs, rtol=0, atol=1e-14)
+        assert np.array_equal(prods[k], single.coeffs)
+
+
+def test_left_multiplications_anticommute():
+    # L_m y = e_m y, built from the structure tensor: (L_m)[k, j] = T[m, j, k]
+    left = [MUL_TENSOR[m].T for m in range(8)]
+    for m in range(1, 8):
+        assert np.array_equal(left[m] @ left[m], -np.eye(8))
+        for n in range(1, 8):
+            if m != n:
+                assert np.array_equal(left[m] @ left[n], -(left[n] @ left[m]))
 
 
 def test_tau_and_conjugate_symmetry():

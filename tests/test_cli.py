@@ -1,5 +1,6 @@
 """End-to-end exercises of every subcommand through cli.main."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -344,3 +345,86 @@ def test_every_package_error_is_exit_2(capsys, monkeypatch, error):
     code, out, err = run(capsys, "quotient", "--domain", BALL2)
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == f"{type(error).__name__}: {error}"
+
+
+# ---------------------------------------------------------------------------
+# Frozen output bytes: sampled outputs stay byte-identical for a seed.  The
+# plans are those of the benchmark's field-checks workload; each digest is
+# the sha256 of the command's stdout, recorded before the operators moved to
+# the batched numeric core.
+
+_SLICE_PLAN = json.dumps({"sphere_samples": 1000, "residual_unit_samples": 15})
+_SFR_PLAN = json.dumps({"sphere_samples": 1000, "residual_unit_samples": 15, "residual_samples": 40})
+_POINT = json.dumps([0.3, 0.9, -0.4, 0.2, 0.1, -0.5, 0.3, 0.2])
+_SQRT_POINT = json.dumps([0.93, 2.3, 0.1, 0.02, 0.0, 0.0, 0.0, -0.01])
+_GRID = json.dumps({"center": [0, 0, 0, 0], "half_widths": [0.9] * 4, "counts": [11] * 4})
+_IGRID = json.dumps({"center": [0.2, -0.3, 0.1, 0.4], "half_widths": [0.5] * 4, "counts": [9] * 4})
+_UNIT = "[0.96, 0.2, 0.1, 0, 0.1, 0, 0.1]"
+_UNITS = "[[1, 0, 0, 0, 0, 0, 0], [0.9, 0.43, 0, 0, 0, 0, 0]]"
+
+_FROZEN_ARGV = [
+    ["slice-check", "--field", "coord-probe", "--seed", "11", "--plan", _SLICE_PLAN],
+    ["slice-check", "--field", "identity", "--seed", "12", "--plan", _SLICE_PLAN],
+    ["slice-check", "--field", "slab-cone", "--seed", "13", "--plan", _SLICE_PLAN, "--fd"],
+    ["sfr-check", "--field", "identity", "--seed", "14", "--plan", _SFR_PLAN],
+    ["sfr-check", "--field", "gaussian", "--seed", "15", "--plan", _SFR_PLAN],
+    ["sfr-check", "--field", "affine-regular", "--seed", "16", "--plan", _SFR_PLAN],
+    ["maxmod-scan", "--field", "gaussian", "--grid", _GRID],
+    ["maxmod-scan", "--field", "identity", "--grid", _IGRID],
+]
+for _name in ("gamma", "euler", "slice-fueter", "cauchy-fueter", "slice-laplacian"):
+    for _field in ("identity", "affine-regular", "gaussian"):
+        _FROZEN_ARGV.append(["op", "--name", _name, "--field", _field, "--point", _POINT])
+    _FROZEN_ARGV.append(["op", "--name", _name, "--field", "gaussian", "--point", _POINT, "--fd"])
+_FROZEN_ARGV.append(["op", "--name", "slice-fueter", "--field", "sqrt-example", "--point", _SQRT_POINT])
+for _field in ("identity", "affine-regular", "slab-cone"):
+    _FROZEN_ARGV.append(["stem", "--field", _field, "--z", "[0.4, 1.7]", "--unit", _UNIT])
+    _FROZEN_ARGV.append(["stem", "--field", _field, "--z", "[-0.7, 2.2]", "--units", _UNITS])
+
+_FROZEN_SHA256 = [
+    "04f6e697bc8943a89120ed770335201edb04720fcd371aecbed065e9fb87ca3d",
+    "67cb60e372eeefde4346ae17e70feee013f503af18e348dfbff68f3e8be5fc35",
+    "2ecf99cc8a73212d2f8a1b93f49f9fe1a52d8d8ac78e41f73332da99d8094f03",
+    "621b8bd9d593ee15d2c17ec2ed029945769f0f6e3d393b46961bf8f1067df5c3",
+    "cccca41da2c99f98ec1f274dde96e79165e1c15675e1fa28d5051c887945c45e",
+    "546aae03d850b469a3838de09f4efc472a4b2484a11053060ae7f103fbaab7c6",
+    "cee10534aad2563ca8da47b8f0e75bffcb3f5d873ebf8c95cf6ffa4a041a9487",
+    "b2e6f22755f1588b9fab203b2e9a23bd96fb34b5f7f22af9cae41ccdde2ec760",
+    "d52761af298dc9f761b650efc0d2d3c8e74bb526a9c5d8b6c38ab8bf848a0e6e",
+    "89724cee758f17d721df0c59f6a673e3c10352f843931b32cd87d3df5d1d4606",
+    "be61955b571b3b3aa5f087125a7b00bf3c63d59f07b5aded880245b391dfea57",
+    "a9c6803435b8c00e86efd9c4a94d82912958a191f8cc3053ee2e5712ee9af18f",
+    "b9d78c72e70e980895db6c2039453d4d0b79f7aaa9f508f32522700f0e597c96",
+    "2a23ec06a0c7964e9a46945291da9c21358482e17546911867d34ee9665aa6ec",
+    "075731e885d4c8a70519ebaefe2c4a1521c3cf03d6dc8368916f7992f4ef3748",
+    "cb2f588199b211ab89ca601ae7205848d564a30908d38e37e95758d9ca783c9b",
+    "99b53aa243a91f99930f1d17416513c29055c82e0ee09cb95d29b16c0d639bc2",
+    "d27499dfd8bfbe13b372805bf99b6d242b7d73719fd0af72f5a8d0c46607f110",
+    "ccde4db14dcc842e4b592cdf9584ad31eb7029c1b224f0afdcf480110e263339",
+    "6efce04b2442ec6d1e158be6f2864fa0c14eac78057617c9f02f4047fe0a74a8",
+    "4cf6fc8efad1d462e2473ba8feda8f553dc4ff3bed2e92a5118de40b2c0f8136",
+    "f22cb706298aafe63d003aece08bddeab1316009f06b33016bd6c95406713045",
+    "e3585d10ccd9713ae42009c81be73ecd2573d4b5df2b7f4faed8c39d155cfc51",
+    "e3585d10ccd9713ae42009c81be73ecd2573d4b5df2b7f4faed8c39d155cfc51",
+    "1755f4066648df61550543c36cf58bd3ae1f62aaa8cc01280c803efdb104fb8a",
+    "287f95cdaff65c7c2cfe86656dcf8e8c43f2322671e52ede3a5df16a9fd4c571",
+    "b428316380223669083733687d6715d991c0a90e63252edf9c59633d06950cdc",
+    "b428316380223669083733687d6715d991c0a90e63252edf9c59633d06950cdc",
+    "b2709647148c2686b58c844184eca8ec5ff639b7eb6aae0e8a6a8b88b50d6dea",
+    "7b14a8bd485d654a375523f53db38fafc8fda17d2da449227cad4d5033fb54ad",
+    "71fa977a28631d8e5a16d53fd3649afa19535b2e233b74356aee47784299c3df",
+    "ad3e9892391da87dfc8ad086b95d47f0045b5082bae61416f7831437cefe1e17",
+    "883490349413577012eb5eccac4d3dc8d228ee6a7894296e669d05816ad4a5ae",
+    "bcca9ab20ff5e6a73ada0a58bce7eec6b267a533d85c0cb2a9ef57670bc0c2a1",
+    "e1302e2b6be27f5783ded16d37053fd0132c2fd4bc9630f279330bc38b168bed",
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    list(zip(_FROZEN_ARGV, _FROZEN_SHA256)),
+    ids=[f"{k}-{argv[0]}-{argv[2]}" for k, argv in enumerate(_FROZEN_ARGV)],
+)
+def test_sampled_outputs_are_frozen(capsys, argv, digest):
+    _, out, _ = run(capsys, *argv)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
