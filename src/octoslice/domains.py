@@ -7,6 +7,28 @@ sampling.  The slice sphere S(Omega, a, b) of a domain collects the unit
 imaginaries I with a + b I inside; connectivity questions about it are
 answered by sampled proximity graphs and report "unknown" whenever sampling
 cannot certify disjointness.
+
+Membership kernels.  `Ball` and `BallUnion` share one kernel,
+`balls_contain`, whose verdicts equal to the bit those of the per-ball test
+`row_norms(p - c) < r` on every input.  It works in blocks of `_BALL_BLOCK`
+rows, so its temporaries are (block, balls) arrays whatever the batch size.
+For each block one `(block, 8) @ (8, balls)` product gives the approximate
+squared distance A = |p|^2 - 2 <p, c> + |c|^2 to every centre, and a pair
+takes its verdict from the sign of A - r^2 unless |A - r^2| lies within the
+band 2^-39 (|p|^2 + |c|^2 + r^2) + 2^-1000.  With u = 2^-53, A - r^2 is
+within 24 u (|p|^2 + |c|^2 + r^2) of D - r^2, D = |p - c|^2, in any
+summation order and with or without fused multiply-adds; the per-ball test
+rounds D by at most 6 u D and its square root by u more, so it gives the
+true verdict D < r^2 whenever |D - r^2| > 10 u r^2.  Underflow adds
+absolute errors near 2^-1070.  The band is more than 600 times the first
+bound and 1600 times the second, so outside it the sign of A - r^2 is the
+per-ball test's verdict.  Pairs inside the band (points within about
+1e-12 relative of a sphere) are recomputed by the per-ball test itself,
+and so are rows with |p|^2 and balls with |c|^2 + r^2 above 2^900 (or not
+finite), where A could overflow.  `algebra.row_norms` gives the norms of
+the per-ball test and of `SlabCone` (|Im x|); it sums in the order of
+`np.linalg.norm` in the pinned numpy 2.4.6.  `SlabCone`'s cone test uses
+`algebra.row_dot`, so no verdict depends on the batch a point is in.
 """
 
 from __future__ import annotations
@@ -17,7 +39,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .algebra import REAL_AXIS_TOL, Octonion, UnitImaginary, angle_between, tau
+from .algebra import REAL_AXIS_TOL, Octonion, UnitImaginary, angle_between, row_dot, row_norms, tau
 from .errors import DomainError, PreconditionError
 from .report import Report
 from .sampling import SamplePlan, Subsphere, components, unit_graph_edges
@@ -111,6 +133,53 @@ class Domain:
         raise PreconditionError(f"unknown domain type {kind!r}")
 
 
+# Rows per block of `balls_contain`.
+_BALL_BLOCK = 4096
+# The band of `balls_contain` around r^2: relative to |p|^2 + |c|^2 + r^2,
+# plus an absolute floor that covers underflow.  Terms above _BAND_HUGE
+# skip the approximation, so nothing in it can overflow.
+_BAND_REL = 2.0**-39
+_BAND_ABS = 2.0**-1000
+_BAND_HUGE = 2.0**900
+
+
+def balls_contain(pts: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Whether each row of pts lies in at least one of the open balls.
+
+    Equal to the bit to `any(row_norms(pts - c) < r for c, r in balls)`;
+    the module docstring proves the band that makes it so.
+    """
+    pts = np.asarray(pts, dtype=float)
+    out = np.zeros(len(pts), dtype=bool)
+    # one row per ball, one column per point, so the "any ball" reduction
+    # runs over the long axis
+    cross = -2.0 * centers
+    c2 = np.einsum("ij,ij->i", centers, centers)
+    r2 = radii * radii
+    offset = (c2 - r2)[:, None]
+    scale = c2 + r2
+    scale[~(scale <= _BAND_HUGE)] = np.inf
+    band0 = (scale * _BAND_REL + _BAND_ABS)[:, None]
+    for start in range(0, len(pts), _BALL_BLOCK):
+        p = pts[start : start + _BALL_BLOCK]
+        p2 = np.einsum("ij,ij->i", p, p)
+        p2[~(p2 <= _BAND_HUGE)] = np.inf
+        gap = cross @ p.T
+        gap += p2
+        gap += offset
+        band = band0 + p2 * _BAND_REL
+        hit = (gap < -band).any(axis=0)
+        # an infinite band, or a NaN gap, leaves the pair unsure
+        unsure = ~(np.abs(gap) > band)
+        unsure &= ~hit
+        if unsure.any():
+            balls, rows = np.nonzero(unsure)
+            inside = row_norms(p[rows] - centers[balls]) < radii[balls]
+            hit[rows[inside]] = True
+        out[start : start + len(p)] = hit
+    return out
+
+
 def _ball_points(center: np.ndarray, radius: float, n: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.normal(size=(n, 8))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
@@ -126,9 +195,11 @@ class Ball(Domain):
             raise PreconditionError("ball radius must be positive")
         self.center = center
         self.radius = float(radius)
+        self._centers = center.coeffs[None, :]
+        self._radii = np.array([self.radius])
 
     def contains_batch(self, pts: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(pts - self.center.coeffs, axis=1) < self.radius
+        return balls_contain(pts, self._centers, self._radii)
 
     def margin(self, x: Octonion) -> float:
         return self.radius - float(np.linalg.norm(x.coeffs - self.center.coeffs))
@@ -177,12 +248,11 @@ class BallUnion(Domain):
         if not balls:
             raise PreconditionError("ball union needs at least one ball")
         self.balls = list(balls)
+        self._centers = np.stack([b.center.coeffs for b in self.balls])
+        self._radii = np.array([b.radius for b in self.balls])
 
     def contains_batch(self, pts: np.ndarray) -> np.ndarray:
-        mask = np.zeros(len(pts), dtype=bool)
-        for ball in self.balls:
-            mask |= ball.contains_batch(pts)
-        return mask
+        return balls_contain(pts, self._centers, self._radii)
 
     def margin(self, x: Octonion) -> float:
         return max(ball.margin(x) for ball in self.balls)
@@ -239,11 +309,11 @@ class SlabCone(Domain):
 
     def contains_batch(self, pts: np.ndarray) -> np.ndarray:
         ims = pts[:, 1:]
-        b = np.linalg.norm(ims, axis=1)
+        b = row_norms(ims)
         mask = b < 1.0
         big = ~mask
         if big.any():
-            cosang = np.abs(ims[big] @ self.i0.vec) / b[big]
+            cosang = np.abs(row_dot(ims[big], self.i0.vec)) / b[big]
             mask[big] = cosang > self._cos_half
         return mask
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from .algebra import Octonion, UnitImaginary, unit_imaginary_of
+from .algebra import Octonion, UnitImaginary, row_norms, unit_imaginary_of
 from .diffops import DEFAULT_SCHEME, FDScheme, OctField
 from .domains import Domain
 from .errors import DomainError, PreconditionError
@@ -102,8 +102,14 @@ class PolyPathS:
         idx = np.clip(np.searchsorted(self.times, ts, side="right") - 1, 0, len(self.times) - 2)
         t0, t1 = self.times[idx], self.times[idx + 1]
         s = ((ts - t0) / (t1 - t0))[:, None]
-        pts = (1.0 - s) * self.vertices[idx] + s * self.vertices[idx + 1]
-        return pts / np.linalg.norm(pts, axis=1)[:, None]
+        # (1 - s) v[idx] + s v[idx + 1], built in place
+        pts = np.take(self.vertices, idx, axis=0)
+        pts *= 1.0 - s
+        tail = np.take(self.vertices, idx + 1, axis=0)
+        tail *= s
+        pts += tail
+        pts /= row_norms(pts)[:, None]
+        return pts
 
     def eval(self, t: float) -> UnitImaginary:
         return UnitImaginary(self.eval_many([t])[0])

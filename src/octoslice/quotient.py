@@ -49,6 +49,9 @@ from .stems import StemVector, stem_from_gamma
 ColKey = tuple[int, int]
 
 _Z_MATCH_TOL = 1e-9
+# Columns whose spanning forests `merge_records` builds at once; it bounds
+# the forest's temporaries to a block's edges.
+_FOREST_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -116,12 +119,28 @@ class QuotientSample:
         }
 
 
-def _ordered_forest(n: int, edges: np.ndarray) -> np.ndarray:
+def _ordered_forest(edges: np.ndarray, width: int) -> np.ndarray:
     """Indices of the edges that join two components when taken in order.
 
     This is the spanning forest Kruskal's algorithm builds from the edge
     order, i.e. the minimum spanning forest under weights 1, 2, 3, ...
+    Nodes k * width to (k + 1) * width - 1 make up column k, and no edge
+    joins two columns, so the forest is built `_FOREST_BLOCK` columns at a
+    time, on each block's edges in their order; its temporaries scale with
+    one block's edges.
     """
+    slot = edges[:, 0] // width
+    by_col = np.argsort(slot, kind="stable")
+    firsts = np.arange(0, int(slot.max(initial=0)) + _FOREST_BLOCK + 1, _FOREST_BLOCK)
+    bounds = np.searchsorted(slot, firsts, sorter=by_col)
+    return np.sort(np.concatenate([
+        block[_block_forest(_FOREST_BLOCK * width, edges[block] - first * width)]
+        for first, block in zip(firsts, np.split(by_col, bounds[1:-1]))
+    ]))
+
+
+def _block_forest(n: int, edges: np.ndarray) -> np.ndarray:
+    """`_ordered_forest` of one block of columns, whose nodes are 0..n-1."""
     if len(edges) == 0:
         return np.empty(0, dtype=np.int64)
     lo, hi = edges.min(axis=1), edges.max(axis=1)
@@ -219,10 +238,13 @@ class _Builder:
         n = len(self.grid.units)
         ends = np.concatenate([self.within[0]] + [e for e, _ in self.rides])
         tags = np.concatenate([self.within[1]] + [t for _, t in self.rides])
-        chosen = _ordered_forest(len(self.cols) * n, ends)
+        chosen = _ordered_forest(ends, n)
+        a, b = ends[chosen, 0], ends[chosen, 1]
         records: list[tuple] = []
-        for e, (a, b), tag in zip(chosen.tolist(), ends[chosen].tolist(), tags[chosen].tolist()):
-            col, i, j = self.cols[a // n], a % n, b % n
+        for e, k, i, j, tag in zip(
+            chosen.tolist(), (a // n).tolist(), (a % n).tolist(), (b % n).tolist(), tags[chosen].tolist()
+        ):
+            col = self.cols[k]
             if e >= len(self.within[1]):
                 records.append(("ride", col, i, j, self.cols[tag]))
             elif tag < 0:

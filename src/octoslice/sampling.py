@@ -18,7 +18,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from .algebra import NEAR_UNIT_TOL, UnitImaginary
+from .algebra import NEAR_UNIT_TOL, UnitImaginary, row_norms
 from .errors import EmptySampleError, PreconditionError
 
 # Upper limit on the columns of a z grid (alphas x betas).  The default plans
@@ -26,6 +26,8 @@ from .errors import EmptySampleError, PreconditionError
 MAX_Z_COLUMNS = 50_000
 # Candidate units tested in one call against the pool kept so far.
 _THIN_BLOCK = 64
+# Unit pairs whose arcs `arc_probe_graph` builds at once.
+_ARC_BLOCK = 1024
 # Interior sample times of a z leg between neighbouring grid columns; the
 # two end columns are checked by their membership.
 _LEG_TIMES = np.linspace(0.0, 1.0, 7)[1:-1]
@@ -67,9 +69,6 @@ class Subsphere:
         vec = u.vec if isinstance(u, UnitImaginary) else np.asarray(u, dtype=float)
         proj = (vec @ self._basis.T) @ self._basis
         return bool(np.linalg.norm(proj - vec) <= tol)
-
-    def project(self, vec: np.ndarray) -> np.ndarray:
-        return (vec @ self._basis.T) @ self._basis
 
     def to_json(self) -> list[list[float]]:
         return [[float(v) for v in row] for row in self._basis]
@@ -191,21 +190,26 @@ def arc_probe_graph(
     sampling misses thin gaps between nearly tangent slice caps, so the
     probe count errs dense.  Antipodal pairs get no edge.
     """
-    fracs = np.linspace(0.0, 1.0, probes + 2)[1:-1]
-    if len(units) == 0:
-        return np.empty((0, 2), dtype=int), np.zeros((0, probes, 7))
-    pairs = cKDTree(units).query_pairs(link, output_type="ndarray")
-    ends, arcs = [], []
-    for a, b in pairs:
-        chords = np.outer(1.0 - fracs, units[a]) + np.outer(fracs, units[b])
-        norms = np.linalg.norm(chords, axis=1)
-        if norms.min() < 1e-6:
-            continue
-        ends.append((int(a), int(b)))
-        arcs.append(chords / norms[:, None])
-    if not ends:
-        return np.empty((0, 2), dtype=int), np.zeros((0, probes, 7))
-    return np.asarray(ends, dtype=int), np.asarray(arcs)
+    fracs = np.linspace(0.0, 1.0, probes + 2)[1:-1][:, None]
+    pairs = (
+        cKDTree(units).query_pairs(link, output_type="ndarray")
+        if len(units)
+        else np.empty((0, 2), dtype=int)
+    )
+    # the same products as np.outer(1 - fracs, u_a) + np.outer(fracs, u_b)
+    arcs = np.empty((len(pairs), probes, 7))
+    keep = np.zeros(len(pairs), dtype=bool)
+    n = 0
+    for start in range(0, len(pairs), _ARC_BLOCK):
+        block = pairs[start : start + _ARC_BLOCK]
+        chords = (1.0 - fracs) * units[block[:, 0], None] + fracs * units[block[:, 1], None]
+        norms = row_norms(chords)
+        ok = ~(norms.min(axis=1) < 1e-6)
+        keep[start : start + len(block)] = ok
+        kept = int(ok.sum())
+        arcs[n : n + kept] = chords[ok] / norms[ok, :, None]
+        n += kept
+    return pairs[keep].astype(int), arcs[:n]
 
 
 def adaptive_unit_pool(

@@ -233,6 +233,30 @@ def test_missing_required_flag_is_exit_2(capsys):
     assert run(capsys, "eval", "--field", "identity")[0] == 2
 
 
+def test_cached_parser_answers_like_a_fresh_one(capsys):
+    """`main` keeps one parser per process; errors, usage exits and help leave it as new."""
+    point = "[0.5, 1, 0, 0, 0, 0, 0, 0.25]"
+    calls = [
+        ("eval", "--field", "identity", "--point", point),
+        ("eval", "--field", "identity", "--point", "[1, NaN, 0, 0, 0, 0, 0, 0]"),  # package error
+        ("op", "--name", "gamma", "--field", "identity", "--point", point),
+        ("eval", "--field", "identity"),  # usage error
+        ("op", "--help"),
+        ("no-such-command",),
+        ("--help",),
+        ("eval", "--field", "identity", "--point", point),
+        ("op", "--name", "gamma", "--field", "identity", "--point", point),
+    ]
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    cached = [run(capsys, *argv) for argv in calls]
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [0, 2, 0, 2, 0, 2, 0, 0, 0]
+    assert cli._parser() is cli._parser()
+
+
 def test_output_is_deterministic_and_file_equal(tmp_path, capsys):
     argv = [
         "ccl-search", "--domain", BALL2,

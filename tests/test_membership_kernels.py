@@ -1,0 +1,267 @@
+"""The membership and leg kernels against the code they replaced.
+
+The reference functions below are the earlier implementations: the
+`np.linalg.norm` row norms, the per-ball loop of `BallUnion`, the per-pair
+loop of `arc_probe_graph` and the gathered form of `PolyPathS.eval_many`.
+The kernels must reproduce them to the bit (`np.array_equal`) on every
+input, non-finite and extreme ones included.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.spatial import cKDTree
+
+from octoslice.algebra import Octonion, UnitImaginary, row_dot, row_norms
+from octoslice.domains import _BALL_BLOCK, Ball, BallUnion, SlabCone, balls_contain
+from octoslice.liftings import PolyPathS
+from octoslice.sampling import _ARC_BLOCK, arc_probe_graph
+
+# Fixed examples, no example database: a run repeats the last one exactly.
+KERNEL_SETTINGS = settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+ULP = 2.0**-52
+
+
+def ref_row_norms(x):
+    return np.linalg.norm(x, axis=-1)
+
+
+def ref_balls(pts, centers, radii):
+    mask = np.zeros(len(pts), dtype=bool)
+    for c, r in zip(centers, radii):
+        mask |= np.linalg.norm(pts - c, axis=1) < r
+    return mask
+
+
+def ref_arc_probe_graph(units, link, probes=23):
+    fracs = np.linspace(0.0, 1.0, probes + 2)[1:-1]
+    if len(units) == 0:
+        return np.empty((0, 2), dtype=int), np.zeros((0, probes, 7))
+    pairs = cKDTree(units).query_pairs(link, output_type="ndarray")
+    ends, arcs = [], []
+    for a, b in pairs:
+        chords = np.outer(1.0 - fracs, units[a]) + np.outer(fracs, units[b])
+        norms = np.linalg.norm(chords, axis=1)
+        if norms.min() < 1e-6:
+            continue
+        ends.append((int(a), int(b)))
+        arcs.append(chords / norms[:, None])
+    if not ends:
+        return np.empty((0, 2), dtype=int), np.zeros((0, probes, 7))
+    return np.asarray(ends, dtype=int), np.asarray(arcs)
+
+
+def ref_eval_many(path, ts):
+    ts = np.clip(np.asarray(ts, dtype=float), 0.0, 1.0)
+    idx = np.clip(np.searchsorted(path.times, ts, side="right") - 1, 0, len(path.times) - 2)
+    t0, t1 = path.times[idx], path.times[idx + 1]
+    s = ((ts - t0) / (t1 - t0))[:, None]
+    pts = (1.0 - s) * path.vertices[idx] + s * path.vertices[idx + 1]
+    return pts / np.linalg.norm(pts, axis=1)[:, None]
+
+
+def same(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
+
+
+def unit_rows(rng, n, width=8):
+    d = rng.normal(size=(n, width))
+    return d / np.linalg.norm(d, axis=1, keepdims=True)
+
+
+# -- row norms ---------------------------------------------------------------
+
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True, width=64)
+SPECIALS = np.array([np.nan, np.inf, -np.inf, 1e300, -1e300, 1e154, 5e-324, -1e-310, 0.0, -0.0])
+
+
+@KERNEL_SETTINGS
+@given(
+    arrays(np.float64, st.tuples(st.integers(0, 40), st.sampled_from([7, 8])), elements=ANY_FLOAT)
+)
+def test_row_norms_equals_linalg_norm_on_any_floats(x):
+    with np.errstate(all="ignore"):
+        assert same(row_norms(x), ref_row_norms(x))
+
+
+@KERNEL_SETTINGS
+@given(arrays(np.float64, st.tuples(st.integers(0, 6), st.integers(0, 9), st.just(8)), elements=ANY_FLOAT))
+def test_row_norms_equals_linalg_norm_on_stacks_and_views(x):
+    with np.errstate(all="ignore"):
+        assert same(row_norms(x), ref_row_norms(x))
+        assert same(row_norms(x[..., 1:]), ref_row_norms(x[..., 1:]))
+
+
+def test_row_norms_on_scaled_random_rows_and_specials():
+    rng = np.random.default_rng(5)
+    for scale in (1.0, 1e-160, 1e-300, 1e150, 1e160):
+        x = rng.normal(size=(20_000, 8)) * np.exp(3.0 * rng.normal(size=(20_000, 8))) * scale
+        x[:: 97] = rng.choice(SPECIALS, size=x[:: 97].shape)
+        with np.errstate(all="ignore"):
+            assert same(row_norms(x), ref_row_norms(x))
+            assert same(row_norms(x[:, 1:]), ref_row_norms(x[:, 1:]))
+            stack = x.reshape(40, 500, 8)
+            assert same(row_norms(stack), ref_row_norms(stack))
+            assert same(row_norms(stack[..., 1:]), ref_row_norms(stack[..., 1:]))
+            # one row
+            assert same(row_norms(x[0]), ref_row_norms(x[0]))
+    # widths the kernel leaves to numpy
+    for width in (1, 3, 9):
+        y = rng.normal(size=(50, width))
+        assert same(row_norms(y), ref_row_norms(y))
+
+
+# -- ball kernel ---------------------------------------------------------------
+
+
+def check_balls(pts, centers, radii):
+    centers = np.asarray(centers, dtype=float)
+    radii = np.asarray(radii, dtype=float)
+    with np.errstate(all="ignore"):
+        want = ref_balls(pts, centers, radii)
+        assert same(balls_contain(pts, centers, radii), want)
+        union = BallUnion([Ball(Octonion(c), r) for c, r in zip(centers, radii)])
+        assert same(union.contains_batch(pts), want)
+        for c, r in zip(centers, radii):
+            assert same(Ball(Octonion(c), r).contains_batch(pts), ref_balls(pts, [c], [r]))
+
+
+def shell(rng, center, radius, n, ks=range(-6, 7)):
+    """Points at distance radius * (1 + k ulp) from the centre."""
+    k = rng.choice(np.asarray(list(ks), dtype=float), size=n)
+    return center + unit_rows(rng, n) * (radius * (1.0 + k * ULP))[:, None]
+
+
+def test_shells_at_a_few_ulps():
+    rng = np.random.default_rng(11)
+    for scale in (1e-3, 1.0, 7.0, 1e4):
+        centers = rng.normal(size=(5, 8)) * scale
+        radii = rng.uniform(0.1, 2.0, size=5) * scale
+        pts = np.vstack([shell(rng, c, r, 400) for c, r in zip(centers, radii)])
+        check_balls(pts, centers, radii)
+
+
+def test_tangent_and_nested_balls():
+    rng = np.random.default_rng(12)
+    e1 = np.eye(8)[1]
+    # tangent at the origin, and a ball nested in the first, sharing its boundary point -e1
+    centers = np.array([-e1, e1, -0.5 * e1])
+    radii = np.array([1.0, 1.0, 0.5])
+    near = rng.normal(size=(3000, 8)) * 10.0 ** rng.uniform(-17, -8, size=(3000, 1))
+    pts = np.vstack([near, near - 2.0 * e1, shell(rng, centers[2], 0.5, 1000), shell(rng, centers[0], 1.0, 1000)])
+    check_balls(pts, centers, radii)
+
+
+def test_far_and_huge_centres_take_the_exact_path():
+    rng = np.random.default_rng(13)
+    cases = [
+        (np.full(8, 1e150), 3e150),  # |c|^2 overflows past the band limit
+        (np.full(8, 1e100), 1.0),
+        (np.full(8, 2e-160), 1e-160),  # squares underflow
+        (np.full(8, 1e5), 1e-9),  # a tiny ball far out: the band is wide next to r
+    ]
+    for center, radius in cases:
+        pts = np.vstack([shell(rng, center, radius, 500), center + rng.normal(size=(200, 8)) * radius])
+        check_balls(pts, [center], [radius])
+    # |p|^2 and |c|^2 are finite, but -2 <p, c> overflows to -inf
+    check_balls(np.full((3, 8), 4.61e153), [np.full(8, 2.74e153)], [1.0])
+    pts = rng.normal(size=(50, 8))
+    pts[::7] = rng.choice(SPECIALS, size=pts[::7].shape)
+    pts[1] = 1e200
+    check_balls(pts, [np.zeros(8), np.full(8, 1e200)], [1.0, 1e201])
+
+
+def test_rows_straddling_block_edges():
+    rng = np.random.default_rng(14)
+    centers = rng.normal(size=(3, 8))
+    radii = np.array([0.7, 1.1, 0.9])
+    for n in (_BALL_BLOCK - 1, _BALL_BLOCK, _BALL_BLOCK + 1, 2 * _BALL_BLOCK + 3):
+        pts = rng.normal(size=(n, 8)) * 1.5
+        for row in (0, _BALL_BLOCK - 1, _BALL_BLOCK, n - 1):
+            if row < n:
+                pts[row] = shell(rng, centers[row % 3], radii[row % 3], 1)[0]
+        check_balls(pts, centers, radii)
+    check_balls(np.empty((0, 8)), centers, radii)
+
+
+FINITE = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@KERNEL_SETTINGS
+@given(
+    arrays(np.float64, st.tuples(st.integers(1, 5), st.just(8)), elements=FINITE),
+    st.lists(st.floats(1e-3, 1e3), min_size=5, max_size=5),
+    st.data(),
+)
+def test_ball_verdicts_on_generated_balls(centers, radii, data):
+    radii = np.asarray(radii[: len(centers)])
+    pts = data.draw(arrays(np.float64, st.tuples(st.integers(0, 30), st.just(8)), elements=ANY_FLOAT))
+    # and points on each sphere, to a few ulps
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    pts = np.vstack([pts] + [shell(rng, c, r, 20) for c, r in zip(centers, radii)])
+    check_balls(pts, centers, radii)
+
+
+# -- slab-cone ---------------------------------------------------------------
+
+
+def test_slab_cone_verdict_does_not_depend_on_the_batch():
+    rng = np.random.default_rng(15)
+    axis = unit_rows(rng, 1, 7)[0]
+    half = math.pi / 4
+    dom = SlabCone(UnitImaginary(axis), half)
+    # points at 1e-15 rad or less from the cone's half angle, outside the slab
+    side = unit_rows(rng, 20_000, 7)
+    side -= np.outer(side @ axis, axis)
+    side /= np.linalg.norm(side, axis=1, keepdims=True)
+    angle = half + rng.uniform(-1e-15, 1e-15, size=(20_000, 1))
+    sign = rng.choice([-1.0, 1.0], size=(20_000, 1))
+    pts = np.zeros((20_000, 8))
+    pts[:, 0] = rng.uniform(-1, 1, size=20_000)
+    pts[:, 1:] = rng.uniform(1.5, 3.0, size=(20_000, 1)) * sign * (np.cos(angle) * axis + np.sin(angle) * side)
+    batch = dom.contains_batch(pts)
+    assert 0 < batch.sum() < len(pts)  # the points straddle the boundary
+    assert np.array_equal(batch, [dom.contains(Octonion(p)) for p in pts])
+    ims = pts[:, 1:]
+    cosang = np.abs(row_dot(ims, dom.i0.vec)) / np.linalg.norm(ims, axis=1)
+    assert np.array_equal(batch, cosang > math.cos(half))
+
+
+# -- arc probes and unit paths -------------------------------------------------
+
+
+@pytest.mark.parametrize("n, link", [(0, 0.3), (1, 0.3), (2, 2.5), (60, 2.5), (300, 0.5), (900, 0.25)])
+def test_arc_probe_graph_equals_the_pair_loop(n, link):
+    rng = np.random.default_rng(n)
+    units = unit_rows(rng, n, 7)
+    if n >= 2:
+        units[1] = -units[0]  # an antipodal pair, within the link when link > 2
+    got, want = arc_probe_graph(units, link), ref_arc_probe_graph(units, link)
+    assert same(got[0], want[0]) and same(got[1], want[1])
+    if n == 60:
+        assert len(want[0]) > _ARC_BLOCK  # several blocks
+        assert [0, 1] not in want[0].tolist()
+
+
+@KERNEL_SETTINGS
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1), st.integers(0, 300))
+def test_unit_path_eval_many_equals_the_gathered_form(count, seed, samples):
+    rng = np.random.default_rng(seed)
+    verts = unit_rows(rng, 1, 7)
+    for _ in range(count - 1):
+        nxt = verts[-1] + rng.normal(size=7) * rng.uniform(0.05, 1.0)
+        verts = np.vstack([verts, nxt / np.linalg.norm(nxt)])
+    times = np.sort(rng.uniform(0.0, 1.0, size=count - 2))
+    path = PolyPathS(verts, np.concatenate([[0.0], times, [1.0]]))
+    ts = np.concatenate([rng.uniform(-0.2, 1.2, size=samples), path.times, np.linspace(0, 1, 2048)])
+    assert same(path.eval_many(ts), ref_eval_many(path, ts))
