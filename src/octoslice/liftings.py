@@ -14,10 +14,17 @@ first search on a sampled fiber product of the domain.  A search that
 exhausts its sampled component without reaching a coupling point reports
 not-equivalent at that resolution; hitting the node budget reports that
 instead, never a fabricated verdict.
+
+`ccl_verify` re-checks a witness at `linspace(0, 1, resolution)` (2048
+times by default, cached read-only per resolution; a base with more than
+two vertices adds its vertex times).  The base is evaluated once, and both
+liftings are tested in one `contains_batch` call on a (2n, 8) array, whose
+halves give the two in-domain verdicts.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional
@@ -31,6 +38,23 @@ from .sampling import SamplePlan, SlicePairGrid, Subsphere
 from .stems import StemVector, stem_from_gamma
 
 _ANTIPODAL_TOL = 1e-6
+
+
+@functools.cache
+def _even_times(count: int) -> np.ndarray:
+    """`linspace(0, 1, count)`, built once per count and read-only.
+
+    It is the default times of a path with `count` vertices and the sample
+    grid of witness checks, so paths and checks share one array per count.
+    """
+    times = np.linspace(0.0, 1.0, count)
+    times.flags.writeable = False
+    return times
+
+
+def _path_times(times, count: int) -> np.ndarray:
+    """Validated vertex times, or the even times when none are given."""
+    return _even_times(count) if times is None else _check_times(times, count)
 
 
 def _check_times(times: np.ndarray, count: int) -> np.ndarray:
@@ -52,10 +76,7 @@ class PolyPathC:
         self.vertices = np.asarray(vertices, dtype=complex)
         if self.vertices.ndim != 1 or len(self.vertices) < 2:
             raise PreconditionError("need at least two vertices")
-        n = len(self.vertices)
-        self.times = _check_times(
-            np.linspace(0.0, 1.0, n) if times is None else times, n
-        )
+        self.times = _path_times(times, len(self.vertices))
 
     def eval_many(self, ts) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
@@ -85,17 +106,14 @@ class PolyPathS:
         verts = np.asarray(vertices, dtype=float)
         if verts.ndim != 2 or verts.shape[1] != 7 or len(verts) < 2:
             raise PreconditionError("need an (n, 7) array of at least two unit vectors")
-        norms = np.linalg.norm(verts, axis=1)
+        norms = row_norms(verts)
         if np.any(np.abs(norms - 1.0) > 1e-9):
             raise PreconditionError("unit path vertices must have norm 1")
         self.vertices = verts / norms[:, None]
-        gaps = np.linalg.norm(self.vertices[1:] + self.vertices[:-1], axis=1)
+        gaps = row_norms(self.vertices[1:] + self.vertices[:-1])
         if np.any(gaps < _ANTIPODAL_TOL):
             raise PreconditionError("adjacent unit vertices are antipodal; insert a waypoint")
-        n = len(self.vertices)
-        self.times = _check_times(
-            np.linspace(0.0, 1.0, n) if times is None else times, n
-        )
+        self.times = _path_times(times, len(self.vertices))
 
     def eval_many(self, ts) -> np.ndarray:
         ts = np.clip(np.asarray(ts, dtype=float), 0.0, 1.0)
@@ -130,10 +148,7 @@ class PolyPathO:
         self.vertices = np.asarray(verts, dtype=float)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 8 or len(self.vertices) < 2:
             raise PreconditionError("need an (n, 8) array of at least two vertices")
-        n = len(self.vertices)
-        self.times = _check_times(
-            np.linspace(0.0, 1.0, n) if times is None else times, n
-        )
+        self.times = _path_times(times, len(self.vertices))
 
     def eval_many(self, ts) -> np.ndarray:
         ts = np.clip(np.asarray(ts, dtype=float), 0.0, 1.0)
@@ -153,6 +168,20 @@ class PolyPathO:
         return cls(np.asarray(data["vertices"]), np.asarray(data["times"]))
 
 
+def _lifting_points(base: PolyPathC, units: list[PolyPathS], ts: np.ndarray) -> np.ndarray:
+    """Points of the liftings of one base through each unit path, stacked in that order.
+
+    The base is evaluated once; rows k*n to (k+1)*n - 1 hold lifting k.
+    """
+    z = base.eval_many(ts)
+    n = len(ts)
+    out = np.empty((len(units) * n, 8))
+    for k, path in enumerate(units):
+        out[k * n : (k + 1) * n, 0] = z.real
+        out[k * n : (k + 1) * n, 1:] = z.imag[:, None] * path.eval_many(ts)
+    return out
+
+
 @dataclass
 class CircularLifting:
     """The space path t -> tau_{units(t)}(base(t))."""
@@ -161,12 +190,7 @@ class CircularLifting:
     units: PolyPathS
 
     def eval_many(self, ts) -> np.ndarray:
-        z = self.base.eval_many(ts)
-        u = self.units.eval_many(ts)
-        out = np.empty((len(z), 8))
-        out[:, 0] = z.real
-        out[:, 1:] = z.imag[:, None] * u
-        return out
+        return _lifting_points(self.base, [self.units], np.asarray(ts, dtype=float))
 
     def eval(self, t: float) -> Octonion:
         return Octonion(self.eval_many([t])[0])
@@ -325,9 +349,22 @@ def lift_approximate(
     return lifting, cert
 
 
+def _sample_times(base: PolyPathC, resolution: int) -> np.ndarray:
+    """Sample times of a witness check: `resolution` even times and the base's vertex times.
+
+    A two-vertex base has times [0, 1], which the even grid holds already.
+    A resolution below 3 leaves no interior sample, so it is refused: such a
+    check would test only the base's vertices.
+    """
+    if not isinstance(resolution, (int, np.integer)) or resolution < 3:
+        raise PreconditionError(f"a witness check needs a resolution of at least 3, got {resolution!r}")
+    grid = _even_times(int(resolution))
+    return grid if len(base.times) == 2 else np.union1d(base.times, grid)
+
+
 def lift_in_domain(lifting: CircularLifting, domain: Domain, resolution: int = 2048) -> bool:
-    ts = np.union1d(lifting.base.times, np.linspace(0.0, 1.0, resolution))
-    return bool(np.all(domain.contains_batch(lifting.eval_many(ts))))
+    """Whether the lifting's points at `_sample_times` all lie in the domain."""
+    return bool(np.all(domain.contains_batch(lifting.eval_many(_sample_times(lifting.base, resolution)))))
 
 
 # ---------------------------------------------------------------------------
@@ -364,16 +401,23 @@ def ccl_verify(
     resolution: int = 2048,
     tol: float = 1e-9,
 ) -> tuple[bool, dict]:
-    """Re-check a coupled witness: common start, exact ends, both inside."""
-    ts = np.union1d(witness.base.times, np.linspace(0.0, 1.0, resolution))
-    pts1 = witness.lifting(1).eval_many(ts)
-    pts2 = witness.lifting(2).eval_many(ts)
+    """Re-check a coupled witness: common start, exact ends, both inside.
+
+    Both liftings are sampled at `_sample_times` (2048 even times by
+    default) into one (2n, 8) array, tested with one `contains_batch` call;
+    every domain gives each row its own verdict, so the two halves answer
+    for the two liftings.
+    """
+    ts = _sample_times(witness.base, resolution)
+    n = len(ts)
+    pts = _lifting_points(witness.base, [witness.units1, witness.units2], ts)
+    inside = domain.contains_batch(pts)
     detail = {
-        "start_gap": float(np.linalg.norm(pts1[0] - pts2[0])),
-        "end1_error": float(np.linalg.norm(pts1[-1] - x.coeffs)),
-        "end2_error": float(np.linalg.norm(pts2[-1] - xp.coeffs)),
-        "in_domain1": bool(np.all(domain.contains_batch(pts1))),
-        "in_domain2": bool(np.all(domain.contains_batch(pts2))),
+        "start_gap": float(np.linalg.norm(pts[0] - pts[n])),
+        "end1_error": float(np.linalg.norm(pts[n - 1] - x.coeffs)),
+        "end2_error": float(np.linalg.norm(pts[-1] - xp.coeffs)),
+        "in_domain1": bool(np.all(inside[:n])),
+        "in_domain2": bool(np.all(inside[n:])),
     }
     ok = (
         detail["start_gap"] <= tol

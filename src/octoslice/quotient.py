@@ -23,7 +23,9 @@ order and then its ride edges, an edge is recorded when it joins two
 classes of the edges before it, so a column with m members and c classes
 has m - c records.  Classes are therefore the transitive closures of the
 records, and `replay_merge_record` re-verifies any single record from
-scratch.  Since merging is certificate-backed only, component counts of the
+scratch: an arc or real record through `ccl_verify`, whose one membership
+call tests 2 x 2048 rows (one more per lifting when a real record's base
+has a waypoint), a ride record as two unit legs of 2048 rows each.  Since merging is certificate-backed only, component counts of the
 class graph are upper bounds on the true quotient's.
 """
 
@@ -278,9 +280,13 @@ class _Builder:
                     ridable = np.flatnonzero(grid.move_mask(col, nb))
                     pairs.append(labels[[self.slot[col], self.slot[nb]]][:, ridable].T)
         pairs = np.concatenate(pairs)
-        both = np.unique(np.concatenate([pairs, pairs[:, ::-1]]), axis=0)
-        bounds = np.searchsorted(both[:, 0], np.arange(len(classes) + 1))
-        adjacency = [tuple(both[bounds[c] : bounds[c + 1], 1].tolist()) for c in range(len(classes))]
+        # both directions of every pair, sorted by (a, b) through the key a * C + b
+        n_cls = len(classes)
+        a, b = pairs[:, 0], pairs[:, 1]
+        keys = np.unique(np.concatenate([a * n_cls + b, b * n_cls + a]))
+        bounds = np.searchsorted(keys, np.arange(n_cls + 1) * n_cls)
+        nbrs = (keys % n_cls).tolist()
+        adjacency = [tuple(nbrs[bounds[c] : bounds[c + 1]]) for c in range(n_cls)]
         # each component is named by its smallest class index
         _, comp = components(len(classes), pairs)
         _, smallest = np.unique(comp, return_index=True)
@@ -463,8 +469,10 @@ def replay_merge_record(q: QuotientSample, record: tuple) -> bool:
     """Re-verify one merge record's certificate from scratch.
 
     Arc and real records materialize an actual coupled lifting and replay
-    it through `ccl_verify`; ride records re-check both unit legs densely
-    and that the referenced neighboring column still merges the pair.
+    it through `ccl_verify` (both liftings, 2 x 2048 rows, in one membership
+    call); ride records re-check both unit legs with `lift_in_domain`, 2048
+    rows each, and that the referenced neighboring column still merges the
+    pair.
     """
     kind, col = record[0], record[1]
     z = q.z_of(col)

@@ -24,8 +24,6 @@ from .errors import EmptySampleError, PreconditionError
 # Upper limit on the columns of a z grid (alphas x betas).  The default plans
 # build about a thousand; a grid past the limit is refused before it is built.
 MAX_Z_COLUMNS = 50_000
-# Candidate units tested in one call against the pool kept so far.
-_THIN_BLOCK = 64
 # Unit pairs whose arcs `arc_probe_graph` builds at once.
 _ARC_BLOCK = 1024
 # Interior sample times of a z leg between neighbouring grid columns; the
@@ -242,26 +240,15 @@ def adaptive_unit_pool(
     sep = plan.pool_sep if plan.pool_sep is not None else max(plan.pool_sep_floor, spread / 15.0)
     min_chord = chord_of_angle(sep)
     # Greedy thinning in order: a unit is kept when it lies at least
-    # min_chord from every unit kept before it.
-    kept = np.empty((min(plan.pool_max, len(units)), 7))
-    n = 0
-    for start in range(0, len(units), _THIN_BLOCK):
-        if n >= plan.pool_max:
-            break
-        block = units[start : start + _THIN_BLOCK]
-        if n:
-            # one test against every unit kept before this block
-            gaps = np.linalg.norm(kept[None, :n] - block[:, None], axis=2).min(axis=1)
-            block = block[gaps >= min_chord]
-        # then the survivors, one by one, against units kept within the block
-        first = n
-        for u in block:
-            if n >= plan.pool_max:
-                break
-            if n == first or float(np.linalg.norm(kept[first:n] - u, axis=1).min()) >= min_chord:
-                kept[n] = u
-                n += 1
-    return kept[:n], sep
+    # min_chord from every unit kept before it.  Each sweep keeps the first
+    # undecided unit and drops the later ones too close to it.
+    kept: list[int] = []
+    rest = np.arange(len(units))
+    while len(rest) and len(kept) < plan.pool_max:
+        k, rest = rest[0], rest[1:]
+        kept.append(k)
+        rest = rest[row_norms(units[k] - units[rest]) >= min_chord]
+    return units[np.array(kept, dtype=np.int64)], sep
 
 
 def components(n: int, edges) -> tuple[int, np.ndarray]:

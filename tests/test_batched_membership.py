@@ -3,7 +3,8 @@
 Each test holds a reference written the straightforward way: an unbounded
 nearest-centre query for the ball chain, a per-unit loop over the seven
 points of a closed z leg for base moves, an edge-by-edge loop for arc end
-checks, and a candidate-by-candidate greedy thinning for unit pools.
+checks, and a candidate-by-candidate greedy thinning for unit pools (each
+candidate against the whole pool kept so far).
 """
 
 import math
@@ -200,9 +201,11 @@ POOL_DOMAINS = {
     "slab-cone": SlabCone(UnitImaginary.basis(1)),
     "chain": CHAIN,
 }
-# (pool_max, pool_sep): full pools, caps that cut the pool short, and the
-# smallest caps
-POOL_PLANS = ((900, None), (150, None), (50, None), (140, 0.08), (900, 0.03), (1, None), (0, None))
+# (pool_max, pool_sep): full pools, caps that cut the pool short, the
+# smallest caps, and a fine separation under a cap no pool reaches
+POOL_PLANS = (
+    (900, None), (150, None), (50, None), (140, 0.08), (900, 0.03), (1, None), (0, None), (5000, 0.02)
+)
 
 
 @pytest.mark.parametrize("name", sorted(POOL_DOMAINS))

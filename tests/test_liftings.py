@@ -225,6 +225,24 @@ def test_ccl_verify_rejects_bad_witness():
     assert not ok and info["end2_error"] > 1e-3
 
 
+def test_witness_checks_refuse_a_resolution_without_interior_samples():
+    # the arc e2 -> e3 at z = 2i leaves the two small balls between its ends
+    two_balls = BallUnion([Ball(2 * E[2], 0.3), Ball(2 * E[3], 0.3)])
+    x, xp = tau(UnitImaginary.basis(2), 2j), tau(UnitImaginary.basis(3), 2j)
+    e2, e3 = np.eye(7)[1], np.eye(7)[2]
+    witness = CoupledLifting(PolyPathC([2j, 2j]), PolyPathS(np.vstack([e2, e2])), PolyPathS(np.vstack([e2, e3])))
+    for resolution in (2, 1, 0, -5):
+        with pytest.raises(PreconditionError, match="at least 3"):
+            ccl_verify(witness, x, xp, two_balls, resolution=resolution)
+        with pytest.raises(PreconditionError, match="at least 3"):
+            lift_in_domain(witness.lifting(2), two_balls, resolution=resolution)
+    for resolution in (3, 2048):
+        ok, info = ccl_verify(witness, x, xp, two_balls, resolution=resolution)
+        assert not ok and info["in_domain1"] and not info["in_domain2"]
+        assert lift_in_domain(witness.lifting(1), two_balls, resolution=resolution)
+        assert not lift_in_domain(witness.lifting(2), two_balls, resolution=resolution)
+
+
 def test_path_failing_reverification_is_unverified():
     # the sampled fiber search links the two caps, but the 2048-point
     # re-check of its witness leaves the union

@@ -236,6 +236,52 @@ def test_merge_records_replay():
         assert all(replay_merge_record(qs, pool[int(k)]) for k in take)
 
 
+def _row_unique_adjacency(q):
+    """Class adjacency over every ridable unit of neighbouring columns, sorted by row pairs.
+
+    A unit rides between neighbouring columns when its closed z leg, sampled
+    at seven even times from the smaller column, stays in the domain.
+    """
+    times = np.linspace(0.0, 1.0, 7)
+    pairs = [np.empty((0, 2), dtype=int)]
+    for col in q.members:
+        for nb in ((col[0] + 1, col[1]), (col[0], col[1] + 1)):
+            if nb not in q.members:
+                continue
+            zs = (1.0 - times) * q.z_of(col) + times * q.z_of(nb)
+            pts = np.zeros((len(zs) * len(q.units), 8))
+            pts[:, 0] = np.repeat(zs.real, len(q.units))
+            pts[:, 1:] = (zs.imag[:, None, None] * q.units[None, :, :]).reshape(-1, 7)
+            ridable = np.flatnonzero(q.domain.contains_batch(pts).reshape(len(zs), -1).all(axis=0))
+            pairs.append(np.column_stack([q.labels[col][ridable], q.labels[nb][ridable]]))
+    pairs = np.concatenate(pairs)
+    both = np.unique(np.concatenate([pairs, pairs[:, ::-1]]), axis=0)
+    bounds = np.searchsorted(both[:, 0], np.arange(len(q.classes) + 1))
+    return [tuple(both[bounds[c] : bounds[c + 1], 1].tolist()) for c in range(len(q.classes))]
+
+
+@pytest.mark.parametrize(
+    "fixture", [far_ball_quotient, real_ball_quotient, chain_quotient, slab_cone_quotient], ids=lambda f: f.__name__
+)
+def test_class_adjacency_equals_row_unique_reference(fixture):
+    q = fixture()
+    want = _row_unique_adjacency(q)
+    assert q.class_adjacency == want
+    assert all(type(c) is int for nbrs in q.class_adjacency for c in nbrs)
+    assert sum(map(len, want)) > len(q.classes)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="a 25-class piece of the lower sheet near z = -1 - 2.4i stays apart: at column"
+    " z = 0.35 - 3.0i its one member unit lies chord 0.2099 from the other class's, beyond the"
+    " arc link 0.2, so the arc graph has no edge between them although that arc stays in the chain",
+)
+def test_chain_at_benchmark_plan_has_two_components():
+    plan = SamplePlan(seed=1725625430, pool_max=140, quotient_z_step=0.2, pool_sep=0.08)
+    assert count_components(build_quotient(BallChain(I1, I2), plan)) == 2
+
+
 def test_injectivity_detector_flags_adjacent_same_z_classes():
     q = far_ball_quotient()
     z = q.classes[0].z
