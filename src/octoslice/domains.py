@@ -29,6 +29,41 @@ finite), where A could overflow.  `algebra.row_norms` gives the norms of
 the per-ball test and of `SlabCone` (|Im x|); it sums in the order of
 `np.linalg.norm` in the pinned numpy 2.4.6.  `SlabCone`'s cone test uses
 `algebra.row_dot`, so no verdict depends on the batch a point is in.
+
+Leg certificates.  A leg is every point within `sag` of a segment [p0, p1];
+`Domain.deep_legs` returns True for a leg only when every sample row the
+package builds on it passes the membership test, so callers test only the
+other legs' rows and every verdict stays the same.  The default certifies
+nothing.  `Ball` and `BallUnion` share `balls_hold_legs`, which certifies a
+leg when one ball has max(d0, d1) + sag + s < r, with d0 and d1 the
+`row_norms(p - c)` of the ends and the slack
+s = 2^-30 (max(|p0|, |p1|) + |c| + r) + 2^-1000.  Why its rows are inside:
+
+* Convexity.  The norm is convex, so every point q of the segment has
+  |q - c| <= max(|p0 - c|, |p1 - c|), and every point within sag of it
+  lies within that plus sag of c.
+* Arc bulge.  At a fixed z = a + b i the slice points of the units on the
+  shorter arc from u to u + du are a circle arc of radius |b| over the
+  chord between its ends.  An arc of angle theta <= pi lies within
+  |b| (1 - cos(theta/2)) of its chord, and with x = cos(theta/2) in
+  [0, 1], 1 - x <= 1 - x^2 = sin^2(theta/2) = |du|^2 / 4.  So
+  sag = |b| |du|^2 / 4 (`sampling.arc_sags`) covers the arc.
+* Knot pieces.  A two-vertex lifting with a fixed unit is a segment, and
+  one with a fixed base is such an arc.  Its 17 even knots cut it into 16
+  pieces, each a segment or a shorter arc, and a sample time in
+  [k/16, (k+1)/16] lies on piece k because the renormalised chord moves
+  monotonically along the arc.
+* Rounding.  With u = 2^-53, each computed end, knot or sample row lies
+  within a few tens of u (|p| + |c|) of its exact point: the products and
+  sums that build it, the renormalisation of a chord of norm at least
+  1/sqrt(2) (arcs of more than a quarter turn get no sag, so they are never
+  certified), and a time that falls into the neighbouring piece near a
+  knot all stay that small.  `row_norms` rounds by at most 5 u relative,
+  the certificate's sums by 3 u more, and sag <= |b| / 2 <= |p|.  Together
+  these stay below 2^-40 (|p| + |c| + r), a thousandth of the slack, so
+  every row of a certified leg has `row_norms(q - c) < r`, which is the
+  verdict of `balls_contain`.  A NaN or infinity anywhere fails the
+  comparison and certifies nothing.
 """
 
 from __future__ import annotations
@@ -57,6 +92,17 @@ class Domain:
     def margin(self, x: Octonion) -> float:
         """Lower bound on distance from x to the complement; 0.0 if unknown."""
         raise NotImplementedError
+
+    def deep_legs(self, p0: np.ndarray, p1: np.ndarray, sag) -> np.ndarray:
+        """Legs that provably stay inside, as bool[m].
+
+        Leg k is every point within sag[k] of the segment [p0[k], p1[k]]
+        (rows of two (m, 8) arrays).  True means that each sample row of the
+        leg, rounding included, passes this domain's membership test; False
+        means nothing.  The default certifies no leg, so callers sample
+        every one.
+        """
+        return np.zeros(len(p0), dtype=bool)
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
@@ -141,6 +187,10 @@ _BALL_BLOCK = 4096
 _BAND_REL = 2.0**-39
 _BAND_ABS = 2.0**-1000
 _BAND_HUGE = 2.0**900
+# Relative slack of `balls_hold_legs`, and its legs per block times balls,
+# which bounds its (balls, 2 legs, 8) temporaries.
+_LEG_SLACK = 2.0**-30
+_LEG_CELLS = 2**13
 
 
 def balls_contain(pts: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
@@ -180,6 +230,46 @@ def balls_contain(pts: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> np
     return out
 
 
+def certifies_legs(domain) -> bool:
+    """Whether the domain's `deep_legs` can certify a leg, i.e. overrides the default.
+
+    Callers skip building the certificate's inputs for domains that cannot.
+    """
+    return getattr(type(domain), "deep_legs", Domain.deep_legs) is not Domain.deep_legs
+
+
+def balls_hold_legs(
+    p0: np.ndarray, p1: np.ndarray, sag, centers: np.ndarray, radii: np.ndarray
+) -> np.ndarray:
+    """Whether one open ball holds each leg with room to spare.
+
+    Leg k is every point within sag[k] of the segment [p0[k], p1[k]].  It
+    is certified when some ball has max(d0, d1) + sag + slack < r, with d0
+    and d1 the `row_norms(p - c)` of its ends and slack
+    2^-30 (max(|p0|, |p1|) + |c| + r) + 2^-1000; a NaN anywhere certifies
+    nothing.  The module docstring proves that every sample row of a
+    certified leg passes the per-ball test of that ball.
+    """
+    p0 = np.asarray(p0, dtype=float)
+    p1 = np.asarray(p1, dtype=float)
+    sag = np.broadcast_to(np.asarray(sag, dtype=float), (len(p0),))
+    out = np.zeros(len(p0), dtype=bool)
+    reach0 = (row_norms(centers) + radii)[:, None] * _LEG_SLACK + _BAND_ABS
+    step = max(1, _LEG_CELLS // len(centers))
+    for start in range(0, len(p0), step):
+        # both ends of a block of legs, one row per ball
+        ends = np.concatenate([p0[start : start + step], p1[start : start + step]])
+        m = len(ends) // 2
+        dist = row_norms(ends[None, :, :] - centers[:, None, :])
+        size = row_norms(ends)
+        reach = np.maximum(dist[:, :m], dist[:, m:])
+        reach += sag[start : start + m]
+        reach += np.maximum(size[:m], size[m:]) * _LEG_SLACK
+        reach += reach0
+        out[start : start + m] = (reach < radii[:, None]).any(axis=0)
+    return out
+
+
 def _ball_points(center: np.ndarray, radius: float, n: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.normal(size=(n, 8))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
@@ -200,6 +290,9 @@ class Ball(Domain):
 
     def contains_batch(self, pts: np.ndarray) -> np.ndarray:
         return balls_contain(pts, self._centers, self._radii)
+
+    def deep_legs(self, p0: np.ndarray, p1: np.ndarray, sag) -> np.ndarray:
+        return balls_hold_legs(p0, p1, sag, self._centers, self._radii)
 
     def margin(self, x: Octonion) -> float:
         return self.radius - float(np.linalg.norm(x.coeffs - self.center.coeffs))
@@ -253,6 +346,9 @@ class BallUnion(Domain):
 
     def contains_batch(self, pts: np.ndarray) -> np.ndarray:
         return balls_contain(pts, self._centers, self._radii)
+
+    def deep_legs(self, p0: np.ndarray, p1: np.ndarray, sag) -> np.ndarray:
+        return balls_hold_legs(p0, p1, sag, self._centers, self._radii)
 
     def margin(self, x: Octonion) -> float:
         return max(ball.margin(x) for ball in self.balls)

@@ -17,9 +17,11 @@ instead, never a fabricated verdict.
 
 `ccl_verify` re-checks a witness at `linspace(0, 1, resolution)` (2048
 times by default, cached read-only per resolution; a base with more than
-two vertices adds its vertex times).  The base is evaluated once, and both
-liftings are tested in one `contains_batch` call on a (2n, 8) array, whose
-halves give the two in-domain verdicts.
+two vertices adds its vertex times), so it tests at most 2 x 2048 rows per
+witness, in one `contains_batch` call.  A lifting with a two-vertex base
+and unit path, one of them constant, is cut at 17 even knots into 16
+pieces; the rows of the pieces that `Domain.deep_legs` certifies are not
+evaluated, and the others keep the bits of a full evaluation.
 """
 
 from __future__ import annotations
@@ -32,12 +34,16 @@ from typing import Optional
 import numpy as np
 from .algebra import Octonion, UnitImaginary, row_norms, unit_imaginary_of
 from .diffops import DEFAULT_SCHEME, FDScheme, OctField
-from .domains import Domain
+from .domains import Domain, certifies_legs
 from .errors import DomainError, PreconditionError
-from .sampling import SamplePlan, SlicePairGrid, Subsphere
+from .sampling import SamplePlan, SlicePairGrid, Subsphere, arc_sags
 from .stems import StemVector, stem_from_gamma
 
 _ANTIPODAL_TOL = 1e-6
+# Knots that split a lifting into pieces for `Domain.deep_legs`.
+_PIECES = 16
+_KNOTS = np.linspace(0.0, 1.0, _PIECES + 1)
+_KNOTS.flags.writeable = False
 
 
 @functools.cache
@@ -50,6 +56,14 @@ def _even_times(count: int) -> np.ndarray:
     times = np.linspace(0.0, 1.0, count)
     times.flags.writeable = False
     return times
+
+
+@functools.cache
+def _piece_of(count: int) -> np.ndarray:
+    """The piece between two `_KNOTS` that holds each of `_even_times(count)`."""
+    pieces = np.minimum((_even_times(count) * _PIECES).astype(np.intp), _PIECES - 1)
+    pieces.flags.writeable = False
+    return pieces
 
 
 def _path_times(times, count: int) -> np.ndarray:
@@ -168,17 +182,11 @@ class PolyPathO:
         return cls(np.asarray(data["vertices"]), np.asarray(data["times"]))
 
 
-def _lifting_points(base: PolyPathC, units: list[PolyPathS], ts: np.ndarray) -> np.ndarray:
-    """Points of the liftings of one base through each unit path, stacked in that order.
-
-    The base is evaluated once; rows k*n to (k+1)*n - 1 hold lifting k.
-    """
-    z = base.eval_many(ts)
-    n = len(ts)
-    out = np.empty((len(units) * n, 8))
-    for k, path in enumerate(units):
-        out[k * n : (k + 1) * n, 0] = z.real
-        out[k * n : (k + 1) * n, 1:] = z.imag[:, None] * path.eval_many(ts)
+def _lift(z: np.ndarray, units: np.ndarray) -> np.ndarray:
+    """Lifting points tau(units[..., i, :], z[i]) from base values z (n,) and unit values (..., n, 7)."""
+    out = np.empty(units.shape[:-1] + (8,))
+    out[..., 0] = z.real
+    out[..., 1:] = z.imag[:, None] * units
     return out
 
 
@@ -190,7 +198,8 @@ class CircularLifting:
     units: PolyPathS
 
     def eval_many(self, ts) -> np.ndarray:
-        return _lifting_points(self.base, [self.units], np.asarray(ts, dtype=float))
+        ts = np.asarray(ts, dtype=float)
+        return _lift(self.base.eval_many(ts), self.units.eval_many(ts))
 
     def eval(self, t: float) -> Octonion:
         return Octonion(self.eval_many([t])[0])
@@ -362,9 +371,76 @@ def _sample_times(base: PolyPathC, resolution: int) -> np.ndarray:
     return grid if len(base.times) == 2 else np.union1d(base.times, grid)
 
 
+def _held_pieces(base: PolyPathC, units: list[PolyPathS], domain: Domain) -> tuple[np.ndarray, np.ndarray]:
+    """The knot rows (liftings, 17, 8) of each lifting, and which of its 16
+    pieces between them `domain.deep_legs` certifies (liftings, 16).
+
+    A lifting is covered when its base and its unit path have two vertices
+    each and one of the two is constant.  Its pieces are then straight (a
+    fixed unit, sag 0) or arcs of one circle (a fixed base; `arc_sags` of
+    the knot units, and nothing when the whole arc exceeds a quarter turn).
+    A covered lifting's knot rows are its points at `_KNOTS`, built with
+    the operations of `PolyPathS.eval_many`, so they have its bits; other
+    liftings get NaN knots and no certified piece.
+    """
+    knots = np.full((len(units), _PIECES + 1, 8), np.nan)
+    held = np.zeros((len(units), _PIECES), dtype=bool)
+    if len(base.vertices) != 2 or not certifies_legs(domain):
+        return knots, held
+    z0, z1 = base.vertices
+    fixed = np.array([len(path.vertices) == 2 and np.array_equal(*path.vertices) for path in units])
+    covered = [k for k, path in enumerate(units) if len(path.vertices) == 2 and (fixed[k] or z0 == z1)]
+    if not covered:
+        return knots, held
+    ends = np.stack([units[k].vertices for k in covered])
+    w = (1.0 - _KNOTS)[:, None] * ends[:, :1] + _KNOTS[:, None] * ends[:, 1:]
+    w /= row_norms(w)[..., None]
+    knots[covered] = _lift(base.eval_many(_KNOTS), w)
+    sag = arc_sags(z0.imag, np.concatenate([np.diff(w, axis=1), w[:, -1:] - w[:, :1]], axis=1))
+    # a whole arc past a quarter turn certifies nothing; a fixed unit is straight
+    sag[np.isnan(sag[:, -1])] = np.nan
+    sag[fixed[covered]] = 0.0
+    legs = domain.deep_legs(
+        knots[covered, :-1].reshape(-1, 8), knots[covered, 1:].reshape(-1, 8), sag[:, :-1].ravel()
+    )
+    held[covered] = legs.reshape(len(covered), _PIECES)
+    return knots, held
+
+
+def _check_rows(base: PolyPathC, units: list[PolyPathS], domain: Domain, ts: np.ndarray):
+    """The rows a witness check must test: (rows, start of each lifting's rows, end rows).
+
+    A lifting's rows are its points at the times `ts` outside the pieces
+    `_held_pieces` certifies, stacked in lifting order.  Its end rows
+    (liftings, 2, 8), at t = 0 and t = 1, come from its rows or, when it
+    skipped some, from its knots.  The base is evaluated once, and paths
+    evaluate row by row, so every row has the bits of a full evaluation.
+    """
+    knots, pieces = _held_pieces(base, units, domain)
+    # a covered lifting has a two-vertex base, so ts is the even grid
+    keeps = [~held[_piece_of(len(ts))] if held.any() else None for held in pieces]
+    starts = np.cumsum([0] + [len(ts) if keep is None else np.count_nonzero(keep) for keep in keeps])
+    out = np.empty((starts[-1], 8))
+    if len(out):
+        z = base.eval_many(ts)
+        for path, keep, a, b in zip(units, keeps, starts[:-1], starts[1:]):
+            t, zk = (ts, z) if keep is None else (ts[keep], z[keep])
+            out[a:b, 0] = zk.real
+            out[a:b, 1:] = zk.imag[:, None] * path.eval_many(t)
+    ends = knots[:, [0, -1]]
+    for k, (keep, a, b) in enumerate(zip(keeps, starts[:-1], starts[1:])):
+        if keep is None:
+            ends[k] = out[[a, b - 1]]
+    return out, starts[:-1], ends
+
+
 def lift_in_domain(lifting: CircularLifting, domain: Domain, resolution: int = 2048) -> bool:
-    """Whether the lifting's points at `_sample_times` all lie in the domain."""
-    return bool(np.all(domain.contains_batch(lifting.eval_many(_sample_times(lifting.base, resolution)))))
+    """Whether the lifting's points at `_sample_times` all lie in the domain.
+
+    Pieces that one ball certifies are not sampled; see `_check_rows`.
+    """
+    pts, _, _ = _check_rows(lifting.base, [lifting.units], domain, _sample_times(lifting.base, resolution))
+    return bool(np.all(domain.contains_batch(pts))) if len(pts) else True
 
 
 # ---------------------------------------------------------------------------
@@ -404,18 +480,18 @@ def ccl_verify(
     """Re-check a coupled witness: common start, exact ends, both inside.
 
     Both liftings are sampled at `_sample_times` (2048 even times by
-    default) into one (2n, 8) array, tested with one `contains_batch` call;
-    every domain gives each row its own verdict, so the two halves answer
-    for the two liftings.
+    default), less the pieces that one ball certifies (`_check_rows`), and
+    their rows are tested with one `contains_batch` call; every domain
+    gives each row its own verdict, so the two parts answer for the two
+    liftings.  The gaps come from the end rows.
     """
     ts = _sample_times(witness.base, resolution)
-    n = len(ts)
-    pts = _lifting_points(witness.base, [witness.units1, witness.units2], ts)
-    inside = domain.contains_batch(pts)
+    pts, (_, n), ((s1, e1), (s2, e2)) = _check_rows(witness.base, [witness.units1, witness.units2], domain, ts)
+    inside = domain.contains_batch(pts) if len(pts) else np.ones(0, dtype=bool)
     detail = {
-        "start_gap": float(np.linalg.norm(pts[0] - pts[n])),
-        "end1_error": float(np.linalg.norm(pts[n - 1] - x.coeffs)),
-        "end2_error": float(np.linalg.norm(pts[-1] - xp.coeffs)),
+        "start_gap": float(np.linalg.norm(s1 - s2)),
+        "end1_error": float(np.linalg.norm(e1 - x.coeffs)),
+        "end2_error": float(np.linalg.norm(e2 - xp.coeffs)),
         "in_domain1": bool(np.all(inside[:n])),
         "in_domain2": bool(np.all(inside[n:])),
     }

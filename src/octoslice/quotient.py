@@ -24,9 +24,11 @@ classes of the edges before it, so a column with m members and c classes
 has m - c records.  Classes are therefore the transitive closures of the
 records, and `replay_merge_record` re-verifies any single record from
 scratch: an arc or real record through `ccl_verify`, whose one membership
-call tests 2 x 2048 rows (one more per lifting when a real record's base
-has a waypoint), a ride record as two unit legs of 2048 rows each.  Since merging is certificate-backed only, component counts of the
-class graph are upper bounds on the true quotient's.
+call tests at most 2 x 2048 rows (one more per lifting when a real record's
+base has a waypoint), a ride record as two unit legs of at most 2048 rows
+each; pieces of a leg that one ball certifies are not sampled.  Since
+merging is certificate-backed only, component counts of the class graph
+are upper bounds on the true quotient's.
 """
 
 from __future__ import annotations
@@ -469,10 +471,10 @@ def replay_merge_record(q: QuotientSample, record: tuple) -> bool:
     """Re-verify one merge record's certificate from scratch.
 
     Arc and real records materialize an actual coupled lifting and replay
-    it through `ccl_verify` (both liftings, 2 x 2048 rows, in one membership
-    call); ride records re-check both unit legs with `lift_in_domain`, 2048
-    rows each, and that the referenced neighboring column still merges the
-    pair.
+    it through `ccl_verify` (both liftings, at most 2 x 2048 rows, in one
+    membership call); ride records re-check both unit legs with
+    `lift_in_domain`, at most 2048 rows each, and that the referenced
+    neighboring column still merges the pair.
     """
     kind, col = record[0], record[1]
     z = q.z_of(col)

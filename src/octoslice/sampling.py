@@ -84,7 +84,6 @@ _PLAN_COUNTS = (
     "search_budget",
     "pool_harvest",
     "pool_max",
-    "verify_samples",
 )
 # Steps, angles and separations; the optional ones may also be None.
 _PLAN_SIZES = ("link_angle", "base_step", "quotient_step_factor", "pool_sep_floor")
@@ -121,8 +120,6 @@ class SamplePlan:
     # None keeps the spread-derived separation; a float forces it.  Long
     # thin unit bands (the chain) defeat the spread heuristic.
     pool_sep: Optional[float] = None
-    # Witness verification.
-    verify_samples: int = 256
 
     def __post_init__(self) -> None:
         for name in _PLAN_COUNTS:
@@ -167,6 +164,19 @@ def z_grid_step(window: tuple[float, float, float], plan: SamplePlan) -> float:
 
 def chord_of_angle(angle: float) -> float:
     return 2.0 * float(np.sin(angle / 2.0))
+
+
+def arc_sags(b: float, chords: np.ndarray) -> np.ndarray:
+    """How far the arcs at height b over the unit chords du may leave them.
+
+    An arc of the circle of radius |b| between units u and u + du lies
+    within |b| |du|^2 / 4 of its chord.  A chord with |du|^2 > 2 (an arc of
+    more than a quarter turn) gets NaN, which certifies nothing: on shorter
+    arcs every renormalised chord point has norm at least 1/sqrt(2), so
+    rounding moves it by a few ulps.
+    """
+    sq = row_norms(chords) ** 2
+    return np.where(sq <= 2.0, abs(b) * sq / 4.0, np.nan)
 
 
 def unit_graph_edges(units: np.ndarray, link_angle: float) -> np.ndarray:
@@ -287,6 +297,11 @@ class SlicePairGrid:
       A leg is sampled from the smaller column to the larger, so the mask
       does not depend on the order of a and b.
 
+    The two leg masks probe only the legs between members that
+    `domain.deep_legs` does not certify: an arc with sag |beta| `edge_sags`,
+    a z leg with sag 0.  A certified leg's probes would all pass, so the
+    masks are those of probing every leg.
+
     A column is real when its beta is 0: every unit lifts one real point
     there, so its units are all members or none are.
     """
@@ -313,6 +328,11 @@ class SlicePairGrid:
             )
         self.link = max(chord_of_angle(plan.link_angle), 2.5 * self.sep)
         self.edges, self.edge_arcs = arc_probe_graph(self.units, self.link)
+        # sag of each arc edge at height 1, for `Domain.deep_legs`
+        self.edge_sags = arc_sags(1.0, self.units[self.edges[:, 1]] - self.units[self.edges[:, 0]])
+        from .domains import certifies_legs  # domains imports this module
+
+        self.certifies = certifies_legs(domain)
         self._members: dict[tuple[int, int], np.ndarray] = {}
         self._arcs: dict[tuple[int, int], np.ndarray] = {}
         self._moves: dict[tuple[tuple[int, int], tuple[int, int]], np.ndarray] = {}
@@ -334,13 +354,18 @@ class SlicePairGrid:
     def is_real_col(self, col) -> bool:
         return abs(self.betas[col[1]]) <= 1e-12
 
+    def slice_points(self, col, ids=slice(None)) -> np.ndarray:
+        """The points tau(I, z) of the units `ids` at a column, as (n, 8)."""
+        z = self.z_of(col)
+        units = self.units[ids]
+        pts = np.zeros((len(units), 8))
+        pts[:, 0] = z.real
+        pts[:, 1:] = z.imag * units
+        return pts
+
     def members(self, col) -> np.ndarray:
         if col not in self._members:
-            z = self.z_of(col)
-            pts = np.zeros((len(self.units), 8))
-            pts[:, 0] = z.real
-            pts[:, 1:] = z.imag * self.units
-            self._members[col] = self.domain.contains_batch(pts)
+            self._members[col] = self.domain.contains_batch(self.slice_points(col))
         return self._members[col]
 
     def arc_mask(self, col) -> np.ndarray:
@@ -348,6 +373,15 @@ class SlicePairGrid:
             mem = self.members(col)
             mask = mem[self.edges[:, 0]] & mem[self.edges[:, 1]]
             cand = np.flatnonzero(mask)
+            if len(cand) and self.certifies:
+                # arcs that one ball holds pass without probes
+                ends = self.slice_points(col)
+                held = self.domain.deep_legs(
+                    ends[self.edges[cand, 0]],
+                    ends[self.edges[cand, 1]],
+                    abs(self.betas[col[1]]) * self.edge_sags[cand],
+                )
+                cand = cand[~held]
             if len(cand):
                 z = self.z_of(col)
                 arcs = self.edge_arcs[cand]
@@ -363,6 +397,12 @@ class SlicePairGrid:
         if key not in self._moves:
             mask = self.members(key[0]) & self.members(key[1])
             cand = np.flatnonzero(mask)
+            if len(cand) and self.certifies:
+                # straight legs that one ball holds pass without probes
+                held = self.domain.deep_legs(
+                    self.slice_points(key[0], cand), self.slice_points(key[1], cand), 0.0
+                )
+                cand = cand[~held]
             if len(cand):
                 za, zb = self.z_of(key[0]), self.z_of(key[1])
                 zs = (1.0 - _LEG_TIMES) * za + _LEG_TIMES * zb

@@ -300,7 +300,7 @@ def test_subsphere_validation():
         ("search_budget", -5),
         ("pool_max", 0),
         ("pool_harvest", 2.5),
-        ("verify_samples", True),
+        ("residual_samples", True),
         ("link_angle", 0.0),
         ("base_step", float("nan")),
         ("quotient_step_factor", -0.05),

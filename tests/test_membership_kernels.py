@@ -7,6 +7,7 @@ The kernels must reproduce them to the bit (`np.array_equal`) on every
 input, non-finite and extreme ones included.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -17,9 +18,17 @@ from hypothesis.extra.numpy import arrays
 from scipy.spatial import cKDTree
 
 from octoslice.algebra import Octonion, UnitImaginary, row_dot, row_norms
-from octoslice.domains import _BALL_BLOCK, Ball, BallUnion, SlabCone, balls_contain
-from octoslice.liftings import PolyPathS
-from octoslice.sampling import _ARC_BLOCK, arc_probe_graph
+from octoslice.domains import _BALL_BLOCK, _LEG_CELLS, Ball, BallUnion, SlabCone, balls_contain
+from octoslice.liftings import (
+    _KNOTS,
+    CircularLifting,
+    PolyPathC,
+    PolyPathS,
+    _even_times,
+    _held_pieces,
+    _piece_of,
+)
+from octoslice.sampling import _ARC_BLOCK, _LEG_TIMES, arc_probe_graph, arc_sags
 
 # Fixed examples, no example database: a run repeats the last one exactly.
 KERNEL_SETTINGS = settings(
@@ -265,3 +274,224 @@ def test_unit_path_eval_many_equals_the_gathered_form(count, seed, samples):
     path = PolyPathS(verts, np.concatenate([[0.0], times, [1.0]]))
     ts = np.concatenate([rng.uniform(-0.2, 1.2, size=samples), path.times, np.linspace(0, 1, 2048)])
     assert same(path.eval_many(ts), ref_eval_many(path, ts))
+
+
+# -- leg certificates ----------------------------------------------------------
+#
+# `Domain.deep_legs` may only certify a leg whose every sample row, as the
+# program builds it, passes the per-ball test.  Each case below builds one
+# leg the way its caller samples it (the 23 probes of an arc at a fixed z,
+# the 5 interior times of a z leg, the 2048 rows of a lifting split into
+# 16 pieces), places balls around it, and checks the rows the program
+# would skip.  Margins cluster at the sag, at the sag to 2^-40, and at the
+# certificate's slack, where a weaker certificate goes wrong.
+
+LEG_SETTINGS = settings(
+    max_examples=600,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+# arc angles, the last two past a quarter turn (pi/2)
+TURNS = (1e-5, 1e-2, 0.1, 0.5, 1.2, 1.57, 1.58, 2.5)
+
+
+def slice_point(z, unit):
+    p = np.empty(8)
+    p[0] = z.real
+    p[1:] = z.imag * unit
+    return p
+
+
+def turned(rng, u, angle):
+    side = rng.normal(size=7)
+    side -= (side @ u) * u
+    side /= np.linalg.norm(side)
+    return math.cos(angle) * u + math.sin(angle) * side
+
+
+def leg_case(kind, rng, scale, turn):
+    """One leg as the program samples it.
+
+    Returns (knots, rows, skipped, bulge): knots are the points the
+    certificate takes as ends (the two ends, or the 17 knots of a lifting),
+    rows the sample rows, skipped(domain) the rows the program would not
+    test, and bulge the direction in which the leg bows out (zero if it is
+    straight).
+    """
+    u = unit_rows(rng, 1, 7)[0]
+    z = scale * complex(rng.normal(), rng.uniform(0.05, 2.0) * rng.choice([-1.0, 1.0]))
+    zb = z + scale * complex(*rng.normal(size=2)) * rng.choice([1e-3, 0.1, 1.0])
+    v = turned(rng, u, turn)
+    if kind == "arc":
+        pairs, probes = arc_probe_graph(np.vstack([u, v]), 2.01)
+        knots = np.stack([slice_point(z, u), slice_point(z, v)])
+        rows = np.stack([slice_point(z, w) for w in probes[0]])
+        sag = abs(z.imag) * arc_sags(1.0, (v - u)[None, :])
+
+        def skipped(domain):
+            return np.full(len(rows), domain.deep_legs(knots[:1], knots[1:], sag)[0])
+
+        mid = u + v
+        return knots, rows, skipped, np.concatenate([[0.0], np.sign(z.imag) * mid / np.linalg.norm(mid)])
+    if kind == "z-leg":
+        knots = np.stack([slice_point(z, u), slice_point(zb, u)])
+        zs = (1.0 - _LEG_TIMES) * z + _LEG_TIMES * zb
+        rows = np.zeros((len(zs), 8))
+        rows[:, 0] = zs.real
+        rows[:, 1:] = zs.imag[:, None] * u
+
+        def skipped(domain):
+            return np.full(len(rows), domain.deep_legs(knots[:1], knots[1:], 0.0)[0])
+
+        return knots, rows, skipped, np.zeros(8)
+    if kind == "lifting-arc":
+        lifting = CircularLifting(PolyPathC([z, z]), PolyPathS(np.vstack([u, v])))
+        # bowing out most inside a piece, not at a knot
+        bulge = np.concatenate([[0.0], np.sign(z.imag) * lifting.units.eval_many([0.53])[0]])
+    else:
+        lifting = CircularLifting(PolyPathC([z, zb]), PolyPathS(np.vstack([u, u])))
+        bulge = np.zeros(8)
+    rows = lifting.eval_many(_even_times(2048))
+
+    def skipped(domain):
+        knots, held = _held_pieces(lifting.base, [lifting.units], domain)
+        # the knot rows are the lifting's points to the bit
+        assert np.array_equal(knots[0], lifting.eval_many(_KNOTS))
+        return held[0][_piece_of(2048)]
+
+    return lifting.eval_many(_KNOTS), rows, skipped, bulge
+
+
+def place_balls(placement, rng, knots, bulge, far, margin_of):
+    """Centres and radii around a leg; margin_of(reach, centre) gives r - reach."""
+    lo, hi = knots[0], knots[-1]
+    mid = 0.5 * (lo + hi)
+    size = max(float(np.max(np.linalg.norm(knots - mid, axis=1))), 1e-3 * float(np.linalg.norm(mid)), 1e-9)
+    half = 0.5 * float(np.linalg.norm(hi - lo))
+    if placement == "tangent-pair" and half > 0.0:
+        # one ball per end, touching between them: the leg leaves both
+        w = rng.normal(size=8)
+        w -= (w @ (hi - lo)) / (4.0 * half * half) * (hi - lo)
+        w *= rng.uniform(0.01, 0.9) * half / np.linalg.norm(w)
+        return np.stack([lo + w, hi + w]), np.array([half, half])
+    if placement == "outside-cap":
+        # centre on the far side of the arc: the slice cap exceeds a
+        # hemisphere, and the arc between two members leaves the ball while
+        # its chord stays inside; the arc bows out most when the centre lies
+        # as far from the real axis as the arc, or farther
+        height = float(np.linalg.norm(mid[1:])) if bulge.any() else size
+        centre = mid - far * height * (bulge if bulge.any() else unit_rows(rng, 1)[0])
+    elif placement == "real-centred":
+        centre = np.zeros(8)
+        centre[0] = mid[0] + size * rng.normal()
+    else:
+        centre = mid + size * rng.normal(size=8)
+    reach = float(np.max(np.linalg.norm(knots - centre, axis=1)))
+    radius = reach + margin_of(reach, centre)
+    if placement != "nested":
+        return centre[None, :], np.array([radius])
+    # a smaller ball inside, touching the sphere from within
+    inner = radius * rng.uniform(0.1, 0.9)
+    d = unit_rows(rng, 1)[0]
+    return np.stack([centre, centre + (radius - inner) * d]), np.array([radius, inner])
+
+
+@LEG_SETTINGS
+@given(
+    st.sampled_from(("arc", "z-leg", "lifting-arc", "lifting-segment")),
+    st.sampled_from(("outside-cap",) * 3 + ("generic", "real-centred", "tangent-pair", "nested")),
+    st.sampled_from(("fraction", "fraction", "sag-ulps", "slack-edge")),
+    st.integers(-8, 8),
+    st.floats(0.0, 0.6),
+    st.floats(0.5, 50.0),
+    st.sampled_from(TURNS),
+    st.floats(-2.0, 2.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_certified_legs_hold_every_sample_row(kind, placement, margin, k, frac, far, turn, log_scale, seed):
+    rng = np.random.default_rng(seed)
+    scale = 10.0**log_scale
+    knots, rows, skipped, bulge = leg_case(kind, rng, scale, turn)
+    if kind in ("arc", "lifting-arc"):
+        chords = knots[1:, 1:] - knots[:-1, 1:]
+        b = float(np.linalg.norm(knots[0, 1:]))
+        # the sag scale of the certificate: the largest piece's |b| |du|^2 / 4
+        sag = float(np.max(np.sum(chords * chords, axis=1))) / (4.0 * b)
+    else:
+        sag = 0.0
+    scale_of_margin = sag if sag > 0.0 else 1e-3 * scale
+
+    def margin_of(reach, centre):
+        slack = 2.0**-30 * (
+            float(np.max(np.linalg.norm(knots, axis=1))) + float(np.linalg.norm(centre)) + reach
+        )
+        if margin == "fraction":
+            return scale_of_margin * frac
+        if margin == "sag-ulps":
+            return scale_of_margin * (1.0 + k * 2.0**-40)
+        return sag + slack * (1.0 + k * 2.0**-6)
+
+    centres, radii = place_balls(placement, rng, knots, bulge, far, margin_of)
+    domain = Ball(Octonion(centres[0]), radii[0]) if len(radii) == 1 else BallUnion(
+        [Ball(Octonion(c), r) for c, r in zip(centres, radii)]
+    )
+    skip = skipped(domain)
+    assert ref_balls(rows[skip], centres, radii).all()
+
+
+def test_deep_legs_certifies_deep_legs_and_nothing_unsure():
+    e1, e2 = np.eye(8)[1], np.eye(8)[2]
+    ball = Ball(Octonion.zero(), 1.0)
+    p0, p1 = np.stack([0.1 * e1, 0.5 * e1, 0.9 * e1]), np.stack([0.1 * e2, -0.5 * e1, 0.9 * e2])
+    assert ball.deep_legs(p0, p1, 0.0).tolist() == [True, True, True]
+    assert ball.deep_legs(p0, p1, [0.5, 0.49, 0.1]).tolist() == [True, True, False]
+    assert ball.deep_legs(p0, p1, [0.9, 0.5, 0.0999]).tolist() == [False, False, True]
+    # NaN and infinite sags and rows certify nothing
+    assert ball.deep_legs(p0, p1, [np.nan, np.inf, 0.0]).tolist() == [False, False, True]
+    bad = p0.copy()
+    bad[0, 3], bad[1, 4] = np.nan, np.inf
+    assert ball.deep_legs(bad, p1, 0.0).tolist() == [False, False, True]
+    # two tangent balls hold each end of the leg between them, but neither holds the leg
+    pair = BallUnion([Ball(Octonion(-e1), 1.0), Ball(Octonion(e1), 1.0)])
+    assert pair.deep_legs((-e1 + 0.1 * e2)[None], (e1 + 0.1 * e2)[None], 0.0).tolist() == [False]
+    assert pair.deep_legs((-e1 + 0.1 * e2)[None], (-0.5 * e1)[None], 0.0).tolist() == [True]
+    # a long batch gives every leg the verdict it gets in short batches
+    rng = np.random.default_rng(16)
+    many = rng.normal(size=(3 * _LEG_CELLS + 5, 8)) * 0.4
+    sags = rng.uniform(0.0, 0.3, size=len(many))
+    for domain in (ball, pair):
+        whole = domain.deep_legs(many, many[::-1], sags)
+        parts = [
+            domain.deep_legs(many[i : i + 997], many[::-1][i : i + 997], sags[i : i + 997])
+            for i in range(0, len(many), 997)
+        ]
+        assert np.array_equal(whole, np.concatenate(parts)) and 0 < whole.sum() < len(many)
+    # other domains certify nothing
+    cone = SlabCone(UnitImaginary.basis(1))
+    assert not cone.deep_legs(p0, p1, 0.0).any()
+
+
+@pytest.mark.parametrize("kind", ["arc", "lifting-arc"])
+def test_arcs_over_a_cap_larger_than_a_hemisphere(kind):
+    """A sweep of ball margins from 0 to past the sag, around arcs that bow out of their ball.
+
+    The arc leaves the ball while its chord stays inside whenever the
+    margin of its ends is below its bulge, about 1/3 to 1/2 of the sag
+    here; a certificate with a smaller sag would pass such arcs.
+    """
+    left, held = 0, 0
+    for case, (turn, far) in enumerate(itertools.product((0.01, 0.1, 0.5, 1.2, 1.55), (1.0, 3.0, 30.0))):
+        for frac in np.linspace(0.0, 1.2, 25):
+            rng = np.random.default_rng(case)
+            knots, rows, skipped, bulge = leg_case(kind, rng, 10.0 ** rng.uniform(-1.0, 1.0), turn)
+            chords = knots[1:, 1:] - knots[:-1, 1:]
+            sag = float(np.max(np.sum(chords * chords, axis=1))) / (4.0 * np.linalg.norm(knots[0, 1:]))
+            centres, radii = place_balls("outside-cap", rng, knots, bulge, far, lambda reach, c: frac * sag)
+            inside = ref_balls(rows, centres, radii)
+            skip = skipped(Ball(Octonion(centres[0]), radii[0]))
+            assert inside[skip].all()
+            left += not inside.all()
+            held += skip.any()
+    assert left > 50 and held > 50

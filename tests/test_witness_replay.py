@@ -1,10 +1,11 @@
-"""One-pass witness checks must give the verdicts of the two-call checks.
+"""Witness checks and grid masks must give the verdicts of the all-rows checks.
 
-`ccl_verify` samples both liftings of a witness into one array and tests it
-with one membership call, on a cached sample grid.  The references below are
-the straightforward bodies: each lifting evaluated on its own, on
+`ccl_verify` and `lift_in_domain` test only the rows of pieces that no ball
+certifies, in one membership call; `SlicePairGrid.arc_mask` and `move_mask`
+probe only the legs that no ball certifies.  The references below are the
+straightforward bodies: each lifting evaluated on its own, on
 `union1d(base times, linspace(0, 1, resolution))`, with one membership call
-per lifting.
+per lifting, and every probe of every candidate leg tested.
 """
 
 import math
@@ -15,9 +16,9 @@ import pytest
 import octoslice.quotient as quotient
 from octoslice.algebra import Octonion
 from octoslice.domains import Ball, BallUnion
-from octoslice.liftings import CoupledLifting, PolyPathC, PolyPathS, ccl_verify
+from octoslice.liftings import CoupledLifting, PolyPathC, PolyPathS, ccl_verify, lift_in_domain
 from octoslice.quotient import build_quotient, replay_merge_record
-from octoslice.sampling import SamplePlan
+from octoslice.sampling import _LEG_TIMES, SamplePlan, SlicePairGrid, Subsphere
 
 E = [Octonion.basis(k) for k in range(8)]
 
@@ -48,6 +49,42 @@ def _reference_lift_in_domain(lifting, domain, resolution=2048):
     return bool(np.all(domain.contains_batch(lifting.eval_many(ts))))
 
 
+def _reference_members(grid, col):
+    z = grid.z_of(col)
+    pts = np.zeros((len(grid.units), 8))
+    pts[:, 0] = z.real
+    pts[:, 1:] = z.imag * grid.units
+    return grid.domain.contains_batch(pts)
+
+
+def _reference_arc_mask(grid, col):
+    mem = _reference_members(grid, col)
+    mask = mem[grid.edges[:, 0]] & mem[grid.edges[:, 1]]
+    cand = np.flatnonzero(mask)
+    if len(cand):
+        z = grid.z_of(col)
+        arcs = grid.edge_arcs[cand]
+        pts = np.zeros((arcs.shape[0] * arcs.shape[1], 8))
+        pts[:, 0] = z.real
+        pts[:, 1:] = z.imag * arcs.reshape(-1, 7)
+        mask[cand] = grid.domain.contains_batch(pts).reshape(arcs.shape[:2]).all(axis=1)
+    return mask
+
+
+def _reference_move_mask(grid, a, b):
+    a, b = min(a, b), max(a, b)
+    mask = _reference_members(grid, a) & _reference_members(grid, b)
+    cand = np.flatnonzero(mask)
+    if len(cand):
+        za, zb = grid.z_of(a), grid.z_of(b)
+        zs = (1.0 - _LEG_TIMES) * za + _LEG_TIMES * zb
+        pts = np.zeros((len(cand) * len(zs), 8))
+        pts[:, 0] = np.repeat(zs.real, len(cand))
+        pts[:, 1:] = (zs.imag[:, None, None] * grid.units[cand][None, :, :]).reshape(-1, 7)
+        mask[cand] = grid.domain.contains_batch(pts).reshape(len(zs), len(cand)).all(axis=0)
+    return mask
+
+
 def _bridged_union():
     balls = [Ball(2 * E[1], 0.5), Ball(2 * E[2], 0.5)]
     for phi in np.linspace(0.0, math.pi / 2.0, 9):
@@ -72,12 +109,44 @@ REPLAYS = {
 }
 
 
+def _bits(result):
+    """A check's result with every float as its bytes, so == compares to the last bit."""
+    if isinstance(result, tuple):
+        return tuple(_bits(r) for r in result)
+    if isinstance(result, dict):
+        return {k: _bits(v) for k, v in result.items()}
+    return np.float64(result).tobytes() if isinstance(result, float) else result
+
+
 @pytest.mark.parametrize("name", sorted(REPLAYS))
 def test_replays_match_two_call_reference(name, monkeypatch):
     domain, plan, select, failing, count = REPLAYS[name]
     q = build_quotient(domain, plan)
     records = select(q)
+    # every check a replay makes, against the reference on the same arguments
+    checks, held = [], []
+
+    def both_ccl(*args, **kwargs):
+        got = ccl_verify(*args, **kwargs)
+        checks.append((_bits(got), _bits(_reference_ccl_verify(*args, **kwargs))))
+        return got
+
+    def both_lift(*args, **kwargs):
+        got = lift_in_domain(*args, **kwargs)
+        checks.append((got, _reference_lift_in_domain(*args, **kwargs)))
+        return got
+
+    def deep_legs(p0, p1, sag):
+        out = type(domain).deep_legs(domain, p0, p1, sag)
+        held.append(int(out.sum()))
+        return out
+
+    monkeypatch.setattr(quotient, "ccl_verify", both_ccl)
+    monkeypatch.setattr(quotient, "lift_in_domain", both_lift)
+    monkeypatch.setattr(domain, "deep_legs", deep_legs, raising=False)
     got = [replay_merge_record(q, r) for r in records]
+    assert len(checks) >= len(records)
+    assert all(g == w for g, w in checks)
     monkeypatch.setattr(quotient, "ccl_verify", _reference_ccl_verify)
     monkeypatch.setattr(quotient, "lift_in_domain", _reference_lift_in_domain)
     want = [replay_merge_record(q, r) for r in records]
@@ -85,8 +154,58 @@ def test_replays_match_two_call_reference(name, monkeypatch):
     assert (len(got), got.count(False)) == (count, failing)
     if name == "bridged-union":
         assert {r[0] for r in records} == {"arc", "ride"}
+        assert sum(held) > 0
     else:
         assert {r[0] for r in records} == {"arc"}
+        # the column's rows sit on the sphere: no piece can be certified
+        assert sum(held) == 0
+
+
+def _ball(real, im, radius):
+    """A ball whose centre has real part `real` and imaginary part `im` in e1, e2, e3."""
+    center = np.zeros(8)
+    center[0] = real
+    center[1:4] = im
+    return Ball(Octonion(center), radius)
+
+
+# name: (domain, plan); the balls of the benchmark's quotient workload
+GRIDS = {
+    "real-ball": (_ball(0.2, (0.0, 0.0, 0.0), 1.0), SamplePlan(seed=3, pool_max=150, quotient_step_factor=0.1)),
+    "crossing-ball": (_ball(-0.1, (0.3, 0.0, 0.4), 1.0), SamplePlan(seed=4, pool_max=150, quotient_step_factor=0.1)),
+    "far-ball": (_ball(0.1, (1.2, 0.0, 1.6), 0.4), SamplePlan(seed=5, pool_max=150, quotient_step_factor=0.1)),
+    "bridged-union": (_bridged_union(), SamplePlan(seed=1)),
+    # at z = 0.6i the slice sphere misses only a cap of about 12 degrees
+    # around e1, so arcs across that cap leave the ball between two members
+    "thin-gap-ball": (_ball(0.0, (-0.405, 0.0, 0.0), 1.0), SamplePlan(seed=6, pool_max=300, quotient_z_step=0.1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRIDS))
+def test_grid_masks_match_all_probe_reference(name, monkeypatch):
+    domain, plan = GRIDS[name]
+    held = []
+
+    def deep_legs(p0, p1, sag):
+        out = type(domain).deep_legs(domain, p0, p1, sag)
+        held.append(int(out.sum()))
+        return out
+
+    monkeypatch.setattr(domain, "deep_legs", deep_legs, raising=False)
+    grid = SlicePairGrid(domain, plan, Subsphere.default())
+    arcs = moves = 0
+    for col in grid.columns():
+        assert np.array_equal(grid.members(col), _reference_members(grid, col))
+        if not grid.members(col).any():
+            continue
+        got = grid.arc_mask(col)
+        assert np.array_equal(got, _reference_arc_mask(grid, col)), col
+        arcs += int(got.sum())
+        for nb in grid.neighbors(col):
+            got = grid.move_mask(col, nb)
+            assert np.array_equal(got, _reference_move_mask(grid, col, nb)), (col, nb)
+            moves += int(got.sum())
+    assert arcs > 0 and moves > 0 and sum(held) > 0
 
 
 def _random_unit_path(rng, count, start=None):
