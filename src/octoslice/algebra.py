@@ -325,6 +325,28 @@ def tau(i: UnitImaginary, z: complex) -> Octonion:
     return Octonion.from_real_imag(z.real, z.imag * i._v)
 
 
+def tau_rows(a, b, units) -> np.ndarray:
+    """Slice points a + b I as coefficient rows [a, b I], shape (..., 8).
+
+    `units` holds unit rows (..., 7); a and b broadcast against its leading
+    axes.  Every row of the package's membership tests is built here.
+    """
+    im = np.asarray(b, dtype=float)[..., None] * units
+    shape = im.shape[:-1] if np.ndim(a) == 0 else np.broadcast_shapes(np.shape(a), im.shape[:-1])
+    out = np.empty(shape + (8,))
+    out[..., 0] = a
+    out[..., 1:] = im
+    return out
+
+
+def orthogonal_unit(u: np.ndarray) -> UnitImaginary:
+    """The unit orthogonal to u along the basis vector of u's smallest |coefficient|."""
+    w = np.zeros(7)
+    w[int(np.argmin(np.abs(u)))] = 1.0
+    w -= (w @ u) * u
+    return UnitImaginary.from_vector(w)
+
+
 class OrthoPair:
     """An orthogonal pair (I, J) of unit imaginaries spanning a quaternion slice.
 

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import Octonion, OrthoPair, UnitImaginary, tau, unit_imaginary_of
+from .algebra import Octonion, OrthoPair, UnitImaginary, orthogonal_unit, tau, unit_imaginary_of
 from .diffops import (
     cauchy_fueter_op,
     euler_e,
@@ -119,9 +119,7 @@ def _domain(args, fallback: Optional[Domain] = None) -> Domain:
 def _slice_pair(x: Octonion) -> tuple[OrthoPair, np.ndarray]:
     """Quaternion slice through x: I from Im(x), J a deterministic complement."""
     i = unit_imaginary_of(x)
-    probe = np.eye(7)[int(np.argmin(np.abs(i.vec)))]
-    w = probe - float(probe @ i.vec) * i.vec
-    return OrthoPair(i, UnitImaginary.from_vector(w)), np.array([x.re, x.im_norm, 0.0, 0.0])
+    return OrthoPair(i, orthogonal_unit(i.vec)), np.array([x.re, x.im_norm, 0.0, 0.0])
 
 
 def _cmd_eval(args) -> int:

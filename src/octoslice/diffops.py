@@ -47,8 +47,9 @@ from .algebra import (
     row_dot,
     sum_in_order,
     tau,
+    tau_rows,
 )
-from .domains import Domain, _member_units
+from .domains import Domain
 from .errors import DomainError, EmptySampleError
 from .report import Report
 from .sampling import SamplePlan, Subsphere, components, unit_graph_edges
@@ -352,8 +353,7 @@ def sliceness_check(
     """
     plan = plan or SamplePlan()
     subsphere = subsphere or Subsphere.default()
-    a_values = plan.a_values if plan.a_values is not None else (-2.0, -1.0, 0.0, 1.0, 2.0)
-    b_values = plan.b_values if plan.b_values is not None else (0.5, 1.5, 2.5)
+    a_values, b_values = plan.scan_grid()
     units = subsphere.sample(plan.sphere_samples, plan.rng())
     worst = 0.0
     worst_point = None
@@ -363,8 +363,7 @@ def sliceness_check(
         for b in b_values:
             if b < plan.min_im:
                 continue
-            member_mask = _member_units(domain, a, b, units)
-            members = units[member_mask]
+            members = units[domain.contains_batch(tau_rows(a, b, units))]
             if len(members) < max(2, plan.component_detect_min):
                 continue
             count, labels = components(len(members), unit_graph_edges(members, plan.link_angle))

@@ -30,10 +30,11 @@ the per-ball test and of `SlabCone` (|Im x|); it sums in the order of
 `np.linalg.norm` in the pinned numpy 2.4.6.  `SlabCone`'s cone test uses
 `algebra.row_dot`, so no verdict depends on the batch a point is in.
 
-Leg certificates.  A leg is every point within `sag` of a segment [p0, p1];
-`Domain.deep_legs` returns True for a leg only when every sample row the
-package builds on it passes the membership test, so callers test only the
-other legs' rows and every verdict stays the same.  The default certifies
+Leg checks.  A leg is every point within `sag` of a segment [p0, p1];
+`Domain.legs_inside` decides every leg of the package, testing the sample
+rows of the legs that `deep_legs` does not certify.  `deep_legs` returns
+True only when every sample row of the leg passes the membership test, so
+each verdict is that of testing all the rows.  The default certifies
 nothing.  `Ball` and `BallUnion` share `balls_hold_legs`, which certifies a
 leg when one ball has max(d0, d1) + sag + s < r, with d0 and d1 the
 `row_norms(p - c)` of the ends and the slack
@@ -48,11 +49,12 @@ s = 2^-30 (max(|p0|, |p1|) + |c| + r) + 2^-1000.  Why its rows are inside:
   |b| (1 - cos(theta/2)) of its chord, and with x = cos(theta/2) in
   [0, 1], 1 - x <= 1 - x^2 = sin^2(theta/2) = |du|^2 / 4.  So
   sag = |b| |du|^2 / 4 (`sampling.arc_sags`) covers the arc.
-* Knot pieces.  A two-vertex lifting with a fixed unit is a segment, and
-  one with a fixed base is such an arc.  Its 17 even knots cut it into 16
-  pieces, each a segment or a shorter arc, and a sample time in
-  [k/16, (k+1)/16] lies on piece k because the renormalised chord moves
-  monotonically along the arc.
+* Knot pieces.  A lifting over a two-vertex base is a segment when its
+  unit is fixed.  When its base is fixed and every unit vertex sits at a
+  knot, it is a chain of arcs as above, one per segment of its unit path.
+  The 17 even knots cut it into 16 pieces, each a segment or a shorter arc
+  of one unit segment, and a sample time in [k/16, (k+1)/16] lies on piece
+  k because the renormalised chord moves monotonically along its arc.
 * Rounding.  With u = 2^-53, each computed end, knot or sample row lies
   within a few tens of u (|p| + |c|) of its exact point: the products and
   sums that build it, the renormalisation of a chord of norm at least
@@ -74,7 +76,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .algebra import REAL_AXIS_TOL, Octonion, UnitImaginary, angle_between, row_dot, row_norms, tau
+from .algebra import REAL_AXIS_TOL, Octonion, UnitImaginary, angle_between, row_dot, row_norms, tau, tau_rows
 from .errors import DomainError, PreconditionError
 from .report import Report
 from .sampling import SamplePlan, Subsphere, components, unit_graph_edges
@@ -99,10 +101,30 @@ class Domain:
         Leg k is every point within sag[k] of the segment [p0[k], p1[k]]
         (rows of two (m, 8) arrays).  True means that each sample row of the
         leg, rounding included, passes this domain's membership test; False
-        means nothing.  The default certifies no leg, so callers sample
-        every one.
+        means nothing.  The default certifies no leg.
         """
         return np.zeros(len(p0), dtype=bool)
+
+    def legs_inside(self, count: int, ends, rows) -> np.ndarray:
+        """Whether each of `count` legs stays inside, as bool[count].
+
+        `ends()` gives (p0, p1, sag) for `deep_legs`, and only a domain that
+        overrides `deep_legs` calls it.  `rows(ids)` gives the rows of the
+        legs `ids` stacked leg by leg, and the rows per leg (or one count
+        for all); the uncertified legs' rows go into one `contains_batch`.
+        """
+        inside = np.ones(count, dtype=bool)
+        ids = np.arange(count)
+        if count and type(self).deep_legs is not Domain.deep_legs:
+            ids = ids[~self.deep_legs(*ends())]
+        if len(ids):
+            pts, counts = rows(ids)
+            if len(pts) and np.ndim(counts) == 0:
+                inside[ids] = self.contains_batch(pts).reshape(len(ids), counts).all(axis=1)
+            elif len(pts):
+                out = ~self.contains_batch(pts)
+                inside[ids[np.repeat(np.arange(len(ids)), counts)[out]]] = False
+        return inside
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
@@ -228,14 +250,6 @@ def balls_contain(pts: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> np
             hit[rows[inside]] = True
         out[start : start + len(p)] = hit
     return out
-
-
-def certifies_legs(domain) -> bool:
-    """Whether the domain's `deep_legs` can certify a leg, i.e. overrides the default.
-
-    Callers skip building the certificate's inputs for domains that cannot.
-    """
-    return getattr(type(domain), "deep_legs", Domain.deep_legs) is not Domain.deep_legs
 
 
 def balls_hold_legs(
@@ -485,10 +499,7 @@ class BallChain(Domain):
         phi = np.outer(np.cos(thetas / 2.0), self.i.vec) + np.outer(
             np.sin(thetas / 2.0), self.j.vec
         )
-        out = np.empty((len(thetas), 8))
-        out[:, 0] = np.cos(thetas)
-        out[:, 1:] = (2.0 + np.sin(thetas))[:, None] * phi
-        return out
+        return tau_rows(np.cos(thetas), 2.0 + np.sin(thetas), phi)
 
     def center_at(self, theta: float) -> Octonion:
         return Octonion(self._centers(np.array([theta]))[0])
@@ -563,13 +574,6 @@ def sphere_slice_member(domain: Domain, a: float, b: float, i: UnitImaginary) ->
     return domain.contains(tau(i, complex(a, b)))
 
 
-def _member_units(domain: Domain, a: float, b: float, units: np.ndarray) -> np.ndarray:
-    pts = np.empty((len(units), 8))
-    pts[:, 0] = a
-    pts[:, 1:] = b * units
-    return domain.contains_batch(pts)
-
-
 def same_component(
     domain: Domain,
     a: float,
@@ -596,7 +600,7 @@ def same_component(
     if float(np.linalg.norm(i1.vec - i2.vec)) <= 1e-12:
         return "same"
     units = subsphere.sample(plan.sphere_samples, plan.rng())
-    units = units[_member_units(domain, a, b, units)]
+    units = units[domain.contains_batch(tau_rows(a, b, units))]
     nodes = np.vstack([units, i1.vec[None, :], i2.vec[None, :]])
     n1, n2 = len(nodes) - 2, len(nodes) - 1
     _, labels = components(len(nodes), unit_graph_edges(nodes, plan.link_angle))
@@ -630,8 +634,7 @@ def circularly_connected_scan(
     """
     plan = plan or SamplePlan()
     subsphere = subsphere or Subsphere.default()
-    a_values = plan.a_values if plan.a_values is not None else (-2.0, -1.0, 0.0, 1.0, 2.0)
-    b_values = plan.b_values if plan.b_values is not None else (0.5, 1.5, 2.5)
+    a_values, b_values = plan.scan_grid()
     units = subsphere.sample(plan.sphere_samples, plan.rng())
     counts = []
     worst = None
@@ -639,7 +642,7 @@ def circularly_connected_scan(
     evaluated = 0
     for a in a_values:
         for b in b_values:
-            members = units[_member_units(domain, a, b, units)]
+            members = units[domain.contains_batch(tau_rows(a, b, units))]
             if len(members) < plan.component_detect_min:
                 continue
             evaluated += 1

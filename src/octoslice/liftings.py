@@ -18,10 +18,10 @@ instead, never a fabricated verdict.
 `ccl_verify` re-checks a witness at `linspace(0, 1, resolution)` (2048
 times by default, cached read-only per resolution; a base with more than
 two vertices adds its vertex times), so it tests at most 2 x 2048 rows per
-witness, in one `contains_batch` call.  A lifting with a two-vertex base
-and unit path, one of them constant, is cut at 17 even knots into 16
-pieces; the rows of the pieces that `Domain.deep_legs` certifies are not
-evaluated, and the others keep the bits of a full evaluation.
+witness, in one `contains_batch` call.  Lifting checks, unit paths and
+spokes decide their legs with `Domain.legs_inside` (`_liftings_inside`
+cuts a lifting into 16 pieces); certified legs are not evaluated, and the
+other rows keep the bits of a full evaluation.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from .algebra import Octonion, UnitImaginary, row_norms, unit_imaginary_of
+from .algebra import Octonion, UnitImaginary, row_norms, tau_rows, unit_imaginary_of
 from .diffops import DEFAULT_SCHEME, FDScheme, OctField
-from .domains import Domain, certifies_legs
+from .domains import Domain
 from .errors import DomainError, PreconditionError
 from .sampling import SamplePlan, SlicePairGrid, Subsphere, arc_sags
 from .stems import StemVector, stem_from_gamma
@@ -83,6 +83,36 @@ def _check_times(times: np.ndarray, count: int) -> np.ndarray:
     return times
 
 
+def _base_at(times: np.ndarray, vertices: np.ndarray, ts) -> np.ndarray:
+    """A piecewise-linear complex path (vertex times, vertices) at the times ts."""
+    ts = np.asarray(ts, dtype=float)
+    re = np.interp(ts, times, vertices.real)
+    im = np.interp(ts, times, vertices.imag)
+    return re + 1j * im
+
+
+def _units_at(times: np.ndarray, vertices: np.ndarray, ts) -> np.ndarray:
+    """Unit paths (vertex times, vertices (..., n, 7)) at the times ts, row by row, as (..., m, 7)."""
+    ts = np.clip(np.asarray(ts, dtype=float), 0.0, 1.0)
+    if len(times) == 2:
+        # times [0, 1]: the chord parameter is the time itself
+        s = ts[:, None]
+        pts = vertices[..., :1, :] * (1.0 - s)
+        pts += vertices[..., 1:, :] * s
+    else:
+        idx = np.minimum(np.maximum(np.searchsorted(times, ts, side="right") - 1, 0), len(times) - 2)
+        t0, t1 = times[idx], times[idx + 1]
+        s = ((ts - t0) / (t1 - t0))[:, None]
+        # (1 - s) v[idx] + s v[idx + 1], built in place
+        pts = np.take(vertices, idx, axis=-2)
+        pts *= 1.0 - s
+        tail = np.take(vertices, idx + 1, axis=-2)
+        tail *= s
+        pts += tail
+    pts /= row_norms(pts)[..., None]
+    return pts
+
+
 class PolyPathC:
     """Piecewise-linear path in the complex plane."""
 
@@ -93,10 +123,7 @@ class PolyPathC:
         self.times = _path_times(times, len(self.vertices))
 
     def eval_many(self, ts) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        re = np.interp(ts, self.times, self.vertices.real)
-        im = np.interp(ts, self.times, self.vertices.imag)
-        return re + 1j * im
+        return _base_at(self.times, self.vertices, ts)
 
     def eval(self, t: float) -> complex:
         return complex(self.eval_many([t])[0])
@@ -130,18 +157,7 @@ class PolyPathS:
         self.times = _path_times(times, len(self.vertices))
 
     def eval_many(self, ts) -> np.ndarray:
-        ts = np.clip(np.asarray(ts, dtype=float), 0.0, 1.0)
-        idx = np.clip(np.searchsorted(self.times, ts, side="right") - 1, 0, len(self.times) - 2)
-        t0, t1 = self.times[idx], self.times[idx + 1]
-        s = ((ts - t0) / (t1 - t0))[:, None]
-        # (1 - s) v[idx] + s v[idx + 1], built in place
-        pts = np.take(self.vertices, idx, axis=0)
-        pts *= 1.0 - s
-        tail = np.take(self.vertices, idx + 1, axis=0)
-        tail *= s
-        pts += tail
-        pts /= row_norms(pts)[:, None]
-        return pts
+        return _units_at(self.times, self.vertices, ts)
 
     def eval(self, t: float) -> UnitImaginary:
         return UnitImaginary(self.eval_many([t])[0])
@@ -182,14 +198,6 @@ class PolyPathO:
         return cls(np.asarray(data["vertices"]), np.asarray(data["times"]))
 
 
-def _lift(z: np.ndarray, units: np.ndarray) -> np.ndarray:
-    """Lifting points tau(units[..., i, :], z[i]) from base values z (n,) and unit values (..., n, 7)."""
-    out = np.empty(units.shape[:-1] + (8,))
-    out[..., 0] = z.real
-    out[..., 1:] = z.imag[:, None] * units
-    return out
-
-
 @dataclass
 class CircularLifting:
     """The space path t -> tau_{units(t)}(base(t))."""
@@ -198,8 +206,8 @@ class CircularLifting:
     units: PolyPathS
 
     def eval_many(self, ts) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        return _lift(self.base.eval_many(ts), self.units.eval_many(ts))
+        z = self.base.eval_many(ts)
+        return tau_rows(z.real, z.imag, self.units.eval_many(ts))
 
     def eval(self, t: float) -> Octonion:
         return Octonion(self.eval_many([t])[0])
@@ -358,7 +366,7 @@ def lift_approximate(
     return lifting, cert
 
 
-def _sample_times(base: PolyPathC, resolution: int) -> np.ndarray:
+def _sample_times(base_times: np.ndarray, resolution: int) -> np.ndarray:
     """Sample times of a witness check: `resolution` even times and the base's vertex times.
 
     A two-vertex base has times [0, 1], which the even grid holds already.
@@ -368,79 +376,83 @@ def _sample_times(base: PolyPathC, resolution: int) -> np.ndarray:
     if not isinstance(resolution, (int, np.integer)) or resolution < 3:
         raise PreconditionError(f"a witness check needs a resolution of at least 3, got {resolution!r}")
     grid = _even_times(int(resolution))
-    return grid if len(base.times) == 2 else np.union1d(base.times, grid)
+    return grid if len(base_times) == 2 else np.union1d(base_times, grid)
 
 
-def _held_pieces(base: PolyPathC, units: list[PolyPathS], domain: Domain) -> tuple[np.ndarray, np.ndarray]:
-    """The knot rows (liftings, 17, 8) of each lifting, and which of its 16
-    pieces between them `domain.deep_legs` certifies (liftings, 16).
+def _liftings_inside(domain: Domain, base, paths: list, resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each lifting of one base stays inside at `_sample_times`, and its rows at t = 0, 1.
 
-    A lifting is covered when its base and its unit path have two vertices
-    each and one of the two is constant.  Its pieces are then straight (a
-    fixed unit, sag 0) or arcs of one circle (a fixed base; `arc_sags` of
-    the knot units, and nothing when the whole arc exceeds a quarter turn).
-    A covered lifting's knot rows are its points at `_KNOTS`, built with
-    the operations of `PolyPathS.eval_many`, so they have its bits; other
-    liftings get NaN knots and no certified piece.
+    Paths are (vertex times, vertices).  Over a two-vertex base, a lifting
+    is 16 legs between the 17 `_KNOTS` when its unit is fixed (segments) or
+    the base is fixed and its unit vertices sit at knots (arcs, none
+    certified on a unit segment past a quarter turn); any other lifting is
+    one uncertified leg.  End rows come from the knots or else the rows.
     """
-    knots = np.full((len(units), _PIECES + 1, 8), np.nan)
-    held = np.zeros((len(units), _PIECES), dtype=bool)
-    if len(base.vertices) != 2 or not certifies_legs(domain):
-        return knots, held
-    z0, z1 = base.vertices
-    fixed = np.array([len(path.vertices) == 2 and np.array_equal(*path.vertices) for path in units])
-    covered = [k for k, path in enumerate(units) if len(path.vertices) == 2 and (fixed[k] or z0 == z1)]
-    if not covered:
-        return knots, held
-    ends = np.stack([units[k].vertices for k in covered])
-    w = (1.0 - _KNOTS)[:, None] * ends[:, :1] + _KNOTS[:, None] * ends[:, 1:]
-    w /= row_norms(w)[..., None]
-    knots[covered] = _lift(base.eval_many(_KNOTS), w)
-    sag = arc_sags(z0.imag, np.concatenate([np.diff(w, axis=1), w[:, -1:] - w[:, :1]], axis=1))
-    # a whole arc past a quarter turn certifies nothing; a fixed unit is straight
-    sag[np.isnan(sag[:, -1])] = np.nan
-    sag[fixed[covered]] = 0.0
-    legs = domain.deep_legs(
-        knots[covered, :-1].reshape(-1, 8), knots[covered, 1:].reshape(-1, 8), sag[:, :-1].ravel()
-    )
-    held[covered] = legs.reshape(len(covered), _PIECES)
-    return knots, held
+    times, verts = base
+    ts = _sample_times(times, resolution)
+    still = len(verts) == 2 and verts[0] == verts[1]
+    fixed = np.array([len(v) == 2 and np.array_equal(v[0], v[1]) for _, v in paths])
+    at_knots = [still and np.array_equal(np.floor(t * _PIECES), t * _PIECES) for t, _ in paths]
+    cut = (len(verts) == 2) & (fixed | at_knots)
+    sizes = np.where(cut, _PIECES, 1)
+    first = np.cumsum(sizes) - sizes
+    end_rows = np.empty((len(paths), 2, 8))
 
+    def ends():
+        z = _base_at(times, verts, _KNOTS)
+        p0, p1, sag = [], [], []
+        for k, (t, v) in enumerate(paths):
+            if not cut[k]:
+                p0.append(np.full((1, 8), np.nan))
+                p1.append(p0[-1])
+                sag.append([np.nan])
+                continue
+            w = _units_at(t, v, _KNOTS)
+            knots = tau_rows(z.real, z.imag, w)
+            p0.append(knots[:-1])
+            p1.append(knots[1:])
+            end_rows[k] = knots[[0, -1]]
+            if fixed[k]:
+                sag.append(np.zeros(_PIECES))
+                continue
+            # no sag on the pieces of a unit segment past a quarter turn
+            at = np.rint(t * _PIECES).astype(np.intp)
+            whole = arc_sags(verts[0].imag, w[at[1:]] - w[at[:-1]])
+            seg = np.searchsorted(at, np.arange(_PIECES), side="right") - 1
+            sag.append(np.where(np.isnan(whole[seg]), np.nan, arc_sags(verts[0].imag, np.diff(w, axis=0))))
+        return np.concatenate(p0), np.concatenate(p1), np.concatenate(sag)
 
-def _check_rows(base: PolyPathC, units: list[PolyPathS], domain: Domain, ts: np.ndarray):
-    """The rows a witness check must test: (rows, start of each lifting's rows, end rows).
+    def rows(ids):
+        pieces = _piece_of(len(ts)) if cut.any() else None
+        z = _base_at(times, verts, ts)
+        pts, counts = [], []
+        for k, (t, v) in enumerate(paths):
+            mine = ids[(ids >= first[k]) & (ids < first[k] + sizes[k])] - first[k]
+            if not len(mine):
+                continue
+            tk, zk = ts, z
+            counts.append(np.bincount(pieces, minlength=_PIECES)[mine] if cut[k] else [len(ts)])
+            if len(mine) < sizes[k]:
+                keep = np.isin(pieces, mine)
+                tk, zk = ts[keep], z[keep]
+            pts.append(tau_rows(zk.real, zk.imag, _units_at(t, v, tk)))
+            if tk is ts:
+                end_rows[k] = pts[-1][[0, -1]]
+        return np.concatenate(pts), np.concatenate(counts)
 
-    A lifting's rows are its points at the times `ts` outside the pieces
-    `_held_pieces` certifies, stacked in lifting order.  Its end rows
-    (liftings, 2, 8), at t = 0 and t = 1, come from its rows or, when it
-    skipped some, from its knots.  The base is evaluated once, and paths
-    evaluate row by row, so every row has the bits of a full evaluation.
-    """
-    knots, pieces = _held_pieces(base, units, domain)
-    # a covered lifting has a two-vertex base, so ts is the even grid
-    keeps = [~held[_piece_of(len(ts))] if held.any() else None for held in pieces]
-    starts = np.cumsum([0] + [len(ts) if keep is None else np.count_nonzero(keep) for keep in keeps])
-    out = np.empty((starts[-1], 8))
-    if len(out):
-        z = base.eval_many(ts)
-        for path, keep, a, b in zip(units, keeps, starts[:-1], starts[1:]):
-            t, zk = (ts, z) if keep is None else (ts[keep], z[keep])
-            out[a:b, 0] = zk.real
-            out[a:b, 1:] = zk.imag[:, None] * path.eval_many(t)
-    ends = knots[:, [0, -1]]
-    for k, (keep, a, b) in enumerate(zip(keeps, starts[:-1], starts[1:])):
-        if keep is None:
-            ends[k] = out[[a, b - 1]]
-    return out, starts[:-1], ends
+    inside = domain.legs_inside(int(sizes.sum()), ends, rows)
+    return np.logical_and.reduceat(inside, first), end_rows
 
 
 def lift_in_domain(lifting: CircularLifting, domain: Domain, resolution: int = 2048) -> bool:
     """Whether the lifting's points at `_sample_times` all lie in the domain.
 
-    Pieces that one ball certifies are not sampled; see `_check_rows`.
+    Pieces that one ball certifies are not sampled; see `_liftings_inside`.
     """
-    pts, _, _ = _check_rows(lifting.base, [lifting.units], domain, _sample_times(lifting.base, resolution))
-    return bool(np.all(domain.contains_batch(pts))) if len(pts) else True
+    base, units = lifting.base, lifting.units
+    paths = [(units.times, units.vertices)]
+    inside, _ = _liftings_inside(domain, (base.times, base.vertices), paths, resolution)
+    return bool(inside[0])
 
 
 # ---------------------------------------------------------------------------
@@ -480,20 +492,24 @@ def ccl_verify(
     """Re-check a coupled witness: common start, exact ends, both inside.
 
     Both liftings are sampled at `_sample_times` (2048 even times by
-    default), less the pieces that one ball certifies (`_check_rows`), and
-    their rows are tested with one `contains_batch` call; every domain
-    gives each row its own verdict, so the two parts answer for the two
-    liftings.  The gaps come from the end rows.
+    default), less the pieces that one ball certifies, and their rows are
+    tested with one `contains_batch` call (`_liftings_inside`).  The gaps
+    come from the end rows.
     """
-    ts = _sample_times(witness.base, resolution)
-    pts, (_, n), ((s1, e1), (s2, e2)) = _check_rows(witness.base, [witness.units1, witness.units2], domain, ts)
-    inside = domain.contains_batch(pts) if len(pts) else np.ones(0, dtype=bool)
+    base = (witness.base.times, witness.base.vertices)
+    paths = [(p.times, p.vertices) for p in (witness.units1, witness.units2)]
+    return _coupled_check(domain, base, paths, x.coeffs, xp.coeffs, resolution, tol)
+
+
+def _coupled_check(domain: Domain, base, paths: list, x, xp, resolution: int, tol: float) -> tuple[bool, dict]:
+    """`ccl_verify` of two liftings given as (times, vertices) paths, ending at the rows x and xp."""
+    inside, ((s1, e1), (s2, e2)) = _liftings_inside(domain, base, paths, resolution)
     detail = {
         "start_gap": float(np.linalg.norm(s1 - s2)),
-        "end1_error": float(np.linalg.norm(e1 - x.coeffs)),
-        "end2_error": float(np.linalg.norm(e2 - xp.coeffs)),
-        "in_domain1": bool(np.all(inside[:n])),
-        "in_domain2": bool(np.all(inside[n:])),
+        "end1_error": float(np.linalg.norm(e1 - x)),
+        "end2_error": float(np.linalg.norm(e2 - xp)),
+        "in_domain1": bool(inside[0]),
+        "in_domain2": bool(inside[1]),
     }
     ok = (
         detail["start_gap"] <= tol
@@ -525,16 +541,13 @@ def _unit_path_in_domain(
         if n < 0.3:
             continue
         candidates.append(np.vstack([u1, w / n, u2]))
+    base = (_even_times(2), np.array([z, z]))
     for verts in candidates:
         try:
             units = PolyPathS(verts)
         except PreconditionError:
             continue
-        us = units.eval_many(np.linspace(0.0, 1.0, resolution))
-        pts = np.empty((len(us), 8))
-        pts[:, 0] = z.real
-        pts[:, 1:] = z.imag * us
-        if np.all(domain.contains_batch(pts)):
+        if _liftings_inside(domain, base, [(units.times, units.vertices)], resolution)[0][0]:
             return units
     return None
 
@@ -543,22 +556,21 @@ def _real_anchor(domain: Domain, z: complex, u1: np.ndarray, u2: np.ndarray) -> 
     """Witness through a real point: both liftings travel to it, recouple, return."""
     lo, hi = domain.bounding_box()
     alphas = np.concatenate([[z.real], np.linspace(lo[0], hi[0], 33)])
-    reals = np.zeros((len(alphas), 8))
-    reals[:, 0] = alphas
+    reals = tau_rows(alphas, 0.0, np.zeros(7))
     ok = domain.contains_batch(reals)
-    segment = np.linspace(0.0, 1.0, 256)[:, None]
-    for alpha, good in zip(alphas, ok):
-        if not good:
-            continue
-        # spokes tau_{uk}((1-s) z + s alpha) for both units
+    segment = _even_times(256)[:, None]
+    for alpha, real in zip(alphas[ok], reals[ok]):
+        # spokes tau_{uk}((1-s) z + s alpha) for both units, straight legs to the real point
         zs = (1.0 - segment) * np.array([z.real, z.imag]) + segment * np.array([alpha, 0.0])
-        for u in (u1, u2):
-            pts = np.zeros((len(zs), 8))
-            pts[:, 0] = zs[:, 0]
-            pts[:, 1:] = zs[:, 1:2] * u
-            if not np.all(domain.contains_batch(pts)):
-                break
-        else:
+
+        def spoke_inside(u):
+            return domain.legs_inside(
+                1,
+                lambda: (tau_rows(z.real, z.imag, u)[None], real[None], 0.0),
+                lambda ids: (tau_rows(zs[:, 0], zs[:, 1], u), len(zs)),
+            )[0]
+
+        if spoke_inside(u1) and spoke_inside(u2):
             base = PolyPathC(
                 [z, complex(alpha, 0.0), complex(alpha, 0.0), z],
                 np.array([0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0]),
@@ -688,8 +700,7 @@ def ccl_search(
     z = complex(a1, b1)
 
     def finish(witness, nodes, detail):
-        ok, info = ccl_verify(witness, x, xp, domain)
-        if ok:
+        if ccl_verify(witness, x, xp, domain)[0]:
             return SearchResult("found", witness, nodes, detail)
         return None
 

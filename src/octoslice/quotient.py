@@ -23,10 +23,12 @@ order and then its ride edges, an edge is recorded when it joins two
 classes of the edges before it, so a column with m members and c classes
 has m - c records.  Classes are therefore the transitive closures of the
 records, and `replay_merge_record` re-verifies any single record from
-scratch: an arc or real record through `ccl_verify`, whose one membership
-call tests at most 2 x 2048 rows (one more per lifting when a real record's
-base has a waypoint), a ride record as two unit legs of at most 2048 rows
-each; pieces of a leg that one ball certifies are not sampled.  Since
+scratch, as the legs it stands for, without building a witness: an arc
+record as the constant lifting and the arc lifting at its column, 16
+pieces each, with the checks of `ccl_verify`; a real record as the real
+point every lifting at its column equals; a ride record as the two
+straight z legs of its units, 16 pieces each.  `Domain.legs_inside`
+decides the pieces, at most 2 x 2048 rows per record.  Since
 merging is certificate-backed only, component counts of the class graph
 are upper bounds on the true quotient's.
 """
@@ -41,13 +43,13 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import minimum_spanning_tree
 
-from .algebra import Octonion
+from .algebra import Octonion, row_norms, tau_rows
 from .diffops import DEFAULT_SCHEME, FDScheme, OctField
 from .domains import Domain
 from .errors import DomainError, EmptySampleError, IntegrityError
-from .liftings import CoupledLifting, PolyPathC, PolyPathS, ccl_verify, lift_in_domain
+from .liftings import _coupled_check, _even_times, _liftings_inside
 from .report import Report
-from .sampling import SamplePlan, SlicePairGrid, Subsphere, components
+from .sampling import SamplePlan, SlicePairGrid, Subsphere, arc_points, arc_sags, components
 from .stems import StemVector, stem_from_gamma
 
 ColKey = tuple[int, int]
@@ -91,13 +93,6 @@ class QuotientSample:
 
     def z_of(self, col: ColKey) -> complex:
         return complex(self.alphas[col[0]], self.betas[col[1]])
-
-    def point_of(self, col: ColKey, unit_id: int) -> Octonion:
-        z = self.z_of(col)
-        coeffs = np.zeros(8)
-        coeffs[0] = z.real
-        coeffs[1:] = z.imag * self.units[unit_id]
-        return Octonion(coeffs)
 
     def to_json(self) -> dict:
         points, labels = [], []
@@ -403,8 +398,8 @@ def quotient_stem(
         x = Octonion.from_real_imag(cls.z.real, np.zeros(7))
         return StemVector(f.evaluate(x), Octonion.zero())
     stems = []
-    for uid in cls.unit_ids:
-        s = stem_from_gamma(f, q.point_of(cls.col, uid), scheme, use_closed)
+    for x in tau_rows(cls.z.real, beta, q.units[list(cls.unit_ids)]):
+        s = stem_from_gamma(f, Octonion(x), scheme, use_closed)
         stems.append(StemVector(s.u, -s.v) if beta < 0 else s)
     us = np.array([s.u.coeffs for s in stems])
     vs = np.array([s.v.coeffs for s in stems])
@@ -445,69 +440,48 @@ def class_at(q: QuotientSample, x: Octonion) -> int:
         # attachment arcs may span several links, so the probe spacing
         # follows the pool separation instead of a fixed count
         n = max(25, int(4.0 * dists[k] / max(q.separation, 1e-9)))
-        fr = np.linspace(0.0, 1.0, n + 2)[1:-1]
-        chords = np.outer(1.0 - fr, u) + np.outer(fr, w)
-        norms = np.linalg.norm(chords, axis=1)
-        if norms.min() < 1e-6:
+        arc, clear = arc_points(u[None], w[None], np.linspace(0.0, 1.0, n + 2)[1:-1])
+        if not clear[0]:
             continue
-        pts = np.zeros((len(fr), 8))
-        pts[:, 0] = z.real
-        pts[:, 1:] = z.imag * (chords / norms[:, None])
-        if q.domain.contains_batch(pts).all():
+
+        def ends():
+            pts = tau_rows(z.real, z.imag, np.stack([u, w]))
+            return pts[:1], pts[1:], arc_sags(z.imag, (w - u)[None])
+
+        if q.domain.legs_inside(1, ends, lambda ids: (tau_rows(z.real, z.imag, arc[0]), n))[0]:
             return int(lab[member_ids[k]])
     raise DomainError("no admissible arc reaches a sampled unit at this resolution")
 
 
-def _unit_polyline(ui: np.ndarray, uj: np.ndarray) -> np.ndarray:
-    if np.linalg.norm(ui + uj) >= 0.5:
-        return np.vstack([ui, uj])
-    probe = np.eye(7)[int(np.argmin(np.abs(ui)))]
-    w = probe - (probe @ ui) * ui
-    w /= np.linalg.norm(w)
-    return np.vstack([ui, w, uj])
-
-
 def replay_merge_record(q: QuotientSample, record: tuple) -> bool:
-    """Re-verify one merge record's certificate from scratch.
+    """Re-verify one merge record's certificate from scratch, as the legs it stands for.
 
-    Arc and real records materialize an actual coupled lifting and replay
-    it through `ccl_verify` (both liftings, at most 2 x 2048 rows, in one
-    membership call); ride records re-check both unit legs with
-    `lift_in_domain`, at most 2048 rows each, and that the referenced
-    neighboring column still merges the pair.
+    An arc record is its coupled lifting at |beta|, the constant one and the
+    arc, checked like `ccl_verify`; a real record is the real point every
+    lifting at its column equals; a ride record is its units' two z legs,
+    and the source column must still merge the pair.
     """
-    kind, col = record[0], record[1]
+    if record[0] not in ("arc", "real", "ride"):
+        raise DomainError(f"unknown merge record kind {record[0]!r}")
+    kind, col, i, j = record[:4]
     z = q.z_of(col)
-    if kind in ("arc", "real"):
-        i, j = record[2], record[3]
+    if kind == "real":
+        return q.domain.contains(Octonion.from_real_imag(z.real, np.zeros(7)))
+    # an arc below the axis is lifted at |beta| with the units flipped, and
+    # a unit path normalises its vertices
+    flip = -1.0 if kind == "arc" and z.imag < 0 else 1.0
+    units = flip * q.units[[i, j]]
+    units /= row_norms(units)[:, None]
+    # the vertex times of every two-vertex path
+    times = _even_times(2)
+    if kind == "arc":
         zz = complex(z.real, abs(z.imag))
-        sgn = -1.0 if z.imag < 0 else 1.0
-        ui, uj = sgn * q.units[i], sgn * q.units[j]
-        if kind == "arc":
-            units2 = np.vstack([ui, uj])
-        else:
-            units2 = _unit_polyline(ui, uj)
-        base = PolyPathC(np.full(len(units2), zz, dtype=complex))
-        witness = CoupledLifting(
-            base=base,
-            units1=PolyPathS(np.tile(ui, (len(units2), 1))),
-            units2=PolyPathS(units2),
-        )
-        ok, _ = ccl_verify(witness, q.point_of(col, i), q.point_of(col, j), q.domain)
-        return ok
-    if kind == "ride":
-        i, j, source = record[2], record[3], record[4]
-        if q.labels[source][i] != q.labels[source][j] or q.labels[source][i] < 0:
-            return False
-        zs = q.z_of(source)
-        base = PolyPathC(np.array([zs, z]))
-        for uid in (i, j):
-            leg = CoupledLifting(
-                base=base,
-                units1=PolyPathS(np.tile(q.units[uid], (2, 1))),
-                units2=PolyPathS(np.tile(q.units[uid], (2, 1))),
-            )
-            if not lift_in_domain(leg.lifting(1), q.domain):
-                return False
-        return True
-    raise DomainError(f"unknown merge record kind {kind!r}")
+        paths = [(times, units[[0, 0]]), (times, units)]
+        x, xp = tau_rows(z.real, z.imag, q.units[[i, j]])
+        return _coupled_check(q.domain, (times, np.array([zz, zz])), paths, x, xp, 2048, 1e-9)[0]
+    source = record[4]
+    if q.labels[source][i] != q.labels[source][j] or q.labels[source][i] < 0:
+        return False
+    base = (times, np.array([q.z_of(source), z]))
+    inside, _ = _liftings_inside(q.domain, base, [(times, units[[k, k]]) for k in (0, 1)], 2048)
+    return bool(inside.all())

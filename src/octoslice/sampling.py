@@ -18,7 +18,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from .algebra import NEAR_UNIT_TOL, UnitImaginary, row_norms
+from .algebra import NEAR_UNIT_TOL, UnitImaginary, row_norms, tau_rows
 from .errors import EmptySampleError, PreconditionError
 
 # Upper limit on the columns of a z grid (alphas x betas).  The default plans
@@ -26,6 +26,8 @@ from .errors import EmptySampleError, PreconditionError
 MAX_Z_COLUMNS = 50_000
 # Unit pairs whose arcs `arc_probe_graph` builds at once.
 _ARC_BLOCK = 1024
+# The (a, b) grid of slice scans whose plan gives none.
+_SCAN_GRID = ((-2.0, -1.0, 0.0, 1.0, 2.0), (0.5, 1.5, 2.5))
 # Interior sample times of a z leg between neighbouring grid columns; the
 # two end columns are checked by their membership.
 _LEG_TIMES = np.linspace(0.0, 1.0, 7)[1:-1]
@@ -86,7 +88,7 @@ _PLAN_COUNTS = (
     "pool_max",
 )
 # Steps, angles and separations; the optional ones may also be None.
-_PLAN_SIZES = ("link_angle", "base_step", "quotient_step_factor", "pool_sep_floor")
+_PLAN_SIZES = ("link_angle", "quotient_step_factor", "pool_sep_floor")
 _PLAN_OPTIONAL_SIZES = ("quotient_z_step", "pool_sep")
 _INTEGERS = (int, np.integer)
 _REALS = (int, float, np.integer, np.floating)
@@ -105,11 +107,10 @@ class SamplePlan:
     residual_samples: int = 200
     residual_unit_samples: int = 60
     min_im: float = 0.5
-    # (a, b) grids for slice scans; None derives a small default grid.
+    # (a, b) grids for slice scans; None takes the default grid.
     a_values: Optional[tuple[float, ...]] = None
     b_values: Optional[tuple[float, ...]] = None
     # Fiber-product search.
-    base_step: float = 0.1
     search_budget: int = 80_000
     # Quotient sampling.
     quotient_step_factor: float = 0.05
@@ -139,6 +140,11 @@ class SamplePlan:
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
+
+    def scan_grid(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """The (a, b) values of slice scans: the plan's own, or `_SCAN_GRID`'s."""
+        a, b = _SCAN_GRID
+        return a if self.a_values is None else self.a_values, b if self.b_values is None else self.b_values
 
     def with_seed(self, seed: int) -> "SamplePlan":
         return replace(self, seed=seed)
@@ -188,6 +194,20 @@ def unit_graph_edges(units: np.ndarray, link_angle: float) -> np.ndarray:
     return pairs
 
 
+def arc_points(u: np.ndarray, w: np.ndarray, fracs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Renormalised chord points (1 - f) u + f w of unit pairs.
+
+    For ends (m, 7) and fractions (p,), returns the (m, p, 7) points and
+    bool[m], False for a near antipodal pair, whose chord nears the origin.
+    """
+    fracs = np.asarray(fracs, dtype=float)[:, None]
+    chords = (1.0 - fracs) * u[:, None] + fracs * w[:, None]
+    norms = row_norms(chords)
+    ok = ~(norms.min(axis=1, initial=np.inf) < 1e-6)
+    chords[ok] /= norms[ok, :, None]
+    return chords, ok
+
+
 def arc_probe_graph(
     units: np.ndarray, link: float, probes: int = 23
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -198,24 +218,21 @@ def arc_probe_graph(
     sampling misses thin gaps between nearly tangent slice caps, so the
     probe count errs dense.  Antipodal pairs get no edge.
     """
-    fracs = np.linspace(0.0, 1.0, probes + 2)[1:-1][:, None]
+    fracs = np.linspace(0.0, 1.0, probes + 2)[1:-1]
     pairs = (
         cKDTree(units).query_pairs(link, output_type="ndarray")
         if len(units)
         else np.empty((0, 2), dtype=int)
     )
-    # the same products as np.outer(1 - fracs, u_a) + np.outer(fracs, u_b)
     arcs = np.empty((len(pairs), probes, 7))
     keep = np.zeros(len(pairs), dtype=bool)
     n = 0
     for start in range(0, len(pairs), _ARC_BLOCK):
         block = pairs[start : start + _ARC_BLOCK]
-        chords = (1.0 - fracs) * units[block[:, 0], None] + fracs * units[block[:, 1], None]
-        norms = row_norms(chords)
-        ok = ~(norms.min(axis=1) < 1e-6)
+        points, ok = arc_points(units[block[:, 0]], units[block[:, 1]], fracs)
         keep[start : start + len(block)] = ok
         kept = int(ok.sum())
-        arcs[n : n + kept] = chords[ok] / norms[ok, :, None]
+        arcs[n : n + kept] = points[ok]
         n += kept
     return pairs[keep].astype(int), arcs[:n]
 
@@ -297,10 +314,9 @@ class SlicePairGrid:
       A leg is sampled from the smaller column to the larger, so the mask
       does not depend on the order of a and b.
 
-    The two leg masks probe only the legs between members that
-    `domain.deep_legs` does not certify: an arc with sag |beta| `edge_sags`,
-    a z leg with sag 0.  A certified leg's probes would all pass, so the
-    masks are those of probing every leg.
+    Both leg masks decide the legs between members with
+    `domain.legs_inside`: an arc with sag |beta| `edge_sags` and its 23
+    probes, a z leg with sag 0 and its interior times.
 
     A column is real when its beta is 0: every unit lifts one real point
     there, so its units are all members or none are.
@@ -328,11 +344,8 @@ class SlicePairGrid:
             )
         self.link = max(chord_of_angle(plan.link_angle), 2.5 * self.sep)
         self.edges, self.edge_arcs = arc_probe_graph(self.units, self.link)
-        # sag of each arc edge at height 1, for `Domain.deep_legs`
+        # sag of each arc edge at height 1, for `Domain.legs_inside`
         self.edge_sags = arc_sags(1.0, self.units[self.edges[:, 1]] - self.units[self.edges[:, 0]])
-        from .domains import certifies_legs  # domains imports this module
-
-        self.certifies = certifies_legs(domain)
         self._members: dict[tuple[int, int], np.ndarray] = {}
         self._arcs: dict[tuple[int, int], np.ndarray] = {}
         self._moves: dict[tuple[tuple[int, int], tuple[int, int]], np.ndarray] = {}
@@ -354,18 +367,10 @@ class SlicePairGrid:
     def is_real_col(self, col) -> bool:
         return abs(self.betas[col[1]]) <= 1e-12
 
-    def slice_points(self, col, ids=slice(None)) -> np.ndarray:
-        """The points tau(I, z) of the units `ids` at a column, as (n, 8)."""
-        z = self.z_of(col)
-        units = self.units[ids]
-        pts = np.zeros((len(units), 8))
-        pts[:, 0] = z.real
-        pts[:, 1:] = z.imag * units
-        return pts
-
     def members(self, col) -> np.ndarray:
         if col not in self._members:
-            self._members[col] = self.domain.contains_batch(self.slice_points(col))
+            z = self.z_of(col)
+            self._members[col] = self.domain.contains_batch(tau_rows(z.real, z.imag, self.units))
         return self._members[col]
 
     def arc_mask(self, col) -> np.ndarray:
@@ -373,22 +378,17 @@ class SlicePairGrid:
             mem = self.members(col)
             mask = mem[self.edges[:, 0]] & mem[self.edges[:, 1]]
             cand = np.flatnonzero(mask)
-            if len(cand) and self.certifies:
-                # arcs that one ball holds pass without probes
-                ends = self.slice_points(col)
-                held = self.domain.deep_legs(
-                    ends[self.edges[cand, 0]],
-                    ends[self.edges[cand, 1]],
-                    abs(self.betas[col[1]]) * self.edge_sags[cand],
-                )
-                cand = cand[~held]
-            if len(cand):
-                z = self.z_of(col)
-                arcs = self.edge_arcs[cand]
-                pts = np.zeros((arcs.shape[0] * arcs.shape[1], 8))
-                pts[:, 0] = z.real
-                pts[:, 1:] = z.imag * arcs.reshape(-1, 7)
-                mask[cand] = self.domain.contains_batch(pts).reshape(arcs.shape[:2]).all(axis=1)
+            z = self.z_of(col)
+
+            def ends():
+                pts = tau_rows(z.real, z.imag, self.units)[self.edges[cand].T]
+                return pts[0], pts[1], abs(z.imag) * self.edge_sags[cand]
+
+            def rows(ids):
+                arcs = self.edge_arcs[cand[ids]]
+                return tau_rows(z.real, z.imag, arcs).reshape(-1, 8), arcs.shape[1]
+
+            mask[cand] = self.domain.legs_inside(len(cand), ends, rows)
             self._arcs[col] = mask
         return self._arcs[col]
 
@@ -397,18 +397,18 @@ class SlicePairGrid:
         if key not in self._moves:
             mask = self.members(key[0]) & self.members(key[1])
             cand = np.flatnonzero(mask)
-            if len(cand) and self.certifies:
-                # straight legs that one ball holds pass without probes
-                held = self.domain.deep_legs(
-                    self.slice_points(key[0], cand), self.slice_points(key[1], cand), 0.0
-                )
-                cand = cand[~held]
-            if len(cand):
-                za, zb = self.z_of(key[0]), self.z_of(key[1])
+            za, zb = self.z_of(key[0]), self.z_of(key[1])
+
+            def ends():
+                zs = np.array([[za], [zb]])
+                pts = tau_rows(zs.real, zs.imag, self.units[cand])
+                return pts[0], pts[1], 0.0
+
+            def rows(ids):
                 zs = (1.0 - _LEG_TIMES) * za + _LEG_TIMES * zb
-                pts = np.zeros((len(cand) * len(zs), 8))
-                pts[:, 0] = np.repeat(zs.real, len(cand))
-                pts[:, 1:] = (zs.imag[:, None, None] * self.units[cand][None, :, :]).reshape(-1, 7)
-                mask[cand] = self.domain.contains_batch(pts).reshape(len(zs), len(cand)).all(axis=0)
+                units = self.units[cand[ids], None, :]
+                return tau_rows(zs.real, zs.imag, units).reshape(-1, 8), len(zs)
+
+            mask[cand] = self.domain.legs_inside(len(cand), ends, rows)
             self._moves[key] = mask
         return self._moves[key]

@@ -27,7 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import REAL_AXIS_TOL, Octonion, OrthoPair, UnitImaginary, mul, row_dot, tau
+from .algebra import REAL_AXIS_TOL, Octonion, OrthoPair, UnitImaginary, mul, orthogonal_unit, row_dot, tau
 from .diffops import (
     DEFAULT_SCHEME,
     FDScheme,
@@ -169,14 +169,6 @@ def reconstruct_third(
     return mul(o3 - i2.as_octonion(), mul(q, f1)) - mul(o3 - i1.as_octonion(), mul(q, f2))
 
 
-def _orthogonal_direction(u: np.ndarray) -> np.ndarray:
-    k = int(np.argmin(np.abs(u)))
-    w = np.zeros(7)
-    w[k] = 1.0
-    w -= (w @ u) * u
-    return w / np.linalg.norm(w)
-
-
 def local_stem(f: OctField, ball: Ball, z: complex) -> StemVector:
     """Local stem of f on a ball at the complex point z.
 
@@ -197,7 +189,7 @@ def local_stem(f: OctField, ball: Ball, z: complex) -> StemVector:
             raise DomainError("no slice of the ball passes through z")
         # real-centred ball with a full slice sphere: any unit works
         i1 = UnitImaginary.basis(1)
-        i2 = UnitImaginary.from_vector(_orthogonal_direction(i1.vec))
+        i2 = orthogonal_unit(i1.vec)
     else:
         if cos_thr >= 1.0:
             raise DomainError("no slice of the ball passes through z")
@@ -206,7 +198,7 @@ def local_stem(f: OctField, ball: Ball, z: complex) -> StemVector:
         if 2.0 * np.sin(delta / 2.0) < SEP_MIN:
             raise ConditioningError("ball grazes a single slice at z: units cannot separate")
         i1 = UnitImaginary.from_vector(cap_center)
-        w = _orthogonal_direction(cap_center)
+        w = orthogonal_unit(cap_center).vec
         i2 = UnitImaginary.from_vector(np.cos(delta) * cap_center + np.sin(delta) * w)
     for unit in (i1, i2):
         if not ball.contains(tau(unit, complex(a, b))):

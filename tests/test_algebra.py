@@ -19,7 +19,9 @@ from octoslice.algebra import (
     cd_split,
     mul,
     mul_batch,
+    orthogonal_unit,
     tau,
+    tau_rows,
     unit_imaginary_of,
 )
 from octoslice.errors import DomainError, PreconditionError
@@ -239,3 +241,47 @@ def test_real_scalars_commute_and_distribute():
         assert np.allclose((s * x).coeffs, (x * s).coeffs, atol=0)
         assert np.allclose(mul(s * x, y).coeffs, (s * mul(x, y)).coeffs, atol=1e-13)
         assert np.allclose((x + y - y).coeffs, x.coeffs, atol=1e-15)
+
+
+def test_orthogonal_unit_equals_the_three_inline_forms():
+    # the forms it replaced: the stem's second direction, the CLI's J and
+    # the replay waypoint; each takes the basis vector of smallest |u_k|
+    def stems_form(u):
+        w = np.zeros(7)
+        w[int(np.argmin(np.abs(u)))] = 1.0
+        w -= (w @ u) * u
+        return w / np.linalg.norm(w)
+
+    def cli_form(u):
+        probe = np.eye(7)[int(np.argmin(np.abs(u)))]
+        return UnitImaginary.from_vector(probe - float(probe @ u) * u).vec
+
+    def waypoint_form(u):
+        probe = np.eye(7)[int(np.argmin(np.abs(u)))]
+        w = probe - (probe @ u) * u
+        w /= np.linalg.norm(w)
+        return w
+
+    rng = np.random.default_rng(13)
+    units = rng.normal(size=(20_000, 7))
+    units /= np.linalg.norm(units, axis=1, keepdims=True)
+    units[:50] = np.eye(7)[rng.integers(0, 7, size=50)]
+    for u in units:
+        got = orthogonal_unit(u).vec
+        for form in (stems_form, cli_form, waypoint_form):
+            assert np.array_equal(got, form(u))
+        assert abs(got @ u) < 1e-15
+
+
+def test_tau_rows_equals_tau_and_broadcasts():
+    rng = np.random.default_rng(14)
+    units = rng.normal(size=(6, 7))
+    units /= np.linalg.norm(units, axis=1, keepdims=True)
+    zs = rng.normal(size=4) + 1j * rng.normal(size=4)
+    rows = tau_rows(zs.real[:, None], zs.imag[:, None], units[None, :, :])
+    assert rows.shape == (4, 6, 8)
+    for a, z in enumerate(zs):
+        for b, u in enumerate(units):
+            assert np.array_equal(rows[a, b], np.concatenate([[z.real], z.imag * u]))
+    i = UnitImaginary.basis(3)
+    assert np.array_equal(tau_rows(1.5, -2.0, i.vec), tau(i, 1.5 - 2.0j).coeffs)

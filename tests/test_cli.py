@@ -345,11 +345,13 @@ def test_unresolvable_plans_and_grids_are_exit_2(capsys, argv):
 
 
 def test_plan_field_the_plan_lacks_is_exit_2(capsys):
-    # witness checks take no sample count from the plan
-    code, out, err = run(capsys, "quotient", "--domain", BALL2, "--plan", '{"verify_samples": 4096}')
-    assert code == 2 and out == ""
-    error = json.loads(err)["error"]
-    assert error.startswith("PreconditionError: bad plan") and "verify_samples" in error
+    # witness checks take no sample count from the plan, and the fiber
+    # search no base step
+    for plan in ('{"verify_samples": 4096}', '{"base_step": 1e-9}'):
+        code, out, err = run(capsys, "quotient", "--domain", BALL2, "--plan", plan)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error.startswith("PreconditionError: bad plan") and json.loads(plan).popitem()[0] in error
 
 
 def test_non_finite_flag_is_exit_2(capsys):

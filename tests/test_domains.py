@@ -302,7 +302,7 @@ def test_subsphere_validation():
         ("pool_harvest", 2.5),
         ("residual_samples", True),
         ("link_angle", 0.0),
-        ("base_step", float("nan")),
+        ("quotient_step_factor", float("nan")),
         ("quotient_step_factor", -0.05),
         ("quotient_z_step", float("inf")),
         ("quotient_z_step", 0.0),

@@ -19,15 +19,18 @@ from scipy.spatial import cKDTree
 
 from octoslice.algebra import Octonion, UnitImaginary, row_dot, row_norms
 from octoslice.domains import _BALL_BLOCK, _LEG_CELLS, Ball, BallUnion, SlabCone, balls_contain
+from octoslice.errors import DomainError, PreconditionError
 from octoslice.liftings import (
     _KNOTS,
     CircularLifting,
     PolyPathC,
     PolyPathS,
     _even_times,
-    _held_pieces,
-    _piece_of,
+    _real_anchor,
+    _unit_path_in_domain,
+    lift_in_domain,
 )
+from octoslice.quotient import QuotientSample, class_at
 from octoslice.sampling import _ARC_BLOCK, _LEG_TIMES, arc_probe_graph, arc_sags
 
 # Fixed examples, no example database: a run repeats the last one exactly.
@@ -282,7 +285,9 @@ def test_unit_path_eval_many_equals_the_gathered_form(count, seed, samples):
 # program builds it, passes the per-ball test.  Each case below builds one
 # leg the way its caller samples it (the 23 probes of an arc at a fixed z,
 # the 5 interior times of a z leg, the 2048 rows of a lifting split into
-# 16 pieces), places balls around it, and checks the rows the program
+# 16 pieces, an attachment arc of `class_at`, the 512-row unit paths of
+# `_unit_path_in_domain` with 2 and 3 vertices, the 256-row spokes of
+# `_real_anchor`), places balls around it, and checks the rows the program
 # would skip.  Margins cluster at the sag, at the sag to 2^-40, and at the
 # certificate's slack, where a weaker certificate goes wrong.
 
@@ -295,6 +300,12 @@ LEG_SETTINGS = settings(
 )
 # arc angles, the last two past a quarter turn (pi/2)
 TURNS = (1e-5, 1e-2, 0.1, 0.5, 1.2, 1.57, 1.58, 2.5)
+LEG_KINDS = (
+    "arc", "z-leg", "lifting-arc", "lifting-segment", "attach-arc", "unit-path-2", "unit-path-3", "spoke"
+)
+ARC_KINDS = ("arc", "lifting-arc", "attach-arc", "unit-path-2", "unit-path-3")
+# the pool separation of the attachment cases: 25 to about 150 probes
+ATTACH_SEP = 0.05
 
 
 def slice_point(z, unit):
@@ -311,14 +322,121 @@ def turned(rng, u, angle):
     return math.cos(angle) * u + math.sin(angle) * side
 
 
+def record_legs(domain):
+    """Wrap a domain's `legs_inside` to keep what every call decides.
+
+    Each call leaves (rows, counts, held, inside, ends): the sample rows of
+    all its legs, the rows per leg, which legs `deep_legs` certifies, the
+    verdicts and the certificate inputs.
+    """
+    calls = []
+    decide = domain.legs_inside
+
+    def legs_inside(count, ends, rows):
+        pts, counts = rows(np.arange(count))
+        legs = ends()
+        inside = decide(count, ends, rows)
+        calls.append((pts, np.broadcast_to(counts, (count,)), domain.deep_legs(*legs), inside, legs))
+        return inside
+
+    domain.legs_inside = legs_inside
+    return calls
+
+
+def checked_rows(calls, centres, radii, want=None):
+    """Every recorded row, and whether the program skipped it.
+
+    Each leg's verdict must be that of testing all its rows, and the rows
+    must equal `want` (the construction the program replaced) when given.
+    """
+    rows = np.concatenate([c[0] for c in calls]) if calls else np.empty((0, 8))
+    skip = np.concatenate([np.repeat(c[2], c[1]) for c in calls]) if calls else np.zeros(0, dtype=bool)
+    for pts, counts, _, inside, _ in calls:
+        leg = np.repeat(np.arange(len(counts)), counts)
+        out = np.bincount(leg[~ref_balls(pts, centres, radii)], minlength=len(counts))
+        assert np.array_equal(inside, out == 0)
+    if want is not None:
+        assert same(rows, np.concatenate(want) if want else np.empty((0, 8)))
+    return rows, skip
+
+
+def ref_attach_rows(z, u, w, sep):
+    """The rows of a `class_at` attachment arc, as the inline form built them."""
+    n = max(25, int(4.0 * np.linalg.norm(w - u) / sep))
+    fr = np.linspace(0.0, 1.0, n + 2)[1:-1]
+    chords = np.outer(1.0 - fr, u) + np.outer(fr, w)
+    norms = np.linalg.norm(chords, axis=1)
+    if norms.min() < 1e-6:
+        return None
+    pts = np.zeros((len(fr), 8))
+    pts[:, 0] = z.real
+    pts[:, 1:] = z.imag * (chords / norms[:, None])
+    return pts
+
+
+def ref_unit_path_candidates(u1, u2):
+    """The unit paths `_unit_path_in_domain` tries, in order."""
+    candidates = []
+    if np.linalg.norm(u1 + u2) >= 0.5:
+        candidates.append(np.vstack([u1, u2]))
+    for k in range(7):
+        w = np.zeros(7)
+        w[k] = 1.0
+        w = w - (w @ u1) * u1
+        n = np.linalg.norm(w)
+        if n >= 0.3:
+            candidates.append(np.vstack([u1, w / n, u2]))
+    paths = []
+    for verts in candidates:
+        try:
+            paths.append(PolyPathS(verts))
+        except PreconditionError:
+            pass
+    return paths
+
+
+def ref_spokes(domain, z, u1, u2, centres, radii):
+    """The spoke rows `_real_anchor` tests, in order, with all-row verdicts."""
+    lo, hi = domain.bounding_box()
+    alphas = np.concatenate([[z.real], np.linspace(lo[0], hi[0], 33)])
+    reals = np.zeros((len(alphas), 8))
+    reals[:, 0] = alphas
+    segment = np.linspace(0.0, 1.0, 256)[:, None]
+    out = []
+    for alpha, good in zip(alphas, ref_balls(reals, centres, radii)):
+        if not good:
+            continue
+        zs = (1.0 - segment) * np.array([z.real, z.imag]) + segment * np.array([alpha, 0.0])
+        for u in (u1, u2):
+            pts = np.zeros((len(zs), 8))
+            pts[:, 0] = zs[:, 0]
+            pts[:, 1:] = zs[:, 1:2] * u
+            out.append(pts)
+            if not ref_balls(pts, centres, radii).all():
+                break
+        else:
+            return out
+    return out
+
+
+def attach_quotient(domain, z, unit):
+    """A one-column quotient whose only member is `unit`, for `class_at`."""
+    return QuotientSample(
+        domain=domain, plan=None, subsphere=None,
+        alphas=np.array([z.real]), betas=np.array([z.imag]), units=unit[None, :],
+        edges=None, edge_arcs=None, members={(0, 0): np.array([True])}, labels={(0, 0): np.array([0])},
+        classes=[], class_adjacency=[], component_of=None, merge_records=[], link=0.0, separation=ATTACH_SEP,
+    )
+
+
 def leg_case(kind, rng, scale, turn):
     """One leg as the program samples it.
 
-    Returns (knots, rows, skipped, bulge): knots are the points the
-    certificate takes as ends (the two ends, or the 17 knots of a lifting),
-    rows the sample rows, skipped(domain) the rows the program would not
-    test, and bulge the direction in which the leg bows out (zero if it is
-    straight).
+    Returns (knots, check, bulge): knots are the points the certificate
+    takes as ends (the two ends, or the 17 knots of a lifting), check(
+    domain, centres, radii) runs the program on the leg and returns its
+    sample rows and which of them the program skipped, and bulge is the
+    direction in which the leg bows out (zero if it is straight).
     """
     u = unit_rows(rng, 1, 7)[0]
     z = scale * complex(rng.normal(), rng.uniform(0.05, 2.0) * rng.choice([-1.0, 1.0]))
@@ -330,11 +448,11 @@ def leg_case(kind, rng, scale, turn):
         rows = np.stack([slice_point(z, w) for w in probes[0]])
         sag = abs(z.imag) * arc_sags(1.0, (v - u)[None, :])
 
-        def skipped(domain):
-            return np.full(len(rows), domain.deep_legs(knots[:1], knots[1:], sag)[0])
+        def check(domain, centres, radii):
+            return rows, np.full(len(rows), domain.deep_legs(knots[:1], knots[1:], sag)[0])
 
         mid = u + v
-        return knots, rows, skipped, np.concatenate([[0.0], np.sign(z.imag) * mid / np.linalg.norm(mid)])
+        return knots, check, np.concatenate([[0.0], np.sign(z.imag) * mid / np.linalg.norm(mid)])
     if kind == "z-leg":
         knots = np.stack([slice_point(z, u), slice_point(zb, u)])
         zs = (1.0 - _LEG_TIMES) * z + _LEG_TIMES * zb
@@ -342,10 +460,64 @@ def leg_case(kind, rng, scale, turn):
         rows[:, 0] = zs.real
         rows[:, 1:] = zs.imag[:, None] * u
 
-        def skipped(domain):
-            return np.full(len(rows), domain.deep_legs(knots[:1], knots[1:], 0.0)[0])
+        def check(domain, centres, radii):
+            return rows, np.full(len(rows), domain.deep_legs(knots[:1], knots[1:], 0.0)[0])
 
-        return knots, rows, skipped, np.zeros(8)
+        return knots, check, np.zeros(8)
+    if kind == "attach-arc":
+        # `class_at` takes its column at beta >= 0 and its unit from the point
+        z = complex(z.real, abs(z.imag))
+        x = Octonion(slice_point(z, u))
+        u = x.imag_part().coeffs[1:] / x.im_norm
+        want = ref_attach_rows(z, u, v, ATTACH_SEP)
+
+        def check(domain, centres, radii):
+            calls = record_legs(domain)
+            try:
+                got = class_at(attach_quotient(domain, z, v), x)
+            except DomainError:
+                got = None
+            rows, skip = checked_rows(calls, centres, radii, None if want is None else [want])
+            assert (got == 0) == (want is not None and ref_balls(want, centres, radii).all())
+            if turn > math.pi / 2:
+                assert not skip.any()
+            return rows, skip
+
+        mid = u + v
+        bulge = np.concatenate([[0.0], mid / np.linalg.norm(mid)])
+        return np.stack([slice_point(z, u), slice_point(z, v)]), check, bulge
+    if kind in ("unit-path-2", "unit-path-3"):
+        if kind == "unit-path-3":
+            # nearly antipodal ends: only the paths through a waypoint are tried
+            v = turned(rng, u, math.pi - min(turn, 0.5))
+        paths = ref_unit_path_candidates(u, v)
+        ts = np.linspace(0.0, 1.0, 512)
+        want = [np.stack([slice_point(z, w) for w in path.eval_many(ts)]) for path in paths]
+
+        def check(domain, centres, radii):
+            calls = record_legs(domain)
+            got = _unit_path_in_domain(domain, z, u, v)
+            verdicts = [ref_balls(rows, centres, radii).all() for rows in want]
+            tried = verdicts.index(True) + 1 if True in verdicts else len(verdicts)
+            assert len(calls) == tried
+            assert (got is None) == (True not in verdicts)
+            if got is not None:
+                assert same(got.vertices, paths[tried - 1].vertices)
+            return checked_rows(calls, centres, radii, want[:tried])
+
+        first = CircularLifting(PolyPathC([z, z]), paths[0])
+        bulge = np.concatenate([[0.0], np.sign(z.imag) * paths[0].eval_many([0.27])[0]])
+        return first.eval_many(_KNOTS), check, bulge
+    if kind == "spoke":
+        real = np.zeros(8)
+        real[0] = z.real
+
+        def check(domain, centres, radii):
+            calls = record_legs(domain)
+            _real_anchor(domain, z, u, v)
+            return checked_rows(calls, centres, radii, ref_spokes(domain, z, u, v, centres, radii))
+
+        return np.stack([slice_point(z, u), real]), check, np.zeros(8)
     if kind == "lifting-arc":
         lifting = CircularLifting(PolyPathC([z, z]), PolyPathS(np.vstack([u, v])))
         # bowing out most inside a piece, not at a knot
@@ -353,15 +525,19 @@ def leg_case(kind, rng, scale, turn):
     else:
         lifting = CircularLifting(PolyPathC([z, zb]), PolyPathS(np.vstack([u, u])))
         bulge = np.zeros(8)
-    rows = lifting.eval_many(_even_times(2048))
+    knots = lifting.eval_many(_KNOTS)
 
-    def skipped(domain):
-        knots, held = _held_pieces(lifting.base, [lifting.units], domain)
-        # the knot rows are the lifting's points to the bit
-        assert np.array_equal(knots[0], lifting.eval_many(_KNOTS))
-        return held[0][_piece_of(2048)]
+    def check(domain, centres, radii):
+        calls = record_legs(domain)
+        got = lift_in_domain(lifting, domain)
+        rows, skip = checked_rows(calls, centres, radii, [lifting.eval_many(_even_times(2048))])
+        assert got == ref_balls(rows, centres, radii).all()
+        # the certificate's ends are the lifting's knots to the bit
+        (p0, p1, _), = [c[4] for c in calls]
+        assert same(p0, knots[:-1]) and same(p1, knots[1:])
+        return rows, skip
 
-    return lifting.eval_many(_KNOTS), rows, skipped, bulge
+    return knots, check, bulge
 
 
 def place_balls(placement, rng, knots, bulge, far, margin_of):
@@ -400,9 +576,9 @@ def place_balls(placement, rng, knots, bulge, far, margin_of):
 
 @LEG_SETTINGS
 @given(
-    st.sampled_from(("arc", "z-leg", "lifting-arc", "lifting-segment")),
+    st.sampled_from(LEG_KINDS),
     st.sampled_from(("outside-cap",) * 3 + ("generic", "real-centred", "tangent-pair", "nested")),
-    st.sampled_from(("fraction", "fraction", "sag-ulps", "slack-edge")),
+    st.sampled_from(("fraction", "fraction", "sag-ulps", "slack-edge", "deep")),
     st.integers(-8, 8),
     st.floats(0.0, 0.6),
     st.floats(0.5, 50.0),
@@ -413,8 +589,8 @@ def place_balls(placement, rng, knots, bulge, far, margin_of):
 def test_certified_legs_hold_every_sample_row(kind, placement, margin, k, frac, far, turn, log_scale, seed):
     rng = np.random.default_rng(seed)
     scale = 10.0**log_scale
-    knots, rows, skipped, bulge = leg_case(kind, rng, scale, turn)
-    if kind in ("arc", "lifting-arc"):
+    knots, check, bulge = leg_case(kind, rng, scale, turn)
+    if kind in ARC_KINDS:
         chords = knots[1:, 1:] - knots[:-1, 1:]
         b = float(np.linalg.norm(knots[0, 1:]))
         # the sag scale of the certificate: the largest piece's |b| |du|^2 / 4
@@ -431,13 +607,16 @@ def test_certified_legs_hold_every_sample_row(kind, placement, margin, k, frac, 
             return scale_of_margin * frac
         if margin == "sag-ulps":
             return scale_of_margin * (1.0 + k * 2.0**-40)
+        if margin == "deep":
+            # room to spare: the certificate holds whole legs, and the rows it skips must be theirs
+            return (sag + 4.0 * slack) * (1.0 + frac)
         return sag + slack * (1.0 + k * 2.0**-6)
 
     centres, radii = place_balls(placement, rng, knots, bulge, far, margin_of)
     domain = Ball(Octonion(centres[0]), radii[0]) if len(radii) == 1 else BallUnion(
         [Ball(Octonion(c), r) for c, r in zip(centres, radii)]
     )
-    skip = skipped(domain)
+    rows, skip = check(domain, centres, radii)
     assert ref_balls(rows[skip], centres, radii).all()
 
 
@@ -473,7 +652,7 @@ def test_deep_legs_certifies_deep_legs_and_nothing_unsure():
     assert not cone.deep_legs(p0, p1, 0.0).any()
 
 
-@pytest.mark.parametrize("kind", ["arc", "lifting-arc"])
+@pytest.mark.parametrize("kind", ["arc", "lifting-arc", "attach-arc"])
 def test_arcs_over_a_cap_larger_than_a_hemisphere(kind):
     """A sweep of ball margins from 0 to past the sag, around arcs that bow out of their ball.
 
@@ -485,13 +664,33 @@ def test_arcs_over_a_cap_larger_than_a_hemisphere(kind):
     for case, (turn, far) in enumerate(itertools.product((0.01, 0.1, 0.5, 1.2, 1.55), (1.0, 3.0, 30.0))):
         for frac in np.linspace(0.0, 1.2, 25):
             rng = np.random.default_rng(case)
-            knots, rows, skipped, bulge = leg_case(kind, rng, 10.0 ** rng.uniform(-1.0, 1.0), turn)
+            knots, check, bulge = leg_case(kind, rng, 10.0 ** rng.uniform(-1.0, 1.0), turn)
             chords = knots[1:, 1:] - knots[:-1, 1:]
             sag = float(np.max(np.sum(chords * chords, axis=1))) / (4.0 * np.linalg.norm(knots[0, 1:]))
             centres, radii = place_balls("outside-cap", rng, knots, bulge, far, lambda reach, c: frac * sag)
+            rows, skip = check(Ball(Octonion(centres[0]), radii[0]), centres, radii)
             inside = ref_balls(rows, centres, radii)
-            skip = skipped(Ball(Octonion(centres[0]), radii[0]))
             assert inside[skip].all()
             left += not inside.all()
             held += skip.any()
     assert left > 50 and held > 50
+
+
+@pytest.mark.parametrize("kind", ["spoke", "attach-arc", "unit-path-2", "lifting-segment"])
+def test_legs_between_tangent_balls(kind):
+    """Legs whose ends sit in two tangent balls leave both between them.
+
+    Each end is held with room to spare, so a certificate that looked at one
+    end, or at the wrong leg, would skip rows outside the union.
+    """
+    left = 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        knots, check, bulge = leg_case(kind, rng, 10.0 ** rng.uniform(-1.0, 1.0), 0.5)
+        centres, radii = place_balls("tangent-pair", rng, knots[[0, -1]], bulge, 1.0, None)
+        union = BallUnion([Ball(Octonion(c), r) for c, r in zip(centres, radii)])
+        rows, skip = check(union, centres, radii)
+        inside = ref_balls(rows, centres, radii)
+        assert inside[skip].all()
+        left += not inside.all()
+    assert left >= 20

@@ -29,7 +29,7 @@ from octoslice.diffops import (
     spherical_gamma,
     stencil_safe,
 )
-from octoslice.domains import Ball, _member_units
+from octoslice.domains import Ball
 from octoslice.errors import DomainError, EmptySampleError, PreconditionError
 from octoslice.golden import _sqrt_partials_raw, _sqrt_uv_tilde, field_names, get_field
 from octoslice.report import Report, ScanReport
@@ -79,6 +79,13 @@ def ref_slice_fueter(f, x, use_closed=True):
     return parts[0] - mul(inv_im, e_term) - mul(inv_im, gamma) / 3.0
 
 
+def ref_member_units(domain, a, b, units):
+    pts = np.empty((len(units), 8))
+    pts[:, 0] = a
+    pts[:, 1:] = b * units
+    return domain.contains_batch(pts)
+
+
 def ref_sliceness_check(f, domain, plan, tolerance=1e-6, use_closed=True):
     scheme = DEFAULT_SCHEME
     subsphere = Subsphere.default()
@@ -90,7 +97,7 @@ def ref_sliceness_check(f, domain, plan, tolerance=1e-6, use_closed=True):
         for b in b_values:
             if b < plan.min_im:
                 continue
-            members = units[_member_units(domain, a, b, units)]
+            members = units[ref_member_units(domain, a, b, units)]
             if len(members) < max(2, plan.component_detect_min):
                 continue
             count, labels = components(len(members), unit_graph_edges(members, plan.link_angle))

@@ -1,23 +1,27 @@
-"""Witness checks and grid masks must give the verdicts of the all-rows checks.
+"""Witness checks, replays and grid masks must give the verdicts of the all-rows checks.
 
-`ccl_verify` and `lift_in_domain` test only the rows of pieces that no ball
-certifies, in one membership call; `SlicePairGrid.arc_mask` and `move_mask`
-probe only the legs that no ball certifies.  The references below are the
-straightforward bodies: each lifting evaluated on its own, on
-`union1d(base times, linspace(0, 1, resolution))`, with one membership call
-per lifting, and every probe of every candidate leg tested.
+`ccl_verify`, `lift_in_domain`, `replay_merge_record` and the grid masks
+decide their legs with `Domain.legs_inside`, which tests only the rows of
+legs that no ball certifies.  The references below are the straightforward
+bodies: each lifting evaluated on its own, on `union1d(base times,
+linspace(0, 1, resolution))`, with one membership call per lifting; a
+replay that builds its witness and checks it; and every probe of every
+candidate leg tested.  `class_at` and `ccl_search` results are frozen on
+fixed cases.
 """
 
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
-import octoslice.quotient as quotient
-from octoslice.algebra import Octonion
+from octoslice.algebra import Octonion, UnitImaginary, tau
 from octoslice.domains import Ball, BallUnion
-from octoslice.liftings import CoupledLifting, PolyPathC, PolyPathS, ccl_verify, lift_in_domain
-from octoslice.quotient import build_quotient, replay_merge_record
+from octoslice.errors import DomainError
+from octoslice.liftings import CoupledLifting, PolyPathC, PolyPathS, ccl_search, ccl_verify, lift_in_domain
+from octoslice.quotient import build_quotient, class_at, replay_merge_record
 from octoslice.sampling import _LEG_TIMES, SamplePlan, SlicePairGrid, Subsphere
 
 E = [Octonion.basis(k) for k in range(8)]
@@ -85,6 +89,40 @@ def _reference_move_mask(grid, a, b):
     return mask
 
 
+def _reference_replay(q, record, verify=_reference_ccl_verify, lift=_reference_lift_in_domain):
+    """The witness-based replay: build the record's coupled lifting, or its unit legs, and check them."""
+    kind, col = record[0], record[1]
+    z = q.z_of(col)
+
+    def point(unit_id):
+        return Octonion(np.concatenate([[z.real], z.imag * q.units[unit_id]]))
+
+    if kind in ("arc", "real"):
+        i, j = record[2], record[3]
+        zz = complex(z.real, abs(z.imag))
+        sgn = -1.0 if z.imag < 0 else 1.0
+        ui, uj = sgn * q.units[i], sgn * q.units[j]
+        if kind == "arc" or np.linalg.norm(ui + uj) >= 0.5:
+            units2 = np.vstack([ui, uj])
+        else:
+            probe = np.eye(7)[int(np.argmin(np.abs(ui)))]
+            w = probe - (probe @ ui) * ui
+            units2 = np.vstack([ui, w / np.linalg.norm(w), uj])
+        base = PolyPathC(np.full(len(units2), zz, dtype=complex))
+        witness = CoupledLifting(base, PolyPathS(np.tile(ui, (len(units2), 1))), PolyPathS(units2))
+        return verify(witness, point(i), point(j), q.domain)[0]
+    i, j, source = record[2], record[3], record[4]
+    if q.labels[source][i] != q.labels[source][j] or q.labels[source][i] < 0:
+        return False
+    base = PolyPathC(np.array([q.z_of(source), z]))
+    for uid in (i, j):
+        fixed = PolyPathS(np.tile(q.units[uid], (2, 1)))
+        leg = CoupledLifting(base, fixed, fixed)
+        if not lift(leg.lifting(1), q.domain):
+            return False
+    return True
+
+
 def _bridged_union():
     balls = [Ball(2 * E[1], 0.5), Ball(2 * E[2], 0.5)]
     for phi in np.linspace(0.0, math.pi / 2.0, 9):
@@ -109,48 +147,24 @@ REPLAYS = {
 }
 
 
-def _bits(result):
-    """A check's result with every float as its bytes, so == compares to the last bit."""
-    if isinstance(result, tuple):
-        return tuple(_bits(r) for r in result)
-    if isinstance(result, dict):
-        return {k: _bits(v) for k, v in result.items()}
-    return np.float64(result).tobytes() if isinstance(result, float) else result
-
-
 @pytest.mark.parametrize("name", sorted(REPLAYS))
 def test_replays_match_two_call_reference(name, monkeypatch):
     domain, plan, select, failing, count = REPLAYS[name]
     q = build_quotient(domain, plan)
     records = select(q)
-    # every check a replay makes, against the reference on the same arguments
-    checks, held = [], []
-
-    def both_ccl(*args, **kwargs):
-        got = ccl_verify(*args, **kwargs)
-        checks.append((_bits(got), _bits(_reference_ccl_verify(*args, **kwargs))))
-        return got
-
-    def both_lift(*args, **kwargs):
-        got = lift_in_domain(*args, **kwargs)
-        checks.append((got, _reference_lift_in_domain(*args, **kwargs)))
-        return got
+    held = []
 
     def deep_legs(p0, p1, sag):
         out = type(domain).deep_legs(domain, p0, p1, sag)
         held.append(int(out.sum()))
         return out
 
-    monkeypatch.setattr(quotient, "ccl_verify", both_ccl)
-    monkeypatch.setattr(quotient, "lift_in_domain", both_lift)
     monkeypatch.setattr(domain, "deep_legs", deep_legs, raising=False)
     got = [replay_merge_record(q, r) for r in records]
-    assert len(checks) >= len(records)
-    assert all(g == w for g, w in checks)
-    monkeypatch.setattr(quotient, "ccl_verify", _reference_ccl_verify)
-    monkeypatch.setattr(quotient, "lift_in_domain", _reference_lift_in_domain)
-    want = [replay_merge_record(q, r) for r in records]
-    assert got == want
+    monkeypatch.undo()
+    # the witness-based replay, with the all-rows checks and with the package's
+    assert got == [_reference_replay(q, r) for r in records]
+    assert got == [_reference_replay(q, r, ccl_verify, lift_in_domain) for r in records]
     assert (len(got), got.count(False)) == (count, failing)
     if name == "bridged-union":
         assert {r[0] for r in records} == {"arc", "ride"}
@@ -159,6 +173,17 @@ def test_replays_match_two_call_reference(name, monkeypatch):
         assert {r[0] for r in records} == {"arc"}
         # the column's rows sit on the sphere: no piece can be certified
         assert sum(held) == 0
+
+
+def test_real_records_replay_as_their_real_point():
+    # every unit of a real column lifts the column's real point
+    q = build_quotient(*GRIDS["real-ball"])
+    real = [r for r in q.merge_records if r[0] == "real"]
+    assert len(real) > 100
+    got = [replay_merge_record(q, r) for r in real]
+    assert all(got) and got == [_reference_replay(q, r) for r in real]
+    outside = ("real", (0, real[0][1][1]), *real[0][2:])
+    assert not replay_merge_record(q, outside) and not _reference_replay(q, outside)
 
 
 def _ball(real, im, radius):
@@ -245,3 +270,109 @@ def test_ccl_verify_detail_equals_two_call_reference(base_vertices):
         verdicts.add(got[0])
         inside.add(got[1]["in_domain1"])
     assert verdicts == inside == {True, False}
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+def _class_at_results(domain, plan, seed, count=30):
+    """`class_at` on lifted grid vertices near the centre, as the benchmark draws them.
+
+    Half the units are random in all seven directions, so they attach
+    through long arcs, and half lie in the sampling subsphere.
+    """
+    q = build_quotient(domain, plan)
+    rng = np.random.default_rng(seed)
+    c0, r = domain.center.coeffs[0], domain.radius
+    verts = [(a, b) for a in q.alphas for b in q.betas if b >= 0.0 and abs(complex(a - c0, b)) <= 0.7 * r]
+    out = []
+    for n in range(count):
+        a, b = verts[int(rng.integers(len(verts)))]
+        u = rng.normal(size=7)
+        if n % 2:
+            u[3:] = 0.0
+        x = np.concatenate([[a], b * u / np.linalg.norm(u)])
+        try:
+            out.append(class_at(q, Octonion(x)))
+        except DomainError as exc:
+            out.append(str(exc))
+    return out
+
+
+# name: (domain, plan, query seed, sha256 of the results); the benchmark's
+# real-centred balls, with its plan
+CLASS_AT = {
+    "real-ball-a": (
+        _ball(0.2, (0.0, 0.0, 0.0), 1.0),
+        SamplePlan(seed=3, pool_max=150, quotient_step_factor=0.1),
+        21,
+        "4977da10d1aa5695fcb583c1d5aceb8aa0bd878b6cd2fb2dd575d2b1b4411731",
+    ),
+    "real-ball-b": (
+        _ball(-0.25, (0.0, 0.0, 0.0), 1.0),
+        SamplePlan(seed=8, pool_max=150, quotient_step_factor=0.1),
+        22,
+        "993d99fa62cd68fc431de78e8efc851fc5e4737cc554c05cf92f5f3c530230e1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASS_AT))
+def test_class_at_results_are_frozen(name):
+    domain, plan, seed, digest = CLASS_AT[name]
+    results = _class_at_results(domain, plan, seed)
+    assert any(isinstance(r, int) for r in results)
+    assert _digest(results) == digest
+
+
+def _two_balls():
+    return BallUnion([Ball(2 * E[1], 1.6), Ball(2 * E[2], 1.6)])
+
+
+def _hub():
+    # a real ball joins the two off-axis balls: the real anchor connects them
+    balls = [Ball(2 * E[2], 0.5), Ball(2 * E[3], 0.5), Ball(1.25 * E[2], 0.5), Ball(1.25 * E[3], 0.5)]
+    return BallUnion(balls + [Ball(Octonion.zero(), 1.2)])
+
+
+def _point(z, k):
+    return tau(UnitImaginary.basis(abs(k)) if k > 0 else -UnitImaginary.basis(-k), z)
+
+
+# name: (domain, x, x', plan seed, status, pops, sha256 of the result's JSON)
+SEARCHES = {
+    # the sampled search finds a path whose witness leaves the union
+    "two-balls-seed-0": (
+        _two_balls, _point(3j, 1), _point(3j, 2), 0, "unverified", 14691,
+        "729e630c0d0ae30869c5dc649ddb9c84bc77287fc847378c16264f699a0f1e0a",
+    ),
+    "two-balls-seed-2": (
+        _two_balls, _point(3j, 1), _point(3j, 2), 2, "unverified", 19266,
+        "453219f1b0bef4bf91070040062f14ba5d67209510c407862f8636e77f2747f3",
+    ),
+    "unit-path": (
+        lambda: Ball(Octonion.zero(), 2.0), _point(1 + 1j, 1), _point(1 + 1j, 2), 0, "found", 0,
+        "30d705aee0a3727f944268a08204d1a854d129f3b9dbbdecdfd6dfca339f3251",
+    ),
+    "unit-path-waypoint": (
+        lambda: Ball(Octonion.zero(), 2.0), _point(1 + 1j, 1), _point(1 + 1j, -1), 0, "found", 0,
+        "5d0d8bd6f98479656ad90dd83bc5f864aaf9bc44f4f0b6a5cc0ec01db23f1d00",
+    ),
+    "real-anchor": (
+        _hub, _point(2j, 2), _point(2j, 3), 0, "found", 0,
+        "c2658f5b2c97ec43addf6eaf9eb993600af8271486bdb9ee1b92bd84d133e6eb",
+    ),
+    "bridged-seed-0": (
+        _bridged_union, _point(2j, 1), _point(2j, 2), 0, "found", 911,
+        "05486c945861b3d926e427fbd7229538650806f243fef385cd61b93a59d9a4fb",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCHES))
+def test_ccl_search_results_are_frozen(name):
+    make, x, xp, seed, status, pops, digest = SEARCHES[name]
+    res = ccl_search(make(), x, xp, SamplePlan(seed=seed))
+    assert (res.status, res.nodes) == (status, pops)
+    assert _digest(res.to_json()) == digest
