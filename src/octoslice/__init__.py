@@ -12,10 +12,7 @@ from .algebra import (
     angle_between,
     basis_product,
     cd_split,
-    conj,
-    inv,
     mul,
-    norm,
     tau,
     unit_imaginary_of,
 )
@@ -27,10 +24,7 @@ __all__ = [
     "angle_between",
     "basis_product",
     "cd_split",
-    "conj",
-    "inv",
     "mul",
-    "norm",
     "tau",
     "unit_imaginary_of",
 ]

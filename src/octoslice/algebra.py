@@ -237,18 +237,6 @@ def row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(total)
 
 
-def conj(x: Octonion) -> Octonion:
-    return x.conj()
-
-
-def norm(x: Octonion) -> float:
-    return x.norm()
-
-
-def inv(x: Octonion) -> Octonion:
-    return x.inv()
-
-
 class UnitImaginary:
     """A point of the 6-sphere of unit imaginary octonions, as a 7-vector."""
 

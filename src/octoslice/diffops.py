@@ -14,19 +14,26 @@ Fueter operator combines it with the Euler operator E = sum x_l df/dx_l as
 
     dbar_F f = df/dx_0 - Im(x)^{-1} (E f) - (1/3) Im(x)^{-1} (Gamma f).
 
-Numeric core.  Gamma, the Euler and the slice Fueter operators run on
-(n, 8) coefficient batches; the one-point functions (`spherical_gamma`,
-`euler_e`, `slice_fueter_op`) are batches of one.  A field may carry two batched hooks, `evaluate_many`
-((n, 8) -> (n, 8)) and `partials_many` ((n, 8) -> (n, 8, 8), [i, k] the
-partial along axis k at row i, NaN rows where no closed form applies).  A
-field without them, a NaN row, and `use_closed=False` all go through one
-per-point fallback (`evaluate` and `partial_fd`).  Batched results equal the
-one-point results to the bit, so sampled reports stay byte-identical for a
-seed: the Gamma kernel applies y -> e_m (e_n y) as a signed permutation
-and sums the pairs in DERIVATION_PAIRS order, `mul_batch` sums in the order
-of `mul` (both through `sum_in_order`), and per-row dot products use
-`row_dot`, which runs the same dot kernel as `x @ x` (`einsum` and
-`sum(axis=1)` round some rows differently).
+Numeric core.  A field is one batched kernel: `evaluate_many` maps an
+(n, 8) array of points to their (n, 8) values, and the optional
+`partials_many` maps it to (n, 8, 8) closed-form partials, [i, k] the
+partial along axis k at row i, with NaN rows where no closed form applies.
+`partials_batch` is the one derivative path: rows with a closed form come
+from `partials_many`; NaN rows, fields without it and `use_closed=False` all
+go through one central-difference stencil, evaluated in a single
+`evaluate_many` call.  Gamma, the Euler and the slice Fueter operators run
+on these batches; the one-point functions (`partial_fd`, `spherical_gamma`,
+`euler_e`, `slice_fueter_op`) are batches of one.
+
+Each kernel treats its rows independently and rounds as the one-point
+`Octonion` arithmetic does, so sampled reports stay byte-identical for a
+seed.  The Gamma kernel applies y -> e_m (e_n y) as a signed permutation
+and sums the pairs in DERIVATION_PAIRS order; `mul_batch` sums in the order
+of `mul` (both through `sum_in_order`); per-row dot products use `row_dot`,
+which runs the same dot kernel as `x @ x` (`einsum` and `sum(axis=1)`
+round some rows differently).  Libm functions (exp, atan2, sin, cos, sqrt)
+and `**` are computed per row on Python floats: numpy's vectorised versions
+differ from libm's in the last bit on some rows.
 """
 
 from __future__ import annotations
@@ -92,32 +99,27 @@ DEFAULT_SCHEME = FDScheme()
 
 @dataclass
 class OctField:
-    """An octonion-valued field with an optional closed-form derivative.
+    """An octonion-valued field, written once as a batched kernel.
 
-    `closed_partial(x, axis)` may return None where no closed form applies;
-    callers then fall back to finite differences.  `evaluate_many` and
-    `partials_many` are the optional batched hooks of the module docstring;
-    they must agree with `evaluate` and `closed_partial` to the bit.
+    `evaluate_many` maps (n, 8) points to (n, 8) values; `partials_many`,
+    when given, maps them to (n, 8, 8) closed-form partials with NaN rows
+    where no closed form applies (see the module docstring).  `evaluate`
+    and `closed_partial` are batches of one; `closed_partial` is None where
+    the field has no closed form.
     """
 
     name: str
-    evaluate: Callable[[Octonion], Octonion]
-    closed_partial: Optional[Callable[[Octonion, int], Optional[Octonion]]] = None
-    smoothness: str = "smooth"
-    evaluate_many: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    evaluate_many: Callable[[np.ndarray], np.ndarray]
     partials_many: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
-    def __call__(self, x: Octonion) -> Octonion:
-        return self.evaluate(x)
+    def evaluate(self, x: Octonion) -> Octonion:
+        return Octonion(self.evaluate_many(x.coeffs[None, :])[0])
 
-
-def _central_diff(f: OctField, x: Octonion, axis: int, h: float) -> Octonion:
-    c = x.coeffs
-    hi = c.copy()
-    hi[axis] += h
-    lo = c.copy()
-    lo[axis] -= h
-    return (f.evaluate(Octonion(hi)) - f.evaluate(Octonion(lo))) / (2.0 * h)
+    def closed_partial(self, x: Octonion, axis: int) -> Optional[Octonion]:
+        if self.partials_many is None:
+            return None
+        row = self.partials_many(x.coeffs[None, :])[0]
+        return None if np.isnan(row).any() else Octonion(row[axis])
 
 
 def partial_fd(
@@ -130,41 +132,39 @@ def partial_fd(
     """df/dx_axis at x; closed form when the field provides one there."""
     if not 0 <= axis <= 7:
         raise DomainError(f"axis must lie in 0..7, got {axis}")
-    if use_closed and f.closed_partial is not None:
-        val = f.closed_partial(x, axis)
-        if val is not None:
-            return val
-    return _central_diff(f, x, axis, scheme.step(x.norm()))
-
-
-def evaluate_batch(f: OctField, pts: np.ndarray) -> np.ndarray:
-    """Values of f at the rows of an (n, 8) array, as (n, 8)."""
-    if f.evaluate_many is not None:
-        return f.evaluate_many(pts)
-    out = np.empty((len(pts), 8))
-    for i, p in enumerate(pts):
-        out[i] = f.evaluate(Octonion(p)).coeffs
-    return out
+    return Octonion(partials_batch(f, x.coeffs[None, :], (axis,), scheme, use_closed)[0, axis])
 
 
 def partials_batch(
     f: OctField,
     pts: np.ndarray,
-    axes: range,
+    axes,
     scheme: FDScheme = DEFAULT_SCHEME,
     use_closed: bool = True,
 ) -> np.ndarray:
-    """(n, 8, 8) array whose [i, k] is df/dx_k at pts[i], for k in `axes`."""
+    """(n, 8, 8) array whose [i, k] is df/dx_k at pts[i], for k in `axes`.
+
+    Rows without a closed form take central differences with step
+    h = step_scale * (1 + |x|), all their stencil points in one batch.
+    """
     if use_closed and f.partials_many is not None:
         parts = f.partials_many(pts)
         todo = np.flatnonzero(np.isnan(parts).any(axis=(1, 2)))
     else:
         parts = np.zeros((len(pts), 8, 8))
-        todo = range(len(pts))
-    for i in todo:
-        x = Octonion(pts[i])
-        for k in axes:
-            parts[i, k] = partial_fd(f, x, k, scheme, use_closed).coeffs
+        todo = np.arange(len(pts))
+    if len(todo) == 0:
+        return parts
+    axes = list(axes)
+    x = pts[todo]
+    h = scheme.step_scale * (1.0 + np.sqrt(row_dot(x, x)))
+    # stencil[0, i, j] = x_i + h_i e_axes[j] and stencil[1, i, j] = x_i - h_i e_axes[j]
+    stencil = np.repeat(np.stack([x, x])[:, :, None, :], len(axes), axis=2)
+    for j, k in enumerate(axes):
+        stencil[0, :, j, k] += h
+        stencil[1, :, j, k] -= h
+    vals = f.evaluate_many(stencil.reshape(-1, 8)).reshape(stencil.shape)
+    parts[todo[:, None], axes] = (vals[0] - vals[1]) / (2.0 * h)[:, None, None]
     return parts
 
 
@@ -178,7 +178,7 @@ def _gamma(pts: np.ndarray, parts: np.ndarray) -> np.ndarray:
     return -sum_in_order(np.take_along_axis(lmn, _PAIR_SRC[None], axis=2) * _PAIR_SIGN)
 
 
-def _imag_inverse(pts: np.ndarray) -> np.ndarray:
+def imag_inverse(pts: np.ndarray) -> np.ndarray:
     """Row-wise Im(x)^{-1}, computed as `Octonion.inv` computes it."""
     im = pts.copy()
     im[:, 0] = 0.0
@@ -213,7 +213,7 @@ def slice_fueter_batch(
     parts = partials_batch(f, pts, range(0, 8), scheme, use_closed)
     e_term = _euler(pts, parts)
     gamma = _gamma(pts, parts)
-    inv_im = _imag_inverse(pts)
+    inv_im = imag_inverse(pts)
     return parts[:, 0] - mul_batch(inv_im, e_term) - mul_batch(inv_im, gamma) / 3.0
 
 
@@ -239,9 +239,8 @@ def tangential_l(
     """Tangential derivation L_mn f = x_m df/dx_n - x_n df/dx_m, 1<=m<n<=7."""
     if not (1 <= m < n <= 7):
         raise DomainError(f"need 1 <= m < n <= 7, got ({m}, {n})")
-    pm = partial_fd(f, x, m, scheme, use_closed)
-    pn = partial_fd(f, x, n, scheme, use_closed)
-    return float(x.coeffs[m]) * pn - float(x.coeffs[n]) * pm
+    parts = partials_batch(f, x.coeffs[None, :], (m, n), scheme, use_closed)[0]
+    return Octonion(x.coeffs[m] * parts[n] - x.coeffs[n] * parts[m])
 
 
 def spherical_gamma(
@@ -264,6 +263,22 @@ def slice_fueter_op(
     return Octonion(slice_fueter_batch(f, x.coeffs[None, :], scheme, use_closed)[0])
 
 
+def _slice_stencil(
+    f: OctField, pair: OrthoPair, q, step: Callable[[float], float], center: bool
+) -> tuple[np.ndarray, float]:
+    """f at q +/- h e_k (rows 2k and 2k + 1), then at q itself if `center`; h = step(|q|)."""
+    q = np.asarray(q, dtype=float)
+    if q.shape != (4,):
+        raise DomainError(f"quaternion coordinates need shape (4,), got {q.shape}")
+    h = step(float(np.linalg.norm(q)))
+    rows = np.tile(q, (9 if center else 8, 1))
+    for k in range(4):
+        rows[2 * k, k] += h
+        rows[2 * k + 1, k] -= h
+    # a stack of (1, 4) @ (4, 8) products rounds as `pair.embed` does
+    return f.evaluate_many((rows[:, None, :] @ pair.basis)[:, 0, :]), h
+
+
 def cauchy_fueter_op(
     f: OctField,
     pair: OrthoPair,
@@ -275,26 +290,12 @@ def cauchy_fueter_op(
     D f = dg/dq0 + I (dg/dq1) + J (dg/dq2) + IJ (dg/dq3) for g = f on the
     slice of `pair`, each product a left multiplication.
     """
-    q = np.asarray(q, dtype=float)
-    if q.shape != (4,):
-        raise DomainError(f"quaternion coordinates need shape (4,), got {q.shape}")
-    h = scheme.step(float(np.linalg.norm(q)))
-    derivs = []
-    for k in range(4):
-        hi = q.copy()
-        hi[k] += h
-        lo = q.copy()
-        lo[k] -= h
-        derivs.append((f.evaluate(pair.embed(hi)) - f.evaluate(pair.embed(lo))) / (2.0 * h))
-    units = [
-        Octonion.one(),
-        pair.i.as_octonion(),
-        pair.j.as_octonion(),
-        pair.k.as_octonion(),
-    ]
+    vals, h = _slice_stencil(f, pair, q, scheme.step, center=False)
+    derivs = [Octonion(d) for d in (vals[0::2] - vals[1::2]) / (2.0 * h)]
+    units = [pair.i.as_octonion(), pair.j.as_octonion(), pair.k.as_octonion()]
     out = derivs[0]
-    for k in range(1, 4):
-        out = out + mul(units[k], derivs[k])
+    for unit, d in zip(units, derivs[1:]):
+        out = out + mul(unit, d)
     return out
 
 
@@ -305,21 +306,12 @@ def quaternion_laplacian(
     scheme: FDScheme = DEFAULT_SCHEME,
 ) -> Octonion:
     """4-coordinate Laplacian of the slice restriction at quaternion coords q."""
-    q = np.asarray(q, dtype=float)
-    if q.shape != (4,):
-        raise DomainError(f"quaternion coordinates need shape (4,), got {q.shape}")
-    h = scheme.step2(float(np.linalg.norm(q)))
-    center = f.evaluate(pair.embed(q))
-    out = Octonion.zero()
+    vals, h = _slice_stencil(f, pair, q, scheme.step2, center=True)
+    twice_center = 2.0 * vals[8]
+    out = np.zeros(8)
     for k in range(4):
-        hi = q.copy()
-        hi[k] += h
-        lo = q.copy()
-        lo[k] -= h
-        out = out + (
-            f.evaluate(pair.embed(hi)) - 2.0 * center + f.evaluate(pair.embed(lo))
-        ) / (h * h)
-    return out
+        out = out + (vals[2 * k] - twice_center + vals[2 * k + 1]) / (h * h)
+    return Octonion(out)
 
 
 def stencil_safe(domain: Domain, x: Octonion, h: float) -> bool:
@@ -383,8 +375,8 @@ def sliceness_check(
                 n_samples += len(pts)
                 xs = np.array([x.coeffs for x in pts])
                 gamma = gamma_batch(f, xs, scheme, use_closed)
-                vals1 = evaluate_batch(f, xs) - gamma / 6.0
-                vals2 = mul_batch(_imag_inverse(xs), gamma)
+                vals1 = f.evaluate_many(xs) - gamma / 6.0
+                vals2 = mul_batch(imag_inverse(xs), gamma)
                 for vals in (vals1, vals2):
                     diffs = np.linalg.norm(vals[:, None, :] - vals[None, :, :], axis=2)
                     spread = float(diffs.max())

@@ -129,10 +129,6 @@ class Domain:
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
-    def diameter(self) -> float:
-        lo, hi = self.bounding_box()
-        return float(np.linalg.norm(hi - lo))
-
     def z_window(self) -> tuple[float, float, float]:
         """Extent of the complex projection: (alpha_lo, alpha_hi, beta_max).
 
@@ -315,9 +311,6 @@ class Ball(Domain):
         c = self.center.coeffs
         return c - self.radius, c + self.radius
 
-    def diameter(self) -> float:
-        return 2.0 * self.radius
-
     def z_window(self) -> tuple[float, float, float]:
         c = self.center.coeffs
         im_norm = float(np.linalg.norm(c[1:]))
@@ -370,14 +363,6 @@ class BallUnion(Domain):
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         los, his = zip(*(b.bounding_box() for b in self.balls))
         return np.min(los, axis=0), np.max(his, axis=0)
-
-    def diameter(self) -> float:
-        gaps = [
-            float(np.linalg.norm(a.center.coeffs - b.center.coeffs)) + a.radius + b.radius
-            for a in self.balls
-            for b in self.balls
-        ]
-        return max(gaps)
 
     def z_window(self) -> tuple[float, float, float]:
         windows = [b.z_window() for b in self.balls]
@@ -504,10 +489,10 @@ class BallChain(Domain):
     def center_at(self, theta: float) -> Octonion:
         return Octonion(self._centers(np.array([theta]))[0])
 
-    def nearest_theta(self, x: Octonion) -> tuple[float, float]:
-        """Grid theta whose ball center is nearest to x, with the distance."""
-        dist, idx = self._tree.query(x.coeffs)
-        return float(self.thetas[int(idx)]), float(dist)
+    def nearest_thetas(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Grid theta of the nearest ball center, and its distance, per row of (n, 8) points."""
+        dist, idx = self._tree.query(pts)
+        return self.thetas[idx], dist
 
     def contains_batch(self, pts: np.ndarray) -> np.ndarray:
         # Points with no center within RADIUS come back at distance inf.

@@ -12,6 +12,12 @@ Two structured examples drive most verification:
 Baseline fields (constant, identity, gaussian, coordinate probe, affine
 slice field) cover the cheap positive and negative cases.  Everything is
 registered by name for the command-line tools.
+
+Each field is written once, as the batched kernels of `OctField`: values
+and closed-form partials of (n, 8) points.  Like every kernel of the
+package they round row by row as the one-point arithmetic would, so libm
+functions (exp, atan2, sin, cos, sqrt) and `**` are computed per row on
+Python floats.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import Octonion, UnitImaginary, row_dot, unit_imaginary_of
+from .algebra import Octonion, UnitImaginary, row_dot
 from .diffops import OctField
 from .domains import Ball, BallChain, Domain, SlabCone
 from .errors import ConditioningError, DomainError
@@ -86,27 +92,13 @@ def slab_cone_field(i0: Optional[UnitImaginary] = None) -> GoldenField:
     domain = SlabCone(i0)
     axis = i0.vec
 
-    def branch_sign(x: Octonion) -> int:
-        b = x.im_norm
-        cosang = float(x.coeffs[1:] @ axis) / b
-        if cosang > _COS_HALF:
-            return 1
-        if cosang < -_COS_HALF:
-            return -1
-        raise DomainError("point lies outside the slab-cone domain")
-
     def branch_signs(pts: np.ndarray, b: np.ndarray) -> np.ndarray:
+        # +1 in the cone around I0, -1 in the cone around -I0
         cosang = row_dot(pts[:, 1:], axis) / b
         signs = np.where(cosang > _COS_HALF, 1.0, np.where(cosang < -_COS_HALF, -1.0, 0.0))
         if not signs.all():
             raise DomainError("point lies outside the slab-cone domain")
         return signs
-
-    def evaluate(x: Octonion) -> Octonion:
-        b = x.im_norm
-        if b < 1.0:
-            return Octonion.zero()
-        return branch_sign(x) * (b - 1.0) * x
 
     def evaluate_many(pts: np.ndarray) -> np.ndarray:
         b = _im_norms(pts)
@@ -116,22 +108,11 @@ def slab_cone_field(i0: Optional[UnitImaginary] = None) -> GoldenField:
         out[cone] = x * (branch_signs(x, bc) * (bc - 1.0))[:, None]
         return out
 
-    def closed_partial(x: Octonion, axis_idx: int) -> Optional[Octonion]:
-        b = x.im_norm
-        if b < 1.0:
-            return Octonion.zero()
-        if abs(b - 1.0) <= 1e-12:
-            return None
-        s = branch_sign(x)
-        if axis_idx == 0:
-            return _scalar(s * (b - 1.0))
-        xk = float(x.coeffs[axis_idx])
-        return s * ((xk / b) * x + (b - 1.0) * Octonion.basis(axis_idx))
-
     def partials_many(pts: np.ndarray) -> np.ndarray:
         b = _im_norms(pts)
         parts = np.zeros((len(pts), 8, 8))
         cone = ~(b < 1.0)
+        # no closed form on the seam |Im x| = 1 between slab and cones
         seam = cone & (np.abs(b - 1.0) <= 1e-12)
         parts[seam] = np.nan
         live = cone & ~seam
@@ -144,15 +125,7 @@ def slab_cone_field(i0: Optional[UnitImaginary] = None) -> GoldenField:
         parts[live] = rows
         return parts
 
-    field = OctField(
-        "slab-cone",
-        evaluate,
-        closed_partial,
-        smoothness="piecewise",
-        evaluate_many=evaluate_many,
-        partials_many=partials_many,
-    )
-    return GoldenField("slab-cone", field, domain)
+    return GoldenField("slab-cone", OctField("slab-cone", evaluate_many, partials_many), domain)
 
 
 # ---------------------------------------------------------------------------
@@ -236,48 +209,55 @@ def sqrt_sfr_field(
     domain = BallChain(i, j)
     cutoff = 5.0 * math.pi / 6.0
 
-    def branch_uv(x: Octonion) -> tuple[float, float, float]:
-        theta, dist = domain.nearest_theta(x)
-        if dist >= domain.RADIUS:
+    def branch_rows(pts: np.ndarray):
+        """Per row: |Im x|, the unit Im(x) / |Im x| as a row, and the branch's
+        stem (u, v) and derivative sign, from the nearest chain ball's theta."""
+        thetas, dists = domain.nearest_thetas(pts)
+        if (dists >= domain.RADIUS).any():
             raise DomainError("point lies outside the ball chain")
-        b = x.im_norm
-        z = complex(x.re, b)
-        if abs(theta) <= cutoff:
-            u, v = _sqrt_uv(z)
-            return u, v, 1.0
-        u, v = _sqrt_uv_tilde(z)
-        if theta > cutoff:
-            return u, v, 1.0
-        return -u, -v, -1.0
+        b = _im_norms(pts)
+        units = np.zeros(pts.shape)
+        units[:, 1:] = pts[:, 1:] / b[:, None]
+        stems = np.empty((len(pts), 3))
+        for r, (a, beta, theta) in enumerate(zip(pts[:, 0].tolist(), b.tolist(), thetas.tolist())):
+            z = complex(a, beta)
+            if abs(theta) <= cutoff:
+                stems[r] = _sqrt_uv(z) + (1.0,)
+                continue
+            # past the cutoff: the branch continued across Im z = 2, sign-flipped
+            # below -cutoff; on Im z = 2 itself atan2(+0.0, alpha < 0) = pi, the
+            # limit from above
+            u, v = _sqrt_uv_tilde(z)
+            sgn = 1.0 if beta - 2.0 >= 0.0 else -1.0
+            stems[r] = (-u, -v, -sgn) if theta < -cutoff else (u, v, sgn)
+        return (b, units, *stems.T)
 
-    def evaluate(x: Octonion) -> Octonion:
-        u, v, _ = branch_uv(x)
-        return _scalar(u) + v * unit_imaginary_of(x).as_octonion()
+    def evaluate_many(pts: np.ndarray) -> np.ndarray:
+        _, units, u, v, _ = branch_rows(pts)
+        return _scalar_rows(u) + units * v[:, None]
 
-    def closed_partial(x: Octonion, axis_idx: int) -> Octonion:
-        theta, dist = domain.nearest_theta(x)
-        if dist >= domain.RADIUS:
-            raise DomainError("point lies outside the ball chain")
-        b = x.im_norm
-        z = complex(x.re, b)
-        if abs(theta) <= cutoff:
-            sgn = 1.0
-        else:
-            # on Im z = 2 itself atan2(+0.0, alpha < 0) = pi, the limit from above
-            sgn = 1.0 if b - 2.0 >= 0.0 else -1.0
-            if theta < -cutoff:
-                sgn = -sgn
-        du_da, du_db, dv_da, dv_db = (sgn * p for p in _sqrt_partials_raw(z))
-        _, v, flip = branch_uv(x)
-        unit = unit_imaginary_of(x).as_octonion()
-        if axis_idx == 0:
-            return _scalar(du_da) + dv_da * unit
-        xk = float(x.coeffs[axis_idx])
-        im = x.imag_part()
-        dunit = (1.0 / b) * Octonion.basis(axis_idx) - (xk / b ** 3) * im
-        return _scalar((xk / b) * du_db) + v * dunit + (xk / b) * dv_db * unit
+    def partials_many(pts: np.ndarray) -> np.ndarray:
+        b, units, _, v, sgn = branch_rows(pts)
+        zs = [complex(a, beta) for a, beta in zip(pts[:, 0].tolist(), b.tolist())]
+        raw = np.array([_sqrt_partials_raw(z) for z in zs]).reshape(-1, 4)
+        du_da, du_db, dv_da, dv_db = (sgn[:, None] * raw).T
+        b3 = np.array([z.imag ** 3 for z in zs])
+        im = pts.copy()
+        im[:, 0] = 0.0
+        xb = pts[:, 1:] / b[:, None]
+        # d(Im x / |Im x|) / dx_k = e_k / b - (x_k / b^3) Im x
+        dunit = _EYE[1:] * (1.0 / b)[:, None, None]
+        dunit = dunit - im[:, None, :] * (pts[:, 1:] / b3[:, None])[:, :, None]
+        parts = np.empty((len(pts), 8, 8))
+        parts[:, 0] = _scalar_rows(du_da) + units * dv_da[:, None]
+        parts[:, 1:] = (
+            _E0 * (xb * du_db[:, None])[:, :, None]
+            + dunit * v[:, None, None]
+            + units[:, None, :] * (xb * dv_db[:, None])[:, :, None]
+        )
+        return parts
 
-    field = OctField("sqrt-example", evaluate, closed_partial)
+    field = OctField("sqrt-example", evaluate_many, partials_many)
     return GoldenField("sqrt-example", field, domain, stem=sqrt_stem_main())
 
 
@@ -293,25 +273,17 @@ def _const_stem(value: Octonion) -> StemField:
 
 
 def constant_field() -> GoldenField:
-    value = Octonion(_CONSTANT)
     field = OctField(
         "constant",
-        lambda x: value,
-        lambda x, axis: Octonion.zero(),
-        evaluate_many=lambda pts: _tiled(_CONSTANT, len(pts)),
-        partials_many=lambda pts: np.zeros((len(pts), 8, 8)),
+        lambda pts: _tiled(_CONSTANT, len(pts)),
+        lambda pts: np.zeros((len(pts), 8, 8)),
     )
-    return GoldenField("constant", field, Ball(Octonion.zero(), 3.0), stem=_const_stem(value))
+    stem = _const_stem(Octonion(_CONSTANT))
+    return GoldenField("constant", field, Ball(Octonion.zero(), 3.0), stem=stem)
 
 
 def identity_field() -> GoldenField:
-    field = OctField(
-        "identity",
-        lambda x: x,
-        lambda x, axis: Octonion.basis(axis),
-        evaluate_many=lambda pts: pts.copy(),
-        partials_many=lambda pts: _tiled(_EYE, len(pts)),
-    )
+    field = OctField("identity", lambda pts: pts.copy(), lambda pts: _tiled(_EYE, len(pts)))
     one, zero = Octonion.one(), Octonion.zero()
     stem = StemField(
         lambda z: _scalar(z.real),
@@ -322,23 +294,14 @@ def identity_field() -> GoldenField:
 
 
 def gaussian_field() -> GoldenField:
-    def evaluate(x: Octonion) -> Octonion:
-        return _scalar(math.exp(-float(x.coeffs @ x.coeffs)))
-
-    def closed_partial(x: Octonion, axis: int) -> Octonion:
-        return -2.0 * float(x.coeffs[axis]) * evaluate(x)
-
     def evaluate_many(pts: np.ndarray) -> np.ndarray:
-        # math.exp per row: numpy's exp differs from libm's in the last bit
         sq = row_dot(pts, pts).tolist()
         return _scalar_rows(np.array([math.exp(-t) for t in sq]))
 
     def partials_many(pts: np.ndarray) -> np.ndarray:
         return evaluate_many(pts)[:, None, :] * (-2.0 * pts)[:, :, None]
 
-    field = OctField(
-        "gaussian", evaluate, closed_partial, evaluate_many=evaluate_many, partials_many=partials_many
-    )
+    field = OctField("gaussian", evaluate_many, partials_many)
 
     def u_fn(z: complex) -> Octonion:
         return _scalar(math.exp(-(z.real ** 2 + z.imag ** 2)))
@@ -358,24 +321,14 @@ def coord_probe_field() -> GoldenField:
     probe_partials[1, 0] = 1.0
     field = OctField(
         "coord-probe",
-        lambda x: _scalar(float(x.coeffs[1])),
-        lambda x, axis: Octonion.one() if axis == 1 else Octonion.zero(),
-        evaluate_many=lambda pts: _scalar_rows(pts[:, 1]),
-        partials_many=lambda pts: _tiled(probe_partials, len(pts)),
+        lambda pts: _scalar_rows(pts[:, 1]),
+        lambda pts: _tiled(probe_partials, len(pts)),
     )
     return GoldenField("coord-probe", field, Ball(Octonion.zero(), 3.0))
 
 
 def affine_regular_field() -> GoldenField:
     """f(x) = 3 Re(x) + Im(x): an entire nonconstant slice Fueter-regular field."""
-
-    def evaluate(x: Octonion) -> Octonion:
-        return _scalar(3.0 * x.re) + x.imag_part()
-
-    def closed_partial(x: Octonion, axis: int) -> Octonion:
-        if axis == 0:
-            return _scalar(3.0)
-        return Octonion.basis(axis)
 
     def evaluate_many(pts: np.ndarray) -> np.ndarray:
         im = pts.copy()
@@ -384,13 +337,7 @@ def affine_regular_field() -> GoldenField:
 
     affine_partials = np.eye(8)
     affine_partials[0, 0] = 3.0
-    field = OctField(
-        "affine-regular",
-        evaluate,
-        closed_partial,
-        evaluate_many=evaluate_many,
-        partials_many=lambda pts: _tiled(affine_partials, len(pts)),
-    )
+    field = OctField("affine-regular", evaluate_many, lambda pts: _tiled(affine_partials, len(pts)))
     one, zero = Octonion.one(), Octonion.zero()
     stem = StemField(
         lambda z: _scalar(3.0 * z.real),

@@ -37,7 +37,7 @@ from .diffops import DEFAULT_SCHEME, FDScheme, OctField
 from .domains import Domain
 from .errors import DomainError, PreconditionError
 from .sampling import SamplePlan, SlicePairGrid, Subsphere, arc_sags
-from .stems import StemVector, stem_from_gamma
+from .stems import StemVector, gamma_stem_rows
 
 _ANTIPODAL_TOL = 1e-6
 # Knots that split a lifting into pieces for `Domain.deep_legs`.
@@ -764,12 +764,11 @@ def stem_transport(
     the same stem vector; the deviation reports how far the two ends differ.
     """
     x = witness.lifting(1).eval(1.0)
-    xp = witness.lifting(2).eval(1.0)
+    pts = np.stack([x.coeffs, witness.lifting(2).eval(1.0).coeffs])
     if x.im_norm <= 1e-9:
-        s = StemVector(f.evaluate(x), Octonion.zero())
-        sp = StemVector(f.evaluate(xp), Octonion.zero())
+        us, vs = f.evaluate_many(pts), np.zeros((2, 8))
     else:
-        s = stem_from_gamma(f, x, scheme, use_closed)
-        sp = stem_from_gamma(f, xp, scheme, use_closed)
+        us, vs = gamma_stem_rows(f, pts, scheme, use_closed)
+    s, sp = (StemVector(Octonion(u), Octonion(v)) for u, v in zip(us, vs))
     dev = max((s.u - sp.u).norm(), (s.v - sp.v).norm())
     return TransportResult(s, sp, dev)

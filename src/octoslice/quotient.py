@@ -50,7 +50,7 @@ from .errors import DomainError, EmptySampleError, IntegrityError
 from .liftings import _coupled_check, _even_times, _liftings_inside
 from .report import Report
 from .sampling import SamplePlan, SlicePairGrid, Subsphere, arc_points, arc_sags, components
-from .stems import StemVector, stem_from_gamma
+from .stems import StemVector, gamma_stem_rows
 
 ColKey = tuple[int, int]
 
@@ -397,18 +397,16 @@ def quotient_stem(
     if abs(beta) <= 1e-9:
         x = Octonion.from_real_imag(cls.z.real, np.zeros(7))
         return StemVector(f.evaluate(x), Octonion.zero())
-    stems = []
-    for x in tau_rows(cls.z.real, beta, q.units[list(cls.unit_ids)]):
-        s = stem_from_gamma(f, Octonion(x), scheme, use_closed)
-        stems.append(StemVector(s.u, -s.v) if beta < 0 else s)
-    us = np.array([s.u.coeffs for s in stems])
-    vs = np.array([s.v.coeffs for s in stems])
+    pts = tau_rows(cls.z.real, beta, q.units[list(cls.unit_ids)])
+    us, vs = gamma_stem_rows(f, pts, scheme, use_closed)
+    if beta < 0:
+        vs = -vs
     spread = max(float(np.ptp(us, axis=0).max()), float(np.ptp(vs, axis=0).max()))
     if spread > 1e-6:
         raise IntegrityError(
             f"class {class_id} stems disagree by {spread:.3e}; a merge is invalid"
         )
-    return stems[0]
+    return StemVector(Octonion(us[0]), Octonion(vs[0]))
 
 
 def class_at(q: QuotientSample, x: Octonion) -> int:

@@ -27,15 +27,26 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import REAL_AXIS_TOL, Octonion, OrthoPair, UnitImaginary, mul, orthogonal_unit, row_dot, tau
+from .algebra import (
+    REAL_AXIS_TOL,
+    Octonion,
+    OrthoPair,
+    UnitImaginary,
+    mul,
+    mul_batch,
+    orthogonal_unit,
+    row_dot,
+    tau,
+    tau_rows,
+)
 from .diffops import (
     DEFAULT_SCHEME,
     FDScheme,
     OctField,
-    evaluate_batch,
+    gamma_batch,
+    imag_inverse,
     slice_fueter_batch,
     sliceness_check,
-    spherical_gamma,
     stencil_safe,
 )
 from .domains import Ball, Domain
@@ -100,6 +111,12 @@ class BVResidual:
         return {"r1": None if self.r1 is None else self.r1.to_list(), "r2": self.r2.to_list()}
 
 
+def _slice_values(f: OctField, z: complex, units: tuple[UnitImaginary, ...]) -> list[Octonion]:
+    """f at the slice points z_I of the given units, in one batch."""
+    vals = f.evaluate_many(tau_rows(z.real, z.imag, np.stack([u.vec for u in units])))
+    return [Octonion(v) for v in vals]
+
+
 def stem_from_two_units(
     f: OctField,
     z: complex,
@@ -118,12 +135,31 @@ def stem_from_two_units(
     sep = float(np.linalg.norm(i1.vec - i2.vec))
     if sep < SEP_MIN:
         raise ConditioningError(f"units too close for stable interpolation: |I1-I2| = {sep}")
-    f1 = f.evaluate(tau(i1, z))
-    f2 = f.evaluate(tau(i2, z))
+    f1, f2 = _slice_values(f, z, (i1, i2))
     diff_units = i1.as_octonion() - i2.as_octonion()
     v = mul(diff_units.inv(), f1 - f2)
     u = f1 - mul(i1.as_octonion(), v)
     return StemVector(u, v)
+
+
+def gamma_stem_rows(
+    f: OctField,
+    pts: np.ndarray,
+    scheme: FDScheme = DEFAULT_SCHEME,
+    use_closed: bool = True,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stem vectors (u, v) at the off-axis rows of an (n, 8) array, as two (n, 8) arrays.
+
+    u = f(x) - Gamma f(x) / 6 and v = (|Im x| / 6) Im(x)^{-1} (Gamma f(x)).
+    """
+    ims = pts[:, 1:]
+    b = np.sqrt(row_dot(ims, ims))
+    if (b <= 1e-9).any():
+        raise DomainError("gamma stem extraction needs an off-axis point")
+    g = gamma_batch(f, pts, scheme, use_closed)
+    u = f.evaluate_many(pts) - g / 6.0
+    v = mul_batch(imag_inverse(pts), g) * (b / 6.0)[:, None]
+    return u, v
 
 
 def stem_from_gamma(
@@ -132,17 +168,9 @@ def stem_from_gamma(
     scheme: FDScheme = DEFAULT_SCHEME,
     use_closed: bool = True,
 ) -> StemVector:
-    """Stem vector at one off-axis point from the Gamma identity.
-
-    u = f(x) - Gamma f(x) / 6 and v = (|Im x| / 6) Im(x)^{-1} (Gamma f(x)).
-    """
-    b = x.im_norm
-    if b <= 1e-9:
-        raise DomainError("gamma stem extraction needs an off-axis point")
-    g = spherical_gamma(f, x, scheme, use_closed)
-    u = f.evaluate(x) - g / 6.0
-    v = (b / 6.0) * mul(x.imag_part().inv(), g)
-    return StemVector(u, v)
+    """Stem vector at one off-axis point from the Gamma identity."""
+    u, v = gamma_stem_rows(f, x.coeffs[None, :], scheme, use_closed)
+    return StemVector(Octonion(u[0]), Octonion(v[0]))
 
 
 def reconstruct_third(
@@ -163,8 +191,7 @@ def reconstruct_third(
     if sep < SEP_MIN:
         raise ConditioningError(f"units too close for stable reconstruction: |I1-I2| = {sep}")
     q = (i1.as_octonion() - i2.as_octonion()).inv()
-    f1 = f.evaluate(tau(i1, z))
-    f2 = f.evaluate(tau(i2, z))
+    f1, f2 = _slice_values(f, z, (i1, i2))
     o3 = i3.as_octonion()
     return mul(o3 - i2.as_octonion(), mul(q, f1)) - mul(o3 - i1.as_octonion(), mul(q, f2))
 
@@ -347,7 +374,7 @@ def modulus_local_max_scan(
             inside = domain.contains_batch(pts)
             nodes, pts = nodes[inside], pts[inside]
         if len(nodes):
-            values = evaluate_batch(f, pts)
+            values = f.evaluate_many(pts)
             flat[nodes] = np.sqrt(row_dot(values, values))
     core = vals[1:-1, 1:-1, 1:-1, 1:-1]
     strict = np.isfinite(core)

@@ -1,4 +1,5 @@
-"""Shared pytest options: slow tests run only when asked for with --run-slow."""
+"""Shared pytest options: slow tests run only when asked for with --run-slow, and
+numpy's RuntimeWarnings (overflow, invalid value, division by zero) fail a test."""
 
 import pytest
 
@@ -9,6 +10,8 @@ def pytest_addoption(parser):
 
 def pytest_configure(config):
     config.addinivalue_line("markers", "slow: long-running test, skipped unless --run-slow is given")
+    # a batched kernel over masked rows must not make an inf or NaN silently
+    config.addinivalue_line("filterwarnings", "error::RuntimeWarning")
 
 
 def pytest_collection_modifyitems(config, items):

@@ -76,7 +76,7 @@ def test_chain_mask_equals_unbounded_nearest_distance():
 
 def test_chain_margin_and_nearest_theta_keep_true_distance():
     x = Octonion(CHAIN.centers[100] + np.full(8, 1.0))
-    theta, dist = CHAIN.nearest_theta(x)
+    (theta,), (dist,) = CHAIN.nearest_thetas(x.coeffs[None, :])
     assert dist > CHAIN.RADIUS and math.isfinite(dist)
     assert CHAIN.margin(x) == CHAIN.RADIUS - dist
 

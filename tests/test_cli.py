@@ -414,6 +414,23 @@ _FROZEN_ARGV.append(["op", "--name", "slice-fueter", "--field", "sqrt-example", 
 for _field in ("identity", "affine-regular", "slab-cone"):
     _FROZEN_ARGV.append(["stem", "--field", _field, "--z", "[0.4, 1.7]", "--unit", _UNIT])
     _FROZEN_ARGV.append(["stem", "--field", _field, "--z", "[-0.7, 2.2]", "--units", _UNITS])
+# the square-root field, recorded before every field became one batched kernel
+_SQRT_UNIT = "[2.3, 0.1, 0.02, 0, 0, 0, -0.01]"
+_FROZEN_ARGV.append(["eval", "--field", "sqrt-example", "--point", _SQRT_POINT])
+for _name in ("gamma", "euler", "slice-fueter", "cauchy-fueter", "slice-laplacian"):
+    for _fd in ((), ("--fd",)):
+        _FROZEN_ARGV.append(["op", "--name", _name, "--field", "sqrt-example", "--point", _SQRT_POINT, *_fd])
+for _fd in ((), ("--fd",)):
+    _FROZEN_ARGV.append(["stem", "--field", "sqrt-example", "--z", "[0.93, 2.3]", "--unit", _SQRT_UNIT, *_fd])
+# criterion 11's sqrt plan at the default seed, and criterion 10's centre
+_FROZEN_ARGV.append([
+    "slice-check", "--field", "sqrt-example", "--seed", "20260830",
+    "--plan", json.dumps({"a_values": [-1, 0, 1], "b_values": [1.5, 2.0, 2.5]}),
+])
+_FROZEN_ARGV.append([
+    "maxmod-scan", "--field", "sqrt-example",
+    "--grid", json.dumps({"center": [1, 2, 0, 0], "half_widths": [0.12] * 4, "counts": [5] * 4}),
+])
 
 _FROZEN_SHA256 = [
     "04f6e697bc8943a89120ed770335201edb04720fcd371aecbed065e9fb87ca3d",
@@ -451,6 +468,21 @@ _FROZEN_SHA256 = [
     "883490349413577012eb5eccac4d3dc8d228ee6a7894296e669d05816ad4a5ae",
     "bcca9ab20ff5e6a73ada0a58bce7eec6b267a533d85c0cb2a9ef57670bc0c2a1",
     "e1302e2b6be27f5783ded16d37053fd0132c2fd4bc9630f279330bc38b168bed",
+    "59653b89c1df49f1c8d113124a4d7a78f62ee5991e675cf194bafd35095dfdbe",
+    "ea654371dcb756301130acf622cf32cb416986cbd7ca634aea32fbb65d3b8123",
+    "b1176a483d352f600df2a68dcb8854dcd035b98c417ffac449a4add044efc6d9",
+    "34b50b940e22b1d7183af47c9e2954c5e1afa2388329a5f507784b30eb76f0d5",
+    "5ec2757a4067dbc77a445216a142e63fc9f5bd0935fb62ad7f8989dddf879679",
+    "b2709647148c2686b58c844184eca8ec5ff639b7eb6aae0e8a6a8b88b50d6dea",
+    "768ea15ee05bcbc317b775729a6869789f063a1184ddac7d477409a5f320130f",
+    "1606db8e4909d758a3031294a99434448c1b286fe458054f656991f13b58613b",
+    "1606db8e4909d758a3031294a99434448c1b286fe458054f656991f13b58613b",
+    "e9f1feb36456c82765d7a26e567d69acf1e34c6cbed4f714ea1e336040b0ce43",
+    "e9f1feb36456c82765d7a26e567d69acf1e34c6cbed4f714ea1e336040b0ce43",
+    "53c440623f8ab38c35c9b50ae3724bda6ce1ecd3ff523ae2d287bf3f79e84d22",
+    "6b008e539800fccd21071eca772c1590403e3578372b95b6e5a0f62be1241765",
+    "2f9adf2c3f9062dad826178fbb99e09b8774fcb602ea006966635798cfa3da5d",
+    "9b6aa51209cfa11b03c6c0d485e26f456320d2a8a0077c024a22251241730d91",
 ]
 
 

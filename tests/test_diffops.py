@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from octoslice.algebra import Octonion, OrthoPair, UnitImaginary, mul, tau, unit_imaginary_of
+from octoslice.algebra import Octonion, OrthoPair, UnitImaginary, tau
 from octoslice.diffops import (
     DERIVATION_PAIRS,
     OctField,
@@ -19,17 +19,29 @@ from octoslice.errors import DomainError
 from octoslice.golden import get_field
 from octoslice.sampling import SamplePlan
 
-IDENT = OctField("id", lambda x: x, lambda x, a: Octonion.basis(a))
-RE_FIELD = OctField(
-    "re",
-    lambda x: x.re * Octonion.one(),
-    lambda x, a: Octonion.one() if a == 0 else Octonion.zero(),
-)
-IM_FIELD = OctField(
-    "im",
-    lambda x: x.imag_part(),
-    lambda x, a: Octonion.zero() if a == 0 else Octonion.basis(a),
-)
+_E0 = np.eye(8)[0]
+_RE_PARTIALS = np.zeros((8, 8))
+_RE_PARTIALS[0, 0] = 1.0
+_IM_PARTIALS = np.diag([0.0] + [1.0] * 7)
+
+
+def _constant_partials(block):
+    return lambda pts: np.tile(block, (len(pts), 1, 1))
+
+
+def _real_rows(values):
+    return _E0 * values[:, None]
+
+
+def _imag_rows(pts):
+    im = pts.copy()
+    im[:, 0] = 0.0
+    return im
+
+
+IDENT = OctField("id", lambda pts: pts.copy(), _constant_partials(np.eye(8)))
+RE_FIELD = OctField("re", lambda pts: _real_rows(pts[:, 0]), _constant_partials(_RE_PARTIALS))
+IM_FIELD = OctField("im", _imag_rows, _constant_partials(_IM_PARTIALS))
 
 
 def rand_offaxis(rng, n, lo=0.5):
@@ -80,11 +92,11 @@ def test_cauchy_fueter_of_identity():
 
 def test_quaternion_laplacian_values():
     pair = OrthoPair(UnitImaginary.basis(1), UnitImaginary.basis(2))
-    sq = OctField("sq", lambda x: float(x.coeffs @ x.coeffs) * Octonion.one())
+    sq = OctField("sq", lambda pts: _real_rows(np.einsum("ij,ij->i", pts, pts)))
 
-    def harm(x):
-        q = pair.coords(x)
-        return (q[0] ** 2 - q[1] ** 2) * Octonion.one()
+    def harm(pts):
+        q = pts @ pair.basis.T
+        return _real_rows(q[:, 0] ** 2 - q[:, 1] ** 2)
 
     harmonic = OctField("harm", harm)
     q = np.array([0.3, -0.2, 0.5, 0.1])
@@ -93,7 +105,7 @@ def test_quaternion_laplacian_values():
 
 
 def test_tangential_derivation():
-    probe = OctField("x1", lambda x: float(x.coeffs[1]) * Octonion.one())
+    probe = OctField("x1", lambda pts: _real_rows(pts[:, 1]))
     rng = np.random.default_rng(14)
     for _ in range(5):
         x = Octonion(rng.normal(size=8))
@@ -136,11 +148,14 @@ def test_gamma_stem_lemma_on_golden_fields():
 
 
 def slice_field_from_stem(u_fn, v_fn):
-    def evaluate(x):
-        z = complex(x.re, x.im_norm)
-        return u_fn(z) * Octonion.one() + v_fn(z) * unit_imaginary_of(x).as_octonion()
+    def evaluate_many(pts):
+        b = np.linalg.norm(pts[:, 1:], axis=1)
+        zs = [complex(a, beta) for a, beta in zip(pts[:, 0], b)]
+        u = np.array([u_fn(z) for z in zs])
+        v = np.array([v_fn(z) for z in zs])
+        return _real_rows(u) + _imag_rows(pts) / b[:, None] * v[:, None]
 
-    return OctField("stem-induced", evaluate)
+    return OctField("stem-induced", evaluate_many)
 
 
 def test_fueter_splits_into_bers_vekua_residuals():

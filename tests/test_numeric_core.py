@@ -1,25 +1,33 @@
 """The batched numeric core against the one-point loops it replaced.
 
-The reference functions below are the scalar implementations of Gamma, the
-Euler and slice Fueter operators, `sliceness_check`, `sfr_check` and
-`modulus_local_max_scan`: one point at a time, one `mul` per product.  The
-batched code must reproduce them to the bit (`np.array_equal`, equal report
-JSON), for every golden field, with closed-form partials and without.
+The reference functions below and in `scalar_reference` are the scalar
+implementations of the golden fields, of Gamma, the Euler and slice Fueter
+operators, `sliceness_check`, `sfr_check` and `modulus_local_max_scan`: one
+point at a time, one `mul` per product.  The batched code must reproduce
+them to the bit (equal bits, equal report JSON), for every golden field,
+with closed-form partials and without.
 """
 
 import math
 
 import numpy as np
 import pytest
+from scalar_reference import (
+    ScalarField,
+    ref_euler,
+    ref_gamma,
+    ref_partial,
+    ref_slice_fueter,
+    same_bits,
+    scalar_field,
+)
 
 from octoslice import cli
 from octoslice.algebra import Octonion, OrthoPair, UnitImaginary, mul, row_dot, tau
 from octoslice.diffops import (
     DEFAULT_SCHEME,
-    DERIVATION_PAIRS,
     OctField,
     euler_e,
-    evaluate_batch,
     gamma_batch,
     partial_fd,
     partials_batch,
@@ -36,47 +44,11 @@ from octoslice.report import Report, ScanReport
 from octoslice.sampling import SamplePlan, Subsphere, components, unit_graph_edges
 from octoslice.stems import MAX_GRID_NODES, GridSpec, modulus_local_max_scan, sfr_check
 
-_BASIS = [Octonion.basis(k) for k in range(8)]
 PAIR = OrthoPair(UnitImaginary.basis(1), UnitImaginary.basis(2))
 
 
 # ---------------------------------------------------------------------------
 # Scalar references
-
-
-def ref_partials(f, x, axes, use_closed):
-    return {k: partial_fd(f, x, k, DEFAULT_SCHEME, use_closed) for k in axes}
-
-
-def ref_gamma_from_partials(x, parts):
-    c = x.coeffs
-    out = Octonion.zero()
-    for m, n in DERIVATION_PAIRS:
-        lmn = float(c[m]) * parts[n] - float(c[n]) * parts[m]
-        out = out + mul(_BASIS[m], mul(_BASIS[n], lmn))
-    return -out
-
-
-def ref_gamma(f, x, use_closed=True):
-    return ref_gamma_from_partials(x, ref_partials(f, x, range(1, 8), use_closed))
-
-
-def ref_euler(f, x, use_closed=True):
-    parts = ref_partials(f, x, range(1, 8), use_closed)
-    out = Octonion.zero()
-    for l in range(1, 8):
-        out = out + float(x.coeffs[l]) * parts[l]
-    return out
-
-
-def ref_slice_fueter(f, x, use_closed=True):
-    parts = ref_partials(f, x, range(0, 8), use_closed)
-    e_term = Octonion.zero()
-    for l in range(1, 8):
-        e_term = e_term + float(x.coeffs[l]) * parts[l]
-    gamma = ref_gamma_from_partials(x, parts)
-    inv_im = x.imag_part().inv()
-    return parts[0] - mul(inv_im, e_term) - mul(inv_im, gamma) / 3.0
 
 
 def ref_member_units(domain, a, b, units):
@@ -86,7 +58,7 @@ def ref_member_units(domain, a, b, units):
     return domain.contains_batch(pts)
 
 
-def ref_sliceness_check(f, domain, plan, tolerance=1e-6, use_closed=True):
+def ref_sliceness_check(sf, domain, plan, tolerance=1e-6, use_closed=True):
     scheme = DEFAULT_SCHEME
     subsphere = Subsphere.default()
     a_values = plan.a_values if plan.a_values is not None else (-2.0, -1.0, 0.0, 1.0, 2.0)
@@ -111,9 +83,9 @@ def ref_sliceness_check(f, domain, plan, tolerance=1e-6, use_closed=True):
                     x = tau(UnitImaginary.from_vector(members[k]), complex(a, b))
                     if not stencil_safe(domain, x, scheme.step(x.norm())):
                         continue
-                    gamma = ref_gamma(f, x, use_closed)
+                    gamma = ref_gamma(sf, x, use_closed)
                     inv_im = x.imag_part().inv()
-                    vals1.append((f.evaluate(x) - gamma / 6.0).coeffs)
+                    vals1.append((sf.evaluate(x) - gamma / 6.0).coeffs)
                     vals2.append(mul(inv_im, gamma).coeffs)
                     pts.append(x)
                 if len(vals1) < 2:
@@ -140,9 +112,9 @@ def ref_sliceness_check(f, domain, plan, tolerance=1e-6, use_closed=True):
     )
 
 
-def ref_sfr_check(f, domain, plan, tolerance=1e-5, use_closed=True):
+def ref_sfr_check(sf, domain, plan, tolerance=1e-5, use_closed=True):
     scheme = DEFAULT_SCHEME
-    slice_rep = ref_sliceness_check(f, domain, plan, 1e-6, use_closed)
+    slice_rep = ref_sliceness_check(sf, domain, plan, 1e-6, use_closed)
     pts = domain.sample_interior(4 * plan.residual_samples, plan.rng(), min_im=plan.min_im)
     residuals, worst, worst_point = [], 0.0, None
     for p in pts:
@@ -151,7 +123,7 @@ def ref_sfr_check(f, domain, plan, tolerance=1e-5, use_closed=True):
         x = Octonion(p)
         if not stencil_safe(domain, x, scheme.step(x.norm())):
             continue
-        r = ref_slice_fueter(f, x, use_closed).norm()
+        r = ref_slice_fueter(sf, x, use_closed).norm()
         residuals.append(r)
         if r > worst:
             worst, worst_point = r, x
@@ -166,14 +138,14 @@ def ref_sfr_check(f, domain, plan, tolerance=1e-5, use_closed=True):
     )
 
 
-def ref_modulus_scan(f, pair, grid, domain=None):
+def ref_modulus_scan(sf, pair, grid, domain=None):
     axes = grid.axes()
     counts = tuple(grid.counts)
     vals = np.full(counts, np.nan)
     for idx in np.ndindex(*counts):
         x = pair.embed(np.array([axes[d][idx[d]] for d in range(4)]))
         if domain is None or domain.contains(x):
-            vals[idx] = f.evaluate(x).norm()
+            vals[idx] = sf.evaluate(x).norm()
     core = vals[1:-1, 1:-1, 1:-1, 1:-1]
     strict = np.isfinite(core)
     for axis in range(4):
@@ -206,34 +178,44 @@ def _sample_points(gf, n, seed):
 @pytest.mark.parametrize("use_closed", [True, False])
 @pytest.mark.parametrize("name", field_names())
 def test_operators_match_the_scalar_loops(name, use_closed):
-    gf = get_field(name)
+    gf, sf = get_field(name), scalar_field(name)
     pts = _sample_points(gf, 12, seed=len(name))
     gammas = gamma_batch(gf.field, pts, use_closed=use_closed)
     dbars = slice_fueter_batch(gf.field, pts, use_closed=use_closed)
     for p, g, d in zip(pts, gammas, dbars):
         x = Octonion(p)
-        want_g = ref_gamma(gf.field, x, use_closed).coeffs
-        want_d = ref_slice_fueter(gf.field, x, use_closed).coeffs
-        assert np.array_equal(g, want_g)
-        assert np.array_equal(spherical_gamma(gf.field, x, use_closed=use_closed).coeffs, want_g)
-        assert np.array_equal(d, want_d)
-        assert np.array_equal(slice_fueter_op(gf.field, x, use_closed=use_closed).coeffs, want_d)
-        want_e = ref_euler(gf.field, x, use_closed).coeffs
-        assert np.array_equal(euler_e(gf.field, x, use_closed=use_closed).coeffs, want_e)
+        want_g = ref_gamma(sf, x, use_closed).coeffs
+        want_d = ref_slice_fueter(sf, x, use_closed).coeffs
+        assert same_bits(g, want_g)
+        assert same_bits(spherical_gamma(gf.field, x, use_closed=use_closed).coeffs, want_g)
+        assert same_bits(d, want_d)
+        assert same_bits(slice_fueter_op(gf.field, x, use_closed=use_closed).coeffs, want_d)
+        want_e = ref_euler(sf, x, use_closed).coeffs
+        assert same_bits(euler_e(gf.field, x, use_closed=use_closed).coeffs, want_e)
 
 
 @pytest.mark.parametrize("name", field_names())
 def test_hooks_match_the_one_point_field(name):
-    f = get_field(name).field
-    pts = _sample_points(get_field(name), 20, seed=3)
-    values = evaluate_batch(f, pts)
+    gf, sf = get_field(name), scalar_field(name)
+    f = gf.field
+    pts = _sample_points(gf, 20, seed=3)
+    values = f.evaluate_many(pts)
     parts = partials_batch(f, pts, range(0, 8))
-    for p, v, dp in zip(pts, values, parts):
+    fd_parts = partials_batch(f, pts, range(0, 8), use_closed=False)
+    for p, v, dp, fd in zip(pts, values, parts, fd_parts):
         x = Octonion(p)
-        assert np.array_equal(v, f.evaluate(x).coeffs)
+        assert same_bits(v, sf.evaluate(x).coeffs)
+        assert same_bits(f.evaluate(x).coeffs, v)
         for k in range(8):
-            assert np.array_equal(dp[k], partial_fd(f, x, k).coeffs)
-    assert evaluate_batch(f, pts[:0]).shape == (0, 8)
+            assert same_bits(dp[k], ref_partial(sf, x, k).coeffs)
+            assert same_bits(partial_fd(f, x, k).coeffs, dp[k])
+            assert same_bits(fd[k], ref_partial(sf, x, k, use_closed=False).coeffs)
+            closed = sf.closed_partial(x, k)
+            got = f.closed_partial(x, k)
+            assert (got is None) == (closed is None)
+            assert closed is None or same_bits(got.coeffs, closed.coeffs)
+    assert f.evaluate_many(pts[:0]).shape == (0, 8)
+    assert partials_batch(f, pts[:0], range(0, 8)).shape == (0, 8, 8)
 
 
 def test_slab_cone_hooks_at_the_cone_boundary():
@@ -241,6 +223,7 @@ def test_slab_cone_hooks_at_the_cone_boundary():
     rng = np.random.default_rng(9)
     axis = UnitImaginary.from_vector(rng.normal(size=7))
     slab = get_field("slab-cone", i0=axis)
+    sf = scalar_field("slab-cone", i0=axis)
     i0 = axis.vec
     w = rng.normal(size=(4000, 7))
     w -= (w @ i0)[:, None] * i0
@@ -252,35 +235,42 @@ def test_slab_cone_hooks_at_the_cone_boundary():
     inside = []
     for p in pts:
         try:
-            slab.field.evaluate(Octonion(p))
+            sf.evaluate(Octonion(p))
             inside.append(p)
         except DomainError:
             pass
     inside = np.array(inside)
+    assert 0 < len(inside) < len(pts)
+    with pytest.raises(DomainError, match="outside the slab-cone"):
+        slab.field.evaluate_many(pts)
     values = slab.field.evaluate_many(inside)
     parts = slab.field.partials_many(inside)
     for p, v, dp in zip(inside, values, parts):
         x = Octonion(p)
-        assert np.array_equal(v, slab.field.evaluate(x).coeffs)
-        assert np.array_equal(dp[3], slab.field.closed_partial(x, 3).coeffs)
+        assert same_bits(v, sf.evaluate(x).coeffs)
+        assert same_bits(dp[3], sf.closed_partial(x, 3).coeffs)
 
 
 def test_slab_cone_seam_uses_the_fallback():
-    slab = get_field("slab-cone")
+    slab, sf = get_field("slab-cone"), scalar_field("slab-cone")
     x = tau(UnitImaginary.basis(1), complex(0.3, 1.0))
     assert slab.field.closed_partial(x, 2) is None
     parts = slab.field.partials_many(x.coeffs[None, :])
     assert np.isnan(parts).all()
     fd = partials_batch(slab.field, x.coeffs[None, :], range(1, 8))[0]
     for k in range(1, 8):
-        assert np.array_equal(fd[k], partial_fd(slab.field, x, k).coeffs)
+        assert same_bits(fd[k], ref_partial(sf, x, k).coeffs)
+        assert same_bits(partial_fd(slab.field, x, k).coeffs, fd[k])
 
 
 def test_generic_fallback_serves_fields_without_hooks():
-    f = OctField("probe", lambda x: float(x.coeffs[3]) * x, lambda x, a: None)
+    # f(x) = x_3 x: no closed form, so every partial is a central difference
+    f = OctField("probe", lambda pts: pts * pts[:, 3:4])
+    sf = ScalarField(lambda x: float(x.coeffs[3]) * x)
     pts = np.random.default_rng(5).normal(size=(6, 8))
+    assert f.closed_partial(Octonion(pts[0]), 3) is None
     for p, g in zip(pts, gamma_batch(f, pts)):
-        assert np.array_equal(g, ref_gamma(f, Octonion(p)).coeffs)
+        assert same_bits(g, ref_gamma(sf, Octonion(p)).coeffs)
 
 
 def test_row_dot_matches_the_one_dimensional_product():
@@ -315,13 +305,14 @@ def test_sliceness_and_sfr_reports_match(name, use_closed):
             a_values=(1.0,),
             b_values=(2.0,),
         )
+    sf = scalar_field(name)
     for seed in (3, 4):
         plan = plan.with_seed(seed)
         got = sliceness_check(gf.field, gf.domain, plan, use_closed=use_closed)
-        want = ref_sliceness_check(gf.field, gf.domain, plan, use_closed=use_closed)
+        want = ref_sliceness_check(sf, gf.domain, plan, use_closed=use_closed)
         assert got.to_json() == want.to_json()
         got = sfr_check(gf.field, gf.domain, plan, use_closed=use_closed)
-        assert got.to_json() == ref_sfr_check(gf.field, gf.domain, plan, use_closed=use_closed).to_json()
+        assert got.to_json() == ref_sfr_check(sf, gf.domain, plan, use_closed=use_closed).to_json()
 
 
 def test_modulus_scans_match():
@@ -330,21 +321,19 @@ def test_modulus_scans_match():
     w = rng.normal(size=7)
     tilted = OrthoPair(i, UnitImaginary.from_vector(w - (w @ i.vec) * i.vec))
     gau, ident, slab = get_field("gaussian"), get_field("identity"), get_field("slab-cone")
+    chain = get_field("sqrt-example").domain
     cases = [
-        (gau.field, PAIR, GridSpec((0.0,) * 4, (1.0,) * 4, (7,) * 4), gau.domain),
-        (gau.field, tilted, GridSpec((0.1, 0.2, -0.1, 0.3), (0.9,) * 4, (6, 7, 5, 6)), None),
-        (ident.field, tilted, GridSpec((0.2, 1.2, 0.4, 0.3), (0.5,) * 4, (5,) * 4), ident.domain),
+        ("gaussian", PAIR, GridSpec((0.0,) * 4, (1.0,) * 4, (7,) * 4), gau.domain),
+        ("gaussian", tilted, GridSpec((0.1, 0.2, -0.1, 0.3), (0.9,) * 4, (6, 7, 5, 6)), None),
+        ("identity", tilted, GridSpec((0.2, 1.2, 0.4, 0.3), (0.5,) * 4, (5,) * 4), ident.domain),
         # nodes at |x| = 1 lie on the boundary of the unit ball
-        (gau.field, PAIR, GridSpec((0.0,) * 4, (1.0,) * 4, (5,) * 4), Ball(Octonion.zero(), 1.0)),
-        (slab.field, PAIR, GridSpec((0.0, 1.5, 0.0, 0.0), (1.0, 1.0, 0.6, 0.6), (5,) * 4), slab.domain),
+        ("gaussian", PAIR, GridSpec((0.0,) * 4, (1.0,) * 4, (5,) * 4), Ball(Octonion.zero(), 1.0)),
+        ("slab-cone", PAIR, GridSpec((0.0, 1.5, 0.0, 0.0), (1.0, 1.0, 0.6, 0.6), (5,) * 4), slab.domain),
+        ("sqrt-example", PAIR, GridSpec((1, 2, 0, 0), (0.1, 0.1, 0.05, 0.05), (4, 5, 3, 3)), chain),
     ]
-    for f, pair, grid, domain in cases:
-        got = modulus_local_max_scan(f, pair, grid, domain)
-        assert got.to_json() == ref_modulus_scan(f, pair, grid, domain).to_json()
-    sq = get_field("sqrt-example")
-    grid = GridSpec((1, 2, 0, 0), (0.1, 0.1, 0.05, 0.05), (4, 5, 3, 3))
-    got = modulus_local_max_scan(sq.field, PAIR, grid, sq.domain)
-    assert got.to_json() == ref_modulus_scan(sq.field, PAIR, grid, sq.domain).to_json()
+    for name, pair, grid, domain in cases:
+        got = modulus_local_max_scan(get_field(name).field, pair, grid, domain)
+        assert got.to_json() == ref_modulus_scan(scalar_field(name), pair, grid, domain).to_json()
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from octoslice.stems import (
     stem_from_two_units,
 )
 
-IDENT = OctField("id", lambda x: x, lambda x, a: Octonion.basis(a))
+IDENT = OctField("id", lambda pts: pts.copy(), lambda pts: np.tile(np.eye(8), (len(pts), 1, 1)))
 
 
 def unit_near(axis_vec, angle, other_vec):
