@@ -48,12 +48,10 @@ from .algebra import (
     MUL_SIGN,
     Octonion,
     OrthoPair,
-    UnitImaginary,
     mul,
     mul_batch,
     row_dot,
     sum_in_order,
-    tau,
     tau_rows,
 )
 from .domains import Domain
@@ -314,18 +312,26 @@ def quaternion_laplacian(
     return Octonion(out)
 
 
-def stencil_safe(domain: Domain, x: Octonion, h: float) -> bool:
-    """True when a +-2h coordinate stencil around x stays inside the domain."""
-    m = domain.margin(x)
-    if m > 0.0:
-        return m >= 2.0 * h
-    if m < 0.0:
-        return False
-    pts = np.tile(x.coeffs, (16, 1))
-    for k in range(8):
-        pts[2 * k, k] += 2.0 * h
-        pts[2 * k + 1, k] -= 2.0 * h
-    return bool(domain.contains_batch(pts).all())
+def stencil_safe(domain: Domain, pts: np.ndarray, h) -> np.ndarray:
+    """Whether the +-2h coordinate stencil of each row of pts stays inside, as bool[n].
+
+    Row i is the point leg (x, x, 2 h[i]) of `Domain.legs_inside`: the
+    domain's `deep_legs` may certify it, and the 16 rows x +- 2h e_k of the
+    others are tested in one `contains_batch`.  `h` is one step per row or
+    one for all.
+    """
+    pts = np.asarray(pts, dtype=float)
+    h2 = 2.0 * np.broadcast_to(np.asarray(h, dtype=float), (len(pts),))
+
+    def rows(ids):
+        # stencil[i, 2k] = x_i + 2h_i e_k and stencil[i, 2k + 1] = x_i - 2h_i e_k
+        stencil = np.repeat(pts[ids], 16, axis=0).reshape(len(ids), 16, 8)
+        for k in range(8):
+            stencil[:, 2 * k, k] += h2[ids]
+            stencil[:, 2 * k + 1, k] -= h2[ids]
+        return stencil.reshape(-1, 8), 16
+
+    return domain.legs_inside(len(pts), lambda: (pts, pts, h2), rows)
 
 
 def sliceness_check(
@@ -364,16 +370,14 @@ def sliceness_check(
             for idx in np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1]):
                 if len(idx) < 2:
                     continue
-                take = idx[:: max(1, len(idx) // plan.residual_unit_samples)]
-                pts = []
-                for k in take:
-                    x = tau(UnitImaginary.from_vector(members[k]), complex(a, b))
-                    if stencil_safe(domain, x, scheme.step(x.norm())):
-                        pts.append(x)
-                if len(pts) < 2:
+                take = members[idx[:: max(1, len(idx) // plan.residual_unit_samples)]]
+                # slice points of the renormalised units; `np.sqrt(row_dot(x, x))` is the
+                # 1-D `np.linalg.norm` of `UnitImaginary.from_vector` and `Octonion.norm`
+                xs = tau_rows(a, b, take / np.sqrt(row_dot(take, take))[:, None])
+                xs = xs[stencil_safe(domain, xs, scheme.step(np.sqrt(row_dot(xs, xs))))]
+                if len(xs) < 2:
                     continue
-                n_samples += len(pts)
-                xs = np.array([x.coeffs for x in pts])
+                n_samples += len(xs)
                 gamma = gamma_batch(f, xs, scheme, use_closed)
                 vals1 = f.evaluate_many(xs) - gamma / 6.0
                 vals2 = mul_batch(imag_inverse(xs), gamma)
@@ -384,7 +388,7 @@ def sliceness_check(
                     if spread > worst:
                         worst = spread
                         far = np.unravel_index(int(diffs.argmax()), diffs.shape)
-                        worst_point = pts[far[0]]
+                        worst_point = xs[far[0]]
     if n_samples == 0:
         raise EmptySampleError("no resolvable slice spheres in the sampling grid")
     return Report(
@@ -394,5 +398,5 @@ def sliceness_check(
         mean_residual=float(np.mean(spreads)),
         tolerance=tolerance,
         passed=worst <= tolerance,
-        worst_point=worst_point.to_list() if worst_point is not None else None,
+        worst_point=[float(v) for v in worst_point] if worst_point is not None else None,
     )

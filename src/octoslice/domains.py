@@ -1,8 +1,7 @@
 """Octonion domains, membership, and sphere-slice connectivity.
 
 A domain is an open subset of 8-space.  Every variant provides exact
-membership, a vectorized batch form, a conservative interior margin (a lower
-bound on the distance to the complement, 0.0 when unknown), and interior
+membership, a vectorized batch form, leg certificates and interior
 sampling.  The slice sphere S(Omega, a, b) of a domain collects the unit
 imaginaries I with a + b I inside; connectivity questions about it are
 answered by sampled proximity graphs and report "unknown" whenever sampling
@@ -34,11 +33,17 @@ Leg checks.  A leg is every point within `sag` of a segment [p0, p1];
 `Domain.legs_inside` decides every leg of the package, testing the sample
 rows of the legs that `deep_legs` does not certify.  `deep_legs` returns
 True only when every sample row of the leg passes the membership test, so
-each verdict is that of testing all the rows.  The default certifies
-nothing.  `Ball` and `BallUnion` share `balls_hold_legs`, which certifies a
-leg when one ball has max(d0, d1) + sag + s < r, with d0 and d1 the
-`row_norms(p - c)` of the ends and the slack
-s = 2^-30 (max(|p0|, |p1|) + |c| + r) + 2^-1000.  Why its rows are inside:
+each verdict is that of testing all the rows.  A point leg (x, x, r) is
+the closed ball of radius r around x: `sample_interior` keeps the points
+whose ball of its margin is certified, and `diffops.stencil_safe` decides
+the 16 stencil rows x +- 2h e_k as the point leg (x, x, 2h).  The default
+certifies nothing, and so does `PredicateDomain`.  `Ball` and `BallUnion`
+share `balls_hold_legs`, which certifies a leg when one ball has
+max(d0, d1) + sag + s < r, with d0 and d1 the `row_norms(p - c)` of the
+ends and the slack s = 2^-30 (max(|p0|, |p1|) + |c| + r) + 2^-1000.
+`BallChain` makes the same test with the one ball whose centre its cKDTree
+finds nearest the leg's midpoint.  `SlabCone` certifies a leg that the
+slab or one cone holds (below).  Why the rows of a ball's leg are inside:
 
 * Convexity.  The norm is convex, so every point q of the segment has
   |q - c| <= max(|p0 - c|, |p1 - c|), and every point within sag of it
@@ -65,7 +70,42 @@ s = 2^-30 (max(|p0|, |p1|) + |c| + r) + 2^-1000.  Why its rows are inside:
   these stay below 2^-40 (|p| + |c| + r), a thousandth of the slack, so
   every row of a certified leg has `row_norms(q - c) < r`, which is the
   verdict of `balls_contain`.  A NaN or infinity anywhere fails the
-  comparison and certifies nothing.
+  comparison and certifies nothing.  The rows of a point leg are
+  x +- 2h e_k, each coordinate rounded once, so within u (|x| + 2h) of an
+  exact point of the leg, and 2h < r on a certified one.
+* The chain's tree.  Any ball may be the one tested, so the nearest
+  centre's certificate is sound whichever centre cKDTree returns.  A leg
+  whose midpoint is not finite asks the ball nearest the origin, and one
+  whose midpoint is too far for a finite distance asks the last ball; the
+  norms of both legs are NaN or infinite, so neither is certified.  A row of a certified leg
+  has |q - c| < r (1 - 2^-31) for that centre c.  cKDTree compares squared
+  distances summed in its own order, within 10 u relative of |q - c|^2,
+  against r^2, and prunes a subtree only by a rectangle distance that is
+  below |q - c|^2 up to the same rounding; so c, or a centre the tree finds
+  closer, passes `dist < RADIUS`, which is the chain's membership test.
+
+`SlabCone`'s certificate.  With y = Im x, M = max(|p0|, |p1|) and the slack
+s = 2^-30 (M + 1):
+
+* Slab.  |Im .| is a convex norm that does not exceed the 8-space
+  distance, so every point of a leg has |Im q| <= max(|Im p0|, |Im p1|) +
+  sag.  When that plus s is below 1, a computed row (within a few tens of
+  u M of its exact point, and 5 u relative from `row_norms`) still has
+  |Im q| < 1: the slab test passes.
+* Cones.  For the cone around +i0 of half angle h <= pi/2, let
+  f(y) = sin(h) <y, i0> - cos(h) |y - <y, i0> i0|.  By Cauchy-Schwarz f is
+  1-Lipschitz, and it is concave (linear minus a norm), so on a leg it is
+  at least min(f(p0), f(p1)) - sag; f(y) = |y| sin(h - angle(y, i0)), so
+  f > 0 puts y inside the cone.  The certificate computes the component
+  across i0 directly, not as sqrt(|y|^2 - <y, i0>^2), so f is computed to
+  within tens of u M, and it certifies min(f(p0), f(p1)) > sag + s / sin(h/2).
+  A computed row then has f(y) > 2^-31 (M + 1) / sin(h/2), and since
+  cos(a) - cos(h) = 2 sin((h + a)/2) sin((h - a)/2) >= sin(h/2) sin(h - a),
+  its angle a has cos(a) - cos(h) > 2^-31 (M + 1) / |y| > 2^-33.  The cone
+  test |<y, i0>| / |y| > cos(h) rounds each side by less than 20 u, so it
+  passes.  The other cone is the same with -i0.  The certificate runs
+  under `np.errstate`: a NaN or infinity gives NaN or -inf and certifies
+  nothing.
 """
 
 from __future__ import annotations
@@ -76,7 +116,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .algebra import REAL_AXIS_TOL, Octonion, UnitImaginary, angle_between, row_dot, row_norms, tau, tau_rows
+from .algebra import REAL_AXIS_TOL, Octonion, UnitImaginary, row_dot, row_norms, tau, tau_rows
 from .errors import DomainError, PreconditionError
 from .report import Report
 from .sampling import SamplePlan, Subsphere, components, unit_graph_edges
@@ -89,10 +129,6 @@ class Domain:
         return bool(self.contains_batch(x.coeffs[None, :])[0])
 
     def contains_batch(self, pts: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def margin(self, x: Octonion) -> float:
-        """Lower bound on distance from x to the complement; 0.0 if unknown."""
         raise NotImplementedError
 
     def deep_legs(self, p0: np.ndarray, p1: np.ndarray, sag) -> np.ndarray:
@@ -147,7 +183,11 @@ class Domain:
         min_im: float = 0.0,
         max_tries: int = 200,
     ) -> np.ndarray:
-        """Up to n interior points with the requested margin, as (m, 8)."""
+        """Up to n interior points, as (m, 8).
+
+        With margin > 0 a point is kept only when `deep_legs` certifies the
+        point leg (x, x, margin): the ball of that radius around it.
+        """
         out = []
         need = n
         for _ in range(max_tries):
@@ -155,7 +195,7 @@ class Domain:
             ims = np.linalg.norm(cand[:, 1:], axis=1)
             ok = ims >= min_im
             if margin > 0.0:
-                ok &= np.array([self.margin(Octonion(p)) >= margin for p in cand])
+                ok &= self.deep_legs(cand, cand, margin)
             else:
                 ok &= self.contains_batch(cand)
             cand = cand[ok]
@@ -267,17 +307,27 @@ def balls_hold_legs(
     reach0 = (row_norms(centers) + radii)[:, None] * _LEG_SLACK + _BAND_ABS
     step = max(1, _LEG_CELLS // len(centers))
     for start in range(0, len(p0), step):
-        # both ends of a block of legs, one row per ball
-        ends = np.concatenate([p0[start : start + step], p1[start : start + step]])
-        m = len(ends) // 2
-        dist = row_norms(ends[None, :, :] - centers[:, None, :])
-        size = row_norms(ends)
-        reach = np.maximum(dist[:, :m], dist[:, m:])
-        reach += sag[start : start + m]
-        reach += np.maximum(size[:m], size[m:]) * _LEG_SLACK
+        block = slice(start, start + step)
+        # one row per ball
+        reach = _leg_reach(p0[block], p1[block], sag[block], centers[:, None, :])
         reach += reach0
-        out[start : start + m] = (reach < radii[:, None]).any(axis=0)
+        out[block] = (reach < radii[:, None]).any(axis=0)
     return out
+
+
+def _leg_reach(p0: np.ndarray, p1: np.ndarray, sag, centers: np.ndarray) -> np.ndarray:
+    """max(d0, d1) + sag + 2^-30 max(|p0|, |p1|), the leg's terms of `balls_hold_legs`.
+
+    `centers` broadcasts against the stacked ends [p0; p1].
+    """
+    ends = np.concatenate([p0, p1])
+    m = len(p0)
+    dist = row_norms(ends - centers)
+    size = row_norms(ends)
+    reach = np.maximum(dist[..., :m], dist[..., m:])
+    reach += sag
+    reach += np.maximum(size[:m], size[m:]) * _LEG_SLACK
+    return reach
 
 
 def _ball_points(center: np.ndarray, radius: float, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -303,9 +353,6 @@ class Ball(Domain):
 
     def deep_legs(self, p0: np.ndarray, p1: np.ndarray, sag) -> np.ndarray:
         return balls_hold_legs(p0, p1, sag, self._centers, self._radii)
-
-    def margin(self, x: Octonion) -> float:
-        return self.radius - float(np.linalg.norm(x.coeffs - self.center.coeffs))
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         c = self.center.coeffs
@@ -357,9 +404,6 @@ class BallUnion(Domain):
     def deep_legs(self, p0: np.ndarray, p1: np.ndarray, sag) -> np.ndarray:
         return balls_hold_legs(p0, p1, sag, self._centers, self._radii)
 
-    def margin(self, x: Octonion) -> float:
-        return max(ball.margin(x) for ball in self.balls)
-
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         los, his = zip(*(b.bounding_box() for b in self.balls))
         return np.min(los, axis=0), np.max(his, axis=0)
@@ -401,6 +445,9 @@ class SlabCone(Domain):
         self.i0 = i0
         self.half_angle = float(half_angle)
         self._cos_half = math.cos(self.half_angle)
+        self._sin_half = math.sin(self.half_angle)
+        # the cone certificate's slack factor, 1 / sin(half_angle / 2)
+        self._wall_slack = 1.0 / math.sin(self.half_angle / 2.0)
 
     def contains_batch(self, pts: np.ndarray) -> np.ndarray:
         ims = pts[:, 1:]
@@ -412,19 +459,26 @@ class SlabCone(Domain):
             mask[big] = cosang > self._cos_half
         return mask
 
-    def margin(self, x: Octonion) -> float:
-        b = x.im_norm
-        bounds = []
-        if b < 1.0:
-            bounds.append(1.0 - b)
-        if b > REAL_AXIS_TOL:
-            ang = angle_between(UnitImaginary.from_vector(x.im), self.i0)
-            ang = min(ang, math.pi - ang)
-            if ang < self.half_angle:
-                bounds.append(b * math.sin(self.half_angle - ang))
-        if not bounds:
-            return 0.0 if self.contains(x) else -math.inf
-        return max(bounds)
+    def deep_legs(self, p0: np.ndarray, p1: np.ndarray, sag) -> np.ndarray:
+        """Legs that the slab or one cone holds with room to spare.
+
+        With M = max(|p0|, |p1|) and slack s = 2^-30 (M + 1), the slab holds
+        a leg when max(|Im p0|, |Im p1|) + sag + s < 1, and a cone when the
+        smaller of its ends' distances to the cone's wall exceeds
+        sag + s / sin(half_angle / 2); the module docstring proves both.
+        """
+        # a NaN or infinity makes NaN or -inf, which certifies nothing
+        with np.errstate(invalid="ignore", over="ignore"):
+            slack = (np.maximum(row_norms(p0), row_norms(p1)) + 1.0) * _LEG_SLACK
+            slab = np.maximum(row_norms(p0[:, 1:]), row_norms(p1[:, 1:])) + sag + slack < 1.0
+            depth = np.minimum(self._wall_distance(p0[:, 1:]), self._wall_distance(p1[:, 1:])).max(axis=0)
+            return slab | (depth > sag + slack * self._wall_slack)
+
+    def _wall_distance(self, ims: np.ndarray) -> np.ndarray:
+        """sin(h) <y, +-i0> - cos(h) |y - <y, i0> i0|, inside the cones around +i0 and -i0, as (2, m)."""
+        along = row_dot(ims, self.i0.vec)
+        across = self._cos_half * row_norms(ims - along[:, None] * self.i0.vec)
+        return np.stack([along, -along]) * self._sin_half - across
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         # The set is unbounded; this box is the default sampling window.
@@ -499,9 +553,19 @@ class BallChain(Domain):
         dist, _ = self._tree.query(pts, distance_upper_bound=self.RADIUS)
         return dist < self.RADIUS
 
-    def margin(self, x: Octonion) -> float:
-        dist, _ = self._tree.query(x.coeffs)
-        return self.RADIUS - float(dist)
+    def deep_legs(self, p0: np.ndarray, p1: np.ndarray, sag) -> np.ndarray:
+        """Legs that the ball nearest their midpoint holds, by the test of `balls_hold_legs`."""
+        # a NaN or infinity, or a norm that overflows, certifies nothing
+        with np.errstate(invalid="ignore", over="ignore"):
+            mid = 0.5 * p0 + 0.5 * p1
+            # cKDTree refuses NaN and infinity: such a leg asks the ball nearest the origin
+            mid[~np.isfinite(mid).all(axis=1)] = 0.0
+            _, idx = self._tree.query(mid)
+            # a midpoint too far for a finite distance comes back past the last centre
+            c = self.centers[np.minimum(idx, len(self.centers) - 1)]
+            reach = _leg_reach(p0, p1, sag, np.concatenate([c, c]))
+        reach += (row_norms(c) + self.RADIUS) * _LEG_SLACK + _BAND_ABS
+        return reach < self.RADIUS
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         lo = self.centers.min(axis=0) - self.RADIUS
@@ -542,10 +606,7 @@ class PredicateDomain(Domain):
         self.name = name
 
     def contains_batch(self, pts: np.ndarray) -> np.ndarray:
-        return np.array([bool(self.fn(Octonion(p))) for p in pts])
-
-    def margin(self, x: Octonion) -> float:
-        return 0.0 if self.fn(x) else -math.inf
+        return np.array([bool(self.fn(Octonion(p))) for p in pts], dtype=bool)
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         return self._bbox

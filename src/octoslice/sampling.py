@@ -94,6 +94,10 @@ _INTEGERS = (int, np.integer)
 _REALS = (int, float, np.integer, np.floating)
 
 
+def _finite_real(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, _REALS) and math.isfinite(value)
+
+
 @dataclass
 class SamplePlan:
     """Resolution and budget knobs for every sampled check in the package."""
@@ -131,12 +135,16 @@ class SamplePlan:
             value = getattr(self, name)
             if value is None and name in _PLAN_OPTIONAL_SIZES:
                 continue
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, _REALS)
-                or not (math.isfinite(value) and value > 0)
-            ):
+            if not (_finite_real(value) and value > 0):
                 raise PreconditionError(f"plan {name} must be finite and positive, got {value!r}")
+        if not (_finite_real(self.min_im) and self.min_im >= 0):
+            raise PreconditionError(f"plan min_im must be finite and not negative, got {self.min_im!r}")
+        for name in ("a_values", "b_values"):
+            value = getattr(self, name)
+            if value is not None and not (
+                isinstance(value, (tuple, list)) and value and all(map(_finite_real, value))
+            ):
+                raise PreconditionError(f"plan {name} must be a nonempty list of finite reals, got {value!r}")
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)

@@ -286,16 +286,9 @@ def sfr_check(
     )
     rng = plan.rng()
     pts = domain.sample_interior(4 * plan.residual_samples, rng, min_im=plan.min_im)
-    safe = []
-    for p in pts:
-        if len(safe) >= plan.residual_samples:
-            break
-        x = Octonion(p)
-        if stencil_safe(domain, x, scheme.step(x.norm())):
-            safe.append(p)
-    if not safe:
+    xs = pts[stencil_safe(domain, pts, scheme.step(np.sqrt(row_dot(pts, pts))))][: plan.residual_samples]
+    if not len(xs):
         raise EmptySampleError("no stencil-safe off-axis samples in the domain")
-    xs = np.array(safe)
     dbar = slice_fueter_batch(f, xs, scheme, use_closed)
     residuals = np.sqrt(row_dot(dbar, dbar))
     worst = 0.0

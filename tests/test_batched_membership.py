@@ -75,10 +75,17 @@ def test_chain_mask_equals_unbounded_nearest_distance():
 
 
 def test_chain_margin_and_nearest_theta_keep_true_distance():
-    x = Octonion(CHAIN.centers[100] + np.full(8, 1.0))
-    (theta,), (dist,) = CHAIN.nearest_thetas(x.coeffs[None, :])
+    x = CHAIN.centers[100] + np.full(8, 1.0)
+    (theta,), (dist,) = CHAIN.nearest_thetas(x[None, :])
     assert dist > CHAIN.RADIUS and math.isfinite(dist)
-    assert CHAIN.margin(x) == CHAIN.RADIUS - dist
+    # a point past every ball certifies no margin, and raises nothing
+    assert CHAIN.deep_legs(x[None, :], x[None, :], 0.0).tolist() == [False]
+    # near a centre, the point leg is certified up to the true nearest distance, not past it
+    y = CHAIN.centers[100] + np.linspace(-0.05, 0.05, 8)
+    (_,), (near,) = CHAIN.nearest_thetas(y[None, :])
+    margin = CHAIN.RADIUS - near
+    assert CHAIN.deep_legs(y[None, :], y[None, :], margin * (1.0 - 1e-6)).tolist() == [True]
+    assert CHAIN.deep_legs(y[None, :], y[None, :], margin).tolist() == [False]
 
 
 # -- _FiberSearch base moves and arc ends ------------------------------------

@@ -336,6 +336,11 @@ def test_non_finite_input_is_exit_2(capsys, argv):
             "ccl-search", "--domain", BALL2, "--plan", '{"search_budget": 0}',
             "--x", "[1, 1, 0, 0, 0, 0, 0, 0]", "--xp", "[1, 0, 1, 0, 0, 0, 0, 0]",
         ),
+        # a negative imaginary floor, an empty grid axis, non-real grid entries
+        ("slice-check", "--field", "identity", "--plan", '{"min_im": -1}'),
+        ("sfr-check", "--field", "identity", "--plan", '{"a_values": []}'),
+        ("slice-check", "--field", "identity", "--plan", '{"b_values": [1.5, true]}'),
+        ("slice-check", "--field", "identity", "--plan", '{"b_values": ["1.5"]}'),
     ],
 )
 def test_unresolvable_plans_and_grids_are_exit_2(capsys, argv):

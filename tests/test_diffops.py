@@ -14,7 +14,7 @@ from octoslice.diffops import (
     stencil_safe,
     tangential_l,
 )
-from octoslice.domains import Ball
+from octoslice.domains import Ball, PredicateDomain
 from octoslice.errors import DomainError
 from octoslice.golden import get_field
 from octoslice.sampling import SamplePlan
@@ -178,9 +178,15 @@ def test_fueter_splits_into_bers_vekua_residuals():
 
 def test_stencil_safety():
     ball = Ball(Octonion.zero(), 1.0)
-    assert stencil_safe(ball, Octonion.zero(), 1e-3)
-    edge = Octonion(np.array([0.9999, 0, 0, 0, 0, 0, 0, 0.0]))
-    assert not stencil_safe(ball, edge, 1e-3)
+    pts = np.zeros((2, 8))
+    pts[1, 0] = 0.9999
+    assert stencil_safe(ball, pts, 1e-3).tolist() == [True, False]
+    # one step per row: 0.9999 + 2e-5 stays inside
+    assert stencil_safe(ball, pts, np.array([1e-3, 1e-5])).tolist() == [True, True]
+    # a domain that certifies nothing tests the 16 rows and agrees
+    pred = PredicateDomain(lambda x: x.norm() < 1.0, (np.full(8, -1.0), np.full(8, 1.0)))
+    assert stencil_safe(pred, pts, 1e-3).tolist() == [True, False]
+    assert stencil_safe(ball, np.empty((0, 8)), 1e-3).shape == (0,)
 
 
 def test_sliceness_verdicts():

@@ -1,4 +1,4 @@
-"""Domain membership, margins, slice spheres, and connectivity verdicts."""
+"""Domain membership, point-leg margins, slice spheres, and connectivity verdicts."""
 
 import math
 
@@ -45,9 +45,12 @@ def test_ball_membership_and_margin():
     dom = Ball(oct_(0), 2.0)
     assert dom.contains(oct_(1, 1))
     assert not dom.contains(oct_(2, 1))
-    x = oct_(1, 0.5)
-    m = dom.margin(x)
-    assert abs(m - (2.0 - x.norm())) <= 1e-15
+    # the point leg (x, x, r) is certified for r just below the true margin 2 - |x|, not at it
+    p = oct_(1, 0.5).coeffs[None, :]
+    m = 2.0 - oct_(1, 0.5).norm()
+    assert dom.deep_legs(p, p, m * (1.0 - 1e-8)).tolist() == [True]
+    assert dom.deep_legs(p, p, m).tolist() == [False]
+    assert dom.deep_legs(oct_(2, 1).coeffs[None, :], oct_(2, 1).coeffs[None, :], 0.0).tolist() == [False]
 
 
 def test_z_window():
@@ -61,24 +64,50 @@ def test_z_window():
     assert SlabCone(E1).z_window() == (-4.0, 4.0, 4.0)
 
 
+def ref_margin(dom, p):
+    """Distance from p to the complement of the piece that holds it best, computed directly."""
+    if isinstance(dom, (Ball, BallUnion)):
+        balls = dom.balls if isinstance(dom, BallUnion) else [dom]
+        return max(b.radius - np.linalg.norm(p - b.center.coeffs) for b in balls)
+    if isinstance(dom, BallChain):
+        return dom.RADIUS - np.min(np.linalg.norm(dom.centers - p, axis=1))
+    y = p[1:]
+    along = abs(float(y @ dom.i0.vec))
+    across = float(np.linalg.norm(y - (y @ dom.i0.vec) * dom.i0.vec))
+    cone = np.linalg.norm(y) * math.sin(dom.half_angle - math.atan2(across, along))
+    return max(1.0 - np.linalg.norm(y), cone)
+
+
 def test_margin_is_conservative():
     rng = np.random.default_rng(31)
     domains = [
         Ball(oct_(0.3, 1.0), 1.5),
         BallUnion([Ball(oct_(0), 1.0), Ball(oct_(1.5), 1.0)]),
         SlabCone(E1, math.pi / 4),
+        SlabCone(E2, math.pi / 2),
         BallChain(E1, E2, theta_steps=512),
     ]
     for dom in domains:
         pts = dom.sample_interior(40, rng)
+        certified = 0
         for p in pts:
-            x = Octonion(p)
-            m = dom.margin(x)
+            m = ref_margin(dom, p)
             assert m > 0.0
+            leg = p[None, :]
+            # the certificate reaches the true margin up to its slack, and never past it
+            assert not dom.deep_legs(leg, leg, m)[0]
+            if m > 1e-6 * (1.0 + np.linalg.norm(p)):
+                assert dom.deep_legs(leg, leg, m - 1e-6 * (1.0 + np.linalg.norm(p)))[0]
+                certified += 1
             for _ in range(8):
                 d = rng.normal(size=8)
                 d /= np.linalg.norm(d)
                 assert dom.contains(Octonion(p + 0.95 * m * d))
+        assert certified >= 35
+        # `sample_interior` with a margin keeps only points whose margin ball is certified
+        deep = dom.sample_interior(40, rng, margin=0.05)
+        assert len(deep) == 40 and dom.deep_legs(deep, deep, 0.05).all()
+        assert all(ref_margin(dom, p) > 0.05 for p in deep)
 
 
 def test_ball_chain_centers():
@@ -105,13 +134,13 @@ def test_ball_chain_grid_resolution_shell():
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     radii = BallChain.RADIUS + rng.uniform(-5e-3, 5e-3, size=400)
     pts = fine._centers(thetas) + dirs * radii[:, None]
-    for p in pts:
-        x = Octonion(p)
-        fine_margin = fine.margin(x)
-        if fine_margin >= 2e-3:
-            assert coarse.contains(x)
-        elif fine_margin <= -2e-3:
-            assert not coarse.contains(x)
+    inside = coarse.contains_batch(pts)
+    # points whose 2e-3 ball the fine chain certifies, and points 2e-3 past every fine ball
+    deep = fine.deep_legs(pts, pts, 2e-3)
+    _, dist = fine.nearest_thetas(pts)
+    far = dist >= BallChain.RADIUS + 2e-3
+    assert deep.sum() > 100 and far.sum() > 10
+    assert inside[deep].all() and not inside[far].any()
 
 
 def test_sphere_slice_member():
@@ -305,6 +334,18 @@ def test_subsphere_validation():
         ("quotient_z_step", 0.0),
         ("pool_sep_floor", float("-inf")),
         ("pool_sep", "0.1"),
+        ("min_im", float("nan")),
+        ("min_im", -1.0),
+        ("min_im", float("inf")),
+        ("min_im", True),
+        ("a_values", ()),
+        ("a_values", (0.0, float("nan"))),
+        ("a_values", (1.0, True)),
+        ("a_values", "12"),
+        ("b_values", []),
+        ("b_values", (0.5, float("-inf"))),
+        ("b_values", (1.5 + 0.5j,)),
+        ("b_values", 1.5),
     ],
 )
 def test_sample_plan_rejects_unresolvable_values(field, value):
@@ -312,7 +353,23 @@ def test_sample_plan_rejects_unresolvable_values(field, value):
         SamplePlan(**{field: value})
 
 
+def test_empty_batches_are_bool():
+    domains = [
+        Ball(oct_(0), 1.0),
+        BallUnion([Ball(oct_(0), 1.0), Ball(oct_(1.5), 1.0)]),
+        SlabCone(E1),
+        BallChain(E1, E2, theta_steps=64),
+        PredicateDomain(lambda x: x.norm() < 1.0, (np.full(8, -1.0), np.full(8, 1.0))),
+    ]
+    empty = np.empty((0, 8))
+    for dom in domains:
+        for got in (dom.contains_batch(empty), dom.deep_legs(empty, empty, 0.1)):
+            assert got.dtype == bool and got.shape == (0,)
+
+
 def test_sample_plan_keeps_valid_values():
     plan = SamplePlan(quotient_z_step=0.1, pool_sep=0.05, pool_max=1, search_budget=3)
     assert plan.with_seed(4).seed == 4
     assert SamplePlan().quotient_z_step is None and SamplePlan().pool_sep is None
+    plan = SamplePlan(min_im=0, a_values=[-1, 0.5], b_values=(np.float64(2.0),))
+    assert plan.scan_grid() == ([-1, 0.5], (2.0,))

@@ -18,7 +18,17 @@ from hypothesis.extra.numpy import arrays
 from scipy.spatial import cKDTree
 
 from octoslice.algebra import Octonion, UnitImaginary, row_dot, row_norms
-from octoslice.domains import _BALL_BLOCK, _LEG_CELLS, Ball, BallUnion, SlabCone, balls_contain
+from octoslice.diffops import DEFAULT_SCHEME, stencil_safe
+from octoslice.domains import (
+    _BALL_BLOCK,
+    _LEG_CELLS,
+    Ball,
+    BallChain,
+    BallUnion,
+    PredicateDomain,
+    SlabCone,
+    balls_contain,
+)
 from octoslice.errors import DomainError, PreconditionError
 from octoslice.liftings import (
     _KNOTS,
@@ -53,6 +63,10 @@ def ref_balls(pts, centers, radii):
     for c, r in zip(centers, radii):
         mask |= np.linalg.norm(pts - c, axis=1) < r
     return mask
+
+
+def balls_member(centers, radii):
+    return lambda pts: ref_balls(pts, centers, radii)
 
 
 def ref_arc_probe_graph(units, link, probes=23):
@@ -301,7 +315,7 @@ LEG_SETTINGS = settings(
 # arc angles, the last two past a quarter turn (pi/2)
 TURNS = (1e-5, 1e-2, 0.1, 0.5, 1.2, 1.57, 1.58, 2.5)
 LEG_KINDS = (
-    "arc", "z-leg", "lifting-arc", "lifting-segment", "attach-arc", "unit-path-2", "unit-path-3", "spoke"
+    "arc", "z-leg", "lifting-arc", "lifting-segment", "attach-arc", "unit-path-2", "unit-path-3", "spoke", "point"
 )
 ARC_KINDS = ("arc", "lifting-arc", "attach-arc", "unit-path-2", "unit-path-3")
 # the pool separation of the attachment cases: 25 to about 150 probes
@@ -320,6 +334,30 @@ def turned(rng, u, angle):
     side -= (side @ u) * u
     side /= np.linalg.norm(side)
     return math.cos(angle) * u + math.sin(angle) * side
+
+
+def point_leg_step(x):
+    """The finite-difference step h of `sliceness_check` and `sfr_check` at x; the point leg is (x, x, 2h)."""
+    return DEFAULT_SCHEME.step(float(np.linalg.norm(x)))
+
+
+def ref_stencil_rows(x, h):
+    """The 16 rows x +- 2h e_k of the one-point stencil check that point legs replaced."""
+    pts = np.tile(x, (16, 1))
+    for k in range(8):
+        pts[2 * k, k] += 2.0 * h
+        pts[2 * k + 1, k] -= 2.0 * h
+    return pts
+
+
+def leg_sag(kind, knots):
+    """The sag scale of a leg's certificate: its largest piece's |b| |du|^2 / 4, or 2h for a point leg."""
+    if kind == "point":
+        return 2.0 * point_leg_step(knots[0])
+    if kind not in ARC_KINDS:
+        return 0.0
+    chords = knots[1:, 1:] - knots[:-1, 1:]
+    return float(np.max(np.sum(chords * chords, axis=1))) / (4.0 * np.linalg.norm(knots[0, 1:]))
 
 
 def record_legs(domain):
@@ -343,7 +381,7 @@ def record_legs(domain):
     return calls
 
 
-def checked_rows(calls, centres, radii, want=None):
+def checked_rows(calls, member, want=None):
     """Every recorded row, and whether the program skipped it.
 
     Each leg's verdict must be that of testing all its rows, and the rows
@@ -353,7 +391,7 @@ def checked_rows(calls, centres, radii, want=None):
     skip = np.concatenate([np.repeat(c[2], c[1]) for c in calls]) if calls else np.zeros(0, dtype=bool)
     for pts, counts, _, inside, _ in calls:
         leg = np.repeat(np.arange(len(counts)), counts)
-        out = np.bincount(leg[~ref_balls(pts, centres, radii)], minlength=len(counts))
+        out = np.bincount(leg[~member(pts)], minlength=len(counts))
         assert np.array_equal(inside, out == 0)
     if want is not None:
         assert same(rows, np.concatenate(want) if want else np.empty((0, 8)))
@@ -395,7 +433,7 @@ def ref_unit_path_candidates(u1, u2):
     return paths
 
 
-def ref_spokes(domain, z, u1, u2, centres, radii):
+def ref_spokes(domain, z, u1, u2, member):
     """The spoke rows `_real_anchor` tests, in order, with all-row verdicts."""
     lo, hi = domain.bounding_box()
     alphas = np.concatenate([[z.real], np.linspace(lo[0], hi[0], 33)])
@@ -403,7 +441,7 @@ def ref_spokes(domain, z, u1, u2, centres, radii):
     reals[:, 0] = alphas
     segment = np.linspace(0.0, 1.0, 256)[:, None]
     out = []
-    for alpha, good in zip(alphas, ref_balls(reals, centres, radii)):
+    for alpha, good in zip(alphas, member(reals)):
         if not good:
             continue
         zs = (1.0 - segment) * np.array([z.real, z.imag]) + segment * np.array([alpha, 0.0])
@@ -412,7 +450,7 @@ def ref_spokes(domain, z, u1, u2, centres, radii):
             pts[:, 0] = zs[:, 0]
             pts[:, 1:] = zs[:, 1:2] * u
             out.append(pts)
-            if not ref_balls(pts, centres, radii).all():
+            if not member(pts).all():
                 break
         else:
             return out
@@ -429,26 +467,39 @@ def attach_quotient(domain, z, unit):
     )
 
 
-def leg_case(kind, rng, scale, turn):
+def leg_case(kind, rng, scale, turn, at=None):
     """One leg as the program samples it.
 
     Returns (knots, check, bulge): knots are the points the certificate
-    takes as ends (the two ends, or the 17 knots of a lifting), check(
-    domain, centres, radii) runs the program on the leg and returns its
+    takes as ends (the two ends, the 17 knots of a lifting, or a point leg's
+    point twice), check(domain, member) runs the program on the leg, checks
+    its verdicts against the reference membership `member`, and returns its
     sample rows and which of them the program skipped, and bulge is the
-    direction in which the leg bows out (zero if it is straight).
+    direction in which the leg bows out (zero if it is straight).  `at`,
+    a (z, unit) pair, replaces the random start of the leg.
     """
     u = unit_rows(rng, 1, 7)[0]
     z = scale * complex(rng.normal(), rng.uniform(0.05, 2.0) * rng.choice([-1.0, 1.0]))
     zb = z + scale * complex(*rng.normal(size=2)) * rng.choice([1e-3, 0.1, 1.0])
+    if at is not None:
+        zb, (z, u) = zb - z + at[0], at
     v = turned(rng, u, turn)
+    if kind == "point":
+        x = slice_point(z, u)
+
+        def check(domain, member):
+            calls = record_legs(domain)
+            stencil_safe(domain, x[None, :], point_leg_step(x))
+            return checked_rows(calls, member, [ref_stencil_rows(x, point_leg_step(x))])
+
+        return np.stack([x, x]), check, np.zeros(8)
     if kind == "arc":
         pairs, probes = arc_probe_graph(np.vstack([u, v]), 2.01)
         knots = np.stack([slice_point(z, u), slice_point(z, v)])
         rows = np.stack([slice_point(z, w) for w in probes[0]])
         sag = abs(z.imag) * arc_sags(1.0, (v - u)[None, :])
 
-        def check(domain, centres, radii):
+        def check(domain, member):
             return rows, np.full(len(rows), domain.deep_legs(knots[:1], knots[1:], sag)[0])
 
         mid = u + v
@@ -460,7 +511,7 @@ def leg_case(kind, rng, scale, turn):
         rows[:, 0] = zs.real
         rows[:, 1:] = zs.imag[:, None] * u
 
-        def check(domain, centres, radii):
+        def check(domain, member):
             return rows, np.full(len(rows), domain.deep_legs(knots[:1], knots[1:], 0.0)[0])
 
         return knots, check, np.zeros(8)
@@ -471,14 +522,14 @@ def leg_case(kind, rng, scale, turn):
         u = x.imag_part().coeffs[1:] / x.im_norm
         want = ref_attach_rows(z, u, v, ATTACH_SEP)
 
-        def check(domain, centres, radii):
+        def check(domain, member):
             calls = record_legs(domain)
             try:
                 got = class_at(attach_quotient(domain, z, v), x)
             except DomainError:
                 got = None
-            rows, skip = checked_rows(calls, centres, radii, None if want is None else [want])
-            assert (got == 0) == (want is not None and ref_balls(want, centres, radii).all())
+            rows, skip = checked_rows(calls, member, None if want is None else [want])
+            assert (got == 0) == (want is not None and member(want).all())
             if turn > math.pi / 2:
                 assert not skip.any()
             return rows, skip
@@ -494,16 +545,16 @@ def leg_case(kind, rng, scale, turn):
         ts = np.linspace(0.0, 1.0, 512)
         want = [np.stack([slice_point(z, w) for w in path.eval_many(ts)]) for path in paths]
 
-        def check(domain, centres, radii):
+        def check(domain, member):
             calls = record_legs(domain)
             got = _unit_path_in_domain(domain, z, u, v)
-            verdicts = [ref_balls(rows, centres, radii).all() for rows in want]
+            verdicts = [member(rows).all() for rows in want]
             tried = verdicts.index(True) + 1 if True in verdicts else len(verdicts)
             assert len(calls) == tried
             assert (got is None) == (True not in verdicts)
             if got is not None:
                 assert same(got.vertices, paths[tried - 1].vertices)
-            return checked_rows(calls, centres, radii, want[:tried])
+            return checked_rows(calls, member, want[:tried])
 
         first = CircularLifting(PolyPathC([z, z]), paths[0])
         bulge = np.concatenate([[0.0], np.sign(z.imag) * paths[0].eval_many([0.27])[0]])
@@ -512,10 +563,10 @@ def leg_case(kind, rng, scale, turn):
         real = np.zeros(8)
         real[0] = z.real
 
-        def check(domain, centres, radii):
+        def check(domain, member):
             calls = record_legs(domain)
             _real_anchor(domain, z, u, v)
-            return checked_rows(calls, centres, radii, ref_spokes(domain, z, u, v, centres, radii))
+            return checked_rows(calls, member, ref_spokes(domain, z, u, v, member))
 
         return np.stack([slice_point(z, u), real]), check, np.zeros(8)
     if kind == "lifting-arc":
@@ -527,11 +578,11 @@ def leg_case(kind, rng, scale, turn):
         bulge = np.zeros(8)
     knots = lifting.eval_many(_KNOTS)
 
-    def check(domain, centres, radii):
+    def check(domain, member):
         calls = record_legs(domain)
         got = lift_in_domain(lifting, domain)
-        rows, skip = checked_rows(calls, centres, radii, [lifting.eval_many(_even_times(2048))])
-        assert got == ref_balls(rows, centres, radii).all()
+        rows, skip = checked_rows(calls, member, [lifting.eval_many(_even_times(2048))])
+        assert got == member(rows).all()
         # the certificate's ends are the lifting's knots to the bit
         (p0, p1, _), = [c[4] for c in calls]
         assert same(p0, knots[:-1]) and same(p1, knots[1:])
@@ -590,13 +641,7 @@ def test_certified_legs_hold_every_sample_row(kind, placement, margin, k, frac, 
     rng = np.random.default_rng(seed)
     scale = 10.0**log_scale
     knots, check, bulge = leg_case(kind, rng, scale, turn)
-    if kind in ARC_KINDS:
-        chords = knots[1:, 1:] - knots[:-1, 1:]
-        b = float(np.linalg.norm(knots[0, 1:]))
-        # the sag scale of the certificate: the largest piece's |b| |du|^2 / 4
-        sag = float(np.max(np.sum(chords * chords, axis=1))) / (4.0 * b)
-    else:
-        sag = 0.0
+    sag = leg_sag(kind, knots)
     scale_of_margin = sag if sag > 0.0 else 1e-3 * scale
 
     def margin_of(reach, centre):
@@ -616,7 +661,7 @@ def test_certified_legs_hold_every_sample_row(kind, placement, margin, k, frac, 
     domain = Ball(Octonion(centres[0]), radii[0]) if len(radii) == 1 else BallUnion(
         [Ball(Octonion(c), r) for c, r in zip(centres, radii)]
     )
-    rows, skip = check(domain, centres, radii)
+    rows, skip = check(domain, balls_member(centres, radii))
     assert ref_balls(rows[skip], centres, radii).all()
 
 
@@ -647,9 +692,9 @@ def test_deep_legs_certifies_deep_legs_and_nothing_unsure():
             for i in range(0, len(many), 997)
         ]
         assert np.array_equal(whole, np.concatenate(parts)) and 0 < whole.sum() < len(many)
-    # other domains certify nothing
-    cone = SlabCone(UnitImaginary.basis(1))
-    assert not cone.deep_legs(p0, p1, 0.0).any()
+    # a predicate domain certifies nothing, even a leg its predicate holds everywhere
+    anywhere = PredicateDomain(lambda x: True, (np.full(8, -1.0), np.full(8, 1.0)))
+    assert anywhere.deep_legs(p0, p1, 0.0).tolist() == [False, False, False]
 
 
 @pytest.mark.parametrize("kind", ["arc", "lifting-arc", "attach-arc"])
@@ -668,7 +713,7 @@ def test_arcs_over_a_cap_larger_than_a_hemisphere(kind):
             chords = knots[1:, 1:] - knots[:-1, 1:]
             sag = float(np.max(np.sum(chords * chords, axis=1))) / (4.0 * np.linalg.norm(knots[0, 1:]))
             centres, radii = place_balls("outside-cap", rng, knots, bulge, far, lambda reach, c: frac * sag)
-            rows, skip = check(Ball(Octonion(centres[0]), radii[0]), centres, radii)
+            rows, skip = check(Ball(Octonion(centres[0]), radii[0]), balls_member(centres, radii))
             inside = ref_balls(rows, centres, radii)
             assert inside[skip].all()
             left += not inside.all()
@@ -689,8 +734,218 @@ def test_legs_between_tangent_balls(kind):
         knots, check, bulge = leg_case(kind, rng, 10.0 ** rng.uniform(-1.0, 1.0), 0.5)
         centres, radii = place_balls("tangent-pair", rng, knots[[0, -1]], bulge, 1.0, None)
         union = BallUnion([Ball(Octonion(c), r) for c, r in zip(centres, radii)])
-        rows, skip = check(union, centres, radii)
+        rows, skip = check(union, balls_member(centres, radii))
         inside = ref_balls(rows, centres, radii)
         assert inside[skip].all()
         left += not inside.all()
     assert left >= 20
+
+
+# -- leg certificates of the slab-cone and the chain ---------------------------
+#
+# A slab-cone or a chain cannot be placed around a leg, so these cases place
+# the leg, or the cone's axis: a one-parameter family (the leg's scale, the
+# axis's tilt, the leg's offset along the chain) is bisected to where the
+# margin of the leg's ends, their distance to the boundary of the piece
+# that could hold the leg, equals a target.  The targets are those of the
+# ball cases: below the sag, at the sag to 2^-40, at the certificate's
+# slack, and deep inside.
+
+NEAR_KINDS = ("z-leg", "lifting-segment", "arc", "lifting-arc", "attach-arc", "point")
+NEAR_SETTINGS = settings(
+    max_examples=120,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def target_margin(margin, k, frac, sag, slack, knots):
+    """The margin of a leg's ends, past the boundary, by kind of case (as `margin_of`).
+
+    "outside" puts the worst end outside, by a fraction of the sag or of
+    half the leg's length, so a certificate that looked at one end would
+    pass rows outside.
+    """
+    if margin == "outside":
+        return -(0.05 + frac) * max(sag, 0.5 * float(np.linalg.norm(knots[-1] - knots[0])))
+    if margin == "fraction":
+        return (sag if sag > 0.0 else 1e-3 * float(np.max(np.linalg.norm(knots, axis=1)))) * frac
+    if margin == "sag-ulps":
+        return sag * (1.0 + k * 2.0**-40)
+    if margin == "deep":
+        return (sag + 4.0 * slack) * (1.0 + frac)
+    return sag + slack * (1.0 + k * 2.0**-6)
+
+
+def bisect(gap, lo, hi, upper, steps=48):
+    """Shrink a bracket with gap(lo) > 0 >= gap(hi); return its upper or lower end.
+
+    Without such a bracket the leg cannot reach the target; lo is returned.
+    """
+    if not (gap(lo) > 0.0 >= gap(hi)):
+        return lo
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if gap(mid) > 0.0 else (lo, mid)
+    return hi if upper else lo
+
+
+def ref_wall(ims, axis, half):
+    """Distance of each row of ims inside the cone of half angle `half` around `axis`."""
+    along = ims @ axis
+    across = np.linalg.norm(ims - np.outer(along, axis), axis=1)
+    return math.sin(half) * along - math.cos(half) * across
+
+
+def chain_margin(chain, knots):
+    """R - max(d0, d1) for the centre nearest each piece's midpoint, least over the pieces."""
+    mids = 0.5 * knots[:-1] + 0.5 * knots[1:]
+    near = np.argmin(np.linalg.norm(chain.centers[None, :, :] - mids[:, None, :], axis=2), axis=1)
+    c = chain.centers[near]
+    reach = np.maximum(np.linalg.norm(knots[:-1] - c, axis=1), np.linalg.norm(knots[1:] - c, axis=1))
+    return chain.RADIUS - float(reach.max()), float(np.linalg.norm(c, axis=1).max())
+
+
+def near_case(place, kind, margin, k, frac, turn, log_scale, seed, upper):
+    """A leg of `kind` and a slab-cone or chain, placed so the leg's margin sits at the target."""
+    # the placement draws from its own stream: the leg's draws `seed` anew for every try
+    rng = np.random.default_rng((seed, 1))
+    size_of = lambda knots: float(np.max(np.linalg.norm(knots, axis=1)))  # noqa: E731
+    if place == "slab":
+        # the leg's scale sets how close its ends come to |Im x| = 1
+        axis = UnitImaginary(unit_rows(rng, 1, 7)[0])
+        domain = SlabCone(axis, math.pi / 4)
+
+        def leg(scale):
+            return leg_case(kind, np.random.default_rng(seed), scale, turn)
+
+        def gap(scale):
+            knots = leg(scale)[0]
+            slack = 2.0**-30 * (size_of(knots) + 1.0)
+            edge = 1.0 - float(np.max(np.linalg.norm(knots[:, 1:], axis=1)))
+            return edge - target_margin(margin, k, frac, leg_sag(kind, knots), slack, knots)
+
+        knots = leg(1.0)[0]
+        top = 2.0 / float(np.max(np.linalg.norm(knots[:, 1:], axis=1)))
+        return domain, leg(bisect(gap, 1e-9 * top, top, upper))
+    if place.startswith("cone"):
+        # a leg at any scale, or straddling the seam |Im x| = 1; the cone's
+        # axis tilts away from the leg until its wall is at the target
+        half = math.pi / 2 if place.endswith("90") else math.pi / 4
+        scale = 10.0**log_scale
+        knots = leg_case(kind, np.random.default_rng(seed), scale, turn)[0]
+        if place.startswith("cone-seam"):
+            scale /= float(np.median(np.linalg.norm(knots[:, 1:], axis=1)))
+        case = leg_case(kind, np.random.default_rng(seed), scale, turn)
+        knots = case[0]
+        toward = np.sum(knots[:, 1:], axis=0)
+        toward /= np.linalg.norm(toward)
+        side = turned(rng, toward, math.pi / 2)
+        sign = rng.choice([-1.0, 1.0])  # the leg in the cone around +i0 or around -i0
+        sag = leg_sag(kind, knots)
+        slack = 2.0**-30 * (size_of(knots) + 1.0) / math.sin(half / 2.0)
+
+        def axis_at(tilt):
+            return UnitImaginary(math.cos(tilt) * toward + math.sin(tilt) * side)
+
+        def gap(tilt):
+            wall = float(np.min(ref_wall(knots[:, 1:], axis_at(tilt).vec, half)))
+            return wall - target_margin(margin, k, frac, sag, slack, knots)
+
+        tilt = bisect(gap, 0.0, math.pi / 2 + 0.5, upper)
+        return SlabCone(UnitImaginary(sign * axis_at(tilt).vec), half), case
+    # the chain: a leg near the lens where two neighbouring balls overlap,
+    # moved along a random direction of its slice plane until it leaves
+    # the ball its certificate tests
+    steps = int(rng.choice([32, 64, 2048]))
+    domain = BallChain(UnitImaginary.basis(1), UnitImaginary.basis(2), theta_steps=steps)
+    n = int(rng.integers(0, domain.theta_steps - 1))
+    mid = 0.5 * domain.centers[n] + 0.5 * domain.centers[n + 1]
+    b = float(np.linalg.norm(mid[1:]))
+    u = mid[1:] / b
+    w = complex(*unit_rows(rng, 1, 2)[0])
+    scale = 10.0 ** (log_scale / 2.0 - 2.5)
+
+    def leg(t):
+        return leg_case(kind, np.random.default_rng(seed), scale, turn, at=(complex(mid[0], b) + t * w, u))
+
+    def gap(t):
+        knots = leg(t)[0]
+        edge, c_size = chain_margin(domain, knots)
+        slack = 2.0**-30 * (size_of(knots) + c_size + domain.RADIUS)
+        return edge - target_margin(margin, k, frac, leg_sag(kind, knots), slack, knots)
+
+    return domain, leg(bisect(gap, 0.0, 0.6, upper))
+
+
+@pytest.mark.parametrize("place", ["slab", "cone-45", "cone-90", "cone-seam-45", "cone-seam-90", "chain"])
+@NEAR_SETTINGS
+@given(
+    kind=st.sampled_from(NEAR_KINDS),
+    margin=st.sampled_from(("fraction", "outside", "sag-ulps", "slack-edge", "slack-edge", "deep")),
+    k=st.integers(-8, 8),
+    frac=st.floats(0.0, 0.6),
+    turn=st.sampled_from((1e-5, 1e-3, 1e-2, 0.1, 0.5)),
+    log_scale=st.floats(-1.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    upper=st.booleans(),
+)
+def test_slab_cone_and_chain_certify_only_rows_inside(
+    place, kind, margin, k, frac, turn, log_scale, seed, upper
+):
+    if place == "chain":
+        # legs small enough for a ball of radius 1/4
+        turn = min(turn, 1e-2)
+    domain, (knots, check, _) = near_case(place, kind, margin, k, frac, turn, log_scale, seed, upper)
+    rows, skip = check(domain, domain.contains_batch)
+    assert domain.contains_batch(rows[skip]).all()
+
+
+def test_slab_cone_and_chain_certificates_turn_at_their_slack():
+    """Point legs whose margin is the sag plus 7/8 or 9/8 of the slack: only the second is certified."""
+    e1 = np.eye(8)[1]
+    r = 1e-4
+    for half in (math.pi / 4, math.pi / 2):
+        cone = SlabCone(UnitImaginary.basis(1), half)
+        tilt = unit_rows(np.random.default_rng(3), 1, 7)[0]
+        tilt -= tilt[0] * np.eye(7)[0]
+        tilt /= np.linalg.norm(tilt)
+        for frac, want in ((7 / 8, False), (9 / 8, True)):
+            # the slab: |Im x| = 1 - r - slack * frac
+            slack = 2.0**-30 * (math.hypot(0.3, 1.0) + 1.0)
+            x = 0.3 * np.eye(8)[0] + (1.0 - r - slack * frac) * np.eye(8)[2]
+            assert cone.deep_legs(x[None], x[None], r).tolist() == [want]
+            # a cone: Im x at angle half - a from the axis, with |Im x| sin(a) = r + slack * frac
+            size = 3.0
+            slack = 2.0**-30 * (size + 1.0) / math.sin(half / 2.0)
+            a = math.asin((r + slack * frac) / size)
+            y = size * (math.cos(half - a) * np.eye(7)[0] + math.sin(half - a) * tilt)
+            x = np.concatenate([[0.0], y])
+            assert cone.deep_legs(x[None], x[None], r).tolist() == [want]
+    chain = BallChain(UnitImaginary.basis(1), UnitImaginary.basis(2), theta_steps=64)
+    c = chain.centers[10]
+    for frac, want in ((7 / 8, False), (9 / 8, True)):
+        slack = 2.0**-30 * (2.0 * np.linalg.norm(c) + chain.RADIUS)
+        x = c + (chain.RADIUS - r - slack * frac) * e1
+        assert chain.deep_legs(x[None], x[None], r).tolist() == [want]
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [
+        SlabCone(UnitImaginary.basis(1)),
+        SlabCone(UnitImaginary.basis(1), math.pi / 2),
+        BallChain(UnitImaginary.basis(1), UnitImaginary.basis(2)),
+    ],
+)
+def test_non_finite_legs_certify_nothing(domain):
+    inside = domain.centers[5] if isinstance(domain, BallChain) else np.eye(8)[0] * 0.2
+    p0 = np.tile(inside, (7, 1))
+    p0[0, 3], p0[1, 4], p0[2, 1], p0[3, 0] = np.nan, np.inf, -np.inf, np.inf
+    p0[4] = 1e300
+    sag = np.array([0.0, 0.0, 0.0, 0.0, 0.0, np.nan, np.inf])
+    # NaN and infinite rows, a row whose norms overflow, NaN and infinite sags; no RuntimeWarning
+    assert domain.deep_legs(p0, np.tile(inside, (7, 1)), sag).tolist() == [False] * 7
+    assert domain.deep_legs(np.tile(inside, (2, 1)), np.tile(inside, (2, 1)), 1e-3).tolist() == [True, True]

@@ -81,7 +81,7 @@ def ref_sliceness_check(sf, domain, plan, tolerance=1e-6, use_closed=True):
                 vals1, vals2, pts = [], [], []
                 for k in take:
                     x = tau(UnitImaginary.from_vector(members[k]), complex(a, b))
-                    if not stencil_safe(domain, x, scheme.step(x.norm())):
+                    if not stencil_safe(domain, x.coeffs[None, :], scheme.step(x.norm()))[0]:
                         continue
                     gamma = ref_gamma(sf, x, use_closed)
                     inv_im = x.imag_part().inv()
@@ -121,7 +121,7 @@ def ref_sfr_check(sf, domain, plan, tolerance=1e-5, use_closed=True):
         if len(residuals) >= plan.residual_samples:
             break
         x = Octonion(p)
-        if not stencil_safe(domain, x, scheme.step(x.norm())):
+        if not stencil_safe(domain, x.coeffs[None, :], scheme.step(x.norm()))[0]:
             continue
         r = ref_slice_fueter(sf, x, use_closed).norm()
         residuals.append(r)

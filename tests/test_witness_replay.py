@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from octoslice.algebra import Octonion, UnitImaginary, tau
-from octoslice.domains import Ball, BallUnion
+from octoslice.domains import Ball, BallChain, BallUnion
 from octoslice.errors import DomainError
 from octoslice.liftings import CoupledLifting, PolyPathC, PolyPathS, ccl_search, ccl_verify, lift_in_domain
 from octoslice.quotient import build_quotient, class_at, replay_merge_record
@@ -184,6 +184,15 @@ def test_real_records_replay_as_their_real_point():
     assert all(got) and got == [_reference_replay(q, r) for r in real]
     outside = ("real", (0, real[0][1][1]), *real[0][2:])
     assert not replay_merge_record(q, outside) and not _reference_replay(q, outside)
+
+
+def test_every_record_of_the_chain_quotient_replays():
+    # criterion 9's chain quotient at the default seed; the chain's
+    # certificate holds most pieces, so the rows of few are tested
+    chain = BallChain(UnitImaginary.basis(1), UnitImaginary.basis(2))
+    q = build_quotient(chain, SamplePlan(seed=20260819 + 9, quotient_z_step=0.1, pool_sep=0.05))
+    assert len(q.merge_records) == 8297
+    assert all(replay_merge_record(q, r) for r in q.merge_records)
 
 
 def _ball(real, im, radius):
