@@ -10,7 +10,7 @@ are frozen here; the seed only moves the sampled points.
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import permutations, product
 from typing import Callable, Optional
 
 import numpy as np
@@ -23,7 +23,9 @@ from .algebra import (
     basis_product,
     mul,
     mul_batch,
+    row_dot,
     tau,
+    tau_rows,
 )
 from .diffops import (
     cauchy_fueter_op,
@@ -49,11 +51,12 @@ from .sampling import SamplePlan
 from .stems import (
     GridSpec,
     bers_vekua_residual,
+    gamma_stem_rows,
     local_stem,
     modulus_local_max_scan,
     reconstruct_third,
-    stem_from_gamma,
     stem_from_two_units,
+    stem_partials,
 )
 
 _CRITERIA: list[tuple[int, str, Callable]] = []
@@ -90,6 +93,16 @@ def _random_unit(rng: np.random.Generator) -> UnitImaginary:
 
 def _scalar(c: float) -> Octonion:
     return Octonion.from_real_imag(float(c), np.zeros(7))
+
+
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """Per-row norms, each equal to the bit to `Octonion.norm` of the row."""
+    return np.sqrt(row_dot(rows, rows))
+
+
+def _worst(values: np.ndarray) -> float:
+    """The largest value, and 0.0 when there is none."""
+    return max([0.0] + values.tolist())
 
 
 def _perm_sign(perm: tuple[int, ...]) -> int:
@@ -169,21 +182,22 @@ def _slab_cone_stem_grid(seed: Optional[int]):
     rng = _rng(seed, 2)
     e1 = np.zeros(7)
     e1[0] = 1.0
-    worst_formula = 0.0
-    worst_gamma = 0.0
-    for a in (-2.0, -1.0, 0.0, 1.0, 2.0):
-        for b in (1.5, 2.0, 3.0):
-            z = complex(a, b)
-            want = slab_cone_stem(z, 1)
-            # both units inside the cone, chordally separated for conditioning
-            i1 = _unit_near(rng, e1, rng.uniform(0.0, 0.25))
-            i2 = _unit_near(rng, e1, rng.uniform(0.45, 0.6))
-            sv = stem_from_two_units(slab.field, z, i1, i2)
-            dev = max((sv.u - want.u).norm(), (sv.v - want.v).norm())
-            worst_formula = max(worst_formula, dev)
-            sg = stem_from_gamma(slab.field, tau(i1, z), use_closed=False)
-            dev = max((sg.u - want.u).norm(), (sg.v - want.v).norm())
-            worst_gamma = max(worst_gamma, dev)
+    zs = np.array([complex(a, b) for a in (-2.0, -1.0, 0.0, 1.0, 2.0) for b in (1.5, 2.0, 3.0)])
+    units = []
+    for _ in zs:
+        # both units inside the cone, chordally separated for conditioning
+        i1 = _unit_near(rng, e1, rng.uniform(0.0, 0.25))
+        i2 = _unit_near(rng, e1, rng.uniform(0.45, 0.6))
+        units.append((i1.vec, i2.vec))
+    i1s, i2s = (np.array(col) for col in zip(*units))
+    want_u, want_v = slab_cone_stem(zs, 1)
+
+    def worst_gap(u, v):
+        return _worst(np.maximum(_norms(u - want_u), _norms(v - want_v)))
+
+    worst_formula = worst_gap(*stem_from_two_units(slab.field, zs, i1s, i2s))
+    pts = tau_rows(zs.real, zs.imag, i1s)
+    worst_gamma = worst_gap(*gamma_stem_rows(slab.field, pts, use_closed=False))
     ok = worst_formula <= 1e-10 and worst_gamma <= 1e-6
     return ok, {
         "grid_points": 15,
@@ -217,21 +231,15 @@ def _sqrt_regularity(seed: Optional[int]):
     rng = _rng(seed, 4)
     thetas = np.linspace(-np.pi, np.pi, 11)[:-1]
 
-    fueter_worst = 0.0
-    fueter_count = 0
-    for th in thetas:
-        ball = Ball(chain.center_at(float(th)), chain.RADIUS)
-        pts = ball.sample_interior(25, rng, margin=0.02, min_im=0.5)
-        for r in slice_fueter_batch(sq.field, pts, use_closed=False):
-            fueter_worst = max(fueter_worst, float(np.linalg.norm(r)))
-            fueter_count += 1
+    pts = np.vstack([
+        Ball(chain.center_at(float(th)), chain.RADIUS).sample_interior(25, rng, margin=0.02, min_im=0.5)
+        for th in thetas
+    ])
+    fueter = _norms(slice_fueter_batch(sq.field, pts, use_closed=False))
 
     pair = OrthoPair(UnitImaginary.basis(1), UnitImaginary.basis(2))
-    offsets = (-0.08, 0.0, 0.08)
-    cf_worst = 0.0
-    cf_count = 0
-    lap_worst = 0.0
-    lap_count = 0
+    offsets = np.array(list(product((-0.08, 0.0, 0.08), repeat=4)))
+    cf_qs, lap_qs = [], []
     for th in (-2.2, -1.1, 0.0, 1.1, 2.2):
         qc = np.array(
             [
@@ -241,33 +249,25 @@ def _sqrt_regularity(seed: Optional[int]):
                 0.0,
             ]
         )
-        for d0 in offsets:
-            for d1 in offsets:
-                for d2 in offsets:
-                    for d3 in offsets:
-                        q = qc + np.array([d0, d1, d2, d3])
-                        r = cauchy_fueter_op(sq.field, pair, q).norm()
-                        cf_worst = max(cf_worst, r)
-                        cf_count += 1
-        for _ in range(20):
-            q = qc + rng.uniform(-0.07, 0.07, size=4)
-            r = quaternion_laplacian(sq.field, pair, q).norm()
-            lap_worst = max(lap_worst, r)
-            lap_count += 1
+        cf_qs.append(qc + offsets)
+        lap_qs.extend(qc + rng.uniform(-0.07, 0.07, size=4) for _ in range(20))
+    cf = _norms(cauchy_fueter_op(sq.field, pair, np.vstack(cf_qs)))
+    lap = _norms(quaternion_laplacian(sq.field, pair, np.array(lap_qs)))
 
+    fueter_worst, cf_worst, lap_worst = (_worst(r) for r in (fueter, cf, lap))
     ok = (
-        fueter_count >= 200
+        len(fueter) >= 200
         and fueter_worst <= 1e-5
         and cf_worst <= 1e-5
         and lap_worst <= 1e-4
     )
     return ok, {
         "balls": len(thetas),
-        "fueter_points": fueter_count,
+        "fueter_points": len(fueter),
         "fueter_worst": fueter_worst,
-        "cauchy_fueter_points": cf_count,
+        "cauchy_fueter_points": len(cf),
         "cauchy_fueter_worst": cf_worst,
-        "laplacian_points": lap_count,
+        "laplacian_points": len(lap),
         "laplacian_worst": lap_worst,
     }
 
@@ -276,31 +276,25 @@ def _sqrt_regularity(seed: Optional[int]):
 def _bers_vekua_residuals(seed: Optional[int]):
     stem = sqrt_stem_main()
     rng = _rng(seed, 5)
-    accepted: list[complex] = []
+    accepted = np.empty(0, dtype=complex)
     while len(accepted) < 500:
-        th = rng.uniform(-np.pi, np.pi)
-        z = complex(np.cos(th), 2.0 + np.sin(th)) + complex(*rng.uniform(-0.12, 0.12, 2))
-        if stem.partials(z) is None:
-            continue
-        accepted.append(z)
+        # rows (theta, dalpha, dbeta) in the draw order of one candidate at a time;
+        # candidates without closed partials, and draws past the 500th kept one, go unused
+        draws = rng.uniform((-np.pi, -0.12, -0.12), (np.pi, 0.12, 0.12), size=(256, 3))
+        zs = np.array([
+            complex(np.cos(th), 2.0 + np.sin(th)) + complex(da, db) for th, da, db in draws.tolist()
+        ])
+        closed = ~np.isnan(stem.partials_many(zs)).any(axis=(1, 2))
+        accepted = np.concatenate([accepted, zs[closed]])
+    accepted = accepted[:500]
 
-    residual_worst = 0.0
-    for z in accepted:
-        residual_worst = max(residual_worst, bers_vekua_residual(stem, z).max_norm)
+    residual_worst = _worst(bers_vekua_residual(stem, accepted).max_norms())
 
-    # cross-check the closed partials against plain central differences
-    fd_worst = 0.0
-    for z in accepted[:100]:
-        closed = stem.partials(z)
-        h = 1e-5 * (1.0 + abs(z))
-        fd = (
-            (stem.u(z + h) - stem.u(z - h)) / (2.0 * h),
-            (stem.u(z + h * 1j) - stem.u(z - h * 1j)) / (2.0 * h),
-            (stem.v(z + h) - stem.v(z - h)) / (2.0 * h),
-            (stem.v(z + h * 1j) - stem.v(z - h * 1j)) / (2.0 * h),
-        )
-        for c, f in zip(closed, fd):
-            fd_worst = max(fd_worst, (c - f).norm() / (1.0 + c.norm()))
+    # cross-check the closed partials against plain central differences,
+    # with step h = 1e-5 (1 + |z|)
+    closed = stem.partials_many(accepted[:100]).reshape(-1, 8)
+    fd = stem_partials(stem, accepted[:100], use_closed=False).reshape(-1, 8)
+    fd_worst = _worst(_norms(closed - fd) / (1.0 + _norms(closed)))
 
     ok = residual_worst <= 1e-6 and fd_worst <= 1e-6
     return ok, {
@@ -311,10 +305,12 @@ def _bers_vekua_residuals(seed: Optional[int]):
     }
 
 
-def _worst_gap(field, got: list, pts: list) -> float:
-    """Largest |got_k - f(x_k)| over the rows, with f evaluated as one batch."""
-    gaps = np.array(got) - field.evaluate_many(np.array(pts))
-    return max([0.0] + [float(np.linalg.norm(g)) for g in gaps])
+def _reconstruction_gap(field, draws: list) -> float:
+    """Largest |f(z_I3) - reconstruct_third(z, I1, I2, I3)| over rows of (z, I1, I2, I3)."""
+    zs = np.array([z for z, _, _, _ in draws])
+    i1, i2, i3 = (np.array([d[k].vec for d in draws]) for k in (1, 2, 3))
+    got = reconstruct_third(field, zs, i1, i2, i3)
+    return _worst(_norms(got - field.evaluate_many(tau_rows(zs.real, zs.imag, i3))))
 
 
 @_criterion(6, "two-point-reconstruction")
@@ -325,27 +321,23 @@ def _two_point_reconstruction(seed: Optional[int]):
     e1 = np.zeros(7)
     e1[0] = 1.0
 
-    got, third = [], []
+    draws = []
     for _ in range(100):
         z = complex(rng.uniform(-2.0, 2.0), rng.uniform(1.2, 3.0))
         i1 = _unit_near(rng, e1, rng.uniform(0.0, 0.25))
         i2 = _unit_near(rng, e1, rng.uniform(0.45, 0.7))
-        i3 = _unit_near(rng, e1, rng.uniform(0.0, 0.7))
-        got.append(reconstruct_third(slab.field, z, i1, i2, i3).coeffs)
-        third.append(tau(i3, z).coeffs)
-    slab_worst = _worst_gap(slab.field, got, third)
+        draws.append((z, i1, i2, _unit_near(rng, e1, rng.uniform(0.0, 0.7))))
+    slab_worst = _reconstruction_gap(slab.field, draws)
 
-    got, third = [], []
+    draws = []
     for _ in range(100):
         z = complex(rng.uniform(-1.5, 1.5), rng.uniform(0.8, 2.2))
         i1 = _random_unit(rng)
         i2 = _random_unit(rng)
         while np.linalg.norm(i1.vec - i2.vec) < 0.3:
             i2 = _random_unit(rng)
-        i3 = _random_unit(rng)
-        got.append(reconstruct_third(ident.field, z, i1, i2, i3).coeffs)
-        third.append(tau(i3, z).coeffs)
-    ident_worst = _worst_gap(ident.field, got, third)
+        draws.append((z, i1, i2, _random_unit(rng)))
+    ident_worst = _reconstruction_gap(ident.field, draws)
 
     ok = slab_worst <= 1e-9 and ident_worst <= 1e-9
     return ok, {

@@ -23,7 +23,9 @@ from `partials_many`; NaN rows, fields without it and `use_closed=False` all
 go through one central-difference stencil, evaluated in a single
 `evaluate_many` call.  Gamma, the Euler and the slice Fueter operators run
 on these batches; the one-point functions (`partial_fd`, `spherical_gamma`,
-`euler_e`, `slice_fueter_op`) are batches of one.
+`euler_e`, `slice_fueter_op`) are batches of one.  The quaternion-slice
+operators (`cauchy_fueter_op`, `quaternion_laplacian`) take (n, 4) slice
+coordinates and evaluate every stencil row in one batch.
 
 Each kernel treats its rows independently and rounds as the one-point
 `Octonion` arithmetic does, so sampled reports stay byte-identical for a
@@ -48,7 +50,6 @@ from .algebra import (
     MUL_SIGN,
     Octonion,
     OrthoPair,
-    mul,
     mul_batch,
     row_dot,
     sum_in_order,
@@ -262,54 +263,56 @@ def slice_fueter_op(
 
 
 def _slice_stencil(
-    f: OctField, pair: OrthoPair, q, step: Callable[[float], float], center: bool
-) -> tuple[np.ndarray, float]:
-    """f at q +/- h e_k (rows 2k and 2k + 1), then at q itself if `center`; h = step(|q|)."""
-    q = np.asarray(q, dtype=float)
-    if q.shape != (4,):
-        raise DomainError(f"quaternion coordinates need shape (4,), got {q.shape}")
-    h = step(float(np.linalg.norm(q)))
-    rows = np.tile(q, (9 if center else 8, 1))
+    f: OctField, pair: OrthoPair, qs, step: Callable, center: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """f at q +/- h e_k (columns 2k and 2k + 1), then at q itself if `center`, as (n, 8 or 9, 8).
+
+    `qs` holds (n, 4) quaternion coordinates and h = step(|q|) per row.
+    """
+    qs = np.asarray(qs, dtype=float)
+    if qs.ndim != 2 or qs.shape[1] != 4:
+        raise DomainError(f"quaternion coordinates need shape (n, 4), got {qs.shape}")
+    # `np.sqrt(row_dot(q, q))` is the 1-D `np.linalg.norm` of a 4-vector
+    h = step(np.sqrt(row_dot(qs, qs)))
+    rows = np.repeat(qs[:, None, :], 9 if center else 8, axis=1)
     for k in range(4):
-        rows[2 * k, k] += h
-        rows[2 * k + 1, k] -= h
+        rows[:, 2 * k, k] += h
+        rows[:, 2 * k + 1, k] -= h
     # a stack of (1, 4) @ (4, 8) products rounds as `pair.embed` does
-    return f.evaluate_many((rows[:, None, :] @ pair.basis)[:, 0, :]), h
+    vals = f.evaluate_many((rows.reshape(-1, 1, 4) @ pair.basis)[:, 0, :])
+    return vals.reshape(len(qs), -1, 8), h
 
 
 def cauchy_fueter_op(
     f: OctField,
     pair: OrthoPair,
-    q,
+    qs,
     scheme: FDScheme = DEFAULT_SCHEME,
-) -> Octonion:
-    """Cauchy-Fueter operator of the slice restriction at quaternion coords q.
+) -> np.ndarray:
+    """Cauchy-Fueter operator of the slice restriction at (n, 4) quaternion coords, as (n, 8).
 
     D f = dg/dq0 + I (dg/dq1) + J (dg/dq2) + IJ (dg/dq3) for g = f on the
     slice of `pair`, each product a left multiplication.
     """
-    vals, h = _slice_stencil(f, pair, q, scheme.step, center=False)
-    derivs = [Octonion(d) for d in (vals[0::2] - vals[1::2]) / (2.0 * h)]
-    units = [pair.i.as_octonion(), pair.j.as_octonion(), pair.k.as_octonion()]
-    out = derivs[0]
-    for unit, d in zip(units, derivs[1:]):
-        out = out + mul(unit, d)
+    vals, h = _slice_stencil(f, pair, qs, scheme.step, center=False)
+    derivs = (vals[:, 0::2] - vals[:, 1::2]) / (2.0 * h)[:, None, None]
+    out = derivs[:, 0]
+    for k, unit in enumerate((pair.i, pair.j, pair.k), start=1):
+        out = out + mul_batch(np.tile(unit.as_octonion().coeffs, (len(out), 1)), derivs[:, k])
     return out
 
 
 def quaternion_laplacian(
     f: OctField,
     pair: OrthoPair,
-    q,
+    qs,
     scheme: FDScheme = DEFAULT_SCHEME,
-) -> Octonion:
-    """4-coordinate Laplacian of the slice restriction at quaternion coords q."""
-    vals, h = _slice_stencil(f, pair, q, scheme.step2, center=True)
-    twice_center = 2.0 * vals[8]
-    out = np.zeros(8)
-    for k in range(4):
-        out = out + (vals[2 * k] - twice_center + vals[2 * k + 1]) / (h * h)
-    return Octonion(out)
+) -> np.ndarray:
+    """4-coordinate Laplacian of the slice restriction at (n, 4) quaternion coords, as (n, 8)."""
+    vals, h = _slice_stencil(f, pair, qs, scheme.step2, center=True)
+    twice_center = 2.0 * vals[:, 8:]
+    terms = (vals[:, 0:8:2] - twice_center + vals[:, 1:8:2]) / (h * h)[:, None, None]
+    return sum_in_order(terms)
 
 
 def stencil_safe(domain: Domain, pts: np.ndarray, h) -> np.ndarray:

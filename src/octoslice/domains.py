@@ -75,9 +75,10 @@ slab or one cone holds (below).  Why the rows of a ball's leg are inside:
   exact point of the leg, and 2h < r on a certified one.
 * The chain's tree.  Any ball may be the one tested, so the nearest
   centre's certificate is sound whichever centre cKDTree returns.  A leg
-  whose midpoint is not finite asks the ball nearest the origin, and one
-  whose midpoint is too far for a finite distance asks the last ball; the
-  norms of both legs are NaN or infinite, so neither is certified.  A row of a certified leg
+  whose midpoint is not finite asks the first ball, and one whose
+  midpoint is too far for a finite distance asks the last ball; the norms
+  of both legs are NaN or infinite, so neither is certified.  A negative
+  sag is no leg and certifies nothing.  A row of a certified leg
   has |q - c| < r (1 - 2^-31) for that centre c.  cKDTree compares squared
   distances summed in its own order, within 10 u relative of |q - c|^2,
   against r^2, and prunes a subtree only by a rectangle distance that is
@@ -251,6 +252,8 @@ _LEG_SLACK = 2.0**-30
 _LEG_CELLS = 2**13
 
 
+# a NaN or infinite row makes a NaN gap or band, which the per-ball test decides
+@np.errstate(invalid="ignore", over="ignore")
 def balls_contain(pts: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """Whether each row of pts lies in at least one of the open balls.
 
@@ -302,7 +305,7 @@ def balls_hold_legs(
     """
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
-    sag = np.broadcast_to(np.asarray(sag, dtype=float), (len(p0),))
+    sag = np.broadcast_to(_leg_sags(sag), (len(p0),))
     out = np.zeros(len(p0), dtype=bool)
     reach0 = (row_norms(centers) + radii)[:, None] * _LEG_SLACK + _BAND_ABS
     step = max(1, _LEG_CELLS // len(centers))
@@ -313,6 +316,12 @@ def balls_hold_legs(
         reach += reach0
         out[block] = (reach < radii[:, None]).any(axis=0)
     return out
+
+
+def _leg_sags(sag) -> np.ndarray:
+    """The legs' sags; a negative sag becomes NaN, which certifies nothing."""
+    sag = np.asarray(sag, dtype=float)
+    return np.where(sag < 0.0, np.nan, sag)
 
 
 def _leg_reach(p0: np.ndarray, p1: np.ndarray, sag, centers: np.ndarray) -> np.ndarray:
@@ -449,6 +458,7 @@ class SlabCone(Domain):
         # the cone certificate's slack factor, 1 / sin(half_angle / 2)
         self._wall_slack = 1.0 / math.sin(self.half_angle / 2.0)
 
+    @np.errstate(invalid="ignore", over="ignore")
     def contains_batch(self, pts: np.ndarray) -> np.ndarray:
         ims = pts[:, 1:]
         b = row_norms(ims)
@@ -457,7 +467,8 @@ class SlabCone(Domain):
         if big.any():
             cosang = np.abs(row_dot(ims[big], self.i0.vec)) / b[big]
             mask[big] = cosang > self._cos_half
-        return mask
+        # a NaN or infinite imaginary part fails both tests; the real part must be finite too
+        return mask & np.isfinite(pts[:, 0])
 
     def deep_legs(self, p0: np.ndarray, p1: np.ndarray, sag) -> np.ndarray:
         """Legs that the slab or one cone holds with room to spare.
@@ -467,6 +478,7 @@ class SlabCone(Domain):
         smaller of its ends' distances to the cone's wall exceeds
         sag + s / sin(half_angle / 2); the module docstring proves both.
         """
+        sag = _leg_sags(sag)
         # a NaN or infinity makes NaN or -inf, which certifies nothing
         with np.errstate(invalid="ignore", over="ignore"):
             slack = (np.maximum(row_norms(p0), row_norms(p1)) + 1.0) * _LEG_SLACK
@@ -543,27 +555,38 @@ class BallChain(Domain):
     def center_at(self, theta: float) -> Octonion:
         return Octonion(self._centers(np.array([theta]))[0])
 
+    def _nearest(self, pts: np.ndarray, bound: float = np.inf) -> tuple[np.ndarray, np.ndarray]:
+        """cKDTree distance to the nearest centre within `bound`, and its index, per row.
+
+        A row with no centre that near comes back at distance inf and index
+        len(centers).  cKDTree refuses NaN and infinity; such a row comes
+        back at distance inf and index 0.
+        """
+        try:
+            return self._tree.query(pts, distance_upper_bound=bound)
+        except ValueError:
+            finite = np.isfinite(pts).all(axis=1)
+            dist, idx = np.full(len(pts), np.inf), np.zeros(len(pts), dtype=np.intp)
+            dist[finite], idx[finite] = self._tree.query(pts[finite], distance_upper_bound=bound)
+            return dist, idx
+
     def nearest_thetas(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Grid theta of the nearest ball center, and its distance, per row of (n, 8) points."""
-        dist, idx = self._tree.query(pts)
-        return self.thetas[idx], dist
+        dist, idx = self._nearest(pts)
+        return self.thetas[np.minimum(idx, len(self.thetas) - 1)], dist
 
     def contains_batch(self, pts: np.ndarray) -> np.ndarray:
-        # Points with no center within RADIUS come back at distance inf.
-        dist, _ = self._tree.query(pts, distance_upper_bound=self.RADIUS)
+        dist, _ = self._nearest(pts, self.RADIUS)
         return dist < self.RADIUS
 
     def deep_legs(self, p0: np.ndarray, p1: np.ndarray, sag) -> np.ndarray:
         """Legs that the ball nearest their midpoint holds, by the test of `balls_hold_legs`."""
         # a NaN or infinity, or a norm that overflows, certifies nothing
         with np.errstate(invalid="ignore", over="ignore"):
-            mid = 0.5 * p0 + 0.5 * p1
-            # cKDTree refuses NaN and infinity: such a leg asks the ball nearest the origin
-            mid[~np.isfinite(mid).all(axis=1)] = 0.0
-            _, idx = self._tree.query(mid)
+            _, idx = self._nearest(0.5 * p0 + 0.5 * p1)
             # a midpoint too far for a finite distance comes back past the last centre
             c = self.centers[np.minimum(idx, len(self.centers) - 1)]
-            reach = _leg_reach(p0, p1, sag, np.concatenate([c, c]))
+            reach = _leg_reach(p0, p1, _leg_sags(sag), np.concatenate([c, c]))
         reach += (row_norms(c) + self.RADIUS) * _LEG_SLACK + _BAND_ABS
         return reach < self.RADIUS
 

@@ -32,7 +32,7 @@ from .algebra import Octonion, UnitImaginary, row_dot
 from .diffops import OctField
 from .domains import Ball, BallChain, Domain, SlabCone
 from .errors import ConditioningError, DomainError
-from .stems import StemField, StemVector
+from .stems import StemField
 
 _COS_HALF = math.cos(math.pi / 4.0)
 _EYE = np.eye(8)
@@ -47,12 +47,8 @@ class GoldenField:
     stem: Optional[StemField] = None
 
 
-def _scalar(value: float) -> Octonion:
-    return float(value) * Octonion.one()
-
-
 def _scalar_rows(values: np.ndarray) -> np.ndarray:
-    """Rows `_scalar(v)` for an (n,) array of reals."""
+    """Rows v e0, each as `v * Octonion.one()` rounds it, for an (n,) array of reals."""
     return _E0 * values[:, None]
 
 
@@ -69,22 +65,20 @@ def _im_norms(pts: np.ndarray) -> np.ndarray:
 # Slab-cone field
 
 
-def slab_cone_stem(z: complex, branch: int) -> StemVector:
-    """Stem of the slab-cone field at z on the branch through +I0 or -I0.
+def slab_cone_stem(zs, branch: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stems (u, v) of the slab-cone field at rows of z, on the branch through +I0 or -I0.
 
     branch = +1 selects the cone around I0, branch = -1 the cone around -I0.
     Values at beta < 0 follow the even-odd convention (u, -v).
     """
     if branch not in (1, -1):
         raise DomainError("branch must be +1 or -1")
-    alpha, beta = z.real, abs(z.imag)
-    if beta < 1.0:
-        return StemVector(Octonion.zero(), Octonion.zero())
-    u = _scalar(branch * alpha * (beta - 1.0))
-    v = _scalar(branch * beta * (beta - 1.0))
-    if z.imag < 0:
-        v = -v
-    return StemVector(u, v)
+    zs = np.asarray(zs, dtype=complex)
+    alpha, beta = zs.real, np.abs(zs.imag)
+    cone = ~(beta < 1.0)
+    u = _scalar_rows(np.where(cone, branch * alpha * (beta - 1.0), 0.0))
+    v = _scalar_rows(np.where(cone, branch * beta * (beta - 1.0), 0.0))
+    return u, np.where((cone & (zs.imag < 0))[:, None], -v, v)
 
 
 def slab_cone_field(i0: Optional[UnitImaginary] = None) -> GoldenField:
@@ -179,26 +173,22 @@ def _sqrt_partials_raw(z: complex) -> tuple[float, float, float, float]:
     return du_da, du_db, dv_da, dv_db
 
 
-def _near_cut(z: complex) -> bool:
-    w = complex(z.real, z.imag - 2.0)
-    return (w.real < _CUT_MARGIN and abs(w.imag) < _CUT_MARGIN) or abs(z.imag) < 0.05
-
-
 def sqrt_stem_main() -> StemField:
-    """Main-branch stem of the square-root field, with closed partials."""
+    """Main-branch stem of the square-root field, with closed partials off the cut margin."""
 
-    def u_fn(z: complex) -> Octonion:
-        return _scalar(_sqrt_uv(z)[0])
+    def values_many(zs: np.ndarray):
+        uv = np.array([_sqrt_uv(z) for z in zs.tolist()]).reshape(-1, 2)
+        return _scalar_rows(uv[:, 0]), _scalar_rows(uv[:, 1])
 
-    def v_fn(z: complex) -> Octonion:
-        return _scalar(_sqrt_uv(z)[1])
+    def partials_many(zs: np.ndarray) -> np.ndarray:
+        a, b = zs.real, zs.imag
+        near_cut = ((a < _CUT_MARGIN) & (np.abs(b - 2.0) < _CUT_MARGIN)) | (np.abs(b) < 0.05)
+        parts = np.full((len(zs), 4, 8), np.nan)
+        raw = np.array([_sqrt_partials_raw(z) for z in zs[~near_cut].tolist()]).reshape(-1, 4)
+        parts[~near_cut] = _E0 * raw[:, :, None]
+        return parts
 
-    def partials(z: complex):
-        if _near_cut(z):
-            return None
-        return tuple(_scalar(p) for p in _sqrt_partials_raw(z))
-
-    return StemField(u_fn, v_fn, partials)
+    return StemField(values_many, partials_many)
 
 
 def sqrt_sfr_field(
@@ -267,9 +257,16 @@ def sqrt_sfr_field(
 _CONSTANT = np.array([0.7, 0.0, -0.3, 0.0, 0.2, 0.0, 0.0, 0.1])
 
 
-def _const_stem(value: Octonion) -> StemField:
-    zero4 = (Octonion.zero(),) * 4
-    return StemField(lambda z: value, lambda z: Octonion.zero(), lambda z: zero4)
+def _linear_stem(u_rows, v_rows, partials: np.ndarray) -> StemField:
+    """A stem with constant partials: (du/dalpha, du/dbeta, dv/dalpha, dv/dbeta) as (4, 8)."""
+    return StemField(
+        lambda zs: (u_rows(zs), v_rows(zs)),
+        lambda zs: _tiled(partials, len(zs)),
+    )
+
+
+def _zero_rows(zs: np.ndarray) -> np.ndarray:
+    return np.zeros((len(zs), 8))
 
 
 def constant_field() -> GoldenField:
@@ -278,17 +275,16 @@ def constant_field() -> GoldenField:
         lambda pts: _tiled(_CONSTANT, len(pts)),
         lambda pts: np.zeros((len(pts), 8, 8)),
     )
-    stem = _const_stem(Octonion(_CONSTANT))
+    stem = _linear_stem(lambda zs: _tiled(_CONSTANT, len(zs)), _zero_rows, np.zeros((4, 8)))
     return GoldenField("constant", field, Ball(Octonion.zero(), 3.0), stem=stem)
 
 
 def identity_field() -> GoldenField:
     field = OctField("identity", lambda pts: pts.copy(), lambda pts: _tiled(_EYE, len(pts)))
-    one, zero = Octonion.one(), Octonion.zero()
-    stem = StemField(
-        lambda z: _scalar(z.real),
-        lambda z: _scalar(z.imag),
-        lambda z: (one, zero, zero, one),
+    stem = _linear_stem(
+        lambda zs: _scalar_rows(zs.real),
+        lambda zs: _scalar_rows(zs.imag),
+        _scalar_rows(np.array([1.0, 0.0, 0.0, 1.0])),
     )
     return GoldenField("identity", field, Ball(Octonion.zero(), 3.0), stem=stem)
 
@@ -303,15 +299,18 @@ def gaussian_field() -> GoldenField:
 
     field = OctField("gaussian", evaluate_many, partials_many)
 
-    def u_fn(z: complex) -> Octonion:
-        return _scalar(math.exp(-(z.real ** 2 + z.imag ** 2)))
+    def values_many(zs: np.ndarray):
+        exps = [math.exp(-(a ** 2 + b ** 2)) for a, b in zip(zs.real.tolist(), zs.imag.tolist())]
+        return _scalar_rows(np.array(exps)), _zero_rows(zs)
 
-    def partials(z: complex):
-        e = math.exp(-(z.real ** 2 + z.imag ** 2))
-        zero = Octonion.zero()
-        return (_scalar(-2.0 * z.real * e), _scalar(-2.0 * z.imag * e), zero, zero)
+    def stem_partials_many(zs: np.ndarray) -> np.ndarray:
+        u, _ = values_many(zs)
+        parts = np.zeros((len(zs), 4, 8))
+        parts[:, 0] = _scalar_rows(-2.0 * zs.real * u[:, 0])
+        parts[:, 1] = _scalar_rows(-2.0 * zs.imag * u[:, 0])
+        return parts
 
-    stem = StemField(u_fn, lambda z: Octonion.zero(), partials)
+    stem = StemField(values_many, stem_partials_many)
     return GoldenField("gaussian", field, Ball(Octonion.zero(), 3.0), stem=stem)
 
 
@@ -338,11 +337,10 @@ def affine_regular_field() -> GoldenField:
     affine_partials = np.eye(8)
     affine_partials[0, 0] = 3.0
     field = OctField("affine-regular", evaluate_many, lambda pts: _tiled(affine_partials, len(pts)))
-    one, zero = Octonion.one(), Octonion.zero()
-    stem = StemField(
-        lambda z: _scalar(3.0 * z.real),
-        lambda z: _scalar(z.imag),
-        lambda z: (3.0 * one, zero, zero, one),
+    stem = _linear_stem(
+        lambda zs: _scalar_rows(3.0 * zs.real),
+        lambda zs: _scalar_rows(zs.imag),
+        _scalar_rows(np.array([3.0, 0.0, 0.0, 1.0])),
     )
     return GoldenField("affine-regular", field, Ball(Octonion.zero(), 3.0), stem=stem)
 

@@ -601,12 +601,11 @@ class _FiberSearch:
         self.grid = SlicePairGrid(domain, plan, subsphere, query=(z, np.vstack([u1, u2])))
         self.i1 = len(self.grid.units) - 2
         self.i2 = len(self.grid.units) - 1
-        self.adj: dict[int, list[tuple[int, int]]] = {i: [] for i in range(len(self.grid.units))}
-        for eidx, (a, b) in enumerate(self.grid.edges):
-            self.adj[int(a)].append((int(b), eidx))
-            self.adj[int(b)].append((int(a), eidx))
-        self.edge_index = {(int(a), int(b)): e for e, (a, b) in enumerate(self.grid.edges)}
-        self.edge_index.update({(int(b), int(a)): e for e, (a, b) in enumerate(self.grid.edges)})
+        # each unit's (neighbour, edge) pairs, in edge order
+        self.adj: list[list[tuple[int, int]]] = [[] for _ in self.grid.units]
+        for eidx, (a, b) in enumerate(self.grid.edges.tolist()):
+            self.adj[a].append((b, eidx))
+            self.adj[b].append((a, eidx))
 
     def run(self) -> tuple[str, Optional[list], int]:
         grid = self.grid
@@ -626,14 +625,13 @@ class _FiberSearch:
             if i == j or grid.is_real_col(col):
                 return "found", self._walk_back(parents, node), pops
             arcs = grid.arc_mask(col)
-            direct = self.edge_index.get((i, j))
-            if direct is not None and arcs[direct]:
-                # one unit slide away from the diagonal: finish it
-                final = (col, i, i)
-                parents.setdefault(final, node)
-                return "found", self._walk_back(parents, final), pops
             for k, eidx in self.adj[i]:
                 if arcs[eidx]:
+                    if k == j:
+                        # one unit slide away from the diagonal: finish it
+                        final = (col, i, i)
+                        parents.setdefault(final, node)
+                        return "found", self._walk_back(parents, final), pops
                     nxt = (col, k, j)
                     if nxt not in parents:
                         parents[nxt] = node

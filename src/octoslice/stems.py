@@ -17,6 +17,17 @@ The Bers-Vekua system
 
 characterizes the stems of slice Fueter-regular functions away from the real
 axis; its residual is what `sfr_check` drives to zero on samples.
+
+A stem is one batched kernel, like a field: `StemField.values_many` maps an
+(n,) complex array to (u, v), two (n, 8) arrays, and the optional
+`partials_many` maps it to (n, 4, 8) closed partials (du/dalpha, du/dbeta,
+dv/dalpha, dv/dbeta) with NaN rows where no closed form applies.
+`stem_partials` is the one stem derivative path: closed rows come from
+`partials_many`; NaN rows, stems without it and `use_closed=False` all go
+through one central-difference stencil with step h = step_scale (1 + |z|),
+evaluated in a single `values_many` call.  The Bers-Vekua residual, the
+two-unit stems and `reconstruct_third` take rows of z (and of units) too,
+and round every row as the one-point `Octonion` arithmetic does.
 """
 
 from __future__ import annotations
@@ -32,7 +43,6 @@ from .algebra import (
     Octonion,
     OrthoPair,
     UnitImaginary,
-    mul,
     mul_batch,
     orthogonal_unit,
     row_dot,
@@ -82,64 +92,77 @@ class StemVector:
 
 @dataclass
 class StemField:
-    """Stem of a slice function as callables of the complex variable.
+    """Stem of a slice function, as batched kernels of the complex variable.
 
-    `partials(z)` returns (du_dalpha, du_dbeta, dv_dalpha, dv_dbeta) or None
-    where no closed form applies.
+    `values_many` maps an (n,) complex array to (u, v), two (n, 8) arrays;
+    `partials_many`, when given, maps it to (n, 4, 8) closed partials
+    (du/dalpha, du/dbeta, dv/dalpha, dv/dbeta), NaN rows where no closed
+    form applies.
     """
 
-    u: Callable[[complex], Octonion]
-    v: Callable[[complex], Octonion]
-    partials: Optional[
-        Callable[[complex], Optional[tuple[Octonion, Octonion, Octonion, Octonion]]]
-    ] = None
+    values_many: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    partials_many: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
 @dataclass
 class BVResidual:
-    """Residuals of the two Bers-Vekua equations; r1 is None on the real axis."""
+    """Residuals of the two Bers-Vekua equations at n points, as (n, 8) rows.
 
-    r1: Optional[Octonion]
-    r2: Octonion
+    On the real axis 2 v / beta is undefined, and r1's row is NaN.
+    """
 
-    @property
-    def max_norm(self) -> float:
-        n2 = self.r2.norm()
-        return n2 if self.r1 is None else max(self.r1.norm(), n2)
+    r1: np.ndarray
+    r2: np.ndarray
 
-    def to_json(self) -> dict:
-        return {"r1": None if self.r1 is None else self.r1.to_list(), "r2": self.r2.to_list()}
+    def max_norms(self) -> np.ndarray:
+        """max(|r1|, |r2|) per row, |r2| alone on the real axis."""
+        return np.fmax(np.sqrt(row_dot(self.r1, self.r1)), np.sqrt(row_dot(self.r2, self.r2)))
+
+    def to_json(self, row: int = 0) -> dict:
+        r1 = self.r1[row]
+        return {
+            "r1": None if np.isnan(r1).any() else [float(v) for v in r1],
+            "r2": [float(v) for v in self.r2[row]],
+        }
 
 
-def _slice_values(f: OctField, z: complex, units: tuple[UnitImaginary, ...]) -> list[Octonion]:
-    """f at the slice points z_I of the given units, in one batch."""
-    vals = f.evaluate_many(tau_rows(z.real, z.imag, np.stack([u.vec for u in units])))
-    return [Octonion(v) for v in vals]
+def _two_unit_rows(f: OctField, zs, i1: np.ndarray, i2: np.ndarray, task: str, on_axis: str):
+    """Unit rows I1, I2 as octonions, (I1 - I2)^{-1}, f(z_I1) and f(z_I2), for rows of z.
+
+    Refuses rows on the real axis and unit pairs closer than SEP_MIN.
+    """
+    zs = np.asarray(zs, dtype=complex)
+    if (np.abs(zs.imag) <= REAL_AXIS_TOL).any():
+        raise DomainError(f"z on the real axis: {on_axis}")
+    sep = np.sqrt(row_dot(i1 - i2, i1 - i2))
+    close = sep < SEP_MIN
+    if close.any():
+        raise ConditioningError(f"units too close for stable {task}: |I1-I2| = {sep[close][0]}")
+    units = np.stack([i1, i2], axis=1)
+    # tau_rows(0, 1, I) is the unit I as an octonion row
+    o1, o2 = tau_rows(0.0, 1.0, units).transpose(1, 0, 2)
+    vals = f.evaluate_many(tau_rows(zs.real[:, None], zs.imag[:, None], units).reshape(-1, 8))
+    return o1, o2, imag_inverse(o1 - o2), vals[0::2], vals[1::2]
 
 
 def stem_from_two_units(
     f: OctField,
-    z: complex,
-    i1: UnitImaginary,
-    i2: UnitImaginary,
-) -> StemVector:
-    """Solve f(z_I1) = u + I1 v, f(z_I2) = u + I2 v for the stem at z.
+    zs,
+    i1: np.ndarray,
+    i2: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve f(z_I1) = u + I1 v, f(z_I2) = u + I2 v for the stems at rows of z.
 
-    For beta > 0 this is the stem vector at z_I; for beta < 0 it returns the
-    stem-function value (u, -v) of the mirrored stem vector, consistent with
-    the even-odd convention.
+    `zs` is (n,) complex and i1, i2 are (n, 7) unit rows; (u, v) come back
+    as two (n, 8) arrays.  For beta > 0 a row is the stem vector at z_I; for
+    beta < 0 it is the stem-function value (u, -v) of the mirrored stem
+    vector, consistent with the even-odd convention.
     """
-    z = complex(z)
-    if abs(z.imag) <= REAL_AXIS_TOL:
-        raise DomainError("z on the real axis: use the convention (f(z), 0) directly")
-    sep = float(np.linalg.norm(i1.vec - i2.vec))
-    if sep < SEP_MIN:
-        raise ConditioningError(f"units too close for stable interpolation: |I1-I2| = {sep}")
-    f1, f2 = _slice_values(f, z, (i1, i2))
-    diff_units = i1.as_octonion() - i2.as_octonion()
-    v = mul(diff_units.inv(), f1 - f2)
-    u = f1 - mul(i1.as_octonion(), v)
-    return StemVector(u, v)
+    o1, _, inv, f1, f2 = _two_unit_rows(
+        f, zs, i1, i2, "interpolation", "use the convention (f(z), 0) directly"
+    )
+    v = mul_batch(inv, f1 - f2)
+    return f1 - mul_batch(o1, v), v
 
 
 def gamma_stem_rows(
@@ -175,25 +198,21 @@ def stem_from_gamma(
 
 def reconstruct_third(
     f: OctField,
-    z: complex,
-    i1: UnitImaginary,
-    i2: UnitImaginary,
-    i3: UnitImaginary,
-) -> Octonion:
-    """Value of a slice function at z_I3 from its values at z_I1 and z_I2.
+    zs,
+    i1: np.ndarray,
+    i2: np.ndarray,
+    i3: np.ndarray,
+) -> np.ndarray:
+    """Values of a slice function at z_I3 from its values at z_I1 and z_I2, as (n, 8).
 
-    f(z_I3) = (I3 - I2)((I1 - I2)^{-1} f(z_I1)) - (I3 - I1)((I1 - I2)^{-1} f(z_I2)).
+    f(z_I3) = (I3 - I2)((I1 - I2)^{-1} f(z_I1)) - (I3 - I1)((I1 - I2)^{-1} f(z_I2)),
+    for (n,) complex z and (n, 7) unit rows.
     """
-    z = complex(z)
-    if abs(z.imag) <= REAL_AXIS_TOL:
-        raise DomainError("z on the real axis: all slice values coincide there")
-    sep = float(np.linalg.norm(i1.vec - i2.vec))
-    if sep < SEP_MIN:
-        raise ConditioningError(f"units too close for stable reconstruction: |I1-I2| = {sep}")
-    q = (i1.as_octonion() - i2.as_octonion()).inv()
-    f1, f2 = _slice_values(f, z, (i1, i2))
-    o3 = i3.as_octonion()
-    return mul(o3 - i2.as_octonion(), mul(q, f1)) - mul(o3 - i1.as_octonion(), mul(q, f2))
+    o1, o2, q, f1, f2 = _two_unit_rows(
+        f, zs, i1, i2, "reconstruction", "all slice values coincide there"
+    )
+    o3 = tau_rows(0.0, 1.0, i3)
+    return mul_batch(o3 - o2, mul_batch(q, f1)) - mul_batch(o3 - o1, mul_batch(q, f2))
 
 
 def local_stem(f: OctField, ball: Ball, z: complex) -> StemVector:
@@ -230,40 +249,59 @@ def local_stem(f: OctField, ball: Ball, z: complex) -> StemVector:
     for unit in (i1, i2):
         if not ball.contains(tau(unit, complex(a, b))):
             raise IntegrityError("selected slice point escaped the ball")
-    stem = stem_from_two_units(f, complex(a, b), i1, i2)
-    if z.imag < 0:
-        stem = StemVector(stem.u, -stem.v)
-    return stem
+    u, v = stem_from_two_units(f, np.array([complex(a, b)]), i1.vec[None], i2.vec[None])
+    return StemVector(Octonion(u[0]), Octonion(-v[0] if z.imag < 0 else v[0]))
+
+
+def stem_partials(
+    stem: StemField,
+    zs,
+    scheme: FDScheme = DEFAULT_SCHEME,
+    use_closed: bool = True,
+) -> np.ndarray:
+    """(n, 4, 8) partials du/dalpha, du/dbeta, dv/dalpha, dv/dbeta at rows of z.
+
+    Rows without a closed form take central differences with step
+    h = step_scale * (1 + |z|), all their stencil points in one batch.
+    """
+    zs = np.asarray(zs, dtype=complex)
+    if use_closed and stem.partials_many is not None:
+        parts = stem.partials_many(zs)
+        todo = np.flatnonzero(np.isnan(parts).any(axis=(1, 2)))
+    else:
+        parts = np.zeros((len(zs), 4, 8))
+        todo = np.arange(len(zs))
+    if len(todo) == 0:
+        return parts
+    z = zs[todo]
+    # `np.hypot` is Python's abs(complex) to the bit; `np.abs` is not
+    h = scheme.step_scale * (1.0 + np.hypot(z.real, z.imag))
+    # vals[uv, axis, sign] holds u or v at z + h, z - h, z + ih and z - ih
+    vals = np.stack(stem.values_many(np.concatenate([z + h, z - h, z + 1j * h, z - 1j * h])))
+    vals = vals.reshape(2, 2, 2, len(z), 8)
+    diffs = (vals[:, :, 0] - vals[:, :, 1]) / (2.0 * h)[:, None]
+    parts[todo] = diffs.reshape(4, len(z), 8).transpose(1, 0, 2)
+    return parts
 
 
 def bers_vekua_residual(
     stem: StemField,
-    z: complex,
+    zs,
     scheme: FDScheme = DEFAULT_SCHEME,
     use_closed: bool = True,
 ) -> BVResidual:
-    """Residuals of the Bers-Vekua system for a stem at z.
+    """Residuals of the Bers-Vekua system for a stem at rows of z.
 
-    The first equation involves 2 v / beta and is reported as None on the
-    real axis.
+    The first equation involves 2 v / beta; its rows on the real axis are NaN.
     """
-    z = complex(z)
-    parts = None
-    if use_closed and stem.partials is not None:
-        parts = stem.partials(z)
-    if parts is None:
-        h = scheme.step_scale * (1.0 + abs(z))
-        du_da = (stem.u(z + h) - stem.u(z - h)) / (2.0 * h)
-        du_db = (stem.u(z + h * 1j) - stem.u(z - h * 1j)) / (2.0 * h)
-        dv_da = (stem.v(z + h) - stem.v(z - h)) / (2.0 * h)
-        dv_db = (stem.v(z + h * 1j) - stem.v(z - h * 1j)) / (2.0 * h)
-    else:
-        du_da, du_db, dv_da, dv_db = parts
-    r2 = du_db + dv_da
-    if abs(z.imag) <= REAL_AXIS_TOL:
-        return BVResidual(None, r2)
-    r1 = du_da - dv_db - (2.0 / z.imag) * stem.v(z)
-    return BVResidual(r1, r2)
+    zs = np.asarray(zs, dtype=complex)
+    du_da, du_db, dv_da, dv_db = stem_partials(stem, zs, scheme, use_closed).transpose(1, 0, 2)
+    r1 = np.full((len(zs), 8), np.nan)
+    off = np.abs(zs.imag) > REAL_AXIS_TOL
+    if off.any():
+        _, v = stem.values_many(zs[off])
+        r1[off] = du_da[off] - dv_db[off] - (2.0 / zs.imag[off])[:, None] * v
+    return BVResidual(r1, du_db + dv_da)
 
 
 def sfr_check(

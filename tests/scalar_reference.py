@@ -5,7 +5,10 @@ became one batched kernel: each golden field's `evaluate` and
 `closed_partial` on single `Octonion`s, the central difference of one point
 and one axis, Gamma, the Euler and slice Fueter operators assembled one
 `mul` at a time, the per-stencil Cauchy-Fueter and Laplacian loops, and the
-stem routines one point and one member at a time.  The batched code must
+stem routines one point and one member at a time.  The stems are
+their one-point callables: u, v and the closed partials of one complex
+point, with None where no closed form applies, and the Bers-Vekua residual
+with its one-point central difference.  The batched code must
 reproduce them to the bit: `same_bits` compares values and the signs of
 zeros.
 """
@@ -22,11 +25,15 @@ from octoslice.algebra import Octonion, UnitImaginary, mul, tau, tau_rows, unit_
 from octoslice.diffops import DEFAULT_SCHEME, DERIVATION_PAIRS
 from octoslice.domains import BallChain
 from octoslice.errors import DomainError
-from octoslice.golden import _CONSTANT, _scalar, _sqrt_partials_raw, _sqrt_uv, _sqrt_uv_tilde
+from octoslice.golden import _CONSTANT, _CUT_MARGIN, _sqrt_partials_raw, _sqrt_uv, _sqrt_uv_tilde
 from octoslice.stems import StemVector
 
 _BASIS = [Octonion.basis(k) for k in range(8)]
 _COS_HALF = math.cos(math.pi / 4.0)
+
+
+def _scalar(value: float) -> Octonion:
+    return float(value) * Octonion.one()
 
 
 def same_bits(a, b) -> bool:
@@ -285,3 +292,94 @@ def ref_member_stems(sf: ScalarField, q, class_id: int, use_closed: bool = True)
         s = ref_stem_from_gamma(sf, Octonion(x), use_closed)
         stems.append(StemVector(s.u, -s.v) if beta < 0 else s)
     return stems
+
+
+def ref_slab_cone_stem(z: complex, branch: int) -> StemVector:
+    alpha, beta = z.real, abs(z.imag)
+    if beta < 1.0:
+        return StemVector(Octonion.zero(), Octonion.zero())
+    u = _scalar(branch * alpha * (beta - 1.0))
+    v = _scalar(branch * beta * (beta - 1.0))
+    if z.imag < 0:
+        v = -v
+    return StemVector(u, v)
+
+
+# ---------------------------------------------------------------------------
+# Stems of one complex point
+
+
+@dataclass
+class ScalarStem:
+    u: Callable[[complex], Octonion]
+    v: Callable[[complex], Octonion]
+    partials: Callable[[complex], Optional[tuple[Octonion, Octonion, Octonion, Octonion]]]
+
+
+def _near_cut(z: complex) -> bool:
+    w = complex(z.real, z.imag - 2.0)
+    return (w.real < _CUT_MARGIN and abs(w.imag) < _CUT_MARGIN) or abs(z.imag) < 0.05
+
+
+def _sqrt_stem() -> ScalarStem:
+    def partials(z: complex):
+        if _near_cut(z):
+            return None
+        return tuple(_scalar(p) for p in _sqrt_partials_raw(z))
+
+    return ScalarStem(lambda z: _scalar(_sqrt_uv(z)[0]), lambda z: _scalar(_sqrt_uv(z)[1]), partials)
+
+
+def _gaussian_stem() -> ScalarStem:
+    def partials(z: complex):
+        e = math.exp(-(z.real ** 2 + z.imag ** 2))
+        zero = Octonion.zero()
+        return (_scalar(-2.0 * z.real * e), _scalar(-2.0 * z.imag * e), zero, zero)
+
+    return ScalarStem(
+        lambda z: _scalar(math.exp(-(z.real ** 2 + z.imag ** 2))), lambda z: Octonion.zero(), partials
+    )
+
+
+def _linear_stem(u, v, slope: float) -> ScalarStem:
+    one, zero = Octonion.one(), Octonion.zero()
+    return ScalarStem(u, v, lambda z: (slope * one, zero, zero, one))
+
+
+_SCALAR_STEMS = {
+    "sqrt-example": _sqrt_stem,
+    "constant": lambda: ScalarStem(
+        lambda z: Octonion(_CONSTANT), lambda z: Octonion.zero(), lambda z: (Octonion.zero(),) * 4
+    ),
+    "identity": lambda: _linear_stem(lambda z: _scalar(z.real), lambda z: _scalar(z.imag), 1.0),
+    "gaussian": _gaussian_stem,
+    "affine-regular": lambda: _linear_stem(lambda z: _scalar(3.0 * z.real), lambda z: _scalar(z.imag), 3.0),
+}
+
+
+def scalar_stem(name: str) -> ScalarStem:
+    """The one-point form of the closed stem of the golden field `name`."""
+    return _SCALAR_STEMS[name]()
+
+
+def ref_stem_partials(stem: ScalarStem, z: complex, use_closed: bool = True) -> tuple:
+    """(du/dalpha, du/dbeta, dv/dalpha, dv/dbeta) at z: closed, else central differences."""
+    parts = stem.partials(z) if use_closed else None
+    if parts is not None:
+        return parts
+    h = DEFAULT_SCHEME.step_scale * (1.0 + abs(z))
+    return (
+        (stem.u(z + h) - stem.u(z - h)) / (2.0 * h),
+        (stem.u(z + h * 1j) - stem.u(z - h * 1j)) / (2.0 * h),
+        (stem.v(z + h) - stem.v(z - h)) / (2.0 * h),
+        (stem.v(z + h * 1j) - stem.v(z - h * 1j)) / (2.0 * h),
+    )
+
+
+def ref_bers_vekua(stem: ScalarStem, z: complex, use_closed: bool = True):
+    """(r1, r2) of the Bers-Vekua system at z; r1 is None on the real axis."""
+    du_da, du_db, dv_da, dv_db = ref_stem_partials(stem, z, use_closed)
+    r2 = du_db + dv_da
+    if abs(z.imag) <= 1e-12:
+        return None, r2
+    return du_da - dv_db - (2.0 / z.imag) * stem.v(z), r2

@@ -114,10 +114,7 @@ def _reference_edges_ok(search, col):
     pts[:, 1:] = z.imag * grid.edge_arcs.reshape(-1, 7)
     arc_ok = grid.domain.contains_batch(pts).reshape(n_edges, n_probes).all(axis=1)
     mem = grid.members(col)
-    ends_ok = np.empty(n_edges, dtype=bool)
-    for (a, b), e in search.edge_index.items():
-        if a < b:
-            ends_ok[e] = mem[a] and mem[b]
+    ends_ok = np.array([mem[a] and mem[b] for a, b in grid.edges], dtype=bool)
     return arc_ok & ends_ok
 
 

@@ -437,6 +437,33 @@ _FROZEN_ARGV.append([
     "--grid", json.dumps({"center": [1, 2, 0, 0], "half_widths": [0.12] * 4, "counts": [5] * 4}),
 ])
 
+# Recorded before the stems and the quaternion operators became batched
+# kernels: the Bers-Vekua residual of every closed stem, closed and --fd,
+# above, on and below the real axis (the square-root stem is undefined on the
+# axis, so there it is the exit-2 path with an empty stdout), and one
+# square-root z inside the cut margin, where the closed partials give way to
+# central differences; two-unit stems below the axis; the quaternion
+# operators at second points.
+_POINT2 = json.dumps([-0.6, 0.2, 0.7, -0.3, 0.5, 0.1, -0.2, 0.4])
+_SQRT_POINT2 = json.dumps([0.45, 0.95, -0.58, 0.0, 0.0, 0.0, 0.0, 0.03])
+_BV_Z = {
+    "constant": ("[0.4, 1.3]", "[0.4, 0]", "[0.4, -1.3]"),
+    "identity": ("[0.4, 1.3]", "[0.4, 0]", "[0.4, -1.3]"),
+    "gaussian": ("[0.4, 1.3]", "[0.4, 0]", "[0.4, -1.3]"),
+    "affine-regular": ("[0.4, 1.3]", "[0.4, 0]", "[0.4, -1.3]"),
+    "sqrt-example": ("[0.7, 2.2]", "[0.5, 0]", "[0.7, -2.2]", "[-0.5, 2.01]"),
+}
+for _field, _zs in _BV_Z.items():
+    for _z in _zs:
+        for _fd in ((), ("--fd",)):
+            _FROZEN_ARGV.append(["bv-residual", "--field", _field, "--z", _z, *_fd])
+for _field in ("identity", "affine-regular", "slab-cone"):
+    _FROZEN_ARGV.append(["stem", "--field", _field, "--z", "[-0.7, -2.2]", "--units", _UNITS])
+for _name in ("cauchy-fueter", "slice-laplacian"):
+    for _field in ("identity", "gaussian"):
+        _FROZEN_ARGV.append(["op", "--name", _name, "--field", _field, "--point", _POINT2])
+    _FROZEN_ARGV.append(["op", "--name", _name, "--field", "sqrt-example", "--point", _SQRT_POINT2])
+
 _FROZEN_SHA256 = [
     "04f6e697bc8943a89120ed770335201edb04720fcd371aecbed065e9fb87ca3d",
     "67cb60e372eeefde4346ae17e70feee013f503af18e348dfbff68f3e8be5fc35",
@@ -488,6 +515,47 @@ _FROZEN_SHA256 = [
     "6b008e539800fccd21071eca772c1590403e3578372b95b6e5a0f62be1241765",
     "2f9adf2c3f9062dad826178fbb99e09b8774fcb602ea006966635798cfa3da5d",
     "9b6aa51209cfa11b03c6c0d485e26f456320d2a8a0077c024a22251241730d91",
+    "dcbfe7788219d5548da9cb463b26e63e06ba02071b29ff00e8f499f7e666c39f",
+    "dcbfe7788219d5548da9cb463b26e63e06ba02071b29ff00e8f499f7e666c39f",
+    "0be50b0e4f40f87dd3e139e8d8bee69d602491a44e7488800b08fd3d1afb9dc1",
+    "0be50b0e4f40f87dd3e139e8d8bee69d602491a44e7488800b08fd3d1afb9dc1",
+    "dcbfe7788219d5548da9cb463b26e63e06ba02071b29ff00e8f499f7e666c39f",
+    "dcbfe7788219d5548da9cb463b26e63e06ba02071b29ff00e8f499f7e666c39f",
+    "efa9795690bf69a06649ff2f391fafbd1664eafbf1c05383a0d8e0f7f8b3b2b3",
+    "e2a046ab4c8fdc6dc17c3690ccee5b5f88ab90acf64f22b811a8ca3256976916",
+    "0be50b0e4f40f87dd3e139e8d8bee69d602491a44e7488800b08fd3d1afb9dc1",
+    "0be50b0e4f40f87dd3e139e8d8bee69d602491a44e7488800b08fd3d1afb9dc1",
+    "efa9795690bf69a06649ff2f391fafbd1664eafbf1c05383a0d8e0f7f8b3b2b3",
+    "e2a046ab4c8fdc6dc17c3690ccee5b5f88ab90acf64f22b811a8ca3256976916",
+    "366bebb7bc5af9ef2e6cdd941864a42cb60b061d31114cfdd04107a37405f62e",
+    "e75a9dc35e078048f8770915b5a9cf777483dbacffb9e8e6dec0345b3f549809",
+    "0be50b0e4f40f87dd3e139e8d8bee69d602491a44e7488800b08fd3d1afb9dc1",
+    "0be50b0e4f40f87dd3e139e8d8bee69d602491a44e7488800b08fd3d1afb9dc1",
+    "2d4b378af235ae5146cbe952eb95c76195f49e050bb17cd5ab2fe085b4a862e5",
+    "72e6842a01cd6cbc7c6faf048004497d4ef066fe1fbd1510e7b7bfec854ce621",
+    "dcbfe7788219d5548da9cb463b26e63e06ba02071b29ff00e8f499f7e666c39f",
+    "a740f7c02fb0624a256d61dcea9b4325aebaedd4f6caedf6d4fb7fd86d0cfe64",
+    "0be50b0e4f40f87dd3e139e8d8bee69d602491a44e7488800b08fd3d1afb9dc1",
+    "0be50b0e4f40f87dd3e139e8d8bee69d602491a44e7488800b08fd3d1afb9dc1",
+    "dcbfe7788219d5548da9cb463b26e63e06ba02071b29ff00e8f499f7e666c39f",
+    "a740f7c02fb0624a256d61dcea9b4325aebaedd4f6caedf6d4fb7fd86d0cfe64",
+    "dcbfe7788219d5548da9cb463b26e63e06ba02071b29ff00e8f499f7e666c39f",
+    "846a9dec495879f3b3665d725c63c201a0e0087bbf9bed7855feff05df9b65ce",
+    "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "49b6ea6d16d297e4bc2c59009a23ba67fc4cb7542b77226dd2e799a33ea27ec9",
+    "b825b4a8de6156ffe56d3ff28ee689504faabf821b0cafd6c5520e4027af43aa",
+    "0df305bee502c48fcb7fd755e3e11a8d4d5537f6d7318f875a3ae72ce932e063",
+    "0df305bee502c48fcb7fd755e3e11a8d4d5537f6d7318f875a3ae72ce932e063",
+    "054ffa1d99105e82894568221c7d2e397fd8f10df4429ee6085f9355799e40e4",
+    "f03868a81273a35984ae34d871ce68ba2ed6a36f7bc32e6cd5d051fe6f97a6cc",
+    "48d301f1747e62bb62290c3dd6cde313f316d889e72f808e5a6889dea96c553c",
+    "f6f89f425226dc00a21c181e838ae12a312eb4e97f293aa6c4101d83a7ef3f7f",
+    "afa84ac5747001356a5a4780554402d0af7127601f814489bbe9e3cf28b43b4c",
+    "5cbaaf83b2e83eca90f466b990c3d7ece7f568d3f2cad14191cdbebb219def5d",
+    "85c52e7ff8ceb53b2739768d54e9eaa1bfbe0540ec45d1d63213ae847ab776bd",
+    "c76043677d33fc1e763d9ea94c0a8435f597ee1c6fae01177fdbe794f0aeb311",
+    "7d5fdf7fb7874277a4882af2fe65a036055dbde9f8b0bc88e66ea5c9597b21ab",
 ]
 
 

@@ -373,3 +373,44 @@ def test_sample_plan_keeps_valid_values():
     assert SamplePlan().quotient_z_step is None and SamplePlan().pool_sep is None
     plan = SamplePlan(min_im=0, a_values=[-1, 0.5], b_values=(np.float64(2.0),))
     assert plan.scan_grid() == ([-1, 0.5], (2.0,))
+
+
+_BUILT_IN = [
+    Ball(oct_(0.5, 2.0), 2.0),
+    BallUnion([Ball(oct_(0.5, 2.0), 2.0), Ball(oct_(0, 0, 2.0), 1.0)]),
+    SlabCone(E1),
+    BallChain(E1, E2),
+]
+
+
+@pytest.mark.parametrize("domain", _BUILT_IN, ids=lambda d: type(d).__name__)
+def test_non_finite_rows_are_outside(domain):
+    # inside: the first ball's centre, on the slab and on a chain ball's centre
+    finite = np.array([oct_(0.5, 2.0).coeffs, oct_(1.0, 2.0).coeffs])
+    rows = []
+    for bad in (np.nan, np.inf, -np.inf):
+        for k in (0, 2, 7):
+            row = finite[k % 2].copy()
+            row[k] = bad
+            rows.append(row)
+        rows.append(np.full(8, bad))
+    pts = np.vstack([finite, rows, finite])
+    got = domain.contains_batch(pts)
+    want = domain.contains_batch(finite)
+    assert want.any()
+    assert got.tolist() == want.tolist() + [False] * len(rows) + want.tolist()
+    assert domain.contains_batch(np.array(rows)).tolist() == [False] * len(rows)
+
+
+@pytest.mark.parametrize("domain", _BUILT_IN, ids=lambda d: type(d).__name__)
+def test_a_negative_sag_certifies_nothing(domain):
+    x = oct_(1.0, 2.0).coeffs[None]
+    far = np.full((1, 8), 5.0)
+    assert domain.deep_legs(x, x, 1e-3).tolist() == [True]
+    for sag in (-np.inf, -1.0, -1e-300, np.nan):
+        assert domain.deep_legs(x, x, sag).tolist() == [False]
+        assert domain.deep_legs(far, far, sag).tolist() == [False]
+    # per-leg sags: only the negative one is refused
+    pts = np.vstack([x, x])
+    assert domain.deep_legs(pts, pts, np.array([1e-3, -1e-3])).tolist() == [True, False]
+    assert domain.deep_legs(pts, pts, np.array([0.0, -0.0])).tolist() == [True, True]
