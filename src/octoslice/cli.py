@@ -34,7 +34,7 @@ from .errors import EmptySampleError, IntegrityError, PreconditionError
 from .golden import field_names, get_field
 from .liftings import PolyPathO, ccl_search, lift_approximate
 from .quotient import build_quotient
-from .sampling import SamplePlan
+from .sampling import SamplePlan, json_reals
 from .stems import (
     GridSpec,
     StemVector,
@@ -80,24 +80,16 @@ def _json_arg(text: str):
 
 
 def _point(text: str) -> Octonion:
-    coeffs = np.asarray(_json_arg(text), dtype=float)
-    if coeffs.shape != (8,):
-        raise PreconditionError(f"a point needs 8 coefficients, got shape {coeffs.shape}")
-    return Octonion(coeffs)
+    return Octonion(json_reals(_json_arg(text), (8,), "a point"))
 
 
 def _unit(data) -> UnitImaginary:
-    vec = np.asarray(data, dtype=float)
-    if vec.shape != (7,):
-        raise PreconditionError(f"a unit needs 7 coefficients, got shape {vec.shape}")
-    return UnitImaginary.from_vector(vec)
+    return UnitImaginary.from_vector(json_reals(data, (7,), "a unit"))
 
 
 def _z_arg(text: str) -> complex:
-    pair = _json_arg(text)
-    if not isinstance(pair, list) or len(pair) != 2:
-        raise PreconditionError('--z expects "[alpha, beta]"')
-    return complex(float(pair[0]), float(pair[1]))
+    alpha, beta = json_reals(_json_arg(text), (2,), '--z "[alpha, beta]"').tolist()
+    return complex(alpha, beta)
 
 
 def _plan(args) -> SamplePlan:
@@ -232,8 +224,9 @@ def _cmd_maxmod(args) -> int:
 
 def _cmd_lift(args) -> int:
     data = _json_arg(args.path)
-    times = np.asarray(data["times"], dtype=float) if "times" in data else None
-    path = PolyPathO(np.asarray(data["vertices"], dtype=float), times)
+    vertices = json_reals(data["vertices"], (None, 8), "path vertices")
+    times = json_reals(data["times"], (None,), "path times") if "times" in data else None
+    path = PolyPathO(vertices, times)
     lifting, cert = lift_approximate(path, args.delta, samples=args.samples)
     _write({"certificate": cert, "lifting": lifting.to_json()}, args.out)
     return 0 if cert["passed"] else 1

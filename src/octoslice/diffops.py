@@ -227,21 +227,6 @@ def euler_e(
     return Octonion(_euler(pts, partials_batch(f, pts, range(1, 8), scheme, use_closed))[0])
 
 
-def tangential_l(
-    f: OctField,
-    x: Octonion,
-    m: int,
-    n: int,
-    scheme: FDScheme = DEFAULT_SCHEME,
-    use_closed: bool = True,
-) -> Octonion:
-    """Tangential derivation L_mn f = x_m df/dx_n - x_n df/dx_m, 1<=m<n<=7."""
-    if not (1 <= m < n <= 7):
-        raise DomainError(f"need 1 <= m < n <= 7, got ({m}, {n})")
-    parts = partials_batch(f, x.coeffs[None, :], (m, n), scheme, use_closed)[0]
-    return Octonion(x.coeffs[m] * parts[n] - x.coeffs[n] * parts[m])
-
-
 def spherical_gamma(
     f: OctField,
     x: Octonion,
@@ -334,7 +319,7 @@ def stencil_safe(domain: Domain, pts: np.ndarray, h) -> np.ndarray:
             stencil[:, 2 * k + 1, k] -= h2[ids]
         return stencil.reshape(-1, 8), 16
 
-    return domain.legs_inside(len(pts), lambda: (pts, pts, h2), rows)
+    return domain.legs_inside(pts, pts, h2, rows)
 
 
 def sliceness_check(

@@ -27,7 +27,9 @@ and so are rows with |p|^2 and balls with |c|^2 + r^2 above 2^900 (or not
 finite), where A could overflow.  `algebra.row_norms` gives the norms of
 the per-ball test and of `SlabCone` (|Im x|); it sums in the order of
 `np.linalg.norm` in the pinned numpy 2.4.6.  `SlabCone`'s cone test uses
-`algebra.row_dot`, so no verdict depends on the batch a point is in.
+`algebra.row_dot`, so no verdict depends on the batch a point is in; a
+finite row whose |Im x| overflows takes it on Im x scaled to a largest
+|coordinate| of 1, as the cones do not depend on scale.
 
 Leg checks.  A leg is every point within `sag` of a segment [p0, p1];
 `Domain.legs_inside` decides every leg of the package, testing the sample
@@ -120,7 +122,7 @@ from scipy.spatial import cKDTree
 from .algebra import REAL_AXIS_TOL, Octonion, UnitImaginary, row_dot, row_norms, tau, tau_rows
 from .errors import DomainError, PreconditionError
 from .report import Report
-from .sampling import SamplePlan, Subsphere, components, unit_graph_edges
+from .sampling import SamplePlan, Subsphere, components, json_count, json_reals, unit_graph_edges
 
 
 class Domain:
@@ -142,25 +144,20 @@ class Domain:
         """
         return np.zeros(len(p0), dtype=bool)
 
-    def legs_inside(self, count: int, ends, rows) -> np.ndarray:
-        """Whether each of `count` legs stays inside, as bool[count].
+    def legs_inside(self, p0: np.ndarray, p1: np.ndarray, sag, rows) -> np.ndarray:
+        """Whether each leg stays inside, as bool[m].
 
-        `ends()` gives (p0, p1, sag) for `deep_legs`, and only a domain that
-        overrides `deep_legs` calls it.  `rows(ids)` gives the rows of the
-        legs `ids` stacked leg by leg, and the rows per leg (or one count
-        for all); the uncertified legs' rows go into one `contains_batch`.
+        The legs are those of `deep_legs(p0, p1, sag)`.  `rows(ids)` gives
+        the sample rows of the legs `ids` stacked leg by leg, and the rows
+        per leg (or one count for all); the rows of the legs `deep_legs`
+        does not certify go into one `contains_batch`.
         """
-        inside = np.ones(count, dtype=bool)
-        ids = np.arange(count)
-        if count and type(self).deep_legs is not Domain.deep_legs:
-            ids = ids[~self.deep_legs(*ends())]
+        inside = np.ones(len(p0), dtype=bool)
+        ids = np.flatnonzero(~self.deep_legs(p0, p1, sag))
         if len(ids):
             pts, counts = rows(ids)
-            if len(pts) and np.ndim(counts) == 0:
-                inside[ids] = self.contains_batch(pts).reshape(len(ids), counts).all(axis=1)
-            elif len(pts):
-                out = ~self.contains_batch(pts)
-                inside[ids[np.repeat(np.arange(len(ids)), counts)[out]]] = False
+            out = ~self.contains_batch(pts)
+            inside[ids[np.repeat(np.arange(len(ids)), counts)[out]]] = False
         return inside
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
@@ -216,25 +213,28 @@ class Domain:
 
     @staticmethod
     def from_json(data: dict) -> "Domain":
+        """The domain of a JSON object; every number must be a finite JSON number, `theta_steps` an integer."""
+        if not isinstance(data, dict):
+            raise PreconditionError(f"a domain is a JSON object, got {type(data).__name__}")
         kind = data.get("type")
+
+        def ball(b: dict) -> Ball:
+            center = json_reals(b["center"], (8,), "ball center")
+            return Ball(Octonion(center), float(json_reals(b["radius"], (), "ball radius")))
+
+        def unit(key: str) -> UnitImaginary:
+            return UnitImaginary(json_reals(data[key], (7,), f"{kind} {key}"))
+
         if kind == "ball":
-            return Ball(Octonion(np.asarray(data["center"], dtype=float)), float(data["radius"]))
+            return ball(data)
         if kind == "ball_union":
-            return BallUnion([
-                Ball(Octonion(np.asarray(b["center"], dtype=float)), float(b["radius"]))
-                for b in data["balls"]
-            ])
+            return BallUnion([ball(b) for b in data["balls"]])
         if kind == "slab_cone":
-            return SlabCone(
-                UnitImaginary(np.asarray(data["i0"], dtype=float)),
-                float(data.get("half_angle", math.pi / 4)),
-            )
+            half_angle = json_reals(data.get("half_angle", math.pi / 4), (), "slab_cone half_angle")
+            return SlabCone(unit("i0"), float(half_angle))
         if kind == "ball_chain":
-            return BallChain(
-                UnitImaginary(np.asarray(data["i"], dtype=float)),
-                UnitImaginary(np.asarray(data["j"], dtype=float)),
-                theta_steps=int(data.get("theta_steps", 2048)),
-            )
+            steps = json_count(data.get("theta_steps", 2048), "ball_chain theta_steps")
+            return BallChain(unit("i"), unit("j"), theta_steps=steps)
         raise PreconditionError(f"unknown domain type {kind!r}")
 
 
@@ -465,7 +465,15 @@ class SlabCone(Domain):
         mask = b < 1.0
         big = ~mask
         if big.any():
-            cosang = np.abs(row_dot(ims[big], self.i0.vec)) / b[big]
+            y, norm = ims[big], b[big]
+            # |Im x|^2 overflows from about 1e154 on; the cone test does not
+            # depend on scale, so such finite rows are scaled to a largest
+            # |coordinate| of 1
+            huge = np.isinf(norm) & np.isfinite(y).all(axis=1)
+            if huge.any():
+                y[huge] /= np.abs(y[huge]).max(axis=1, keepdims=True)
+                norm[huge] = row_norms(y[huge])
+            cosang = np.abs(row_dot(y, self.i0.vec)) / norm
             mask[big] = cosang > self._cos_half
         # a NaN or infinite imaginary part fails both tests; the real part must be finite too
         return mask & np.isfinite(pts[:, 0])

@@ -40,6 +40,10 @@ from .sampling import SamplePlan, SlicePairGrid, Subsphere, arc_sags
 from .stems import StemVector, gamma_stem_rows
 
 _ANTIPODAL_TOL = 1e-6
+# Upper limit on the samples of `lift_decompose`, which holds a few
+# (samples, 8) arrays at once (about 0.4 GB at the limit); a larger
+# resolution is refused before anything is allocated.
+MAX_LIFT_SAMPLES = 1_000_000
 # Knots that split a lifting into pieces for `Domain.deep_legs`.
 _PIECES = 16
 _KNOTS = np.linspace(0.0, 1.0, _PIECES + 1)
@@ -254,8 +258,13 @@ def lift_decompose(path: PolyPathO, samples: int = 4096) -> CircularLifting:
 
     The path must stay off the real axis except possibly at its endpoints,
     where the unit takes its one-sided limit.  Vertices of the result sit
-    exactly on the decomposition at the sample times.
+    exactly on the decomposition at the sample times.  `samples` is a
+    positive integer up to MAX_LIFT_SAMPLES.
     """
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1:
+        raise PreconditionError(f"lift samples must be a positive integer, got {samples!r}")
+    if samples > MAX_LIFT_SAMPLES:
+        raise PreconditionError(f"{samples} lift samples are over the limit {MAX_LIFT_SAMPLES}")
     ts = np.union1d(path.times, np.linspace(0.0, 1.0, samples))
     pts = path.eval_many(ts)
     im = pts[:, 1:]
@@ -293,7 +302,8 @@ def lift_approximate(
     Interior vertices and crossing points on the real axis are pushed off it
     by delta/4, so the perturbed path decomposes while staying within delta/4
     of the original.  The certificate reports the sampled sup deviation and
-    endpoint errors.
+    endpoint errors.  The decomposition takes `samples`, by default
+    max(10 000, 100 x the vertex count), within the bounds of `lift_decompose`.
     """
     if delta <= 0:
         raise PreconditionError("delta must be positive")
@@ -347,7 +357,7 @@ def lift_approximate(
         k += 1
 
     perturbed = PolyPathO(verts, np.asarray(times))
-    resolution = samples or max(10_000, 100 * len(verts))
+    resolution = max(10_000, 100 * len(verts)) if samples is None else samples
     lifting = lift_decompose(perturbed, samples=resolution)
     ts = lifting.base.times
     deviation = np.linalg.norm(lifting.eval_many(ts) - path.eval_many(ts), axis=1)
@@ -386,7 +396,7 @@ def _liftings_inside(domain: Domain, base, paths: list, resolution: int) -> tupl
     is 16 legs between the 17 `_KNOTS` when its unit is fixed (segments) or
     the base is fixed and its unit vertices sit at knots (arcs, none
     certified on a unit segment past a quarter turn); any other lifting is
-    one uncertified leg.  End rows come from the knots or else the rows.
+    one uncertified leg.
     """
     times, verts = base
     ts = _sample_times(times, resolution)
@@ -396,31 +406,33 @@ def _liftings_inside(domain: Domain, base, paths: list, resolution: int) -> tupl
     cut = (len(verts) == 2) & (fixed | at_knots)
     sizes = np.where(cut, _PIECES, 1)
     first = np.cumsum(sizes) - sizes
+    z = _base_at(times, verts, _KNOTS)
+    # the rows at t = 0 and 1: a cut lifting's first and last knots, which
+    # are to the bit those of the samples
     end_rows = np.empty((len(paths), 2, 8))
-
-    def ends():
-        z = _base_at(times, verts, _KNOTS)
-        p0, p1, sag = [], [], []
-        for k, (t, v) in enumerate(paths):
-            if not cut[k]:
-                p0.append(np.full((1, 8), np.nan))
-                p1.append(p0[-1])
-                sag.append([np.nan])
-                continue
-            w = _units_at(t, v, _KNOTS)
-            knots = tau_rows(z.real, z.imag, w)
-            p0.append(knots[:-1])
-            p1.append(knots[1:])
-            end_rows[k] = knots[[0, -1]]
-            if fixed[k]:
-                sag.append(np.zeros(_PIECES))
-                continue
-            # no sag on the pieces of a unit segment past a quarter turn
-            at = np.rint(t * _PIECES).astype(np.intp)
-            whole = arc_sags(verts[0].imag, w[at[1:]] - w[at[:-1]])
-            seg = np.searchsorted(at, np.arange(_PIECES), side="right") - 1
-            sag.append(np.where(np.isnan(whole[seg]), np.nan, arc_sags(verts[0].imag, np.diff(w, axis=0))))
-        return np.concatenate(p0), np.concatenate(p1), np.concatenate(sag)
+    p0, p1, sag = [], [], []
+    for k, (t, v) in enumerate(paths):
+        if not cut[k]:
+            z_ends = _base_at(times, verts, _even_times(2))
+            end_rows[k] = tau_rows(z_ends.real, z_ends.imag, _units_at(t, v, _even_times(2)))
+            # one leg between the end rows, which a NaN sag keeps uncertified
+            p0.append(end_rows[k, :1])
+            p1.append(end_rows[k, 1:])
+            sag.append([np.nan])
+            continue
+        w = _units_at(t, v, _KNOTS)
+        knots = tau_rows(z.real, z.imag, w)
+        end_rows[k] = knots[[0, -1]]
+        p0.append(knots[:-1])
+        p1.append(knots[1:])
+        if fixed[k]:
+            sag.append(np.zeros(_PIECES))
+            continue
+        # no sag on the pieces of a unit segment past a quarter turn
+        at = np.rint(t * _PIECES).astype(np.intp)
+        whole = arc_sags(verts[0].imag, w[at[1:]] - w[at[:-1]])
+        seg = np.searchsorted(at, np.arange(_PIECES), side="right") - 1
+        sag.append(np.where(np.isnan(whole[seg]), np.nan, arc_sags(verts[0].imag, np.diff(w, axis=0))))
 
     def rows(ids):
         pieces = _piece_of(len(ts)) if cut.any() else None
@@ -436,11 +448,9 @@ def _liftings_inside(domain: Domain, base, paths: list, resolution: int) -> tupl
                 keep = np.isin(pieces, mine)
                 tk, zk = ts[keep], z[keep]
             pts.append(tau_rows(zk.real, zk.imag, _units_at(t, v, tk)))
-            if tk is ts:
-                end_rows[k] = pts[-1][[0, -1]]
         return np.concatenate(pts), np.concatenate(counts)
 
-    inside = domain.legs_inside(int(sizes.sum()), ends, rows)
+    inside = domain.legs_inside(np.concatenate(p0), np.concatenate(p1), np.concatenate(sag), rows)
     return np.logical_and.reduceat(inside, first), end_rows
 
 
@@ -559,18 +569,16 @@ def _real_anchor(domain: Domain, z: complex, u1: np.ndarray, u2: np.ndarray) -> 
     reals = tau_rows(alphas, 0.0, np.zeros(7))
     ok = domain.contains_batch(reals)
     segment = _even_times(256)[:, None]
+    units = np.stack([u1, u2])
+    starts = tau_rows(z.real, z.imag, units)
     for alpha, real in zip(alphas[ok], reals[ok]):
         # spokes tau_{uk}((1-s) z + s alpha) for both units, straight legs to the real point
         zs = (1.0 - segment) * np.array([z.real, z.imag]) + segment * np.array([alpha, 0.0])
 
-        def spoke_inside(u):
-            return domain.legs_inside(
-                1,
-                lambda: (tau_rows(z.real, z.imag, u)[None], real[None], 0.0),
-                lambda ids: (tau_rows(zs[:, 0], zs[:, 1], u), len(zs)),
-            )[0]
+        def rows(ids):
+            return tau_rows(zs[:, 0], zs[:, 1], units[ids, None, :]).reshape(-1, 8), len(zs)
 
-        if spoke_inside(u1) and spoke_inside(u2):
+        if domain.legs_inside(starts, np.stack([real, real]), 0.0, rows).all():
             base = PolyPathC(
                 [z, complex(alpha, 0.0), complex(alpha, 0.0), z],
                 np.array([0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0]),

@@ -81,7 +81,6 @@ class QuotientSample:
     betas: np.ndarray
     units: np.ndarray
     edges: np.ndarray
-    edge_arcs: np.ndarray
     members: dict[ColKey, np.ndarray]
     labels: dict[ColKey, np.ndarray]
     classes: list[QuotientClass]
@@ -295,7 +294,6 @@ class _Builder:
             betas=grid.betas,
             units=grid.units,
             edges=grid.edges,
-            edge_arcs=grid.edge_arcs,
             members={col: grid.members(col) for col in self.cols},
             labels=dict(zip(self.cols, labels)),
             classes=classes,
@@ -441,12 +439,9 @@ def class_at(q: QuotientSample, x: Octonion) -> int:
         arc, clear = arc_points(u[None], w[None], np.linspace(0.0, 1.0, n + 2)[1:-1])
         if not clear[0]:
             continue
-
-        def ends():
-            pts = tau_rows(z.real, z.imag, np.stack([u, w]))
-            return pts[:1], pts[1:], arc_sags(z.imag, (w - u)[None])
-
-        if q.domain.legs_inside(1, ends, lambda ids: (tau_rows(z.real, z.imag, arc[0]), n))[0]:
+        p0, p1 = tau_rows(z.real, z.imag, np.stack([u, w]))[:, None]
+        sag = arc_sags(z.imag, (w - u)[None])
+        if q.domain.legs_inside(p0, p1, sag, lambda ids: (tau_rows(z.real, z.imag, arc[0]), n))[0]:
             return int(lab[member_ids[k]])
     raise DomainError("no admissible arc reaches a sampled unit at this resolution")
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import reprlib
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -70,13 +71,6 @@ class Subsphere:
         proj = (vec @ self._basis.T) @ self._basis
         return bool(np.linalg.norm(proj - vec) <= tol)
 
-    def to_json(self) -> list[list[float]]:
-        return [[float(v) for v in row] for row in self._basis]
-
-    @classmethod
-    def from_json(cls, data) -> "Subsphere":
-        return cls([UnitImaginary(np.asarray(row, dtype=float)) for row in data])
-
 
 _PLAN_COUNTS = (
     "sphere_samples",
@@ -95,7 +89,33 @@ _REALS = (int, float, np.integer, np.floating)
 
 
 def _finite_real(value) -> bool:
-    return not isinstance(value, bool) and isinstance(value, _REALS) and math.isfinite(value)
+    try:
+        return not isinstance(value, bool) and isinstance(value, _REALS) and math.isfinite(value)
+    except OverflowError:
+        # an int too large for a float
+        return False
+
+
+def json_reals(data, shape: tuple, what: str) -> np.ndarray:
+    """Numbers read from JSON, as a float array of the given shape (None: any length).
+
+    Only finite numbers pass: a string, a bool, null or a number too large
+    for a float raises PreconditionError, and so does any other shape.
+    """
+    values = np.array(data, dtype=object)
+    if values.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, values.shape)):
+        raise PreconditionError(f"{what} needs shape {shape}, got shape {values.shape}")
+    bad = [v for v in values.flat if not _finite_real(v)]
+    if bad:
+        raise PreconditionError(f"{what} must hold finite JSON numbers, got {reprlib.repr(bad[0])}")
+    return values.astype(float)
+
+
+def json_count(value, what: str) -> int:
+    """An integer read from JSON; anything else, a bool among them, raises PreconditionError."""
+    if isinstance(value, bool) or not isinstance(value, _INTEGERS):
+        raise PreconditionError(f"{what} must be a JSON integer, got {value!r}")
+    return int(value)
 
 
 @dataclass
@@ -387,16 +407,13 @@ class SlicePairGrid:
             mask = mem[self.edges[:, 0]] & mem[self.edges[:, 1]]
             cand = np.flatnonzero(mask)
             z = self.z_of(col)
-
-            def ends():
-                pts = tau_rows(z.real, z.imag, self.units)[self.edges[cand].T]
-                return pts[0], pts[1], abs(z.imag) * self.edge_sags[cand]
+            p0, p1 = tau_rows(z.real, z.imag, self.units)[self.edges[cand].T]
 
             def rows(ids):
                 arcs = self.edge_arcs[cand[ids]]
                 return tau_rows(z.real, z.imag, arcs).reshape(-1, 8), arcs.shape[1]
 
-            mask[cand] = self.domain.legs_inside(len(cand), ends, rows)
+            mask[cand] = self.domain.legs_inside(p0, p1, abs(z.imag) * self.edge_sags[cand], rows)
             self._arcs[col] = mask
         return self._arcs[col]
 
@@ -406,17 +423,14 @@ class SlicePairGrid:
             mask = self.members(key[0]) & self.members(key[1])
             cand = np.flatnonzero(mask)
             za, zb = self.z_of(key[0]), self.z_of(key[1])
-
-            def ends():
-                zs = np.array([[za], [zb]])
-                pts = tau_rows(zs.real, zs.imag, self.units[cand])
-                return pts[0], pts[1], 0.0
+            ends = np.array([[za], [zb]])
+            p0, p1 = tau_rows(ends.real, ends.imag, self.units[cand])
 
             def rows(ids):
                 zs = (1.0 - _LEG_TIMES) * za + _LEG_TIMES * zb
                 units = self.units[cand[ids], None, :]
                 return tau_rows(zs.real, zs.imag, units).reshape(-1, 8), len(zs)
 
-            mask[cand] = self.domain.legs_inside(len(cand), ends, rows)
+            mask[cand] = self.domain.legs_inside(p0, p1, 0.0, rows)
             self._moves[key] = mask
         return self._moves[key]

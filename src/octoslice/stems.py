@@ -68,7 +68,7 @@ from .errors import (
     PreconditionError,
 )
 from .report import Report, ScanReport
-from .sampling import SamplePlan, Subsphere
+from .sampling import SamplePlan, Subsphere, json_count, json_reals
 
 # Minimum chordal separation between interpolation units.
 SEP_MIN = 0.1
@@ -372,10 +372,11 @@ class GridSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "GridSpec":
+        """The grid of a JSON object: finite JSON numbers for centers and half widths, integers for counts."""
         return cls(
-            tuple(float(v) for v in data["center"]),
-            tuple(float(v) for v in data["half_widths"]),
-            tuple(int(v) for v in data["counts"]),
+            tuple(json_reals(data["center"], (None,), "grid center").tolist()),
+            tuple(json_reals(data["half_widths"], (None,), "grid half_widths").tolist()),
+            tuple(json_count(n, "grid count") for n in data["counts"]),
         )
 
 

@@ -2,11 +2,12 @@
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from octoslice import cli
+from octoslice import cli, liftings
 from octoslice.cli import _dump, main
 from octoslice.errors import IntegrityError
 
@@ -341,12 +342,99 @@ def test_non_finite_input_is_exit_2(capsys, argv):
         ("sfr-check", "--field", "identity", "--plan", '{"a_values": []}'),
         ("slice-check", "--field", "identity", "--plan", '{"b_values": [1.5, true]}'),
         ("slice-check", "--field", "identity", "--plan", '{"b_values": ["1.5"]}'),
+        # a domain that is not a JSON object, and a plan step too large for a float
+        ("quotient", "--domain", "[1, 2]"),
+        ("quotient", "--domain", BALL2, "--plan", '{"quotient_z_step": 1' + "0" * 400 + "}"),
     ],
 )
 def test_unresolvable_plans_and_grids_are_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert json.loads(err)["error"].startswith("PreconditionError")
+
+
+# Each argument that takes JSON numbers, as (a valid number, argv with that
+# number in one slot).  Points lie inside their domains, so every valid argv
+# exits 0 or 1.
+_E1 = [1, 0, 0, 0, 0, 0, 0]
+_IN = [0.5, 1, 0, 0, 0, 0, 0, 0]
+_CHAIN_IN = [1, 2, 0, 0, 0, 0, 0, 0]
+
+
+def _search(domain, x=_IN, xp=_IN):
+    return ["ccl-search", "--domain", json.dumps(domain), "--x", json.dumps(x), "--xp", json.dumps(xp)]
+
+
+def _maxmod(center=0, half_width=1, count=3, unit=0):
+    grid = {"center": [center, 0, 0, 0], "half_widths": [half_width, 1, 1, 1], "counts": [count, 3, 3, 3]}
+    units = [_E1, [unit, 1, 0, 0, 0, 0, 0]]
+    return ["maxmod-scan", "--field", "identity", "--grid", json.dumps(grid), "--units", json.dumps(units)]
+
+
+def _lift(vertex=0, time=0.5):
+    path = {"vertices": [[vertex, 1, 0, 0, 0, 0, 0, 0], [1, 1, 1, 0, 0, 0, 0, 0], [0, 0, 2, 0, 0, 0, 0, 0.5]]}
+    path["times"] = [0, time, 1]
+    return ["lift-approx", "--path", json.dumps(path), "--delta", "0.1", "--samples", "64"]
+
+
+def _stem(z=0.5, unit=0.5):
+    return ["stem", "--field", "identity", "--z", json.dumps([z, 1]), "--unit", json.dumps([unit, 1, 0, 0, 0, 0, 0])]
+
+
+def _ball(center=0, radius=2):
+    return {"type": "ball", "center": [center, 0, 0, 0, 0, 0, 0, 0], "radius": radius}
+
+
+def _chain(i=1, j=1, steps=64):
+    return {"type": "ball_chain", "i": [i, 0, 0, 0, 0, 0, 0], "j": [0, j, 0, 0, 0, 0, 0], "theta_steps": steps}
+
+
+_NUMBER_SLOTS = {
+    "point": (0.5, lambda v: ["eval", "--field", "identity", "--point", json.dumps([v, 1, 0, 0, 0, 0, 0, 0])]),
+    "x": (0.5, lambda v: _search(_ball(), x=[v, 1, 0, 0, 0, 0, 0, 0])),
+    "xp": (0.5, lambda v: _search(_ball(), xp=[v, 1, 0, 0, 0, 0, 0, 0])),
+    "z": (0.5, lambda v: _stem(z=v)),
+    "unit": (0.5, lambda v: _stem(unit=v)),
+    "units": (0, lambda v: _maxmod(unit=v)),
+    "grid-center": (0, lambda v: _maxmod(center=v)),
+    "grid-half-widths": (1, lambda v: _maxmod(half_width=v)),
+    "grid-counts": (3, lambda v: _maxmod(count=v)),
+    "path-vertices": (0, lambda v: _lift(vertex=v)),
+    "path-times": (0.5, lambda v: _lift(time=v)),
+    "ball-center": (0, lambda v: _search(_ball(center=v))),
+    "ball-radius": (2, lambda v: _search(_ball(radius=v))),
+    "union-radius": (2, lambda v: _search({"type": "ball_union", "balls": [_ball(), _ball(radius=v)]})),
+    "slab-cone-i0": (1, lambda v: _search({"type": "slab_cone", "i0": [v, 0, 0, 0, 0, 0, 0]}, [0.5] * 2 + [0] * 6, [0.5] * 2 + [0] * 6)),
+    "slab-cone-half-angle": (0.5, lambda v: _search({"type": "slab_cone", "i0": _E1, "half_angle": v}, [0.5] * 2 + [0] * 6, [0.5] * 2 + [0] * 6)),
+    "chain-i": (1, lambda v: _search(_chain(i=v), _CHAIN_IN, _CHAIN_IN)),
+    "chain-j": (1, lambda v: _search(_chain(j=v), _CHAIN_IN, _CHAIN_IN)),
+    "chain-theta-steps": (64, lambda v: _search(_chain(steps=v), _CHAIN_IN, _CHAIN_IN)),
+}
+
+
+@pytest.mark.parametrize("slot", sorted(_NUMBER_SLOTS))
+@pytest.mark.parametrize("bad", ["nan", "inf", "1e400", True, "3"])
+def test_numbers_given_as_strings_or_bools_are_exit_2(capsys, slot, bad):
+    good, argv = _NUMBER_SLOTS[slot]
+    assert run(capsys, *argv(good))[0] in (0, 1)
+    code, out, err = run(capsys, *argv(bad))
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error.startswith("PreconditionError") and ("finite JSON numbers" in error or "JSON integer" in error)
+
+
+def test_lift_samples_past_the_limit_are_exit_2_before_allocating(capsys):
+    path = json.dumps({"vertices": [[0, 1, 0, 0, 0, 0, 0, 0], [1, 1, 1, 0, 0, 0, 0, 0]]})
+    for samples in ("0", "-3", str(liftings.MAX_LIFT_SAMPLES + 1)):
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "lift-approx", "--path", path, "--delta", "0.1", "--samples", samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == "" and json.loads(err)["error"].startswith("PreconditionError")
+        # the decomposition's arrays would take tens of megabytes
+        assert peak < 2**20
 
 
 def test_plan_field_the_plan_lacks_is_exit_2(capsys):

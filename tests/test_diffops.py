@@ -12,7 +12,6 @@ from octoslice.diffops import (
     sliceness_check,
     spherical_gamma,
     stencil_safe,
-    tangential_l,
 )
 from octoslice.domains import Ball, PredicateDomain
 from octoslice.errors import DomainError
@@ -102,19 +101,6 @@ def test_quaternion_laplacian_values():
     qs = np.array([[0.3, -0.2, 0.5, 0.1], [-0.4, 0.1, 0.2, 0.7]])
     assert np.abs(quaternion_laplacian(sq, pair, qs) - 8.0 * Octonion.one().coeffs).max() < 1e-5
     assert np.abs(quaternion_laplacian(harmonic, pair, qs)).max() < 1e-5
-
-
-def test_tangential_derivation():
-    probe = OctField("x1", lambda pts: _real_rows(pts[:, 1]))
-    rng = np.random.default_rng(14)
-    for _ in range(5):
-        x = Octonion(rng.normal(size=8))
-        got = tangential_l(probe, x, 1, 2)
-        assert (got + float(x.coeffs[2]) * Octonion.one()).norm() < 1e-8
-    with pytest.raises(DomainError):
-        tangential_l(probe, Octonion.one(), 0, 1)
-    with pytest.raises(DomainError):
-        tangential_l(probe, Octonion.one(), 3, 2)
 
 
 def test_euler_operator():

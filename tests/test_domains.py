@@ -414,3 +414,27 @@ def test_a_negative_sag_certifies_nothing(domain):
     pts = np.vstack([x, x])
     assert domain.deep_legs(pts, pts, np.array([1e-3, -1e-3])).tolist() == [True, False]
     assert domain.deep_legs(pts, pts, np.array([0.0, -0.0])).tolist() == [True, True]
+
+
+@pytest.mark.parametrize("half_angle", [math.pi / 4, math.pi / 2])
+def test_slab_cone_answers_huge_points_like_small_ones(half_angle):
+    # |Im x|^2 overflows at these scales; the cone test does not depend on scale
+    dom = SlabCone(E1, half_angle)
+    side = E2.vec
+    units = [E1.vec, -E1.vec, side, 0.6 * E1.vec + 0.8 * side]
+    for angle in (half_angle - 1e-6, half_angle + 1e-6):
+        if angle < math.pi / 2:
+            units.append(math.cos(angle) * E1.vec + math.sin(angle) * side)
+    pts = np.zeros((len(units), 8))
+    pts[:, 1:] = units
+    want = dom.contains_batch(2.0 * pts)
+    assert want[:2].all() and not want[2] and want.tolist() == [
+        abs(u @ E1.vec) > math.cos(half_angle) for u in units
+    ]
+    for scale in (1e155, 1e300):
+        assert dom.contains_batch(scale * pts).tolist() == want.tolist()
+        # rows that do not overflow keep their bits in a batch with huge ones
+        assert dom.contains_batch(np.vstack([2.0 * pts, scale * pts])).tolist() == want.tolist() * 2
+        # the certificate may refuse such legs, but never certifies an outside one
+        held = dom.deep_legs(scale * pts, scale * pts, 0.0)
+        assert not (held & ~want).any()

@@ -4,6 +4,7 @@ import pytest
 from octoslice.algebra import Octonion, UnitImaginary, tau
 from octoslice.domains import Ball, BallUnion
 from octoslice.errors import DomainError, PreconditionError
+from octoslice import liftings
 from octoslice.golden import get_field
 from octoslice.liftings import (
     CoupledLifting,
@@ -100,6 +101,22 @@ def test_lift_approximate_rejects_bad_delta():
     path = PolyPathO([Octonion.one() + E[1], Octonion.one() - E[1]])
     with pytest.raises(PreconditionError):
         lift_approximate(path, 0.0)
+
+
+def test_lift_samples_are_positive_and_bounded(monkeypatch):
+    path = PolyPathO([Octonion.one() + E[1], Octonion.one() + E[2]])
+    for samples in (0, -1, True, 2.5, "64", liftings.MAX_LIFT_SAMPLES + 1):
+        with pytest.raises(PreconditionError):
+            lift_decompose(path, samples=samples)
+        with pytest.raises(PreconditionError):
+            lift_approximate(path, 0.1, samples=samples)
+    assert lift_approximate(path, 0.1, samples=np.int64(64))[1]["resolution"] == 64
+    # the default, 100 samples per vertex past 100 vertices, is bounded too
+    monkeypatch.setattr(liftings, "MAX_LIFT_SAMPLES", 20_000)
+    verts = [Octonion.one() + E[1] + 0.01 * k * E[2] for k in range(201)]
+    with pytest.raises(PreconditionError):
+        lift_approximate(PolyPathO(verts), 0.1)
+    assert lift_approximate(PolyPathO(verts[:200]), 0.1)[1]["resolution"] >= 20_000
 
 
 def test_lift_in_domain():

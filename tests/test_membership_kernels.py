@@ -365,16 +365,16 @@ def record_legs(domain):
 
     Each call leaves (rows, counts, held, inside, ends): the sample rows of
     all its legs, the rows per leg, which legs `deep_legs` certifies, the
-    verdicts and the certificate inputs.
+    verdicts and the certificate inputs (p0, p1, sag).
     """
     calls = []
     decide = domain.legs_inside
 
-    def legs_inside(count, ends, rows):
-        pts, counts = rows(np.arange(count))
-        legs = ends()
-        inside = decide(count, ends, rows)
-        calls.append((pts, np.broadcast_to(counts, (count,)), domain.deep_legs(*legs), inside, legs))
+    def legs_inside(p0, p1, sag, rows):
+        pts, counts = rows(np.arange(len(p0)))
+        inside = decide(p0, p1, sag, rows)
+        held = domain.deep_legs(p0, p1, sag)
+        calls.append((pts, np.broadcast_to(counts, (len(p0),)), held, inside, (p0, p1, sag)))
         return inside
 
     domain.legs_inside = legs_inside
@@ -434,7 +434,11 @@ def ref_unit_path_candidates(u1, u2):
 
 
 def ref_spokes(domain, z, u1, u2, member):
-    """The spoke rows `_real_anchor` tests, in order, with all-row verdicts."""
+    """The spoke rows `_real_anchor` tests, in order, with all-row verdicts.
+
+    Each anchor tests both spokes in one call, and the first anchor whose
+    two spokes stay inside ends the search.
+    """
     lo, hi = domain.bounding_box()
     alphas = np.concatenate([[z.real], np.linspace(lo[0], hi[0], 33)])
     reals = np.zeros((len(alphas), 8))
@@ -445,14 +449,14 @@ def ref_spokes(domain, z, u1, u2, member):
         if not good:
             continue
         zs = (1.0 - segment) * np.array([z.real, z.imag]) + segment * np.array([alpha, 0.0])
+        spokes = []
         for u in (u1, u2):
             pts = np.zeros((len(zs), 8))
             pts[:, 0] = zs[:, 0]
             pts[:, 1:] = zs[:, 1:2] * u
-            out.append(pts)
-            if not member(pts).all():
-                break
-        else:
+            spokes.append(pts)
+        out.append(np.concatenate(spokes))
+        if member(out[-1]).all():
             return out
     return out
 
@@ -462,7 +466,7 @@ def attach_quotient(domain, z, unit):
     return QuotientSample(
         domain=domain, plan=None, subsphere=None,
         alphas=np.array([z.real]), betas=np.array([z.imag]), units=unit[None, :],
-        edges=None, edge_arcs=None, members={(0, 0): np.array([True])}, labels={(0, 0): np.array([0])},
+        edges=None, members={(0, 0): np.array([True])}, labels={(0, 0): np.array([0])},
         classes=[], class_adjacency=[], component_of=None, merge_records=[], link=0.0, separation=ATTACH_SEP,
     )
 

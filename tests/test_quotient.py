@@ -23,7 +23,7 @@ from octoslice.quotient import (
     quotient_stem,
     replay_merge_record,
 )
-from octoslice.sampling import SamplePlan
+from octoslice.sampling import SamplePlan, arc_probe_graph
 
 E = [Octonion.basis(k) for k in range(8)]
 I1 = UnitImaginary.basis(1)
@@ -101,7 +101,6 @@ def test_degenerate_single_class_quotient():
         betas=np.array([1.0]),
         units=q.units[:1],
         edges=np.empty((0, 2), dtype=int),
-        edge_arcs=np.zeros((0, 23, 7)),
         members={(0, 0): np.array([True])},
         labels={(0, 0): np.array([0])},
         classes=[QuotientClass(0, (0, 0), complex(2, 1), (0,))],
@@ -191,7 +190,6 @@ def test_seam_classes_carry_opposite_branches():
         betas=q.betas,
         units=q.units,
         edges=q.edges,
-        edge_arcs=q.edge_arcs,
         members=q.members,
         labels=q.labels,
         classes=patched,
@@ -293,7 +291,6 @@ def test_injectivity_detector_flags_adjacent_same_z_classes():
         betas=q.betas,
         units=q.units,
         edges=q.edges,
-        edge_arcs=q.edge_arcs,
         members={},
         labels={},
         classes=[
@@ -358,12 +355,15 @@ class _UnionFindQuotient:
     """The quotient built the plain way: a union-find per column, arcs and
     real columns first, then an infectivity worklist, every effective union
     recorded.  It takes the unit pool, z grid and arc graph of a built
-    quotient and redoes everything else with plain membership calls."""
+    quotient, probes the arcs again with `arc_probe_graph`, and redoes
+    everything else with plain membership calls."""
 
     RIDE_FRACTIONS = np.linspace(0.0, 1.0, 7)[1:-1]
 
     def __init__(self, q):
         self.q = q
+        edges, self.arcs = arc_probe_graph(q.units, q.link)
+        assert np.array_equal(edges, q.edges)
         self.members = {}
         for ia in range(len(q.alphas)):
             for ib in range(len(q.betas)):
@@ -396,7 +396,7 @@ class _UnionFindQuotient:
         if len(cand) == 0:
             return cand
         z = q.z_of(col)
-        arcs = q.edge_arcs[cand]
+        arcs = self.arcs[cand]
         pts = np.zeros((arcs.shape[0] * arcs.shape[1], 8))
         pts[:, 0] = z.real
         pts[:, 1:] = z.imag * arcs.reshape(-1, 7)
