@@ -93,10 +93,14 @@ def _z_arg(text: str) -> complex:
 
 
 def _plan(args) -> SamplePlan:
-    data = dict(_json_arg(args.plan)) if getattr(args, "plan", None) else {}
-    data["seed"] = args.seed
+    """The plan of --plan, a JSON object of `SamplePlan` fields, seeded by --seed."""
+    data = _json_arg(args.plan) if getattr(args, "plan", None) else {}
+    if not isinstance(data, dict):
+        raise PreconditionError(f"--plan must be a JSON object, got {type(data).__name__}")
+    if "seed" in data:
+        raise PreconditionError("--plan takes no seed: give it with --seed")
     try:
-        return SamplePlan(**data)
+        return SamplePlan(**data, seed=args.seed)
     except TypeError as exc:
         raise PreconditionError(f"bad plan: {exc}") from exc
 

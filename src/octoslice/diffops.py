@@ -1,8 +1,9 @@
 """Differential operators for octonion fields.
 
-Derivatives default to central second-order finite differences with step
-h = step_scale * (1 + |x|); when a field carries closed-form partials those
-are used instead and finite differences remain available as a cross-check.
+Derivatives default to central second-order finite differences with the
+fixed step h = FD_STEP (1 + |x|) (FD_STEP2 for the second differences of the
+quaternion Laplacian); when a field carries closed-form partials those are
+used instead and finite differences remain available as a cross-check.
 The spherical operator is assembled as
 
     Gamma f = - sum over pairs (m, n) of  e_m (e_n (L_mn f)),
@@ -58,7 +59,7 @@ from .algebra import (
 from .domains import Domain
 from .errors import DomainError, EmptySampleError
 from .report import Report
-from .sampling import SamplePlan, Subsphere, components, unit_graph_edges
+from .sampling import SamplePlan, components, sample_units, unit_graph_edges
 
 DERIVATION_PAIRS = tuple((m, n) for m in range(1, 8) for n in range(m + 1, 8))
 
@@ -79,21 +80,10 @@ _PAIR_N = np.array([n for _, n in DERIVATION_PAIRS])
 _PAIR_SRC, _PAIR_SIGN = _pair_maps()
 
 
-@dataclass
-class FDScheme:
-    """Finite-difference steps, scaled by 1 + |x| at the evaluation point."""
-
-    step_scale: float = 1e-5
-    step2_scale: float = 1e-4
-
-    def step(self, size: float) -> float:
-        return self.step_scale * (1.0 + size)
-
-    def step2(self, size: float) -> float:
-        return self.step2_scale * (1.0 + size)
-
-
-DEFAULT_SCHEME = FDScheme()
+# Finite-difference step scales: a stencil at x steps by FD_STEP (1 + |x|),
+# and the quaternion Laplacian's second differences by FD_STEP2 (1 + |q|).
+FD_STEP = 1e-5
+FD_STEP2 = 1e-4
 
 
 @dataclass
@@ -121,30 +111,18 @@ class OctField:
         return None if np.isnan(row).any() else Octonion(row[axis])
 
 
-def partial_fd(
-    f: OctField,
-    x: Octonion,
-    axis: int,
-    scheme: FDScheme = DEFAULT_SCHEME,
-    use_closed: bool = True,
-) -> Octonion:
+def partial_fd(f: OctField, x: Octonion, axis: int, use_closed: bool = True) -> Octonion:
     """df/dx_axis at x; closed form when the field provides one there."""
     if not 0 <= axis <= 7:
         raise DomainError(f"axis must lie in 0..7, got {axis}")
-    return Octonion(partials_batch(f, x.coeffs[None, :], (axis,), scheme, use_closed)[0, axis])
+    return Octonion(partials_batch(f, x.coeffs[None, :], (axis,), use_closed)[0, axis])
 
 
-def partials_batch(
-    f: OctField,
-    pts: np.ndarray,
-    axes,
-    scheme: FDScheme = DEFAULT_SCHEME,
-    use_closed: bool = True,
-) -> np.ndarray:
+def partials_batch(f: OctField, pts: np.ndarray, axes, use_closed: bool = True) -> np.ndarray:
     """(n, 8, 8) array whose [i, k] is df/dx_k at pts[i], for k in `axes`.
 
     Rows without a closed form take central differences with step
-    h = step_scale * (1 + |x|), all their stencil points in one batch.
+    h = FD_STEP * (1 + |x|), all their stencil points in one batch.
     """
     if use_closed and f.partials_many is not None:
         parts = f.partials_many(pts)
@@ -156,7 +134,7 @@ def partials_batch(
         return parts
     axes = list(axes)
     x = pts[todo]
-    h = scheme.step_scale * (1.0 + np.sqrt(row_dot(x, x)))
+    h = FD_STEP * (1.0 + np.sqrt(row_dot(x, x)))
     # stencil[0, i, j] = x_i + h_i e_axes[j] and stencil[1, i, j] = x_i - h_i e_axes[j]
     stencil = np.repeat(np.stack([x, x])[:, :, None, :], len(axes), axis=2)
     for j, k in enumerate(axes):
@@ -189,76 +167,51 @@ def imag_inverse(pts: np.ndarray) -> np.ndarray:
     return inv
 
 
-def gamma_batch(
-    f: OctField,
-    pts: np.ndarray,
-    scheme: FDScheme = DEFAULT_SCHEME,
-    use_closed: bool = True,
-) -> np.ndarray:
+def gamma_batch(f: OctField, pts: np.ndarray, use_closed: bool = True) -> np.ndarray:
     """Spherical operator Gamma f at the rows of an (n, 8) array."""
-    return _gamma(pts, partials_batch(f, pts, range(1, 8), scheme, use_closed))
+    return _gamma(pts, partials_batch(f, pts, range(1, 8), use_closed))
 
 
-def slice_fueter_batch(
-    f: OctField,
-    pts: np.ndarray,
-    scheme: FDScheme = DEFAULT_SCHEME,
-    use_closed: bool = True,
-) -> np.ndarray:
+def slice_fueter_batch(f: OctField, pts: np.ndarray, use_closed: bool = True) -> np.ndarray:
     """Slice Fueter operator dbar_F f at the off-axis rows of an (n, 8) array."""
     ims = pts[:, 1:]
     if (np.sqrt(row_dot(ims, ims)) <= 1e-9).any():
         raise DomainError("slice Fueter operator needs an off-axis point")
-    parts = partials_batch(f, pts, range(0, 8), scheme, use_closed)
+    parts = partials_batch(f, pts, range(0, 8), use_closed)
     e_term = _euler(pts, parts)
     gamma = _gamma(pts, parts)
     inv_im = imag_inverse(pts)
     return parts[:, 0] - mul_batch(inv_im, e_term) - mul_batch(inv_im, gamma) / 3.0
 
 
-def euler_e(
-    f: OctField,
-    x: Octonion,
-    scheme: FDScheme = DEFAULT_SCHEME,
-    use_closed: bool = True,
-) -> Octonion:
+def euler_e(f: OctField, x: Octonion, use_closed: bool = True) -> Octonion:
     """Euler operator sum_{l=1..7} x_l df/dx_l at x."""
     pts = x.coeffs[None, :]
-    return Octonion(_euler(pts, partials_batch(f, pts, range(1, 8), scheme, use_closed))[0])
+    return Octonion(_euler(pts, partials_batch(f, pts, range(1, 8), use_closed))[0])
 
 
-def spherical_gamma(
-    f: OctField,
-    x: Octonion,
-    scheme: FDScheme = DEFAULT_SCHEME,
-    use_closed: bool = True,
-) -> Octonion:
+def spherical_gamma(f: OctField, x: Octonion, use_closed: bool = True) -> Octonion:
     """Spherical operator Gamma f at x (see module docstring)."""
-    return Octonion(gamma_batch(f, x.coeffs[None, :], scheme, use_closed)[0])
+    return Octonion(gamma_batch(f, x.coeffs[None, :], use_closed)[0])
 
 
-def slice_fueter_op(
-    f: OctField,
-    x: Octonion,
-    scheme: FDScheme = DEFAULT_SCHEME,
-    use_closed: bool = True,
-) -> Octonion:
+def slice_fueter_op(f: OctField, x: Octonion, use_closed: bool = True) -> Octonion:
     """Slice Fueter operator dbar_F f at an off-axis point x."""
-    return Octonion(slice_fueter_batch(f, x.coeffs[None, :], scheme, use_closed)[0])
+    return Octonion(slice_fueter_batch(f, x.coeffs[None, :], use_closed)[0])
 
 
 def _slice_stencil(
-    f: OctField, pair: OrthoPair, qs, step: Callable, center: bool
+    f: OctField, pair: OrthoPair, qs, scale: float, center: bool
 ) -> tuple[np.ndarray, np.ndarray]:
     """f at q +/- h e_k (columns 2k and 2k + 1), then at q itself if `center`, as (n, 8 or 9, 8).
 
-    `qs` holds (n, 4) quaternion coordinates and h = step(|q|) per row.
+    `qs` holds (n, 4) quaternion coordinates and h = scale * (1 + |q|) per row.
     """
     qs = np.asarray(qs, dtype=float)
     if qs.ndim != 2 or qs.shape[1] != 4:
         raise DomainError(f"quaternion coordinates need shape (n, 4), got {qs.shape}")
     # `np.sqrt(row_dot(q, q))` is the 1-D `np.linalg.norm` of a 4-vector
-    h = step(np.sqrt(row_dot(qs, qs)))
+    h = scale * (1.0 + np.sqrt(row_dot(qs, qs)))
     rows = np.repeat(qs[:, None, :], 9 if center else 8, axis=1)
     for k in range(4):
         rows[:, 2 * k, k] += h
@@ -268,18 +221,13 @@ def _slice_stencil(
     return vals.reshape(len(qs), -1, 8), h
 
 
-def cauchy_fueter_op(
-    f: OctField,
-    pair: OrthoPair,
-    qs,
-    scheme: FDScheme = DEFAULT_SCHEME,
-) -> np.ndarray:
+def cauchy_fueter_op(f: OctField, pair: OrthoPair, qs) -> np.ndarray:
     """Cauchy-Fueter operator of the slice restriction at (n, 4) quaternion coords, as (n, 8).
 
     D f = dg/dq0 + I (dg/dq1) + J (dg/dq2) + IJ (dg/dq3) for g = f on the
     slice of `pair`, each product a left multiplication.
     """
-    vals, h = _slice_stencil(f, pair, qs, scheme.step, center=False)
+    vals, h = _slice_stencil(f, pair, qs, FD_STEP, center=False)
     derivs = (vals[:, 0::2] - vals[:, 1::2]) / (2.0 * h)[:, None, None]
     out = derivs[:, 0]
     for k, unit in enumerate((pair.i, pair.j, pair.k), start=1):
@@ -287,14 +235,9 @@ def cauchy_fueter_op(
     return out
 
 
-def quaternion_laplacian(
-    f: OctField,
-    pair: OrthoPair,
-    qs,
-    scheme: FDScheme = DEFAULT_SCHEME,
-) -> np.ndarray:
+def quaternion_laplacian(f: OctField, pair: OrthoPair, qs) -> np.ndarray:
     """4-coordinate Laplacian of the slice restriction at (n, 4) quaternion coords, as (n, 8)."""
-    vals, h = _slice_stencil(f, pair, qs, scheme.step2, center=True)
+    vals, h = _slice_stencil(f, pair, qs, FD_STEP2, center=True)
     twice_center = 2.0 * vals[:, 8:]
     terms = (vals[:, 0:8:2] - twice_center + vals[:, 1:8:2]) / (h * h)[:, None, None]
     return sum_in_order(terms)
@@ -326,9 +269,7 @@ def sliceness_check(
     f: OctField,
     domain: Domain,
     plan: Optional[SamplePlan] = None,
-    subsphere: Optional[Subsphere] = None,
     tolerance: float = 1e-6,
-    scheme: FDScheme = DEFAULT_SCHEME,
     use_closed: bool = True,
 ) -> Report:
     """Sampled test that f is a slice function on the domain.
@@ -338,9 +279,8 @@ def sliceness_check(
     residual is the worst per-component spread of either quantity.
     """
     plan = plan or SamplePlan()
-    subsphere = subsphere or Subsphere.default()
     a_values, b_values = plan.scan_grid()
-    units = subsphere.sample(plan.sphere_samples, plan.rng())
+    units = sample_units(plan.sphere_samples, plan.rng())
     worst = 0.0
     worst_point = None
     spreads = []
@@ -362,11 +302,11 @@ def sliceness_check(
                 # slice points of the renormalised units; `np.sqrt(row_dot(x, x))` is the
                 # 1-D `np.linalg.norm` of `UnitImaginary.from_vector` and `Octonion.norm`
                 xs = tau_rows(a, b, take / np.sqrt(row_dot(take, take))[:, None])
-                xs = xs[stencil_safe(domain, xs, scheme.step(np.sqrt(row_dot(xs, xs))))]
+                xs = xs[stencil_safe(domain, xs, FD_STEP * (1.0 + np.sqrt(row_dot(xs, xs))))]
                 if len(xs) < 2:
                     continue
                 n_samples += len(xs)
-                gamma = gamma_batch(f, xs, scheme, use_closed)
+                gamma = gamma_batch(f, xs, use_closed)
                 vals1 = f.evaluate_many(xs) - gamma / 6.0
                 vals2 = mul_batch(imag_inverse(xs), gamma)
                 for vals in (vals1, vals2):

@@ -122,7 +122,18 @@ from scipy.spatial import cKDTree
 from .algebra import REAL_AXIS_TOL, Octonion, UnitImaginary, row_dot, row_norms, tau, tau_rows
 from .errors import DomainError, PreconditionError
 from .report import Report
-from .sampling import SamplePlan, Subsphere, components, json_count, json_reals, unit_graph_edges
+from .sampling import (
+    SamplePlan,
+    components,
+    in_subsphere,
+    json_count,
+    json_reals,
+    sample_units,
+    unit_graph_edges,
+)
+
+# Proposal rounds of `Domain.sample_interior`, each of max(4 need, 64) points.
+_SAMPLE_ROUNDS = 200
 
 
 class Domain:
@@ -179,16 +190,15 @@ class Domain:
         rng: np.random.Generator,
         margin: float = 0.0,
         min_im: float = 0.0,
-        max_tries: int = 200,
     ) -> np.ndarray:
-        """Up to n interior points, as (m, 8).
+        """Up to n interior points, as (m, 8), from at most `_SAMPLE_ROUNDS` proposal rounds.
 
         With margin > 0 a point is kept only when `deep_legs` certifies the
         point leg (x, x, margin): the ball of that radius around it.
         """
         out = []
         need = n
-        for _ in range(max_tries):
+        for _ in range(_SAMPLE_ROUNDS):
             cand = self._propose(max(4 * need, 64), rng)
             ims = np.linalg.norm(cand[:, 1:], axis=1)
             ok = ims >= min_im
@@ -657,7 +667,6 @@ def same_component(
     b: float,
     i1: UnitImaginary,
     i2: UnitImaginary,
-    subsphere: Optional[Subsphere] = None,
     plan: Optional[SamplePlan] = None,
 ) -> str:
     """Sampled verdict "same" / "different" / "unknown" for two slice units.
@@ -667,16 +676,15 @@ def same_component(
     at the sampled resolution; sampling never certifies disjointness beyond
     that, so everything else non-connected is "unknown".
     """
-    subsphere = subsphere or Subsphere.default()
     plan = plan or SamplePlan()
     for u in (i1, i2):
-        if not subsphere.contains(u):
-            raise PreconditionError("query unit lies outside the subsphere span")
+        if not in_subsphere(u):
+            raise PreconditionError("query unit lies outside the sampling sphere span(e1, e2, e3)")
         if not sphere_slice_member(domain, a, b, u):
             raise DomainError("query unit is not in the slice sphere")
     if float(np.linalg.norm(i1.vec - i2.vec)) <= 1e-12:
         return "same"
-    units = subsphere.sample(plan.sphere_samples, plan.rng())
+    units = sample_units(plan.sphere_samples, plan.rng())
     units = units[domain.contains_batch(tau_rows(a, b, units))]
     nodes = np.vstack([units, i1.vec[None, :], i2.vec[None, :]])
     n1, n2 = len(nodes) - 2, len(nodes) - 1
@@ -700,7 +708,6 @@ def _component_count(units: np.ndarray, link_angle: float, detect_min: int) -> i
 def circularly_connected_scan(
     domain: Domain,
     plan: Optional[SamplePlan] = None,
-    subsphere: Optional[Subsphere] = None,
 ) -> Report:
     """Sampled check that every nonempty slice sphere is connected.
 
@@ -710,9 +717,8 @@ def circularly_connected_scan(
     component_detect_min members are skipped as unresolved.
     """
     plan = plan or SamplePlan()
-    subsphere = subsphere or Subsphere.default()
     a_values, b_values = plan.scan_grid()
-    units = subsphere.sample(plan.sphere_samples, plan.rng())
+    units = sample_units(plan.sphere_samples, plan.rng())
     counts = []
     worst = None
     worst_count = 0

@@ -33,13 +33,15 @@ from typing import Optional
 
 import numpy as np
 from .algebra import Octonion, UnitImaginary, row_norms, tau_rows, unit_imaginary_of
-from .diffops import DEFAULT_SCHEME, FDScheme, OctField
+from .diffops import OctField
 from .domains import Domain
 from .errors import DomainError, PreconditionError
-from .sampling import SamplePlan, SlicePairGrid, Subsphere, arc_sags
+from .sampling import SamplePlan, SlicePairGrid, arc_sags, in_subsphere
 from .stems import StemVector, gamma_stem_rows
 
 _ANTIPODAL_TOL = 1e-6
+# How far a witness's two starts and its ends at x and x' may miss.
+_END_TOL = 1e-9
 # Upper limit on the samples of `lift_decompose`, which holds a few
 # (samples, 8) arrays at once (about 0.4 GB at the limit); a larger
 # resolution is refused before anything is allocated.
@@ -497,9 +499,8 @@ def ccl_verify(
     xp: Octonion,
     domain: Domain,
     resolution: int = 2048,
-    tol: float = 1e-9,
 ) -> tuple[bool, dict]:
-    """Re-check a coupled witness: common start, exact ends, both inside.
+    """Re-check a coupled witness: common start, ends within `_END_TOL`, both inside.
 
     Both liftings are sampled at `_sample_times` (2048 even times by
     default), less the pieces that one ball certifies, and their rows are
@@ -508,10 +509,10 @@ def ccl_verify(
     """
     base = (witness.base.times, witness.base.vertices)
     paths = [(p.times, p.vertices) for p in (witness.units1, witness.units2)]
-    return _coupled_check(domain, base, paths, x.coeffs, xp.coeffs, resolution, tol)
+    return _coupled_check(domain, base, paths, x.coeffs, xp.coeffs, resolution)
 
 
-def _coupled_check(domain: Domain, base, paths: list, x, xp, resolution: int, tol: float) -> tuple[bool, dict]:
+def _coupled_check(domain: Domain, base, paths: list, x, xp, resolution: int) -> tuple[bool, dict]:
     """`ccl_verify` of two liftings given as (times, vertices) paths, ending at the rows x and xp."""
     inside, ((s1, e1), (s2, e2)) = _liftings_inside(domain, base, paths, resolution)
     detail = {
@@ -522,9 +523,9 @@ def _coupled_check(domain: Domain, base, paths: list, x, xp, resolution: int, to
         "in_domain2": bool(inside[1]),
     }
     ok = (
-        detail["start_gap"] <= tol
-        and detail["end1_error"] <= tol
-        and detail["end2_error"] <= tol
+        detail["start_gap"] <= _END_TOL
+        and detail["end1_error"] <= _END_TOL
+        and detail["end2_error"] <= _END_TOL
         and detail["in_domain1"]
         and detail["in_domain2"]
     )
@@ -604,9 +605,9 @@ class _FiberSearch:
     units and column; a node at a real column or with equal units couples.
     """
 
-    def __init__(self, domain, plan, subsphere, z, u1, u2):
+    def __init__(self, domain, plan, z, u1, u2):
         self.plan = plan
-        self.grid = SlicePairGrid(domain, plan, subsphere, query=(z, np.vstack([u1, u2])))
+        self.grid = SlicePairGrid(domain, plan, query=(z, np.vstack([u1, u2])))
         self.i1 = len(self.grid.units) - 2
         self.i2 = len(self.grid.units) - 1
         # each unit's (neighbour, edge) pairs, in edge order
@@ -687,7 +688,6 @@ def ccl_search(
     x: Octonion,
     xp: Octonion,
     plan: Optional[SamplePlan] = None,
-    subsphere: Optional[Subsphere] = None,
 ) -> SearchResult:
     """Search for a coupled-lifting witness that x and x' are CCL related.
 
@@ -696,7 +696,6 @@ def ccl_search(
     fiber product.  Every witness is re-verified before it is returned.
     """
     plan = plan or SamplePlan()
-    subsphere = subsphere or Subsphere.default()
     if not (domain.contains(x) and domain.contains(xp)):
         raise DomainError("both query points must lie in the domain")
     a1, b1 = x.re, x.im_norm
@@ -735,11 +734,11 @@ def ccl_search(
         if got:
             return got
 
-    if not (subsphere.contains(u1) and subsphere.contains(u2)):
+    if not (in_subsphere(u1) and in_subsphere(u2)):
         return SearchResult(
             "budget-exhausted", None, 0, "query units leave the sampling subsphere"
         )
-    search = _FiberSearch(domain, plan, subsphere, z, u1, u2)
+    search = _FiberSearch(domain, plan, z, u1, u2)
     status, nodes, pops = search.run()
     if status == "found":
         witness = _witness_from_nodes(search.grid, nodes, x, xp)
@@ -757,13 +756,7 @@ class TransportResult:
     deviation: float
 
 
-def stem_transport(
-    f: OctField,
-    witness: CoupledLifting,
-    domain: Optional[Domain] = None,
-    scheme: FDScheme = DEFAULT_SCHEME,
-    use_closed: bool = True,
-) -> TransportResult:
+def stem_transport(f: OctField, witness: CoupledLifting) -> TransportResult:
     """Local stems at the two ends of a coupled witness, and their gap.
 
     For a slice-regular field, CCL-related points over one base point carry
@@ -774,7 +767,7 @@ def stem_transport(
     if x.im_norm <= 1e-9:
         us, vs = f.evaluate_many(pts), np.zeros((2, 8))
     else:
-        us, vs = gamma_stem_rows(f, pts, scheme, use_closed)
+        us, vs = gamma_stem_rows(f, pts)
     s, sp = (StemVector(Octonion(u), Octonion(v)) for u, v in zip(us, vs))
     dev = max((s.u - sp.u).norm(), (s.v - sp.v).norm())
     return TransportResult(s, sp, dev)

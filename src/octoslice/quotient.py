@@ -44,17 +44,19 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import minimum_spanning_tree
 
 from .algebra import Octonion, row_norms, tau_rows
-from .diffops import DEFAULT_SCHEME, FDScheme, OctField
+from .diffops import OctField
 from .domains import Domain
 from .errors import DomainError, EmptySampleError, IntegrityError
 from .liftings import _coupled_check, _even_times, _liftings_inside
 from .report import Report
-from .sampling import SamplePlan, SlicePairGrid, Subsphere, arc_points, arc_sags, components
+from .sampling import SamplePlan, SlicePairGrid, arc_points, arc_sags, components
 from .stems import StemVector, gamma_stem_rows
 
 ColKey = tuple[int, int]
 
 _Z_MATCH_TOL = 1e-9
+# Adjacency hops within which the injectivity check compares classes.
+_HOP_RADIUS = 4
 # Columns whose spanning forests `merge_records` builds at once; it bounds
 # the forest's temporaries to a block's edges.
 _FOREST_BLOCK = 16
@@ -76,7 +78,6 @@ class QuotientSample:
 
     domain: Domain
     plan: SamplePlan
-    subsphere: Subsphere
     alphas: np.ndarray
     betas: np.ndarray
     units: np.ndarray
@@ -151,11 +152,10 @@ def _block_forest(n: int, edges: np.ndarray) -> np.ndarray:
 
 
 class _Builder:
-    def __init__(self, domain: Domain, plan: SamplePlan, subsphere: Subsphere) -> None:
+    def __init__(self, domain: Domain, plan: SamplePlan) -> None:
         self.domain = domain
         self.plan = plan
-        self.subsphere = subsphere
-        self.grid = SlicePairGrid(domain, plan, subsphere)
+        self.grid = SlicePairGrid(domain, plan)
         # the nonempty columns, in order, and each one's slot in that order
         self.cols = [col for col in self.grid.columns() if self.grid.members(col).any()]
         if not self.cols:
@@ -289,7 +289,6 @@ class _Builder:
         return QuotientSample(
             domain=self.domain,
             plan=self.plan,
-            subsphere=self.subsphere,
             alphas=grid.alphas,
             betas=grid.betas,
             units=grid.units,
@@ -308,7 +307,6 @@ class _Builder:
 def build_quotient(
     domain: Domain,
     plan: Optional[SamplePlan] = None,
-    subsphere: Optional[Subsphere] = None,
     infectivity: bool = True,
 ) -> QuotientSample:
     """Sample the slice pairs of a domain and glue CCL classes.
@@ -318,8 +316,7 @@ def build_quotient(
     neighboring columns; a spanning forest of the merges is recorded.
     """
     plan = plan or SamplePlan()
-    subsphere = subsphere or Subsphere.default()
-    builder = _Builder(domain, plan, subsphere)
+    builder = _Builder(domain, plan)
     builder.merge_within_columns()
     if infectivity:
         builder.propagate_infectivity()
@@ -337,13 +334,13 @@ def count_components(q: QuotientSample) -> int:
     return len(np.unique(q.component_of))
 
 
-def injectivity_violations(q: QuotientSample, hop_radius: int = 4) -> list[tuple[int, int]]:
-    """Distinct class pairs within the hop radius sharing a projection value."""
+def injectivity_violations(q: QuotientSample) -> list[tuple[int, int]]:
+    """Distinct class pairs within `_HOP_RADIUS` adjacency hops sharing a projection value."""
     violations = []
     for cls in q.classes:
         seen = {cls.index}
         frontier = [cls.index]
-        for _ in range(hop_radius):
+        for _ in range(_HOP_RADIUS):
             nxt = []
             for cid in frontier:
                 for other in q.class_adjacency[cid]:
@@ -357,9 +354,9 @@ def injectivity_violations(q: QuotientSample, hop_radius: int = 4) -> list[tuple
     return violations
 
 
-def local_injectivity_check(q: QuotientSample, hop_radius: int = 4) -> Report:
+def local_injectivity_check(q: QuotientSample) -> Report:
     """Sampled local injectivity of P: no nearby distinct classes share a z."""
-    violations = injectivity_violations(q, hop_radius)
+    violations = injectivity_violations(q)
     worst = None
     if violations:
         z = q.classes[violations[0][0]].z
@@ -375,13 +372,7 @@ def local_injectivity_check(q: QuotientSample, hop_radius: int = 4) -> Report:
     )
 
 
-def quotient_stem(
-    f: OctField,
-    q: QuotientSample,
-    class_id: int,
-    scheme: FDScheme = DEFAULT_SCHEME,
-    use_closed: bool = True,
-) -> StemVector:
+def quotient_stem(f: OctField, q: QuotientSample, class_id: int) -> StemVector:
     """Stem vector of a slice Fueter-regular field on one quotient class.
 
     Evaluates the stem at every member of the class, with the sign of v
@@ -396,7 +387,7 @@ def quotient_stem(
         x = Octonion.from_real_imag(cls.z.real, np.zeros(7))
         return StemVector(f.evaluate(x), Octonion.zero())
     pts = tau_rows(cls.z.real, beta, q.units[list(cls.unit_ids)])
-    us, vs = gamma_stem_rows(f, pts, scheme, use_closed)
+    us, vs = gamma_stem_rows(f, pts)
     if beta < 0:
         vs = -vs
     spread = max(float(np.ptp(us, axis=0).max()), float(np.ptp(vs, axis=0).max()))
@@ -471,7 +462,7 @@ def replay_merge_record(q: QuotientSample, record: tuple) -> bool:
         zz = complex(z.real, abs(z.imag))
         paths = [(times, units[[0, 0]]), (times, units)]
         x, xp = tau_rows(z.real, z.imag, q.units[[i, j]])
-        return _coupled_check(q.domain, (times, np.array([zz, zz])), paths, x, xp, 2048, 1e-9)[0]
+        return _coupled_check(q.domain, (times, np.array([zz, zz])), paths, x, xp, 2048)[0]
     source = record[4]
     if q.labels[source][i] != q.labels[source][j] or q.labels[source][i] < 0:
         return False

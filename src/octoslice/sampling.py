@@ -1,9 +1,12 @@
-"""Sampling plans, subspheres of imaginary units, and unit-set utilities.
+"""Sampling plans, the sampling sphere of imaginary units, and unit-set utilities.
 
 All randomized procedures in the package draw from a generator seeded by the
 plan's single seed, so identical inputs reproduce identical outputs byte for
-byte.  Resolution knobs (sample counts, link angles, budgets) live here so
-every check records what it actually used.
+byte.  A `SamplePlan` holds every resolution a caller may choose (sample
+counts, link angles, budgets, grid steps), each checked and bounded before
+any work starts, so every check records what it actually used.  Where units
+are sampled is not a choice: every sampled unit lies on the unit sphere of
+span(e1, e2, e3) (`SUBSPHERE_BASIS`).
 """
 
 from __future__ import annotations
@@ -12,14 +15,14 @@ import itertools
 import math
 import reprlib
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from .algebra import NEAR_UNIT_TOL, UnitImaginary, row_norms, tau_rows
+from .algebra import UnitImaginary, row_norms, tau_rows
 from .errors import EmptySampleError, PreconditionError
 
 # Upper limit on the columns of a z grid (alphas x betas).  The default plans
@@ -34,53 +37,57 @@ _SCAN_GRID = ((-2.0, -1.0, 0.0, 1.0, 2.0), (0.5, 1.5, 2.5))
 _LEG_TIMES = np.linspace(0.0, 1.0, 7)[1:-1]
 
 
-class Subsphere:
-    """The unit sphere of the span of pairwise-orthonormal imaginary units."""
-
-    __slots__ = ("_basis",)
-
-    def __init__(self, units: Sequence[UnitImaginary]) -> None:
-        if len(units) < 2:
-            raise PreconditionError("a subsphere needs at least two spanning units")
-        basis = np.stack([u.vec for u in units])
-        gram = basis @ basis.T
-        if float(np.max(np.abs(gram - np.eye(len(units))))) > NEAR_UNIT_TOL:
-            raise PreconditionError("subsphere units must be pairwise orthonormal")
-        self._basis = basis
-
-    @classmethod
-    def default(cls) -> "Subsphere":
-        return cls([UnitImaginary.basis(1), UnitImaginary.basis(2), UnitImaginary.basis(3)])
-
-    @property
-    def dim(self) -> int:
-        return self._basis.shape[0]
-
-    @property
-    def basis(self) -> np.ndarray:
-        return self._basis
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """n quasi-uniform unit 7-vectors in the span, as an (n, 7) array."""
-        g = rng.normal(size=(n, self.dim))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        return g @ self._basis
-
-    def contains(self, u, tol: float = 1e-9) -> bool:
-        vec = u.vec if isinstance(u, UnitImaginary) else np.asarray(u, dtype=float)
-        proj = (vec @ self._basis.T) @ self._basis
-        return bool(np.linalg.norm(proj - vec) <= tol)
+# The sampling sphere: the unit sphere of span(e1, e2, e3), the imaginary
+# units of the quaternion subalgebra generated by e1 and e2 (e1 e2 = e3).
+# Every sampled unit of the package lies on it: the slice-sphere scans, the
+# unit pools of quotients and fiber searches, and the query units a search
+# or a component verdict accepts.  Rows are its orthonormal basis.
+SUBSPHERE_BASIS = np.eye(3, 7)
+SUBSPHERE_BASIS.flags.writeable = False
 
 
-_PLAN_COUNTS = (
-    "sphere_samples",
-    "component_detect_min",
-    "residual_samples",
-    "residual_unit_samples",
-    "search_budget",
-    "pool_harvest",
-    "pool_max",
-)
+def sample_units(n: int, rng: np.random.Generator) -> np.ndarray:
+    """n quasi-uniform units on the sampling sphere, as an (n, 7) array."""
+    g = rng.normal(size=(n, 3))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    return g @ SUBSPHERE_BASIS
+
+
+def in_subsphere(u) -> bool:
+    """Whether a unit (UnitImaginary or 7-vector) lies in span(e1, e2, e3), up to 1e-9."""
+    vec = u.vec if isinstance(u, UnitImaginary) else np.asarray(u, dtype=float)
+    proj = (vec @ SUBSPHERE_BASIS.T) @ SUBSPHERE_BASIS
+    return bool(np.linalg.norm(proj - vec) <= 1e-9)
+
+
+# The counts of a plan, each with its upper limit.  A limit keeps the
+# allocation its count drives under about 0.5 GB at the default link angle
+# (tracemalloc peaks, or the arithmetic given); every default sits far below.
+_PLAN_COUNTS = {
+    # A slice sphere's proximity graph has about 0.0028 n^2 unit pairs:
+    # 50 000 samples peak at 0.29 GB in a slice check.
+    "sphere_samples": 50_000,
+    # A threshold on those samples that allocates nothing; past them it is never met.
+    "component_detect_min": 50_000,
+    # 4n interior points with a 16-row stencil each, about 7 kB per sample: 0.36 GB.
+    "residual_samples": 50_000,
+    # A component gives fewer than 2n units, compared pairwise as (2n, 2n, 8)
+    # floats: 2000^2 x 64 B = 0.26 GB.
+    "residual_unit_samples": 1_000,
+    # The search keeps every node it reaches, about 70 B per pop measured:
+    # 0.07 GB, and 0.5 GB even at 500 B per pop.
+    "search_budget": 1_000_000,
+    # 4n proposals of 8 floats, then the units and their mirrors, about
+    # 0.8 kB per harvested point: 0.40 GB.
+    "pool_harvest": 500_000,
+    # The arc graph keeps 23 probes of 7 floats (1288 B) per edge, about
+    # 0.0028 n^2 edges: 10 000^2 x 3.6 B = 0.36 GB.
+    "pool_max": 10_000,
+}
+# (a, b) cells of a slice scan.  A cell keeps at most one spread float per
+# sampled unit (two per component of two or more units), 32 B each in a
+# list: 256 x 50 000 x 32 B = 0.41 GB.
+MAX_SCAN_CELLS = 256
 # Steps, angles and separations; the optional ones may also be None.
 _PLAN_SIZES = ("link_angle", "quotient_step_factor", "pool_sep_floor")
 _PLAN_OPTIONAL_SIZES = ("quotient_z_step", "pool_sep")
@@ -123,7 +130,7 @@ class SamplePlan:
     """Resolution and budget knobs for every sampled check in the package."""
 
     seed: int = 20260819
-    # Unit sampling on subspheres.
+    # Unit sampling on the sampling sphere.
     sphere_samples: int = 4000
     link_angle: float = 0.15
     component_detect_min: int = 10
@@ -147,10 +154,10 @@ class SamplePlan:
     pool_sep: Optional[float] = None
 
     def __post_init__(self) -> None:
-        for name in _PLAN_COUNTS:
+        for name, limit in _PLAN_COUNTS.items():
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, _INTEGERS) or value <= 0:
-                raise PreconditionError(f"plan {name} must be a positive integer, got {value!r}")
+            if isinstance(value, bool) or not isinstance(value, _INTEGERS) or not 0 < value <= limit:
+                raise PreconditionError(f"plan {name} must be an integer in 1..{limit}, got {value!r}")
         for name in _PLAN_SIZES + _PLAN_OPTIONAL_SIZES:
             value = getattr(self, name)
             if value is None and name in _PLAN_OPTIONAL_SIZES:
@@ -165,6 +172,11 @@ class SamplePlan:
                 isinstance(value, (tuple, list)) and value and all(map(_finite_real, value))
             ):
                 raise PreconditionError(f"plan {name} must be a nonempty list of finite reals, got {value!r}")
+        cells = math.prod(map(len, self.scan_grid()))
+        if cells > MAX_SCAN_CELLS:
+            raise PreconditionError(
+                f"plan a_values x b_values give {cells} scan cells, over the limit {MAX_SCAN_CELLS}"
+            )
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
@@ -265,27 +277,23 @@ def arc_probe_graph(
     return pairs[keep].astype(int), arcs[:n]
 
 
-def adaptive_unit_pool(
-    domain,
-    subsphere: Subsphere,
-    plan: SamplePlan,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, float]:
+def adaptive_unit_pool(domain, plan: SamplePlan) -> tuple[np.ndarray, float]:
     """Unit pool adapted to a domain's imaginary directions.
 
-    Harvests units from interior samples of the domain, mirrors them through
-    the antipode, and thins them greedily to an angular separation derived
-    from the observed spread.  Returns (units (m, 7), separation used).
+    Harvests units from interior samples of the domain (drawn from
+    `plan.rng()`), projects them onto the sampling sphere, mirrors them
+    through the antipode, and thins them greedily to an angular separation
+    derived from the observed spread.  Returns (units (m, 7), separation used).
     """
-    pts = domain.sample_interior(plan.pool_harvest, rng, min_im=1e-6)
+    pts = domain.sample_interior(plan.pool_harvest, plan.rng(), min_im=1e-6)
     if len(pts) == 0:
         raise EmptySampleError("no interior samples to harvest units from")
     ims = pts[:, 1:]
     units = ims / np.linalg.norm(ims, axis=1, keepdims=True)
-    proj = units @ subsphere.basis.T @ subsphere.basis
+    proj = units @ SUBSPHERE_BASIS.T @ SUBSPHERE_BASIS
     keep = np.linalg.norm(proj, axis=1) > 0.7
     if not keep.any():
-        raise EmptySampleError("domain units do not meet the chosen subsphere")
+        raise EmptySampleError("domain units do not meet the sampling sphere")
     units = proj[keep] / np.linalg.norm(proj[keep], axis=1, keepdims=True)
     units = np.vstack([units, -units])
     spread = 2.0 * float(
@@ -350,10 +358,10 @@ class SlicePairGrid:
     there, so its units are all members or none are.
     """
 
-    def __init__(self, domain, plan: SamplePlan, subsphere: Subsphere, query=None) -> None:
+    def __init__(self, domain, plan: SamplePlan, query=None) -> None:
         """`query`, when given, is (z, units (k, 7)): a point's projection and units."""
         self.domain = domain
-        self.units, self.sep = adaptive_unit_pool(domain, subsphere, plan, plan.rng())
+        self.units, self.sep = adaptive_unit_pool(domain, plan)
         window = domain.z_window()
         a_lo, a_hi, b_max = window
         step = z_grid_step(window, plan)

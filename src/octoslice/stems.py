@@ -24,7 +24,7 @@ A stem is one batched kernel, like a field: `StemField.values_many` maps an
 dv/dalpha, dv/dbeta) with NaN rows where no closed form applies.
 `stem_partials` is the one stem derivative path: closed rows come from
 `partials_many`; NaN rows, stems without it and `use_closed=False` all go
-through one central-difference stencil with step h = step_scale (1 + |z|),
+through one central-difference stencil with step h = FD_STEP (1 + |z|),
 evaluated in a single `values_many` call.  The Bers-Vekua residual, the
 two-unit stems and `reconstruct_third` take rows of z (and of units) too,
 and round every row as the one-point `Octonion` arithmetic does.
@@ -50,8 +50,7 @@ from .algebra import (
     tau_rows,
 )
 from .diffops import (
-    DEFAULT_SCHEME,
-    FDScheme,
+    FD_STEP,
     OctField,
     gamma_batch,
     imag_inverse,
@@ -68,7 +67,7 @@ from .errors import (
     PreconditionError,
 )
 from .report import Report, ScanReport
-from .sampling import SamplePlan, Subsphere, json_count, json_reals
+from .sampling import SamplePlan, json_count, json_reals
 
 # Minimum chordal separation between interpolation units.
 SEP_MIN = 0.1
@@ -168,7 +167,6 @@ def stem_from_two_units(
 def gamma_stem_rows(
     f: OctField,
     pts: np.ndarray,
-    scheme: FDScheme = DEFAULT_SCHEME,
     use_closed: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stem vectors (u, v) at the off-axis rows of an (n, 8) array, as two (n, 8) arrays.
@@ -179,20 +177,15 @@ def gamma_stem_rows(
     b = np.sqrt(row_dot(ims, ims))
     if (b <= 1e-9).any():
         raise DomainError("gamma stem extraction needs an off-axis point")
-    g = gamma_batch(f, pts, scheme, use_closed)
+    g = gamma_batch(f, pts, use_closed)
     u = f.evaluate_many(pts) - g / 6.0
     v = mul_batch(imag_inverse(pts), g) * (b / 6.0)[:, None]
     return u, v
 
 
-def stem_from_gamma(
-    f: OctField,
-    x: Octonion,
-    scheme: FDScheme = DEFAULT_SCHEME,
-    use_closed: bool = True,
-) -> StemVector:
+def stem_from_gamma(f: OctField, x: Octonion, use_closed: bool = True) -> StemVector:
     """Stem vector at one off-axis point from the Gamma identity."""
-    u, v = gamma_stem_rows(f, x.coeffs[None, :], scheme, use_closed)
+    u, v = gamma_stem_rows(f, x.coeffs[None, :], use_closed)
     return StemVector(Octonion(u[0]), Octonion(v[0]))
 
 
@@ -253,16 +246,11 @@ def local_stem(f: OctField, ball: Ball, z: complex) -> StemVector:
     return StemVector(Octonion(u[0]), Octonion(-v[0] if z.imag < 0 else v[0]))
 
 
-def stem_partials(
-    stem: StemField,
-    zs,
-    scheme: FDScheme = DEFAULT_SCHEME,
-    use_closed: bool = True,
-) -> np.ndarray:
+def stem_partials(stem: StemField, zs, use_closed: bool = True) -> np.ndarray:
     """(n, 4, 8) partials du/dalpha, du/dbeta, dv/dalpha, dv/dbeta at rows of z.
 
     Rows without a closed form take central differences with step
-    h = step_scale * (1 + |z|), all their stencil points in one batch.
+    h = FD_STEP * (1 + |z|), all their stencil points in one batch.
     """
     zs = np.asarray(zs, dtype=complex)
     if use_closed and stem.partials_many is not None:
@@ -275,7 +263,7 @@ def stem_partials(
         return parts
     z = zs[todo]
     # `np.hypot` is Python's abs(complex) to the bit; `np.abs` is not
-    h = scheme.step_scale * (1.0 + np.hypot(z.real, z.imag))
+    h = FD_STEP * (1.0 + np.hypot(z.real, z.imag))
     # vals[uv, axis, sign] holds u or v at z + h, z - h, z + ih and z - ih
     vals = np.stack(stem.values_many(np.concatenate([z + h, z - h, z + 1j * h, z - 1j * h])))
     vals = vals.reshape(2, 2, 2, len(z), 8)
@@ -284,18 +272,13 @@ def stem_partials(
     return parts
 
 
-def bers_vekua_residual(
-    stem: StemField,
-    zs,
-    scheme: FDScheme = DEFAULT_SCHEME,
-    use_closed: bool = True,
-) -> BVResidual:
+def bers_vekua_residual(stem: StemField, zs, use_closed: bool = True) -> BVResidual:
     """Residuals of the Bers-Vekua system for a stem at rows of z.
 
     The first equation involves 2 v / beta; its rows on the real axis are NaN.
     """
     zs = np.asarray(zs, dtype=complex)
-    du_da, du_db, dv_da, dv_db = stem_partials(stem, zs, scheme, use_closed).transpose(1, 0, 2)
+    du_da, du_db, dv_da, dv_db = stem_partials(stem, zs, use_closed).transpose(1, 0, 2)
     r1 = np.full((len(zs), 8), np.nan)
     off = np.abs(zs.imag) > REAL_AXIS_TOL
     if off.any():
@@ -308,9 +291,7 @@ def sfr_check(
     f: OctField,
     domain: Domain,
     plan: Optional[SamplePlan] = None,
-    subsphere: Optional[Subsphere] = None,
     tolerance: float = 1e-5,
-    scheme: FDScheme = DEFAULT_SCHEME,
     use_closed: bool = True,
 ) -> Report:
     """Sampled slice-Fueter regularity: sliceness plus dbar_F f = 0.
@@ -319,15 +300,14 @@ def sfr_check(
     samples; the verdict also requires the sliceness check to pass at 1e-6.
     """
     plan = plan or SamplePlan()
-    slice_rep = sliceness_check(
-        f, domain, plan, subsphere, tolerance=1e-6, scheme=scheme, use_closed=use_closed
-    )
+    slice_rep = sliceness_check(f, domain, plan, tolerance=1e-6, use_closed=use_closed)
     rng = plan.rng()
     pts = domain.sample_interior(4 * plan.residual_samples, rng, min_im=plan.min_im)
-    xs = pts[stencil_safe(domain, pts, scheme.step(np.sqrt(row_dot(pts, pts))))][: plan.residual_samples]
+    safe = stencil_safe(domain, pts, FD_STEP * (1.0 + np.sqrt(row_dot(pts, pts))))
+    xs = pts[safe][: plan.residual_samples]
     if not len(xs):
         raise EmptySampleError("no stencil-safe off-axis samples in the domain")
-    dbar = slice_fueter_batch(f, xs, scheme, use_closed)
+    dbar = slice_fueter_batch(f, xs, use_closed)
     residuals = np.sqrt(row_dot(dbar, dbar))
     worst = 0.0
     worst_point = None

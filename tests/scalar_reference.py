@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from octoslice.algebra import Octonion, UnitImaginary, mul, tau, tau_rows, unit_imaginary_of
-from octoslice.diffops import DEFAULT_SCHEME, DERIVATION_PAIRS
+from octoslice.diffops import DERIVATION_PAIRS, FD_STEP, FD_STEP2
 from octoslice.domains import BallChain
 from octoslice.errors import DomainError
 from octoslice.golden import _CONSTANT, _CUT_MARGIN, _sqrt_partials_raw, _sqrt_uv, _sqrt_uv_tilde
@@ -187,7 +187,7 @@ def ref_partial(sf: ScalarField, x: Octonion, axis: int, use_closed: bool = True
         val = sf.closed_partial(x, axis)
         if val is not None:
             return val
-    return central_diff(sf, x, axis, DEFAULT_SCHEME.step(x.norm()))
+    return central_diff(sf, x, axis, FD_STEP * (1.0 + x.norm()))
 
 
 def ref_partials(sf: ScalarField, x: Octonion, axes, use_closed: bool = True) -> dict:
@@ -227,7 +227,7 @@ def ref_slice_fueter(sf: ScalarField, x: Octonion, use_closed: bool = True) -> O
 
 def ref_cauchy_fueter(sf: ScalarField, pair, q) -> Octonion:
     q = np.asarray(q, dtype=float)
-    h = DEFAULT_SCHEME.step(float(np.linalg.norm(q)))
+    h = FD_STEP * (1.0 + float(np.linalg.norm(q)))
     derivs = []
     for k in range(4):
         hi = q.copy()
@@ -244,7 +244,7 @@ def ref_cauchy_fueter(sf: ScalarField, pair, q) -> Octonion:
 
 def ref_quaternion_laplacian(sf: ScalarField, pair, q) -> Octonion:
     q = np.asarray(q, dtype=float)
-    h = DEFAULT_SCHEME.step2(float(np.linalg.norm(q)))
+    h = FD_STEP2 * (1.0 + float(np.linalg.norm(q)))
     center = sf.evaluate(pair.embed(q))
     out = Octonion.zero()
     for k in range(4):
@@ -367,7 +367,7 @@ def ref_stem_partials(stem: ScalarStem, z: complex, use_closed: bool = True) -> 
     parts = stem.partials(z) if use_closed else None
     if parts is not None:
         return parts
-    h = DEFAULT_SCHEME.step_scale * (1.0 + abs(z))
+    h = FD_STEP * (1.0 + abs(z))
     return (
         (stem.u(z + h) - stem.u(z - h)) / (2.0 * h),
         (stem.u(z + h * 1j) - stem.u(z - h * 1j)) / (2.0 * h),

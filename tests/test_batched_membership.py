@@ -17,7 +17,7 @@ from octoslice.algebra import Octonion, UnitImaginary
 from octoslice.domains import Ball, BallChain, BallUnion, SlabCone
 from octoslice.errors import EmptySampleError
 from octoslice.liftings import _FiberSearch
-from octoslice.sampling import SamplePlan, Subsphere, adaptive_unit_pool, chord_of_angle
+from octoslice.sampling import SamplePlan, adaptive_unit_pool, chord_of_angle
 
 E = [Octonion.basis(k) for k in range(8)]
 CHAIN = BallChain(UnitImaginary.basis(1), UnitImaginary.basis(2))
@@ -119,7 +119,7 @@ def _reference_edges_ok(search, col):
 
 
 def _recorded_search(domain, plan, z, u1, u2):
-    search = _FiberSearch(domain, plan, Subsphere.default(), z, u1, u2)
+    search = _FiberSearch(domain, plan, z, u1, u2)
     grid = search.grid
     moves, cols = [], set()
     move_mask, arc_mask = grid.move_mask, grid.arc_mask
@@ -176,13 +176,14 @@ def test_base_moves_and_arc_ends_match_per_unit_loops(name):
 # -- adaptive_unit_pool ------------------------------------------------------
 
 
-def _reference_pool(domain, subsphere, plan, rng):
-    pts = domain.sample_interior(plan.pool_harvest, rng, min_im=1e-6)
+def _reference_pool(domain, plan):
+    pts = domain.sample_interior(plan.pool_harvest, plan.rng(), min_im=1e-6)
     if len(pts) == 0:
         raise EmptySampleError("no interior samples to harvest units from")
     ims = pts[:, 1:]
     units = ims / np.linalg.norm(ims, axis=1, keepdims=True)
-    proj = units @ subsphere.basis.T @ subsphere.basis
+    basis = np.eye(3, 7)  # e1, e2, e3
+    proj = units @ basis.T @ basis
     keep = np.linalg.norm(proj, axis=1) > 0.7
     units = proj[keep] / np.linalg.norm(proj[keep], axis=1, keepdims=True)
     units = np.vstack([units, -units])
@@ -215,7 +216,6 @@ POOL_PLANS = (
 @pytest.mark.parametrize("name", sorted(POOL_DOMAINS))
 def test_unit_pool_equals_plain_greedy_thinning(name):
     domain = POOL_DOMAINS[name]
-    subsphere = Subsphere.default()
     cut_short = 0
     for seed in (0, 1, 2):
         for pool_max, pool_sep in POOL_PLANS:
@@ -223,8 +223,8 @@ def test_unit_pool_equals_plain_greedy_thinning(name):
             # set after validation, which refuses an empty cap: the thinning
             # loop must honour any cap by itself
             plan.pool_max = pool_max
-            got, sep = adaptive_unit_pool(domain, subsphere, plan, plan.rng())
-            want, want_sep = _reference_pool(domain, subsphere, plan, plan.rng())
+            got, sep = adaptive_unit_pool(domain, plan)
+            want, want_sep = _reference_pool(domain, plan)
             assert sep == want_sep
             assert got.shape == want.shape and got.dtype == want.dtype
             assert got.tobytes() == want.tobytes(), (seed, pool_max, pool_sep)

@@ -345,6 +345,9 @@ def test_non_finite_input_is_exit_2(capsys, argv):
         # a domain that is not a JSON object, and a plan step too large for a float
         ("quotient", "--domain", "[1, 2]"),
         ("quotient", "--domain", BALL2, "--plan", '{"quotient_z_step": 1' + "0" * 400 + "}"),
+        # a plan that is not a JSON object, and a plan seed, which only --seed sets
+        ("quotient", "--domain", BALL2, "--plan", '[["pool_max", 20]]'),
+        ("slice-check", "--field", "identity", "--plan", '{"seed": 5}'),
     ],
 )
 def test_unresolvable_plans_and_grids_are_exit_2(capsys, argv):
@@ -435,6 +438,19 @@ def test_lift_samples_past_the_limit_are_exit_2_before_allocating(capsys):
         assert code == 2 and out == "" and json.loads(err)["error"].startswith("PreconditionError")
         # the decomposition's arrays would take tens of megabytes
         assert peak < 2**20
+
+
+def test_plan_counts_past_their_limits_are_exit_2_before_allocating(capsys):
+    plan = json.dumps({"sphere_samples": 10**12})
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "slice-check", "--field", "identity", "--plan", plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == "" and json.loads(err)["error"].startswith("PreconditionError")
+    # the sampled units alone would take 80 TB
+    assert peak < 2**20
 
 
 def test_plan_field_the_plan_lacks_is_exit_2(capsys):
@@ -552,6 +568,37 @@ for _name in ("cauchy-fueter", "slice-laplacian"):
         _FROZEN_ARGV.append(["op", "--name", _name, "--field", _field, "--point", _POINT2])
     _FROZEN_ARGV.append(["op", "--name", _name, "--field", "sqrt-example", "--point", _SQRT_POINT2])
 
+# Recorded before the sampling sphere became a module constant: quotients of
+# a ball, a ball union and a slab-cone under small plans, and a fiber-product
+# search that finds a witness and one that ends not-equivalent.
+_QPLAN = json.dumps({"pool_harvest": 400, "pool_max": 80, "quotient_z_step": 0.3})
+_UNION = json.dumps({"type": "ball_union", "balls": [
+    {"type": "ball", "center": [0, 2, 0, 0, 0, 0, 0, 0], "radius": 1.6},
+    {"type": "ball", "center": [0, 0, 2, 0, 0, 0, 0, 0], "radius": 1.6},
+]})
+_M = 0.5**0.5
+_CHAMBER = json.dumps({"type": "ball_union", "balls": [
+    {"type": "ball", "center": c, "radius": r}
+    for c, r in (
+        ([0, 0, 2, 0, 0, 0, 0, 0], 0.5),
+        ([0, 0, 0, 2, 0, 0, 0, 0], 0.5),
+        ([0, 0, 1.5, 0, 0, 0, 0, 0], 0.45),
+        ([0, 0, 0, 1.5, 0, 0, 0, 0], 0.45),
+        ([0, 0, _M, _M, 0, 0, 0, 0], 0.85),
+    )
+]})
+_FROZEN_ARGV += [
+    ["quotient", "--seed", "3", "--plan", _QPLAN,
+     "--domain", json.dumps({"type": "ball", "center": [0.5] + [0] * 7, "radius": 1.5})],
+    ["quotient", "--seed", "4", "--plan", _QPLAN, "--domain", _UNION],
+    ["quotient", "--seed", "5", "--plan", json.dumps({"pool_harvest": 300, "pool_max": 40, "quotient_z_step": 0.6}),
+     "--domain", json.dumps({"type": "slab_cone", "i0": [1, 0, 0, 0, 0, 0, 0]})],
+    ["ccl-search", "--seed", "10", "--plan", _QPLAN, "--domain", _CHAMBER,
+     "--x", "[0, 0, 2, 0, 0, 0, 0, 0]", "--xp", "[0, 0, 0, 2, 0, 0, 0, 0]"],
+    ["ccl-search", "--seed", "7", "--plan", COARSE_PLAN, "--domain", CHAIN,
+     "--x", "[-1, 0, 2, 0, 0, 0, 0, 0]", "--xp", "[-1, 0, -2, 0, 0, 0, 0, 0]"],
+]
+
 _FROZEN_SHA256 = [
     "04f6e697bc8943a89120ed770335201edb04720fcd371aecbed065e9fb87ca3d",
     "67cb60e372eeefde4346ae17e70feee013f503af18e348dfbff68f3e8be5fc35",
@@ -644,6 +691,11 @@ _FROZEN_SHA256 = [
     "85c52e7ff8ceb53b2739768d54e9eaa1bfbe0540ec45d1d63213ae847ab776bd",
     "c76043677d33fc1e763d9ea94c0a8435f597ee1c6fae01177fdbe794f0aeb311",
     "7d5fdf7fb7874277a4882af2fe65a036055dbde9f8b0bc88e66ea5c9597b21ab",
+    "375352b133b938893d640a9cd742406fefc56b4145ec028fc48d151bf24ae09c",
+    "b7a7d67f837b3daacc488e95f74550cd760bc1f7073b4a6ebe075844b51bf10d",
+    "0ee8baa7e24dd0958d1d1c3e5b53ef6e5e38ecdbac2e8b9b8cb1c6c1932786ef",
+    "5f48097f5dc0fbe3217c94969491aa4d1770b266b942c21a0ff1181c9cb048d2",
+    "80197884edf11bcca47643b15774ecbe1433353938bea574c276b0f3ee3f1624",
 ]
 
 

@@ -1,5 +1,7 @@
 """Domain membership, point-leg margins, slice spheres, and connectivity verdicts."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -18,7 +20,14 @@ from octoslice.domains import (
     sphere_slice_member,
 )
 from octoslice.errors import DomainError, PreconditionError
-from octoslice.sampling import SamplePlan, Subsphere, adaptive_unit_pool, components
+from octoslice.sampling import (
+    SUBSPHERE_BASIS,
+    SamplePlan,
+    adaptive_unit_pool,
+    components,
+    in_subsphere,
+    sample_units,
+)
 
 E1 = UnitImaginary.basis(1)
 E2 = UnitImaginary.basis(2)
@@ -174,13 +183,12 @@ def test_same_component_soundness_positive_cases():
     # Never "different" for units joined by an in-domain great-circle arc.
     rng = np.random.default_rng(33)
     plan = SamplePlan()
-    sub = Subsphere.default()
     for trial in range(100):
         radius = rng.uniform(1.5, 3.0)
         center = float(rng.uniform(-0.5, 0.5))
         dom = Ball(oct_(center), radius)
         b = rng.uniform(0.3, radius * 0.7)
-        u = sub.sample(2, np.random.default_rng(1000 + trial))
+        u = sample_units(2, np.random.default_rng(1000 + trial))
         i1 = UnitImaginary.from_vector(u[0])
         i2 = UnitImaginary.from_vector(u[1])
         # Real-centered ball: the whole great circle through i1, i2 is in-slice.
@@ -221,6 +229,40 @@ def test_circularly_connected_scan():
             -2.0, -1.3376504148725021, 0.6723739672407298, -0.09276106817186304, 0.0, 0.0, 0.0, 0.0
         ],
     }
+
+
+# Sampled slice-sphere verdicts stay byte-identical for a seed: the digests
+# below were recorded before the sampling sphere became a module constant.
+_SCAN_DOMAINS = [
+    (Ball(oct_(0.3), 2.0), {}),
+    (SlabCone(E1, math.pi / 4), {}),
+    (BallUnion([Ball(oct_(0, 2), 1.6), Ball(oct_(0, 0, 2), 1.6)]), {}),
+    (BallChain(E1, E2), {"a_values": (-1.0, 0.0, 1.0), "b_values": (1.8, 2.0, 2.2)}),
+]
+
+
+def test_scan_and_component_verdicts_are_frozen():
+    scans = [
+        circularly_connected_scan(dom, SamplePlan(seed=40 + k, sphere_samples=1500, **grid)).to_json()
+        for k, (dom, grid) in enumerate(_SCAN_DOMAINS)
+    ]
+    digest = hashlib.sha256(json.dumps(scans, sort_keys=True).encode()).hexdigest()
+    assert digest == "eb550e06280ad97a7684b4e2b7fb222707b771c6496b2fed5bf850c487ae9dd7"
+
+    verdicts = []
+    rng = np.random.default_rng(50)
+    for (dom, _), a, b in zip(_SCAN_DOMAINS, (0.3, 0.0, 0.0, -1.0), (1.5, 2.0, 2.0, 2.0)):
+        g = rng.normal(size=(400, 3))
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        units = [UnitImaginary.from_vector(np.r_[u, np.zeros(4)]) for u in g]
+        units = [u for u in units if sphere_slice_member(dom, a, b, u)][:8]
+        for i in range(0, len(units) - 1, 2):
+            plan = SamplePlan(seed=60 + i, sphere_samples=1000)
+            verdicts.append(same_component(dom, a, b, units[i], units[i + 1], plan=plan))
+    assert verdicts == [
+        "same", "same", "unknown", "same", "different", "different",
+        "different", "different", "different", "unknown", "same", "same",
+    ]
 
 
 def _plain_union_find(n, edges):
@@ -297,7 +339,7 @@ def test_predicate_domain():
 def test_adaptive_unit_pool_far_ball():
     dom = Ball(oct_(0, 2, 2), 0.3)
     plan = SamplePlan()
-    units, sep = adaptive_unit_pool(dom, Subsphere.default(), plan, plan.rng())
+    units, sep = adaptive_unit_pool(dom, plan)
     assert len(units) > 20
     axis = np.array([1, 1, 0, 0, 0, 0, 0]) / math.sqrt(2)
     cos_to_axis = np.abs(units @ axis)
@@ -309,14 +351,13 @@ def test_adaptive_unit_pool_far_ball():
 
 
 def test_subsphere_validation():
-    sub = Subsphere.default()
-    pts = sub.sample(100, np.random.default_rng(36))
+    pts = sample_units(100, np.random.default_rng(36))
     assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
     assert np.allclose(pts[:, 3:], 0.0, atol=1e-15)
-    assert sub.contains(E1)
-    assert not sub.contains(UnitImaginary.basis(5))
-    with pytest.raises(PreconditionError):
-        Subsphere([E1, E1])
+    assert in_subsphere(E1) and in_subsphere(pts[0])
+    assert not in_subsphere(UnitImaginary.basis(5))
+    with pytest.raises(ValueError):
+        SUBSPHERE_BASIS[0, 0] = 2.0
 
 
 @pytest.mark.parametrize(
@@ -346,6 +387,17 @@ def test_subsphere_validation():
         ("b_values", (0.5, float("-inf"))),
         ("b_values", (1.5 + 0.5j,)),
         ("b_values", 1.5),
+        # one past each upper limit, and scan grids of more than 256 cells
+        ("sphere_samples", 50_001),
+        ("component_detect_min", 50_001),
+        ("residual_samples", 50_001),
+        ("residual_unit_samples", 1_001),
+        ("search_budget", 1_000_001),
+        ("pool_harvest", 500_001),
+        ("pool_max", 10_001),
+        ("sphere_samples", 10**12),
+        ("a_values", tuple(range(86))),
+        ("b_values", (1.0,) * 52),
     ],
 )
 def test_sample_plan_rejects_unresolvable_values(field, value):
@@ -373,6 +425,11 @@ def test_sample_plan_keeps_valid_values():
     assert SamplePlan().quotient_z_step is None and SamplePlan().pool_sep is None
     plan = SamplePlan(min_im=0, a_values=[-1, 0.5], b_values=(np.float64(2.0),))
     assert plan.scan_grid() == ([-1, 0.5], (2.0,))
+    # each upper limit itself passes
+    SamplePlan(
+        sphere_samples=50_000, component_detect_min=50_000, residual_samples=50_000, residual_unit_samples=1_000,
+        search_budget=1_000_000, pool_harvest=500_000, pool_max=10_000, a_values=(0.0,) * 16, b_values=(1.0,) * 16,
+    )
 
 
 _BUILT_IN = [

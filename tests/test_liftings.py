@@ -19,7 +19,7 @@ from octoslice.liftings import (
     lift_in_domain,
     stem_transport,
 )
-from octoslice.sampling import SamplePlan, Subsphere
+from octoslice.sampling import SamplePlan
 
 E = [Octonion.basis(k) for k in range(8)]
 
@@ -275,4 +275,4 @@ def test_path_failing_reverification_is_unverified():
 def test_fiber_search_refuses_runaway_z_grid():
     with pytest.raises(PreconditionError, match="grid columns"):
         plan = SamplePlan(quotient_z_step=1e-7)
-        _FiberSearch(BALL, plan, Subsphere.default(), 1 + 2j, np.eye(7)[0], np.eye(7)[1])
+        _FiberSearch(BALL, plan, 1 + 2j, np.eye(7)[0], np.eye(7)[1])

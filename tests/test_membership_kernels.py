@@ -18,7 +18,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.spatial import cKDTree
 
 from octoslice.algebra import Octonion, UnitImaginary, row_dot, row_norms
-from octoslice.diffops import DEFAULT_SCHEME, stencil_safe
+from octoslice.diffops import FD_STEP, stencil_safe
 from octoslice.domains import (
     _BALL_BLOCK,
     _LEG_CELLS,
@@ -338,7 +338,7 @@ def turned(rng, u, angle):
 
 def point_leg_step(x):
     """The finite-difference step h of `sliceness_check` and `sfr_check` at x; the point leg is (x, x, 2h)."""
-    return DEFAULT_SCHEME.step(float(np.linalg.norm(x)))
+    return FD_STEP * (1.0 + float(np.linalg.norm(x)))
 
 
 def ref_stencil_rows(x, h):
@@ -464,7 +464,7 @@ def ref_spokes(domain, z, u1, u2, member):
 def attach_quotient(domain, z, unit):
     """A one-column quotient whose only member is `unit`, for `class_at`."""
     return QuotientSample(
-        domain=domain, plan=None, subsphere=None,
+        domain=domain, plan=None,
         alphas=np.array([z.real]), betas=np.array([z.imag]), units=unit[None, :],
         edges=None, members={(0, 0): np.array([True])}, labels={(0, 0): np.array([0])},
         classes=[], class_adjacency=[], component_of=None, merge_records=[], link=0.0, separation=ATTACH_SEP,

@@ -25,7 +25,7 @@ from scalar_reference import (
 from octoslice import cli
 from octoslice.algebra import Octonion, OrthoPair, UnitImaginary, mul, row_dot, tau
 from octoslice.diffops import (
-    DEFAULT_SCHEME,
+    FD_STEP,
     OctField,
     euler_e,
     gamma_batch,
@@ -41,7 +41,7 @@ from octoslice.domains import Ball
 from octoslice.errors import DomainError, EmptySampleError, PreconditionError
 from octoslice.golden import _sqrt_partials_raw, _sqrt_uv_tilde, field_names, get_field
 from octoslice.report import Report, ScanReport
-from octoslice.sampling import SamplePlan, Subsphere, components, unit_graph_edges
+from octoslice.sampling import SamplePlan, components, sample_units, unit_graph_edges
 from octoslice.stems import MAX_GRID_NODES, GridSpec, modulus_local_max_scan, sfr_check
 
 PAIR = OrthoPair(UnitImaginary.basis(1), UnitImaginary.basis(2))
@@ -59,11 +59,9 @@ def ref_member_units(domain, a, b, units):
 
 
 def ref_sliceness_check(sf, domain, plan, tolerance=1e-6, use_closed=True):
-    scheme = DEFAULT_SCHEME
-    subsphere = Subsphere.default()
     a_values = plan.a_values if plan.a_values is not None else (-2.0, -1.0, 0.0, 1.0, 2.0)
     b_values = plan.b_values if plan.b_values is not None else (0.5, 1.5, 2.5)
-    units = subsphere.sample(plan.sphere_samples, plan.rng())
+    units = sample_units(plan.sphere_samples, plan.rng())
     worst, worst_point, spreads, n_samples = 0.0, None, [], 0
     for a in a_values:
         for b in b_values:
@@ -81,7 +79,7 @@ def ref_sliceness_check(sf, domain, plan, tolerance=1e-6, use_closed=True):
                 vals1, vals2, pts = [], [], []
                 for k in take:
                     x = tau(UnitImaginary.from_vector(members[k]), complex(a, b))
-                    if not stencil_safe(domain, x.coeffs[None, :], scheme.step(x.norm()))[0]:
+                    if not stencil_safe(domain, x.coeffs[None, :], FD_STEP * (1.0 + x.norm()))[0]:
                         continue
                     gamma = ref_gamma(sf, x, use_closed)
                     inv_im = x.imag_part().inv()
@@ -113,7 +111,6 @@ def ref_sliceness_check(sf, domain, plan, tolerance=1e-6, use_closed=True):
 
 
 def ref_sfr_check(sf, domain, plan, tolerance=1e-5, use_closed=True):
-    scheme = DEFAULT_SCHEME
     slice_rep = ref_sliceness_check(sf, domain, plan, 1e-6, use_closed)
     pts = domain.sample_interior(4 * plan.residual_samples, plan.rng(), min_im=plan.min_im)
     residuals, worst, worst_point = [], 0.0, None
@@ -121,7 +118,7 @@ def ref_sfr_check(sf, domain, plan, tolerance=1e-5, use_closed=True):
         if len(residuals) >= plan.residual_samples:
             break
         x = Octonion(p)
-        if not stencil_safe(domain, x.coeffs[None, :], scheme.step(x.norm()))[0]:
+        if not stencil_safe(domain, x.coeffs[None, :], FD_STEP * (1.0 + x.norm()))[0]:
             continue
         r = ref_slice_fueter(sf, x, use_closed).norm()
         residuals.append(r)

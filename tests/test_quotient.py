@@ -96,7 +96,6 @@ def test_degenerate_single_class_quotient():
     lone = QuotientSample(
         domain=q.domain,
         plan=q.plan,
-        subsphere=q.subsphere,
         alphas=np.array([2.0]),
         betas=np.array([1.0]),
         units=q.units[:1],
@@ -185,7 +184,6 @@ def test_seam_classes_carry_opposite_branches():
     corrupt = QuotientSample(
         domain=q.domain,
         plan=q.plan,
-        subsphere=q.subsphere,
         alphas=q.alphas,
         betas=q.betas,
         units=q.units,
@@ -286,7 +284,6 @@ def test_injectivity_detector_flags_adjacent_same_z_classes():
     fixture = QuotientSample(
         domain=q.domain,
         plan=q.plan,
-        subsphere=q.subsphere,
         alphas=q.alphas,
         betas=q.betas,
         units=q.units,

@@ -22,7 +22,7 @@ from octoslice.domains import Ball, BallChain, BallUnion
 from octoslice.errors import DomainError
 from octoslice.liftings import CoupledLifting, PolyPathC, PolyPathS, ccl_search, ccl_verify, lift_in_domain
 from octoslice.quotient import build_quotient, class_at, replay_merge_record
-from octoslice.sampling import _LEG_TIMES, SamplePlan, SlicePairGrid, Subsphere
+from octoslice.sampling import _LEG_TIMES, SamplePlan, SlicePairGrid
 
 E = [Octonion.basis(k) for k in range(8)]
 
@@ -226,7 +226,7 @@ def test_grid_masks_match_all_probe_reference(name, monkeypatch):
         return out
 
     monkeypatch.setattr(domain, "deep_legs", deep_legs, raising=False)
-    grid = SlicePairGrid(domain, plan, Subsphere.default())
+    grid = SlicePairGrid(domain, plan)
     arcs = moves = 0
     for col in grid.columns():
         assert np.array_equal(grid.members(col), _reference_members(grid, col))
