@@ -31,6 +31,9 @@ the per-ball test and of `SlabCone` (|Im x|); it sums in the order of
 finite row whose |Im x| overflows takes it on Im x scaled to a largest
 |coordinate| of 1, as the cones do not depend on scale.
 
+Interior sampling.  `Domain.sample_interior` stops testing proposals once
+it has enough; its docstring says why the points it keeps do not change.
+
 Leg checks.  A leg is every point within `sag` of a segment [p0, p1];
 `Domain.legs_inside` decides every leg of the package, testing the sample
 rows of the legs that `deep_legs` does not certify.  `deep_legs` returns
@@ -134,6 +137,9 @@ from .sampling import (
 
 # Proposal rounds of `Domain.sample_interior`, each of max(4 need, 64) points.
 _SAMPLE_ROUNDS = 200
+# After its first block of `need` rows, a round tests blocks of this many
+# times the points still missing.
+_BLOCK_GROWTH = 2
 
 
 class Domain:
@@ -193,23 +199,31 @@ class Domain:
     ) -> np.ndarray:
         """Up to n interior points, as (m, 8), from at most `_SAMPLE_ROUNDS` proposal rounds.
 
-        With margin > 0 a point is kept only when `deep_legs` certifies the
-        point leg (x, x, margin): the ball of that radius around it.
+        A point is kept when |Im x| >= min_im and it is inside; with
+        margin > 0, when `deep_legs` certifies the point leg (x, x, margin):
+        the ball of that radius around it.  Each round proposes
+        max(4 need, 64) points, drawn whole so that the generator's stream
+        does not depend on how they are tested, and tests them in order, a
+        block at a time, until `need` have passed: the first block is `need`
+        rows, each later one `_BLOCK_GROWTH` times what is still missing.
+        Every verdict is decided row by row, so the points kept are those of
+        testing every proposal, in the same order.
         """
         out = []
         need = n
         for _ in range(_SAMPLE_ROUNDS):
             cand = self._propose(max(4 * need, 64), rng)
-            ims = np.linalg.norm(cand[:, 1:], axis=1)
-            ok = ims >= min_im
-            if margin > 0.0:
-                ok &= self.deep_legs(cand, cand, margin)
-            else:
-                ok &= self.contains_batch(cand)
-            cand = cand[ok]
-            if len(cand):
-                out.append(cand[:need])
-                need -= len(cand[:need])
+            cand = cand[np.linalg.norm(cand[:, 1:], axis=1) >= min_im]
+            start, block = 0, need
+            while need > 0 and start < len(cand):
+                rows = cand[start : start + block]
+                ok = self.deep_legs(rows, rows, margin) if margin > 0.0 else self.contains_batch(rows)
+                kept = rows[ok][:need]
+                if len(kept):
+                    out.append(kept)
+                    need -= len(kept)
+                start += len(rows)
+                block = _BLOCK_GROWTH * need
             if need <= 0:
                 break
         return np.vstack(out) if out else np.empty((0, 8))

@@ -32,6 +32,11 @@ MAX_Z_COLUMNS = 50_000
 _ARC_BLOCK = 1024
 # The (a, b) grid of slice scans whose plan gives none.
 _SCAN_GRID = ((-2.0, -1.0, 0.0, 1.0, 2.0), (0.5, 1.5, 2.5))
+# The cKDTree radius of `thin_units` over min_chord: a relative slack far
+# above the rounding of either distance, and an absolute one whose square
+# still stands above underflow.
+_THIN_REL = 2.0**-20
+_THIN_ABS = 2.0**-500
 # Interior sample times of a z leg between neighbouring grid columns; the
 # two end columns are checked by their membership.
 _LEG_TIMES = np.linspace(0.0, 1.0, 7)[1:-1]
@@ -84,6 +89,12 @@ _PLAN_COUNTS = {
     # 0.0028 n^2 edges: 10 000^2 x 3.6 B = 0.36 GB.
     "pool_max": 10_000,
 }
+# Unit pairs of a slice sphere's proximity graph, estimated before any unit
+# is sampled as sphere_samples^2 sin^2(link_angle / 2) / 2 (the share of the
+# sphere within the link, for the uniform samples).  A pair costs about 41 B
+# at its peak in a slice check (0.29 GB for the 7.0 M pairs of 50 000 samples
+# at the default angle), so 10 M pairs stay near 0.41 GB.
+MAX_GRAPH_PAIRS = 10_000_000
 # (a, b) cells of a slice scan.  A cell keeps at most one spread float per
 # sampled unit (two per component of two or more units), 32 B each in a
 # list: 256 x 50 000 x 32 B = 0.41 GB.
@@ -91,6 +102,8 @@ MAX_SCAN_CELLS = 256
 # Steps, angles and separations; the optional ones may also be None.
 _PLAN_SIZES = ("link_angle", "quotient_step_factor", "pool_sep_floor")
 _PLAN_OPTIONAL_SIZES = ("quotient_z_step", "pool_sep")
+# Angles, at most pi: past it `chord_of_angle` shrinks again.
+_PLAN_ANGLES = ("link_angle", "pool_sep_floor", "pool_sep")
 _INTEGERS = (int, np.integer)
 _REALS = (int, float, np.integer, np.floating)
 
@@ -164,6 +177,14 @@ class SamplePlan:
                 continue
             if not (_finite_real(value) and value > 0):
                 raise PreconditionError(f"plan {name} must be finite and positive, got {value!r}")
+            if name in _PLAN_ANGLES and value > math.pi:
+                raise PreconditionError(f"plan {name} is an angle in (0, pi], got {value!r}")
+        pairs = self.sphere_samples**2 * math.sin(self.link_angle / 2.0) ** 2 / 2.0
+        if pairs > MAX_GRAPH_PAIRS:
+            raise PreconditionError(
+                f"plan sphere_samples {self.sphere_samples} and link_angle {self.link_angle:g} give about"
+                f" {pairs:.3g} proximity-graph pairs, over the limit {MAX_GRAPH_PAIRS}"
+            )
         if not (_finite_real(self.min_im) and self.min_im >= 0):
             raise PreconditionError(f"plan min_im must be finite and not negative, got {self.min_im!r}")
         for name in ("a_values", "b_values"):
@@ -282,8 +303,9 @@ def adaptive_unit_pool(domain, plan: SamplePlan) -> tuple[np.ndarray, float]:
 
     Harvests units from interior samples of the domain (drawn from
     `plan.rng()`), projects them onto the sampling sphere, mirrors them
-    through the antipode, and thins them greedily to an angular separation
-    derived from the observed spread.  Returns (units (m, 7), separation used).
+    through the antipode, and thins them greedily (`thin_units`) to an
+    angular separation derived from the observed spread.  Returns
+    (units (m, 7), separation used).
     """
     pts = domain.sample_interior(plan.pool_harvest, plan.rng(), min_im=1e-6)
     if len(pts) == 0:
@@ -302,16 +324,40 @@ def adaptive_unit_pool(domain, plan: SamplePlan) -> tuple[np.ndarray, float]:
     spread = min(spread, np.pi)
     sep = plan.pool_sep if plan.pool_sep is not None else max(plan.pool_sep_floor, spread / 15.0)
     min_chord = chord_of_angle(sep)
-    # Greedy thinning in order: a unit is kept when it lies at least
-    # min_chord from every unit kept before it.  Each sweep keeps the first
-    # undecided unit and drops the later ones too close to it.
+    return units[thin_units(units, min_chord, plan.pool_max)], sep
+
+
+def thin_units(units: np.ndarray, min_chord: float, cap: int) -> np.ndarray:
+    """Greedy thinning in order: the indices of the units kept, as int64.
+
+    A unit is kept when `row_norms` puts it at least min_chord from every
+    unit kept before it, until `cap` are kept.  Each kept unit k asks a
+    cKDTree on the units' coordinates in `SUBSPHERE_BASIS` for its
+    neighbours within a radius a little above min_chord; the projection
+    does not lengthen any distance, so they include every unit closer
+    than min_chord.  Their drops are decided by `row_norms(units[k] -
+    units[near]) < min_chord` itself, and k moves on to the first unit
+    neither kept nor dropped.  The units must be finite.
+    """
     kept: list[int] = []
-    rest = np.arange(len(units))
-    while len(rest) and len(kept) < plan.pool_max:
-        k, rest = rest[0], rest[1:]
+    if len(units) == 0:
+        return np.array(kept, dtype=np.int64)
+    coords = units @ SUBSPHERE_BASIS.T
+    # sliding-midpoint splits and larger leaves build the tree in about half
+    # the time of a balanced one on a clustered harvest, where building
+    # costs more than the queries
+    tree = cKDTree(coords, leafsize=32, balanced_tree=False)
+    radius = min_chord * (1.0 + _THIN_REL) + _THIN_ABS
+    live = np.ones(len(units), dtype=bool)
+    k = 0
+    while live[k] and len(kept) < cap:
         kept.append(k)
-        rest = rest[row_norms(units[k] - units[rest]) >= min_chord]
-    return units[np.array(kept, dtype=np.int64)], sep
+        live[k] = False
+        near = np.asarray(tree.query_ball_point(coords[k], radius), dtype=np.intp)
+        near = near[live[near]]
+        live[near[row_norms(units[k] - units[near]) < min_chord]] = False
+        k += int(live[k:].argmax())
+    return np.array(kept, dtype=np.int64)
 
 
 def components(n: int, edges) -> tuple[int, np.ndarray]:

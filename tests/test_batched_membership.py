@@ -3,8 +3,9 @@
 Each test holds a reference written the straightforward way: an unbounded
 nearest-centre query for the ball chain, a per-unit loop over the seven
 points of a closed z leg for base moves, an edge-by-edge loop for arc end
-checks, and a candidate-by-candidate greedy thinning for unit pools (each
-candidate against the whole pool kept so far).
+checks, a candidate-by-candidate greedy thinning for unit pools (each
+candidate against the whole pool kept so far), and interior sampling that
+tests every proposal of a round.
 """
 
 import math
@@ -13,11 +14,11 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from octoslice.algebra import Octonion, UnitImaginary
-from octoslice.domains import Ball, BallChain, BallUnion, SlabCone
+from octoslice.algebra import Octonion, UnitImaginary, row_norms
+from octoslice.domains import _SAMPLE_ROUNDS, Ball, BallChain, BallUnion, PredicateDomain, SlabCone
 from octoslice.errors import EmptySampleError
 from octoslice.liftings import _FiberSearch
-from octoslice.sampling import SamplePlan, adaptive_unit_pool, chord_of_angle
+from octoslice.sampling import SamplePlan, adaptive_unit_pool, chord_of_angle, sample_units, thin_units
 
 E = [Octonion.basis(k) for k in range(8)]
 CHAIN = BallChain(UnitImaginary.basis(1), UnitImaginary.basis(2))
@@ -190,14 +191,17 @@ def _reference_pool(domain, plan):
     spread = 2.0 * float(np.arccos(np.clip(np.abs(units @ units[0]), -1.0, 1.0)).max(initial=0.0))
     spread = min(spread, np.pi)
     sep = plan.pool_sep if plan.pool_sep is not None else max(plan.pool_sep_floor, spread / 15.0)
-    min_chord = chord_of_angle(sep)
-    kept = np.empty((0, 7))
-    for u in units:
-        if len(kept) >= plan.pool_max:
+    return units[_reference_thin(units, chord_of_angle(sep), plan.pool_max)], sep
+
+
+def _reference_thin(units, min_chord, cap):
+    kept = []
+    for k, u in enumerate(units):
+        if len(kept) >= cap:
             break
-        if len(kept) == 0 or float(np.linalg.norm(kept - u, axis=1).min()) >= min_chord:
-            kept = np.vstack([kept, u])
-    return kept, sep
+        if not kept or float(np.linalg.norm(units[kept] - u, axis=1).min()) >= min_chord:
+            kept.append(k)
+    return np.array(kept, dtype=np.int64)
 
 
 POOL_DOMAINS = {
@@ -231,3 +235,134 @@ def test_unit_pool_equals_plain_greedy_thinning(name):
             cut_short += len(got) == pool_max
     # caps 0 and 1 cut every pool short; some larger caps must cut too
     assert 2 * 3 < cut_short < len(POOL_PLANS) * 3
+
+
+def _plane_units(angles):
+    """Units cos(t) e1 + sin(t) e2 of the sampling sphere, as (n, 7)."""
+    units = np.zeros((len(angles), 7))
+    units[:, 0], units[:, 1] = np.cos(angles), np.sin(angles)
+    return units
+
+
+def test_thin_units_decides_ties_at_the_chord_like_the_plain_loop():
+    rng = np.random.default_rng(5)
+    u, w = sample_units(2, rng)
+    chord = float(row_norms(u - w))
+    pair = np.stack([u, w])
+    # a chord equal to min_chord keeps both units, one ulp under it drops the second
+    for min_chord, kept in ((chord, [0, 1]), (np.nextafter(chord, 0.0), [0, 1]), (np.nextafter(chord, 3.0), [0])):
+        assert thin_units(pair, min_chord, 10).tolist() == kept
+    # sets whose chords fall exactly on, one ulp under and one ulp over min_chord
+    ring = _plane_units(np.arange(64) * 0.1)
+    wobble = sample_units(300, rng)
+    cases = []
+    for units in (ring, wobble, np.vstack([ring, wobble])):
+        chords = row_norms(units[0] - units[1:9])
+        for c in chords:
+            cases += [(units, m) for m in (c, np.nextafter(c, 0.0), np.nextafter(c, 3.0))]
+    # duplicates and antipodes, at chords 0, 2 and just past 2
+    u8 = sample_units(8, rng)
+    dupes = np.vstack([u8, u8, -u8, u8[::-1], -u8[::-1]])
+    cases += [(dupes, m) for m in (0.0, 1e-300, 0.3, 2.0, np.nextafter(2.0, 3.0), 3.0)]
+    cases += [(dupes, float(c)) for c in row_norms(u8[0] - dupes)]
+    dropped_on_boundary = 0
+    for units, min_chord in cases:
+        for cap in (0, 1, 5, 10_000):
+            got = thin_units(units, min_chord, cap)
+            want = _reference_thin(units, min_chord, cap)
+            assert got.dtype == np.int64 and got.tolist() == want.tolist(), (min_chord, cap)
+        dropped_on_boundary += len(want) < len(units)
+    assert thin_units(np.empty((0, 7)), 0.1, 5).tolist() == []
+    assert dropped_on_boundary > len(cases) // 2
+
+
+def _reference_sample_interior(domain, n, rng, margin=0.0, min_im=0.0):
+    # every proposal of a round is tested, in one batch
+    out = []
+    need = n
+    for _ in range(_SAMPLE_ROUNDS):
+        cand = domain._propose(max(4 * need, 64), rng)
+        ok = np.linalg.norm(cand[:, 1:], axis=1) >= min_im
+        ok &= domain.deep_legs(cand, cand, margin) if margin > 0.0 else domain.contains_batch(cand)
+        cand = cand[ok]
+        if len(cand):
+            out.append(cand[:need])
+            need -= len(cand[:need])
+        if need <= 0:
+            break
+    return np.vstack(out) if out else np.empty((0, 8))
+
+
+class _CountingPredicate(PredicateDomain):
+    def __init__(self, fn, bbox):
+        super().__init__(fn, bbox)
+        self.calls = []
+
+    def contains_batch(self, pts):
+        self.calls.append(len(pts))
+        return super().contains_batch(pts)
+
+
+class _CountingChain(BallChain):
+    rows = 0
+
+    def contains_batch(self, pts):
+        self.rows += len(pts)
+        return super().contains_batch(pts)
+
+
+SAMPLED_DOMAINS = {
+    "ball": Ball(0.3 * E[0] + 1.5 * E[1], 0.8),
+    "ball-union": _bridged_union(),
+    "slab-cone": SlabCone(UnitImaginary.basis(1)),
+    "chain": CHAIN,
+    # a tenth of the box: the first block of a round falls short
+    "predicate": PredicateDomain(lambda x: x.re > 0.8, (np.full(8, -1.0), np.full(8, 1.0))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLED_DOMAINS))
+def test_sample_interior_equals_testing_every_proposal(name):
+    domain = SAMPLED_DOMAINS[name]
+    n = 40 if name == "predicate" else 300
+    for seed in (0, 1, 2):
+        for margin in (0.0, 0.05):
+            for min_im in (0.0, 0.5):
+                rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = domain.sample_interior(n, rng, margin=margin, min_im=min_im)
+                want = _reference_sample_interior(domain, n, ref_rng, margin=margin, min_im=min_im)
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), (seed, margin, min_im)
+                # the same proposals were drawn
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+                # a predicate domain certifies no margin, so nothing passes
+                assert len(got) == (0 if name == "predicate" and margin > 0.0 else n)
+
+
+def test_sample_interior_tests_blocks_until_enough_pass():
+    tenth = _CountingPredicate(lambda x: x.re > 0.8, (np.full(8, -1.0), np.full(8, 1.0)))
+    got = tenth.sample_interior(40, np.random.default_rng(0))
+    want = _reference_sample_interior(tenth, 40, np.random.default_rng(0))
+    assert got.tobytes() == want.tobytes() and len(got) == 40
+    # the first block of n rows fell short, so later blocks followed
+    assert tenth.calls[0] == 40 and len(tenth.calls) > 2
+    # a domain that accepts nothing still gives up after its rounds
+    nothing = _CountingPredicate(lambda x: False, (np.full(8, -1.0), np.full(8, 1.0)))
+    rng, ref_rng = np.random.default_rng(1), np.random.default_rng(1)
+    empty = nothing.sample_interior(5, rng)
+    assert empty.shape == (0, 8) and empty.dtype == np.float64
+    assert _reference_sample_interior(nothing, 5, ref_rng).shape == (0, 8)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert sum(nothing.calls) == 2 * _SAMPLE_ROUNDS * 64
+
+
+def test_chain_harvest_tests_at_most_twice_its_count():
+    plan = SamplePlan()
+    chain = _CountingChain(UnitImaginary.basis(1), UnitImaginary.basis(2))
+    pts = chain.sample_interior(plan.pool_harvest, plan.rng(), min_im=1e-6)
+    assert len(pts) == plan.pool_harvest == 3000
+    assert chain.rows <= 2 * plan.pool_harvest
+    # testing every proposal takes four rows per point
+    reference = _CountingChain(UnitImaginary.basis(1), UnitImaginary.basis(2))
+    want = _reference_sample_interior(reference, plan.pool_harvest, plan.rng(), min_im=1e-6)
+    assert pts.tobytes() == want.tobytes() and reference.rows == 4 * plan.pool_harvest

@@ -453,6 +453,20 @@ def test_plan_counts_past_their_limits_are_exit_2_before_allocating(capsys):
     assert peak < 2**20
 
 
+def test_plan_with_too_many_graph_pairs_is_exit_2_before_sampling(capsys):
+    plan = json.dumps({"sphere_samples": 50_000, "link_angle": 3.0})
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "slice-check", "--field", "identity", "--plan", plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert "proximity-graph pairs" in json.loads(err)["error"]
+    # the 50 000 sampled units alone would take 2.8 MB
+    assert peak < 2**20
+
+
 def test_plan_field_the_plan_lacks_is_exit_2(capsys):
     # witness checks take no sample count from the plan, and the fiber
     # search no base step

@@ -21,9 +21,11 @@ from octoslice.domains import (
 )
 from octoslice.errors import DomainError, PreconditionError
 from octoslice.sampling import (
+    MAX_GRAPH_PAIRS,
     SUBSPHERE_BASIS,
     SamplePlan,
     adaptive_unit_pool,
+    chord_of_angle,
     components,
     in_subsphere,
     sample_units,
@@ -398,6 +400,11 @@ def test_subsphere_validation():
         ("sphere_samples", 10**12),
         ("a_values", tuple(range(86))),
         ("b_values", (1.0,) * 52),
+        # angles past pi, where a chord shrinks again
+        ("link_angle", 4.0),
+        ("link_angle", np.nextafter(math.pi, 4.0)),
+        ("pool_sep", 3.2),
+        ("pool_sep_floor", 7.0),
     ],
 )
 def test_sample_plan_rejects_unresolvable_values(field, value):
@@ -430,6 +437,20 @@ def test_sample_plan_keeps_valid_values():
         sphere_samples=50_000, component_detect_min=50_000, residual_samples=50_000, residual_unit_samples=1_000,
         search_budget=1_000_000, pool_harvest=500_000, pool_max=10_000, a_values=(0.0,) * 16, b_values=(1.0,) * 16,
     )
+    # and so does an angle of pi
+    SamplePlan(link_angle=math.pi, pool_sep=math.pi, pool_sep_floor=math.pi)
+
+
+def test_sample_plan_bounds_the_proximity_graph():
+    # past pi the chord shrinks: 4.0 would link less than 3.0
+    assert chord_of_angle(4.0) < chord_of_angle(3.0)
+    # n^2 sin^2(link / 2) / 2 pairs: 7.0 M at the sample limit and the default angle
+    assert SamplePlan(sphere_samples=50_000).sphere_samples == 50_000
+    assert 50_000**2 * math.sin(0.075) ** 2 / 2 < MAX_GRAPH_PAIRS
+    SamplePlan(sphere_samples=4000, link_angle=3.0)
+    for samples, link in ((50_000, 3.0), (50_000, 0.2), (10_000, 1.0)):
+        with pytest.raises(PreconditionError, match="proximity-graph pairs"):
+            SamplePlan(sphere_samples=samples, link_angle=link)
 
 
 _BUILT_IN = [
