@@ -320,8 +320,7 @@ def tau_rows(a, b, units) -> np.ndarray:
     axes.  Every row of the package's membership tests is built here.
     """
     im = np.asarray(b, dtype=float)[..., None] * units
-    shape = im.shape[:-1] if np.ndim(a) == 0 else np.broadcast_shapes(np.shape(a), im.shape[:-1])
-    out = np.empty(shape + (8,))
+    out = np.empty(np.broadcast(a, im[..., 0]).shape + (8,))
     out[..., 0] = a
     out[..., 1:] = im
     return out

@@ -651,8 +651,9 @@ class _FiberSearch:
                     if nxt not in parents:
                         parents[nxt] = node
                         queue.append(nxt)
-            for col2 in grid.neighbors(col):
-                move = grid.move_mask(col, col2)
+            # the moves to every neighbour, decided in one call on the column's first pop
+            nbs = list(grid.neighbors(col))
+            for col2, move in zip(nbs, grid.move_masks([(col, nb) for nb in nbs])):
                 if move[i] and move[j]:
                     nxt = (col2, i, j)
                     if nxt not in parents:

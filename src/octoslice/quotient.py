@@ -142,7 +142,7 @@ def _block_forest(n: int, edges: np.ndarray) -> np.ndarray:
     """`_ordered_forest` of one block of columns, whose nodes are 0..n-1."""
     if len(edges) == 0:
         return np.empty(0, dtype=np.int64)
-    lo, hi = edges.min(axis=1), edges.max(axis=1)
+    lo, hi = np.minimum(*edges.T), np.maximum(*edges.T)
     # a repeat of an earlier edge, or a self-loop, never joins anything
     _, first = np.unique(lo * n + hi, return_index=True)
     keep = np.sort(first)
@@ -157,10 +157,17 @@ class _Builder:
         self.plan = plan
         self.grid = SlicePairGrid(domain, plan)
         # the nonempty columns, in order, and each one's slot in that order
-        self.cols = [col for col in self.grid.columns() if self.grid.members(col).any()]
+        cols = list(self.grid.columns())
+        self.cols = [col for col, mem in zip(cols, self.grid.members_many(cols)) if mem.any()]
         if not self.cols:
             raise EmptySampleError("no sampled slice pair lies in the domain")
         self.slot = {col: k for k, col in enumerate(self.cols)}
+        # the units that ride between neighbouring nonempty columns, under
+        # both orders of the pair
+        pairs = [(col, nb) for col in self.cols for nb in self.neighbors(col) if nb > col]
+        self.ridable: dict[tuple[ColKey, ColKey], np.ndarray] = {}
+        for (col, nb), move in zip(pairs, self.grid.move_masks(pairs)):
+            self.ridable[col, nb] = self.ridable[nb, col] = np.flatnonzero(move)
         # Edges live on all columns side by side: unit u of slot k is node
         # k*n + u.  Ride edges that joined two classes, each tagged with its
         # source slot:
@@ -177,16 +184,19 @@ class _Builder:
         column.  `labels[k]` numbers the classes of slot k by smallest unit;
         non-members are singletons.
         """
-        n = len(self.grid.units)
+        grid = self.grid
+        n = len(grid.units)
+        real = [grid.is_real_col(col) for col in self.cols]
+        arcs = iter(grid.arc_masks([col for col, r in zip(self.cols, real) if not r]))
         ends, tags = [], []
-        for k, col in enumerate(self.cols):
-            if self.grid.is_real_col(col):
-                ids = np.flatnonzero(self.grid.members(col))
+        for k, (col, mem) in enumerate(zip(self.cols, grid.members_many(self.cols))):
+            if real[k]:
+                ids = np.flatnonzero(mem)
                 ends.append(np.column_stack([np.full(len(ids) - 1, ids[0]), ids[1:]]) + k * n)
                 tags.append(np.full(len(ids) - 1, -1))
             else:
-                tags.append(np.flatnonzero(self.grid.arc_mask(col)))
-                ends.append(self.grid.edges[tags[-1]] + k * n)
+                tags.append(np.flatnonzero(next(arcs)))
+                ends.append(grid.edges[tags[-1]] + k * n)
         self.within = (np.concatenate(ends), np.concatenate(tags))
         # a slot's components are numbered consecutively from its unit 0's
         _, labels = components(len(self.cols) * n, self.within[0])
@@ -203,7 +213,7 @@ class _Builder:
             lab = self.labels[self.slot[col]]
             heads, tails = [], []
             for nb in self.neighbors(col):
-                ridable = np.flatnonzero(self.grid.move_mask(col, nb))
+                ridable = self.ridable[col, nb]
                 if len(ridable) < 2:
                     continue
                 # each unit rides with the first ridable unit of its class at nb
@@ -237,23 +247,27 @@ class _Builder:
         ends = np.concatenate([self.within[0]] + [e for e, _ in self.rides])
         tags = np.concatenate([self.within[1]] + [t for _, t in self.rides])
         chosen = _ordered_forest(ends, n)
-        a, b = ends[chosen, 0], ends[chosen, 1]
+        slot = ends[chosen, 0] // n
+        ks, tag = slot.tolist(), tags[chosen].tolist()
+        i, j = (ends[chosen] % n).T.tolist()
+        cols = self.cols
+        # the records of each column's own edges come first, column by column:
+        # all "real" at a real column, all "arc" at any other; the rides follow
+        w = int(np.searchsorted(chosen, len(self.within[1])))
+        starts = np.flatnonzero(np.diff(slot[:w], prepend=-1)).tolist()
         records: list[tuple] = []
-        for e, k, i, j, tag in zip(
-            chosen.tolist(), (a // n).tolist(), (a % n).tolist(), (b % n).tolist(), tags[chosen].tolist()
-        ):
-            col = self.cols[k]
-            if e >= len(self.within[1]):
-                records.append(("ride", col, i, j, self.cols[tag]))
-            elif tag < 0:
-                records.append(("real", col, i, j))
+        for s, e in zip(starts, starts[1:] + [w]):
+            col = cols[ks[s]]
+            if tag[s] < 0:
+                records += [("real", col, a, b) for a, b in zip(i[s:e], j[s:e])]
             else:
-                records.append(("arc", col, i, j, tag))
+                records += [("arc", col, a, b, t) for a, b, t in zip(i[s:e], j[s:e], tag[s:e])]
+        records += [("ride", cols[k], a, b, cols[t]) for k, a, b, t in zip(ks[w:], i[w:], j[w:], tag[w:])]
         return records
 
     def finish(self) -> QuotientSample:
         grid = self.grid
-        member = np.stack([grid.members(col) for col in self.cols])
+        member = np.stack(grid.members_many(self.cols))
         # classes in column order, then by smallest unit
         slots, units = np.nonzero(member)
         _, cls, sizes = np.unique(
@@ -270,11 +284,9 @@ class _Builder:
             )
         ]
         pairs = [np.empty((0, 2), dtype=int)]
-        for col in self.cols:
-            for nb in self.neighbors(col):
-                if nb > col:
-                    ridable = np.flatnonzero(grid.move_mask(col, nb))
-                    pairs.append(labels[[self.slot[col], self.slot[nb]]][:, ridable].T)
+        for (col, nb), ridable in self.ridable.items():
+            if col < nb:
+                pairs.append(labels[[self.slot[col], self.slot[nb]]][:, ridable].T)
         pairs = np.concatenate(pairs)
         # both directions of every pair, sorted by (a, b) through the key a * C + b
         n_cls = len(classes)
@@ -293,7 +305,7 @@ class _Builder:
             betas=grid.betas,
             units=grid.units,
             edges=grid.edges,
-            members={col: grid.members(col) for col in self.cols},
+            members=dict(zip(self.cols, member)),
             labels=dict(zip(self.cols, labels)),
             classes=classes,
             class_adjacency=adjacency,

@@ -40,6 +40,9 @@ _THIN_ABS = 2.0**-500
 # Interior sample times of a z leg between neighbouring grid columns; the
 # two end columns are checked by their membership.
 _LEG_TIMES = np.linspace(0.0, 1.0, 7)[1:-1]
+# Rows per `contains_batch` call of the grid masks, and probe rows per
+# `legs_inside` call: an arc leg has 23, a z leg `_LEG_TIMES`' 5.
+_GRID_ROWS = 1 << 16
 
 
 # The sampling sphere: the unit sphere of span(e1, e2, e3), the imaginary
@@ -400,6 +403,15 @@ class SlicePairGrid:
     `domain.legs_inside`: an arc with sag |beta| `edge_sags` and its 23
     probes, a z leg with sag 0 and its interior times.
 
+    `members_many`, `arc_masks` and `move_masks` give the masks of many
+    columns or pairs at once, and the single-column methods ask them for
+    one.  They decide only the entries not cached yet, in blocks that may
+    span columns: at most `_GRID_ROWS` rows per `contains_batch` call and
+    `_GRID_ROWS` probe rows per `legs_inside` call.  Every membership and
+    leg verdict is decided row by row, so the masks do not depend on how
+    the columns are grouped: a quotient build decides its whole grid in a
+    few calls, and a fiber search decides only the columns it visits.
+
     A column is real when its beta is 0: every unit lifts one real point
     there, so its units are all members or none are.
     """
@@ -450,41 +462,107 @@ class SlicePairGrid:
         return abs(self.betas[col[1]]) <= 1e-12
 
     def members(self, col) -> np.ndarray:
-        if col not in self._members:
-            z = self.z_of(col)
-            self._members[col] = self.domain.contains_batch(tau_rows(z.real, z.imag, self.units))
-        return self._members[col]
+        return self._members[col] if col in self._members else self.members_many([col])[0]
 
     def arc_mask(self, col) -> np.ndarray:
-        if col not in self._arcs:
-            mem = self.members(col)
-            mask = mem[self.edges[:, 0]] & mem[self.edges[:, 1]]
-            cand = np.flatnonzero(mask)
-            z = self.z_of(col)
-            p0, p1 = tau_rows(z.real, z.imag, self.units)[self.edges[cand].T]
-
-            def rows(ids):
-                arcs = self.edge_arcs[cand[ids]]
-                return tau_rows(z.real, z.imag, arcs).reshape(-1, 8), arcs.shape[1]
-
-            mask[cand] = self.domain.legs_inside(p0, p1, abs(z.imag) * self.edge_sags[cand], rows)
-            self._arcs[col] = mask
-        return self._arcs[col]
+        return self._arcs[col] if col in self._arcs else self.arc_masks([col])[0]
 
     def move_mask(self, a, b) -> np.ndarray:
         key = (a, b) if a < b else (b, a)
-        if key not in self._moves:
-            mask = self.members(key[0]) & self.members(key[1])
-            cand = np.flatnonzero(mask)
-            za, zb = self.z_of(key[0]), self.z_of(key[1])
-            ends = np.array([[za], [zb]])
-            p0, p1 = tau_rows(ends.real, ends.imag, self.units[cand])
+        return self._moves[key] if key in self._moves else self.move_masks([key])[0]
 
-            def rows(ids):
-                zs = (1.0 - _LEG_TIMES) * za + _LEG_TIMES * zb
-                units = self.units[cand[ids], None, :]
-                return tau_rows(zs.real, zs.imag, units).reshape(-1, 8), len(zs)
+    def members_many(self, cols) -> list[np.ndarray]:
+        """`members` of each column, in order."""
+        todo = [col for col in dict.fromkeys(cols) if col not in self._members]
+        if todo:
+            z = np.array([self.z_of(col) for col in todo])
 
-            mask[cand] = self.domain.legs_inside(p0, p1, 0.0, rows)
-            self._moves[key] = mask
-        return self._moves[key]
+            def decide(k, i):
+                zk = z[k]
+                return self.domain.contains_batch(tau_rows(zk.real, zk.imag, self.units[i]))
+
+            every = np.ones(len(self.units), dtype=bool)
+            masks = _decided((every for _ in todo), (len(todo), len(every)), 1, decide)
+            self._members.update(zip(todo, masks))
+        return [self._members[col] for col in cols]
+
+    def arc_masks(self, cols) -> list[np.ndarray]:
+        """`arc_mask` of each column, in order."""
+        todo = [col for col in dict.fromkeys(cols) if col not in self._arcs]
+        if todo:
+            z = np.array([self.z_of(col) for col in todo])
+            a, b = self.edges.T
+
+            def decide(k, e):
+                zk = z[k]
+                re, im = zk.real, zk.imag
+                p0, p1 = tau_rows(re, im, self.units[self.edges[e].T])
+
+                def rows(ids):
+                    arcs = self.edge_arcs[e[ids]]
+                    return tau_rows(re[ids, None], im[ids, None], arcs).reshape(-1, 8), arcs.shape[1]
+
+                return self.domain.legs_inside(p0, p1, np.abs(im) * self.edge_sags[e], rows)
+
+            cands = (mem[a] & mem[b] for mem in self.members_many(todo))
+            masks = _decided(cands, (len(todo), len(a)), self.edge_arcs.shape[1], decide)
+            self._arcs.update(zip(todo, masks))
+        return [self._arcs[col] for col in cols]
+
+    def move_masks(self, pairs) -> list[np.ndarray]:
+        """`move_mask` of each pair of neighbouring columns, in order."""
+        keys = [(a, b) if a < b else (b, a) for a, b in pairs]
+        todo = [key for key in dict.fromkeys(keys) if key not in self._moves]
+        if todo:
+            ends = np.array([[self.z_of(a), self.z_of(b)] for a, b in todo]).T
+
+            def decide(k, i):
+                za, zb = zk = ends[:, k]
+                p0, p1 = tau_rows(zk.real, zk.imag, self.units[i])
+
+                def rows(ids):
+                    zs = (1.0 - _LEG_TIMES) * za[ids, None] + _LEG_TIMES * zb[ids, None]
+                    units = self.units[i[ids], None, :]
+                    return tau_rows(zs.real, zs.imag, units).reshape(-1, 8), len(_LEG_TIMES)
+
+                return self.domain.legs_inside(p0, p1, 0.0, rows)
+
+            mems = iter(self.members_many([col for key in todo for col in key]))
+            cands = (lo & hi for lo, hi in zip(mems, mems))
+            masks = _decided(cands, (len(todo), len(self.units)), len(_LEG_TIMES), decide)
+            self._moves.update(zip(todo, masks))
+        return [self._moves[key] for key in keys]
+
+
+def _decided(cands, shape: tuple[int, int], rows_per_leg: int, decide) -> np.ndarray:
+    """The candidate masks, one row per key, with their True entries decided.
+
+    `cands` yields the shape's rows.  `decide(k, i)` gives the verdicts of
+    the entries (k[r], i[r]), taken in row-major order, in blocks of at
+    most `_GRID_ROWS // rows_per_leg` entries; a block may span rows.  Rows
+    are drawn only until a block fills, so the index arrays stay within
+    about a block.
+    """
+    masks = np.empty(shape, dtype=bool)
+    size = max(1, _GRID_ROWS // rows_per_leg)
+    # entries drawn but not decided yet, the first row not drawn, and the
+    # count of candidates from the undecided entries on
+    rest_k = rest_i = np.empty(0, dtype=np.intp)
+    start = held = 0
+    for k, cand in enumerate(cands):
+        masks[k] = cand
+        last = k == shape[0] - 1
+        if not last:
+            held += np.count_nonzero(cand)
+            if held < size:
+                continue
+        ks, ids = np.nonzero(masks[start : k + 1])
+        ks += start
+        if len(rest_k):
+            ks, ids = np.concatenate([rest_k, ks]), np.concatenate([rest_i, ids])
+        full = len(ks) if last else len(ks) - len(ks) % size
+        for s in range(0, full, size):
+            part = slice(s, min(s + size, full))
+            masks[ks[part], ids[part]] = decide(ks[part], ids[part])
+        rest_k, rest_i, start, held = ks[full:], ids[full:], k + 1, len(ks) - full
+    return masks

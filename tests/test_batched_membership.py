@@ -18,7 +18,16 @@ from octoslice.algebra import Octonion, UnitImaginary, row_norms
 from octoslice.domains import _SAMPLE_ROUNDS, Ball, BallChain, BallUnion, PredicateDomain, SlabCone
 from octoslice.errors import EmptySampleError
 from octoslice.liftings import _FiberSearch
-from octoslice.sampling import SamplePlan, adaptive_unit_pool, chord_of_angle, sample_units, thin_units
+from octoslice.quotient import build_quotient
+from octoslice.sampling import (
+    _GRID_ROWS,
+    _LEG_TIMES,
+    SamplePlan,
+    adaptive_unit_pool,
+    chord_of_angle,
+    sample_units,
+    thin_units,
+)
 
 E = [Octonion.basis(k) for k in range(8)]
 CHAIN = BallChain(UnitImaginary.basis(1), UnitImaginary.basis(2))
@@ -123,19 +132,25 @@ def _recorded_search(domain, plan, z, u1, u2):
     search = _FiberSearch(domain, plan, z, u1, u2)
     grid = search.grid
     moves, cols = [], set()
-    move_mask, arc_mask = grid.move_mask, grid.arc_mask
+    move_masks, arc_mask = grid.move_masks, grid.arc_mask
 
-    def recording_move_mask(col_a, col_b):
-        moves.append((col_a, col_b))
-        return move_mask(col_a, col_b)
+    def recording_move_masks(pairs):
+        moves.extend(pairs)
+        return move_masks(pairs)
 
     def recording_arc_mask(col):
         cols.add(col)
         return arc_mask(col)
 
-    grid.move_mask = recording_move_mask
+    grid.move_masks = recording_move_masks
     grid.arc_mask = recording_arc_mask
     status, _, pops = search.run()
+    # the search stays lazy: it decides the arcs of the columns it pops, the
+    # moves from them, and the members of those columns and their neighbours
+    assert set(grid._arcs) == cols
+    assert set(grid._moves) == {(a, b) if a < b else (b, a) for a, b in moves}
+    assert set(grid._members) == {grid.query_col, *cols, *(col for pair in moves for col in pair)}
+    assert len(grid._members) < len(grid.alphas) * len(grid.betas) / 5
     return search, status, pops, moves, cols
 
 
@@ -157,8 +172,9 @@ def test_base_moves_and_arc_ends_match_per_unit_loops(name):
     domain, plan, z, u1, u2 = SEARCHES[name]
     search, status, pops, moves, cols = _recorded_search(domain, plan, z, u1, u2)
     grid = search.grid
-    assert pops > 0 and len(moves) > 0
+    assert len(moves) > 0
     assert status == {"seam": "not-equivalent", "bridged": "found", "real-ball": "found"}[name]
+    assert pops == {"seam": 168, "bridged": 911, "real-ball": 1515}[name]
     if name == "real-ball":
         assert any(grid.is_real_col(col_b) for _, col_b in moves)
     # every unit of every visited column pair, not only the units visited
@@ -172,6 +188,48 @@ def test_base_moves_and_arc_ends_match_per_unit_loops(name):
     assert cols
     for col in cols:
         assert np.array_equal(grid.arc_mask(col), _reference_edges_ok(search, col)), col
+
+
+class _CountingBall(Ball):
+    def __init__(self, center, radius):
+        super().__init__(center, radius)
+        self.rows, self.legs = [], []
+
+    def contains_batch(self, pts):
+        self.rows.append(len(pts))
+        return super().contains_batch(pts)
+
+    def legs_inside(self, p0, p1, sag, rows):
+        self.legs.append(len(p0))
+        return super().legs_inside(p0, p1, sag, rows)
+
+
+def test_quotient_build_decides_its_masks_in_blocks_not_columns():
+    # a real-centred ball under the benchmark's ball plan
+    plan = SamplePlan(seed=3, pool_max=150, quotient_step_factor=0.1)
+    harvest = _CountingBall(0.2 * E[0], 1.0)
+    adaptive_unit_pool(harvest, plan)
+    ball = _CountingBall(0.2 * E[0], 1.0)
+    q = build_quotient(ball, plan)
+    n, (a, b) = len(q.units), q.edges.T
+    mem = q.members
+    arc_legs = sum(int((m[a] & m[b]).sum()) for col, m in mem.items() if q.betas[col[1]] != 0.0)
+    move_legs = sum(
+        int((m & mem[nb]).sum())
+        for (ia, ib), m in mem.items()
+        for nb in ((ia + 1, ib), (ia, ib + 1))
+        if nb in mem
+    )
+    # an arc leg has 23 probe rows, a z leg 5
+    arc_block, move_block = _GRID_ROWS // 23, _GRID_ROWS // len(_LEG_TIMES)
+    blocks = -(-arc_legs // arc_block) + -(-move_legs // move_block)
+    grid_rows = len(q.alphas) * len(q.betas) * n
+    assert len(ball.legs) <= blocks and max(ball.legs) <= move_block
+    # the harvest's calls, the members' blocks, and at most one call per leg block
+    assert len(ball.rows) <= len(harvest.rows) + -(-grid_rows // _GRID_ROWS) + len(ball.legs)
+    assert max(ball.rows[len(harvest.rows):]) <= _GRID_ROWS
+    # one call per column, or per neighbouring pair, would already take more
+    assert len(ball.rows) + len(ball.legs) < len(mem) < arc_legs / 100
 
 
 # -- adaptive_unit_pool ------------------------------------------------------

@@ -17,8 +17,9 @@ import math
 import numpy as np
 import pytest
 
+from octoslice import sampling
 from octoslice.algebra import Octonion, UnitImaginary, tau
-from octoslice.domains import Ball, BallChain, BallUnion
+from octoslice.domains import Ball, BallChain, BallUnion, PredicateDomain, SlabCone
 from octoslice.errors import DomainError
 from octoslice.liftings import CoupledLifting, PolyPathC, PolyPathS, ccl_search, ccl_verify, lift_in_domain
 from octoslice.quotient import build_quotient, class_at, replay_merge_record
@@ -240,6 +241,61 @@ def test_grid_masks_match_all_probe_reference(name, monkeypatch):
             assert np.array_equal(got, _reference_move_mask(grid, col, nb)), (col, nb)
             moves += int(got.sum())
     assert arcs > 0 and moves > 0 and sum(held) > 0
+
+
+def _predicate_ball():
+    """The ball of radius 0.9 about 0.1 + 1.2 e1 + 0.5 e3, known only through its predicate."""
+    center = np.zeros(8)
+    center[[0, 1, 3]] = 0.1, 1.2, 0.5
+    return PredicateDomain(lambda x: np.linalg.norm(x.coeffs - center) < 0.9, (center - 0.9, center + 0.9))
+
+
+# name: (domain, plan); more domain kinds for the whole-grid masks, with
+# the benchmark's slab-cone and chain plans
+WHOLE_GRIDS = {
+    "real-ball": GRIDS["real-ball"],
+    "crossing-ball": GRIDS["crossing-ball"],
+    "bridged-union": GRIDS["bridged-union"],
+    "slab-cone": (SlabCone(UnitImaginary.basis(1)), SamplePlan(seed=2, pool_max=90, quotient_step_factor=0.1)),
+    "chain": (
+        BallChain(UnitImaginary.basis(1), UnitImaginary.basis(2)),
+        SamplePlan(seed=1, pool_max=140, quotient_z_step=0.2, pool_sep=0.08),
+    ),
+    "predicate": (_predicate_ball(), SamplePlan(seed=7, pool_harvest=400, pool_max=30, quotient_step_factor=0.2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WHOLE_GRIDS))
+def test_whole_grid_masks_match_all_probe_reference(name, monkeypatch):
+    # blocks of 200 rows, 8 arcs or 40 z legs: most blocks straddle two columns
+    monkeypatch.setattr(sampling, "_GRID_ROWS", 200)
+    domain, plan = WHOLE_GRIDS[name]
+    grid = SlicePairGrid(domain, plan)
+    cols = list(grid.columns())
+    # a third of each kind is cached one at a time first; the whole grid
+    # then comes in one call, in which a few keys repeat
+    early = [grid.members(col) for col in cols[::3]]
+    asked = cols + cols[:2]
+    members = grid.members_many(asked)
+    assert all(a is b for a, b in zip(grid.members_many(cols[::3]), early))
+    for col, got in zip(asked, members):
+        assert np.array_equal(got, _reference_members(grid, col)), col
+    live = [col for col in cols if grid.members(col).any()]
+    arc_cols = [col for col in live if not grid.is_real_col(col)]
+    early = [grid.arc_mask(col) for col in arc_cols[1::3]]
+    arcs = grid.arc_masks(arc_cols + arc_cols[:1])
+    assert all(a is b for a, b in zip(grid.arc_masks(arc_cols[1::3]), early))
+    for col, got in zip(arc_cols + arc_cols[:1], arcs):
+        assert np.array_equal(got, _reference_arc_mask(grid, col)), col
+    # every pair in both orders, some cached first in the reverse order
+    pairs = [(col, nb) for col in live for nb in grid.neighbors(col) if nb in live]
+    early = [grid.move_mask(b, a) for a, b in pairs[::5]]
+    moves = grid.move_masks(pairs)
+    assert all(a is b for a, b in zip(grid.move_masks(pairs[::5]), early))
+    for (a, b), got in zip(pairs, moves):
+        assert np.array_equal(got, _reference_move_mask(grid, a, b)), (a, b)
+    # columns straddle the blocks of members, and both leg kinds pass somewhere
+    assert 200 % len(grid.units) and any(m.any() for m in arcs) and any(m.any() for m in moves)
 
 
 def _random_unit_path(rng, count, start=None):

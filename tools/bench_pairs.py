@@ -9,8 +9,10 @@ PARENT, odd pairs with CHANGE, so drift in the machine's speed falls on
 both sides alike.  Prints one JSON document: the last line of every run,
 then each side's median and quartiles per workload, seed and end-to-end
 metric with the pairs CHANGE won (every end-to-end metric is better
-lower; ties count for neither side), then the versions of Python, numpy
-and scipy, each checkout's code and `nproc`.  A checkout's code is its
+lower; ties count for neither side), each side's failed share per
+workload and seed (the median of its runs' failed / attempted, and each
+run's value), then the versions of Python, numpy and scipy, each
+checkout's code and `nproc`.  A checkout's code is its
 `git describe --always --dirty --abbrev=40` (null outside git; "-dirty"
 marks uncommitted changes) and the sha256 of its Python sources: each
 `*.py` file under src/ and perfbench/, in order of relative path, adds
@@ -83,6 +85,18 @@ def summarize(runs: list[dict]) -> dict:
     return out
 
 
+def failed_shares(runs: list[dict]) -> dict:
+    """Each side's failed / attempted per workload and seed: every run's share, and their median."""
+    out: dict = {}
+    for run in runs:
+        cell = out.setdefault(run["workload"], {}).setdefault(str(run["seed"]), {})
+        cell.setdefault(run["side"], []).append(run["result"]["failed"] / run["result"]["attempted"])
+    for cell in (c for w in out.values() for c in w.values()):
+        for side, shares in cell.items():
+            cell[side] = {"median": statistics.median(shares), "runs": shares}
+    return out
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
@@ -121,6 +135,7 @@ def main() -> int:
         "seeds": args.seeds,
         "runs": runs,
         "summary": summarize(runs),
+        "failed_share": failed_shares(runs),
         "versions": {"python": platform.python_version(), "numpy": numpy.__version__, "scipy": scipy.__version__},
         "code": {side: code_of(checkout) for side, checkout in sides.items()},
         "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
