@@ -243,7 +243,7 @@ def _cmd_ccl(args) -> int:
 
 
 def _cmd_quotient(args) -> int:
-    q = build_quotient(_domain(args), _plan(args), infectivity=not args.no_infectivity)
+    q = build_quotient(_domain(args), _plan(args))
     _write(q.to_json(), args.out)
     return 0
 
@@ -335,11 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("quotient", _cmd_quotient, "build the sampled quotient of a domain", seed=True)
     p.add_argument("--domain", required=True, help="domain JSON")
-    p.add_argument(
-        "--no-infectivity",
-        action="store_true",
-        help="skip merging through neighboring base points",
-    )
 
     p = add("verify-suite", _cmd_verify, "run the acceptance battery", seed=True)
     p.add_argument("--only", type=int, help="run a single criterion by number")

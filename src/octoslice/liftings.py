@@ -36,7 +36,7 @@ from .algebra import Octonion, UnitImaginary, row_norms, tau_rows, unit_imaginar
 from .diffops import OctField
 from .domains import Domain
 from .errors import DomainError, PreconditionError
-from .sampling import SamplePlan, SlicePairGrid, arc_sags, in_subsphere
+from .sampling import SamplePlan, SlicePairGrid, arc_sags, in_subsphere, json_reals, z_legs
 from .stems import StemVector, gamma_stem_rows
 
 _ANTIPODAL_TOL = 1e-6
@@ -50,6 +50,8 @@ MAX_LIFT_SAMPLES = 1_000_000
 _PIECES = 16
 _KNOTS = np.linspace(0.0, 1.0, _PIECES + 1)
 _KNOTS.flags.writeable = False
+# Sample times of each unit path that `_unit_path_in_domain` tries.
+_UNIT_PATH_SAMPLES = 512
 
 
 @functools.cache
@@ -142,8 +144,9 @@ class PolyPathC:
 
     @classmethod
     def from_json(cls, data: dict) -> "PolyPathC":
-        verts = [complex(a, b) for a, b in data["vertices"]]
-        return cls(verts, np.asarray(data["times"]))
+        """The path of a JSON object: vertices as [re, im] pairs; every number finite."""
+        verts = [complex(a, b) for a, b in json_reals(data["vertices"], (None, 2), "base path vertices")]
+        return cls(verts, json_reals(data["times"], (None,), "base path times"))
 
 
 class PolyPathS:
@@ -173,7 +176,11 @@ class PolyPathS:
 
     @classmethod
     def from_json(cls, data: dict) -> "PolyPathS":
-        return cls(np.asarray(data["vertices"]), np.asarray(data["times"]))
+        """The path of a JSON object: 7-vector vertices; every number finite."""
+        return cls(
+            json_reals(data["vertices"], (None, 7), "unit path vertices"),
+            json_reals(data["times"], (None,), "unit path times"),
+        )
 
 
 class PolyPathO:
@@ -201,7 +208,11 @@ class PolyPathO:
 
     @classmethod
     def from_json(cls, data: dict) -> "PolyPathO":
-        return cls(np.asarray(data["vertices"]), np.asarray(data["times"]))
+        """The path of a JSON object: 8-vector vertices; every number finite."""
+        return cls(
+            json_reals(data["vertices"], (None, 8), "space path vertices"),
+            json_reals(data["times"], (None,), "space path times"),
+        )
 
 
 @dataclass
@@ -537,7 +548,7 @@ def _constant_path(value: np.ndarray) -> PolyPathS:
 
 
 def _unit_path_in_domain(
-    domain: Domain, z: complex, u1: np.ndarray, u2: np.ndarray, resolution: int = 512
+    domain: Domain, z: complex, u1: np.ndarray, u2: np.ndarray
 ) -> Optional[PolyPathS]:
     """Unit polyline from u1 to u2 whose slice points at z stay in the domain."""
     candidates = []
@@ -558,7 +569,7 @@ def _unit_path_in_domain(
             units = PolyPathS(verts)
         except PreconditionError:
             continue
-        if _liftings_inside(domain, base, [(units.times, units.vertices)], resolution)[0][0]:
+        if _liftings_inside(domain, base, [(units.times, units.vertices)], _UNIT_PATH_SAMPLES)[0][0]:
             return units
     return None
 
@@ -567,19 +578,11 @@ def _real_anchor(domain: Domain, z: complex, u1: np.ndarray, u2: np.ndarray) -> 
     """Witness through a real point: both liftings travel to it, recouple, return."""
     lo, hi = domain.bounding_box()
     alphas = np.concatenate([[z.real], np.linspace(lo[0], hi[0], 33)])
-    reals = tau_rows(alphas, 0.0, np.zeros(7))
-    ok = domain.contains_batch(reals)
-    segment = _even_times(256)[:, None]
+    ok = domain.contains_batch(tau_rows(alphas, 0.0, np.zeros(7)))
     units = np.stack([u1, u2])
-    starts = tau_rows(z.real, z.imag, units)
-    for alpha, real in zip(alphas[ok], reals[ok]):
+    for alpha in alphas[ok]:
         # spokes tau_{uk}((1-s) z + s alpha) for both units, straight legs to the real point
-        zs = (1.0 - segment) * np.array([z.real, z.imag]) + segment * np.array([alpha, 0.0])
-
-        def rows(ids):
-            return tau_rows(zs[:, 0], zs[:, 1], units[ids, None, :]).reshape(-1, 8), len(zs)
-
-        if domain.legs_inside(starts, np.stack([real, real]), 0.0, rows).all():
+        if domain.legs_inside(*z_legs(z, complex(alpha, 0.0), units, _even_times(256))).all():
             base = PolyPathC(
                 [z, complex(alpha, 0.0), complex(alpha, 0.0), z],
                 np.array([0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0]),

@@ -49,7 +49,7 @@ from .domains import Domain
 from .errors import DomainError, EmptySampleError, IntegrityError
 from .liftings import _coupled_check, _even_times, _liftings_inside
 from .report import Report
-from .sampling import SamplePlan, SlicePairGrid, arc_points, arc_sags, components
+from .sampling import SamplePlan, SlicePairGrid, arc_legs, components, near_antipodal
 from .stems import StemVector, gamma_stem_rows
 
 ColKey = tuple[int, int]
@@ -316,22 +316,17 @@ class _Builder:
         )
 
 
-def build_quotient(
-    domain: Domain,
-    plan: Optional[SamplePlan] = None,
-    infectivity: bool = True,
-) -> QuotientSample:
+def build_quotient(domain: Domain, plan: Optional[SamplePlan] = None) -> QuotientSample:
     """Sample the slice pairs of a domain and glue CCL classes.
 
-    Merges come from admissible arcs, real-column recoupling, and (when
-    `infectivity` is on, the default) equivalences riding over from
-    neighboring columns; a spanning forest of the merges is recorded.
+    Merges come from admissible arcs, real-column recoupling, and
+    equivalences riding over from neighboring columns; a spanning forest of
+    the merges is recorded.
     """
     plan = plan or SamplePlan()
     builder = _Builder(domain, plan)
     builder.merge_within_columns()
-    if infectivity:
-        builder.propagate_infectivity()
+    builder.propagate_infectivity()
     return builder.finish()
 
 
@@ -436,15 +431,12 @@ def class_at(q: QuotientSample, x: Octonion) -> int:
         w = q.units[member_ids[k]]
         if dists[k] <= 1e-12:
             return int(lab[member_ids[k]])
+        if near_antipodal(u[None], w[None])[0]:
+            continue
         # attachment arcs may span several links, so the probe spacing
         # follows the pool separation instead of a fixed count
         n = max(25, int(4.0 * dists[k] / max(q.separation, 1e-9)))
-        arc, clear = arc_points(u[None], w[None], np.linspace(0.0, 1.0, n + 2)[1:-1])
-        if not clear[0]:
-            continue
-        p0, p1 = tau_rows(z.real, z.imag, np.stack([u, w]))[:, None]
-        sag = arc_sags(z.imag, (w - u)[None])
-        if q.domain.legs_inside(p0, p1, sag, lambda ids: (tau_rows(z.real, z.imag, arc[0]), n))[0]:
+        if q.domain.legs_inside(*arc_legs(z, u[None], w[None], np.linspace(0.0, 1.0, n + 2)[1:-1]))[0]:
             return int(lab[member_ids[k]])
     raise DomainError("no admissible arc reaches a sampled unit at this resolution")
 

@@ -28,8 +28,6 @@ from .errors import EmptySampleError, PreconditionError
 # Upper limit on the columns of a z grid (alphas x betas).  The default plans
 # build about a thousand; a grid past the limit is refused before it is built.
 MAX_Z_COLUMNS = 50_000
-# Unit pairs whose arcs `arc_probe_graph` builds at once.
-_ARC_BLOCK = 1024
 # The (a, b) grid of slice scans whose plan gives none.
 _SCAN_GRID = ((-2.0, -1.0, 0.0, 1.0, 2.0), (0.5, 1.5, 2.5))
 # The cKDTree radius of `thin_units` over min_chord: a relative slack far
@@ -40,8 +38,12 @@ _THIN_ABS = 2.0**-500
 # Interior sample times of a z leg between neighbouring grid columns; the
 # two end columns are checked by their membership.
 _LEG_TIMES = np.linspace(0.0, 1.0, 7)[1:-1]
+# Chord fractions of the 23 probes of an arc between grid units.  Sparse
+# probes miss thin gaps between nearly tangent slice caps, so the count
+# errs dense.
+_ARC_FRACS = np.linspace(0.0, 1.0, 25)[1:-1]
 # Rows per `contains_batch` call of the grid masks, and probe rows per
-# `legs_inside` call: an arc leg has 23, a z leg `_LEG_TIMES`' 5.
+# `legs_inside` call: an arc leg has `_ARC_FRACS`' 23, a z leg `_LEG_TIMES`' 5.
 _GRID_ROWS = 1 << 16
 
 
@@ -88,8 +90,8 @@ _PLAN_COUNTS = {
     # 4n proposals of 8 floats, then the units and their mirrors, about
     # 0.8 kB per harvested point: 0.40 GB.
     "pool_harvest": 500_000,
-    # The arc graph keeps 23 probes of 7 floats (1288 B) per edge, about
-    # 0.0028 n^2 edges: 10 000^2 x 3.6 B = 0.36 GB.
+    # A grid keeps one (E,) bool arc mask per nonempty column, with about
+    # 0.0028 n^2 edges: 0.28 M edges, 0.28 GB over a thousand columns.
     "pool_max": 10_000,
 }
 # Unit pairs of a slice sphere's proximity graph, estimated before any unit
@@ -236,17 +238,19 @@ def chord_of_angle(angle: float) -> float:
     return 2.0 * float(np.sin(angle / 2.0))
 
 
-def arc_sags(b: float, chords: np.ndarray) -> np.ndarray:
-    """How far the arcs at height b over the unit chords du may leave them.
+def arc_sags(b, chords: np.ndarray) -> np.ndarray:
+    """How far the arcs at heights b over the unit chords du may leave them.
 
     An arc of the circle of radius |b| between units u and u + du lies
     within |b| |du|^2 / 4 of its chord.  A chord with |du|^2 > 2 (an arc of
     more than a quarter turn) gets NaN, which certifies nothing: on shorter
     arcs every renormalised chord point has norm at least 1/sqrt(2), so
-    rounding moves it by a few ulps.
+    rounding moves it by a few ulps.  b is one height or one per chord;
+    the division by 4 is exact short of underflow, so `arc_sags(b, du)` is
+    |b| times `arc_sags(1, du)` to the bit.
     """
     sq = row_norms(chords) ** 2
-    return np.where(sq <= 2.0, abs(b) * sq / 4.0, np.nan)
+    return np.where(sq <= 2.0, np.abs(b) * sq / 4.0, np.nan)
 
 
 def unit_graph_edges(units: np.ndarray, link_angle: float) -> np.ndarray:
@@ -258,47 +262,79 @@ def unit_graph_edges(units: np.ndarray, link_angle: float) -> np.ndarray:
     return pairs
 
 
-def arc_points(u: np.ndarray, w: np.ndarray, fracs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Renormalised chord points (1 - f) u + f w of unit pairs.
+def near_antipodal(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Whether the unit pairs (u, w) (two (m, 7) arrays) have no arc, as bool[m].
 
-    For ends (m, 7) and fractions (p,), returns the (m, p, 7) points and
-    bool[m], False for a near antipodal pair, whose chord nears the origin.
+    A pair has none when its chord nears the origin: a chord point
+    (1 - f) u + f w of norm below 1e-6.  The midpoint m = (u + w) / 2 is
+    orthogonal to w - u, and |m|^2 + |w - u|^2 / 4 = 1, so the point at
+    f = 1/2 + d has squared norm |m|^2 + 4 d^2 (1 - |m|^2): the midpoint is
+    the nearest, and a point d away from it is at least about 2 |d| from
+    the origin.  So the midpoint alone decides what every probe of
+    `_ARC_FRACS` would (the others have |d| >= 1/24, norm above 0.08),
+    far above any rounding.
     """
+    return row_norms(0.5 * u + 0.5 * w) < 1e-6
+
+
+def arc_legs(z, u: np.ndarray, w: np.ndarray, fracs: np.ndarray) -> tuple:
+    """The arcs at slice heights z from units u to w, as `Domain.legs_inside` takes them.
+
+    z is one complex height or one per arc, u and w are (m, 7) units, no
+    pair of them `near_antipodal`.  Arc k runs over the slice points at
+    z[k] of the units on the shorter arc from u[k] to w[k]: its ends are
+    those of u[k] and w[k], its sag `arc_sags`, and its rows those of the
+    renormalised chord points (1 - f) u[k] + f w[k] at the fractions f.
+    Returns (p0, p1, sag, rows); `rows` builds the rows of only the arcs
+    it is asked for.
+    """
+    z = np.broadcast_to(np.asarray(z, dtype=complex), (len(u),))
+    re, im = z.real, z.imag
     fracs = np.asarray(fracs, dtype=float)[:, None]
-    chords = (1.0 - fracs) * u[:, None] + fracs * w[:, None]
-    norms = row_norms(chords)
-    ok = ~(norms.min(axis=1, initial=np.inf) < 1e-6)
-    chords[ok] /= norms[ok, :, None]
-    return chords, ok
+
+    def rows(ids):
+        chords = (1.0 - fracs) * u[ids, None] + fracs * w[ids, None]
+        chords /= row_norms(chords)[..., None]
+        return tau_rows(re[ids, None], im[ids, None], chords).reshape(-1, 8), len(fracs)
+
+    return tau_rows(re, im, u), tau_rows(re, im, w), arc_sags(im, w - u), rows
 
 
-def arc_probe_graph(
-    units: np.ndarray, link: float, probes: int = 23
-) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-pool edges within chord `link`, with interior arc check points.
+def z_legs(z0, z1, units: np.ndarray, times: np.ndarray) -> tuple:
+    """The straight z legs from z0 to z1 at fixed units, as `Domain.legs_inside` takes them.
 
-    Returns (ends, arcs): ends is (E, 2) int, arcs is (E, probes, 7) holding
-    renormalized chord points strictly between the endpoints.  Sparse arc
-    sampling misses thin gaps between nearly tangent slice caps, so the
-    probe count errs dense.  Antipodal pairs get no edge.
+    z0 and z1 are complex, one for all legs or one per leg, and units is
+    (m, 7).  Leg k runs from the slice point of units[k] at z0[k] to the
+    one at z1[k], with no sag, and its rows are the slice points at
+    (1 - t) z0[k] + t z1[k] for the sample times t.  Returns
+    (p0, p1, sag, rows); `rows` builds the rows of only the legs it is
+    asked for.
     """
-    fracs = np.linspace(0.0, 1.0, probes + 2)[1:-1]
+    z0, z1 = (np.broadcast_to(np.asarray(z, dtype=complex), (len(units),)) for z in (z0, z1))
+
+    def rows(ids):
+        zs = (1.0 - times) * z0[ids, None] + times * z1[ids, None]
+        return tau_rows(zs.real, zs.imag, units[ids, None, :]).reshape(-1, 8), len(times)
+
+    return tau_rows(z0.real, z0.imag, units), tau_rows(z1.real, z1.imag, units), 0.0, rows
+
+
+def arc_probe_graph(units: np.ndarray, link: float) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-pool edges within chord `link`, with the sags of their arcs at height 1.
+
+    Returns (ends, sags): ends is (E, 2) int, sags is `arc_sags(1, du)` of
+    each edge's chord.  A `near_antipodal` pair has no arc and gets no
+    edge.  The probes of an arc are built only when a leg check asks for
+    them (`arc_legs`).
+    """
     pairs = (
         cKDTree(units).query_pairs(link, output_type="ndarray")
         if len(units)
         else np.empty((0, 2), dtype=int)
     )
-    arcs = np.empty((len(pairs), probes, 7))
-    keep = np.zeros(len(pairs), dtype=bool)
-    n = 0
-    for start in range(0, len(pairs), _ARC_BLOCK):
-        block = pairs[start : start + _ARC_BLOCK]
-        points, ok = arc_points(units[block[:, 0]], units[block[:, 1]], fracs)
-        keep[start : start + len(block)] = ok
-        kept = int(ok.sum())
-        arcs[n : n + kept] = points[ok]
-        n += kept
-    return pairs[keep].astype(int), arcs[:n]
+    u, w = units[pairs[:, 0]], units[pairs[:, 1]]
+    keep = ~near_antipodal(u, w)
+    return pairs[keep].astype(int), arc_sags(1.0, w[keep] - u[keep])
 
 
 def adaptive_unit_pool(domain, plan: SamplePlan) -> tuple[np.ndarray, float]:
@@ -393,15 +429,16 @@ class SlicePairGrid:
 
     * `members(col)`: units I with tau(I, z) in the domain;
     * `arc_mask(col)`, over the arc edges: both ends members and every probe
-      of the arc inside;
+      of the arc (`_ARC_FRACS`) inside;
     * `move_mask(a, b)` for neighbouring columns: the closed z leg, i.e.
       members at both ends and inside at the interior times `_LEG_TIMES`.
       A leg is sampled from the smaller column to the larger, so the mask
       does not depend on the order of a and b.
 
     Both leg masks decide the legs between members with
-    `domain.legs_inside`: an arc with sag |beta| `edge_sags` and its 23
-    probes, a z leg with sag 0 and its interior times.
+    `domain.legs_inside`, built by `arc_legs` and `z_legs`.  The grid
+    keeps no probes: `legs_inside` builds the rows of only the legs that
+    `deep_legs` does not certify.
 
     `members_many`, `arc_masks` and `move_masks` give the masks of many
     columns or pairs at once, and the single-column methods ask them for
@@ -437,9 +474,7 @@ class SlicePairGrid:
                 int(np.searchsorted(self.betas, z.imag)),
             )
         self.link = max(chord_of_angle(plan.link_angle), 2.5 * self.sep)
-        self.edges, self.edge_arcs = arc_probe_graph(self.units, self.link)
-        # sag of each arc edge at height 1, for `Domain.legs_inside`
-        self.edge_sags = arc_sags(1.0, self.units[self.edges[:, 1]] - self.units[self.edges[:, 0]])
+        self.edges = arc_probe_graph(self.units, self.link)[0]
         self._members: dict[tuple[int, int], np.ndarray] = {}
         self._arcs: dict[tuple[int, int], np.ndarray] = {}
         self._moves: dict[tuple[tuple[int, int], tuple[int, int]], np.ndarray] = {}
@@ -494,18 +529,10 @@ class SlicePairGrid:
             a, b = self.edges.T
 
             def decide(k, e):
-                zk = z[k]
-                re, im = zk.real, zk.imag
-                p0, p1 = tau_rows(re, im, self.units[self.edges[e].T])
-
-                def rows(ids):
-                    arcs = self.edge_arcs[e[ids]]
-                    return tau_rows(re[ids, None], im[ids, None], arcs).reshape(-1, 8), arcs.shape[1]
-
-                return self.domain.legs_inside(p0, p1, np.abs(im) * self.edge_sags[e], rows)
+                return self.domain.legs_inside(*arc_legs(z[k], self.units[a[e]], self.units[b[e]], _ARC_FRACS))
 
             cands = (mem[a] & mem[b] for mem in self.members_many(todo))
-            masks = _decided(cands, (len(todo), len(a)), self.edge_arcs.shape[1], decide)
+            masks = _decided(cands, (len(todo), len(a)), len(_ARC_FRACS), decide)
             self._arcs.update(zip(todo, masks))
         return [self._arcs[col] for col in cols]
 
@@ -517,15 +544,7 @@ class SlicePairGrid:
             ends = np.array([[self.z_of(a), self.z_of(b)] for a, b in todo]).T
 
             def decide(k, i):
-                za, zb = zk = ends[:, k]
-                p0, p1 = tau_rows(zk.real, zk.imag, self.units[i])
-
-                def rows(ids):
-                    zs = (1.0 - _LEG_TIMES) * za[ids, None] + _LEG_TIMES * zb[ids, None]
-                    units = self.units[i[ids], None, :]
-                    return tau_rows(zs.real, zs.imag, units).reshape(-1, 8), len(_LEG_TIMES)
-
-                return self.domain.legs_inside(p0, p1, 0.0, rows)
+                return self.domain.legs_inside(*z_legs(ends[0, k], ends[1, k], self.units[i], _LEG_TIMES))
 
             mems = iter(self.members_many([col for key in todo for col in key]))
             cands = (lo & hi for lo, hi in zip(mems, mems))

@@ -360,12 +360,7 @@ class GridSpec:
         )
 
 
-def modulus_local_max_scan(
-    f: OctField,
-    pair: OrthoPair,
-    grid: GridSpec,
-    domain: Optional[Domain] = None,
-) -> ScanReport:
+def modulus_local_max_scan(f: OctField, pair: OrthoPair, grid: GridSpec, domain: Domain) -> ScanReport:
     """Strict interior local maxima of |f| on a quaternion-slice grid.
 
     A node counts as interior when all eight per-axis neighbors exist and
@@ -382,9 +377,8 @@ def modulus_local_max_scan(
         q = np.stack([axes[d][idx[d]] for d in range(4)], axis=1)
         # a stack of (1, 4) @ (4, 8) products rounds as `pair.embed` does
         pts = (q[:, None, :] @ pair.basis)[:, 0, :]
-        if domain is not None:
-            inside = domain.contains_batch(pts)
-            nodes, pts = nodes[inside], pts[inside]
+        inside = domain.contains_batch(pts)
+        nodes, pts = nodes[inside], pts[inside]
         if len(nodes):
             values = f.evaluate_many(pts)
             flat[nodes] = np.sqrt(row_dot(values, values))

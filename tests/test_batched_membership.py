@@ -118,10 +118,16 @@ def _reference_base_move_ok(grid, col_a, col_b, i):
 def _reference_edges_ok(search, col):
     grid = search.grid
     z = grid.z_of(col)
-    n_edges, n_probes, _ = grid.edge_arcs.shape
+    # each arc's 23 renormalised chord points, pair by pair
+    fracs = np.linspace(0.0, 1.0, 25)[1:-1]
+    arcs = []
+    for a, b in grid.edges:
+        chords = np.outer(1.0 - fracs, grid.units[a]) + np.outer(fracs, grid.units[b])
+        arcs.append(chords / np.linalg.norm(chords, axis=1)[:, None])
+    n_edges, n_probes = len(grid.edges), len(fracs)
     pts = np.zeros((n_edges * n_probes, 8))
     pts[:, 0] = z.real
-    pts[:, 1:] = z.imag * grid.edge_arcs.reshape(-1, 7)
+    pts[:, 1:] = z.imag * np.concatenate(arcs)
     arc_ok = grid.domain.contains_batch(pts).reshape(n_edges, n_probes).all(axis=1)
     mem = grid.members(col)
     ends_ok = np.array([mem[a] and mem[b] for a, b in grid.edges], dtype=bool)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -232,6 +234,57 @@ def test_witness_json_roundtrip():
     res = ccl_search(BALL, x, xp, PLAN)
     clone = CoupledLifting.from_json(res.witness.to_json())
     assert ccl_verify(clone, x, xp, BALL)[0]
+
+
+_WITNESS_JSON = {
+    "base": {"times": [0.0, 1.0], "vertices": [[1.0, 2.0], [1.0, 2.0]]},
+    "units1": {"times": [0.0, 1.0], "vertices": [[1, 0, 0, 0, 0, 0, 0]] * 2},
+    "units2": {"times": [0.0, 1.0], "vertices": [[1, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0]]},
+}
+
+
+def _edited(path, value):
+    data = json.loads(json.dumps(_WITNESS_JSON))
+    *keys, last = path
+    node = data
+    for key in keys:
+        node = node[key]
+    node[last] = value
+    return data
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("base", "vertices", 0, 0), True),
+        (("base", "vertices", 1, 1), float("nan")),
+        (("base", "vertices", 0, 1), float("inf")),
+        (("base", "vertices", 0), [1.0, 2.0, 0.0]),
+        (("base", "times", 0), "0"),
+        (("units1", "times", 1), None),
+        (("units2", "vertices", 1, 3), "0"),
+        (("units2", "vertices", 1), [0, 1, 0, 0, 0, 0]),
+    ],
+)
+def test_witness_json_refuses_non_numbers_and_bad_shapes(path, value):
+    assert CoupledLifting.from_json(_WITNESS_JSON).to_json() == _WITNESS_JSON
+    with pytest.raises(PreconditionError):
+        CoupledLifting.from_json(_edited(path, value))
+
+
+@pytest.mark.parametrize(
+    "cls, data",
+    [
+        (PolyPathC, {"times": [False, 1.0], "vertices": [[0.0, 1.0], [1.0, 1.0]]}),
+        (PolyPathS, {"times": [0.0, 1.0], "vertices": [[1, 0, 0, 0, 0, 0, "nan"], [0, 1, 0, 0, 0, 0, 0]]}),
+        (PolyPathO, {"times": [0.0, 1.0], "vertices": [[0.0] * 8, [1.0] * 8 + [0.0]]}),
+        (PolyPathO, {"times": [0.0, 1.0], "vertices": [[0.0] * 8, [1e400] + [0.0] * 7]}),
+        (PolyPathO, {"times": [0.0, 1.0], "vertices": [[0.0] * 8, [True] + [0.0] * 7]}),
+    ],
+)
+def test_path_json_refuses_non_numbers_and_bad_shapes(cls, data):
+    with pytest.raises(PreconditionError):
+        cls.from_json(data)
 
 
 def test_ccl_verify_rejects_bad_witness():

@@ -2,7 +2,8 @@
 
 The reference functions below are the earlier implementations: the
 `np.linalg.norm` row norms, the per-ball loop of `BallUnion`, the per-pair
-loop of `arc_probe_graph` and the gathered form of `PolyPathS.eval_many`.
+loop of `arc_probe_graph`, the per-pair `np.outer` probes of an arc and the
+gathered form of `PolyPathS.eval_many`.
 The kernels must reproduce them to the bit (`np.array_equal`) on every
 input, non-finite and extreme ones included.
 """
@@ -41,7 +42,7 @@ from octoslice.liftings import (
     lift_in_domain,
 )
 from octoslice.quotient import QuotientSample, class_at
-from octoslice.sampling import _ARC_BLOCK, _LEG_TIMES, arc_probe_graph, arc_sags
+from octoslice.sampling import _ARC_FRACS, _LEG_TIMES, arc_legs, arc_probe_graph
 
 # Fixed examples, no example database: a run repeats the last one exactly.
 KERNEL_SETTINGS = settings(
@@ -69,22 +70,26 @@ def balls_member(centers, radii):
     return lambda pts: ref_balls(pts, centers, radii)
 
 
-def ref_arc_probe_graph(units, link, probes=23):
-    fracs = np.linspace(0.0, 1.0, probes + 2)[1:-1]
+def ref_arc_probes(u, w, fracs=np.linspace(0.0, 1.0, 25)[1:-1]):
+    """The renormalised chord points of the arc from u to w, or None when one nears the origin."""
+    chords = np.outer(1.0 - fracs, u) + np.outer(fracs, w)
+    norms = np.linalg.norm(chords, axis=1)
+    return None if norms.min() < 1e-6 else chords / norms[:, None]
+
+
+def ref_arc_probe_graph(units, link):
+    """Edges within the link whose 23 probes all clear the origin, with their sags at height 1."""
     if len(units) == 0:
-        return np.empty((0, 2), dtype=int), np.zeros((0, probes, 7))
+        return np.empty((0, 2), dtype=int), np.zeros(0)
     pairs = cKDTree(units).query_pairs(link, output_type="ndarray")
-    ends, arcs = [], []
+    ends, sags = [], []
     for a, b in pairs:
-        chords = np.outer(1.0 - fracs, units[a]) + np.outer(fracs, units[b])
-        norms = np.linalg.norm(chords, axis=1)
-        if norms.min() < 1e-6:
+        if ref_arc_probes(units[a], units[b]) is None:
             continue
         ends.append((int(a), int(b)))
-        arcs.append(chords / norms[:, None])
-    if not ends:
-        return np.empty((0, 2), dtype=int), np.zeros((0, probes, 7))
-    return np.asarray(ends, dtype=int), np.asarray(arcs)
+        sq = (np.linalg.norm((units[b] - units[a])[None], axis=1) ** 2)[0]
+        sags.append(sq / 4.0 if sq <= 2.0 else np.nan)
+    return np.asarray(ends, dtype=int).reshape(-1, 2), np.asarray(sags, dtype=float)
 
 
 def ref_eval_many(path, ts):
@@ -275,8 +280,24 @@ def test_arc_probe_graph_equals_the_pair_loop(n, link):
     got, want = arc_probe_graph(units, link), ref_arc_probe_graph(units, link)
     assert same(got[0], want[0]) and same(got[1], want[1])
     if n == 60:
-        assert len(want[0]) > _ARC_BLOCK  # several blocks
         assert [0, 1] not in want[0].tolist()
+        assert np.isnan(want[1]).any() and not np.isnan(want[1]).all()
+
+
+def test_arc_probe_graph_decides_near_antipodal_pairs_as_every_probe():
+    # pairs whose chord midpoint has norm m, around the 1e-6 threshold
+    rng = np.random.default_rng(17)
+    units = []
+    for m in (0.0, 1e-9, 0.5e-6, 0.999e-6, 1e-6, 1.001e-6, 2e-6, 1e-3):
+        for _ in range(10):
+            u = unit_rows(rng, 1, 7)[0]
+            units += [u, -turned(rng, u, 2.0 * math.asin(m))]
+    units = np.asarray(units)
+    got, want = arc_probe_graph(units, 2.5), ref_arc_probe_graph(units, 2.5)
+    assert same(got[0], want[0]) and same(got[1], want[1])
+    kept = {tuple(e) for e in want[0].tolist()}
+    pairs = [(k, k + 1) for k in range(0, len(units), 2)]
+    assert 0 < sum(p in kept for p in pairs) < len(pairs)
 
 
 @KERNEL_SETTINGS
@@ -461,12 +482,13 @@ def ref_spokes(domain, z, u1, u2, member):
     return out
 
 
-def attach_quotient(domain, z, unit):
-    """A one-column quotient whose only member is `unit`, for `class_at`."""
+def attach_quotient(domain, z, units):
+    """A one-column quotient whose members are `units` (one or (k, 7)), each its own class, for `class_at`."""
+    units = np.atleast_2d(units)
     return QuotientSample(
         domain=domain, plan=None,
-        alphas=np.array([z.real]), betas=np.array([z.imag]), units=unit[None, :],
-        edges=None, members={(0, 0): np.array([True])}, labels={(0, 0): np.array([0])},
+        alphas=np.array([z.real]), betas=np.array([z.imag]), units=units,
+        edges=None, members={(0, 0): np.ones(len(units), dtype=bool)}, labels={(0, 0): np.arange(len(units))},
         classes=[], class_adjacency=[], component_of=None, merge_records=[], link=0.0, separation=ATTACH_SEP,
     )
 
@@ -498,13 +520,14 @@ def leg_case(kind, rng, scale, turn, at=None):
 
         return np.stack([x, x]), check, np.zeros(8)
     if kind == "arc":
-        pairs, probes = arc_probe_graph(np.vstack([u, v]), 2.01)
         knots = np.stack([slice_point(z, u), slice_point(z, v)])
-        rows = np.stack([slice_point(z, w) for w in probes[0]])
-        sag = abs(z.imag) * arc_sags(1.0, (v - u)[None, :])
+        want = np.stack([slice_point(z, w) for w in ref_arc_probes(u, v)])
 
         def check(domain, member):
-            return rows, np.full(len(rows), domain.deep_legs(knots[:1], knots[1:], sag)[0])
+            # the arc as a grid's arc mask builds it
+            calls = record_legs(domain)
+            domain.legs_inside(*arc_legs(z, u[None], v[None], _ARC_FRACS))
+            return checked_rows(calls, member, [want])
 
         mid = u + v
         return knots, check, np.concatenate([[0.0], np.sign(z.imag) * mid / np.linalg.norm(mid)])
@@ -743,6 +766,41 @@ def test_legs_between_tangent_balls(kind):
         assert inside[skip].all()
         left += not inside.all()
     assert left >= 20
+
+
+def test_class_at_and_real_anchor_test_the_rows_of_per_pair_loops():
+    """Every attachment arc of `class_at` and every spoke pair of `_real_anchor` it tries, in order.
+
+    The nearest member's arc crosses a gap between two balls, so `class_at`
+    goes on to the next member; the spokes to the first real anchors leave
+    a union of three balls, so `_real_anchor` tries several.
+    """
+    e = np.eye(7)
+
+    def on_circle(angle):
+        return math.cos(angle) * e[0] + math.sin(angle) * e[1]
+
+    z, u = complex(0.3, 1.5), e[0]
+    members = np.stack([on_circle(0.08), on_circle(-0.12), on_circle(0.3)])
+    centres = np.stack([slice_point(z, on_circle(a)) for a in (0.0, -0.06, -0.12, 0.08)])
+    radii = np.array([0.08, 0.08, 0.08, 0.01])
+    domain = BallUnion([Ball(Octonion(c), r) for c, r in zip(centres, radii)])
+    member = balls_member(centres, radii)
+    calls = record_legs(domain)
+    got = class_at(attach_quotient(domain, z, members), Octonion(slice_point(z, u)))
+    want = [ref_attach_rows(z, u, w, ATTACH_SEP) for w in members[:2]]
+    checked_rows(calls, member, want)
+    assert got == 1 and [member(rows).all() for rows in want] == [False, True]
+
+    centres = np.stack([np.eye(8)[1], np.eye(8)[0], 0.5 * (np.eye(8)[0] + np.eye(8)[1])])
+    radii = np.array([0.6, 0.8, 0.3])
+    domain = BallUnion([Ball(Octonion(c), r) for c, r in zip(centres, radii)])
+    member = balls_member(centres, radii)
+    calls = record_legs(domain)
+    witness = _real_anchor(domain, 1j, u, on_circle(0.4))
+    want = ref_spokes(domain, 1j, u, on_circle(0.4), member)
+    checked_rows(calls, member, want)
+    assert witness is not None and len(calls) == len(want) > 2 and member(want[-1]).all()
 
 
 # -- leg certificates of the slab-cone and the chain ---------------------------

@@ -135,13 +135,13 @@ def ref_sfr_check(sf, domain, plan, tolerance=1e-5, use_closed=True):
     )
 
 
-def ref_modulus_scan(sf, pair, grid, domain=None):
+def ref_modulus_scan(sf, pair, grid, domain):
     axes = grid.axes()
     counts = tuple(grid.counts)
     vals = np.full(counts, np.nan)
     for idx in np.ndindex(*counts):
         x = pair.embed(np.array([axes[d][idx[d]] for d in range(4)]))
-        if domain is None or domain.contains(x):
+        if domain.contains(x):
             vals[idx] = sf.evaluate(x).norm()
     core = vals[1:-1, 1:-1, 1:-1, 1:-1]
     strict = np.isfinite(core)
@@ -321,7 +321,7 @@ def test_modulus_scans_match():
     chain = get_field("sqrt-example").domain
     cases = [
         ("gaussian", PAIR, GridSpec((0.0,) * 4, (1.0,) * 4, (7,) * 4), gau.domain),
-        ("gaussian", tilted, GridSpec((0.1, 0.2, -0.1, 0.3), (0.9,) * 4, (6, 7, 5, 6)), None),
+        ("gaussian", tilted, GridSpec((0.1, 0.2, -0.1, 0.3), (0.9,) * 4, (6, 7, 5, 6)), gau.domain),
         ("identity", tilted, GridSpec((0.2, 1.2, 0.4, 0.3), (0.5,) * 4, (5,) * 4), ident.domain),
         # nodes at |x| = 1 lie on the boundary of the unit ball
         ("gaussian", PAIR, GridSpec((0.0,) * 4, (1.0,) * 4, (5,) * 4), Ball(Octonion.zero(), 1.0)),

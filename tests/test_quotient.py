@@ -14,6 +14,7 @@ from octoslice.golden import get_field
 from octoslice.quotient import (
     QuotientClass,
     QuotientSample,
+    _Builder,
     build_quotient,
     class_at,
     count_components,
@@ -23,7 +24,7 @@ from octoslice.quotient import (
     quotient_stem,
     replay_merge_record,
 )
-from octoslice.sampling import SamplePlan, arc_probe_graph
+from octoslice.sampling import SamplePlan
 
 E = [Octonion.basis(k) for k in range(8)]
 I1 = UnitImaginary.basis(1)
@@ -211,7 +212,11 @@ def test_slab_cone_infectivity_merges_the_cones():
     assert local_injectivity_check(q).passed
     assert any(r[0] == "ride" for r in q.merge_records)
 
-    bare = build_quotient(SlabCone(I1), infectivity=False)
+    # the same grid with no rides: each column keeps both cones apart
+    builder = _Builder(SlabCone(I1), SamplePlan())
+    builder.merge_within_columns()
+    bare = builder.finish()
+    assert not any(r[0] == "ride" for r in bare.merge_records)
     per_col = {}
     for cls in bare.classes:
         per_col[cls.col] = per_col.get(cls.col, 0) + 1
@@ -352,15 +357,18 @@ class _UnionFindQuotient:
     """The quotient built the plain way: a union-find per column, arcs and
     real columns first, then an infectivity worklist, every effective union
     recorded.  It takes the unit pool, z grid and arc graph of a built
-    quotient, probes the arcs again with `arc_probe_graph`, and redoes
+    quotient, builds each arc's 23 probes pair by pair, and redoes
     everything else with plain membership calls."""
 
     RIDE_FRACTIONS = np.linspace(0.0, 1.0, 7)[1:-1]
+    ARC_FRACTIONS = np.linspace(0.0, 1.0, 25)[1:-1]
 
     def __init__(self, q):
         self.q = q
-        edges, self.arcs = arc_probe_graph(q.units, q.link)
-        assert np.array_equal(edges, q.edges)
+        self.arcs = np.zeros((len(q.edges), len(self.ARC_FRACTIONS), 7))
+        for e, (a, b) in enumerate(q.edges):
+            chords = np.outer(1.0 - self.ARC_FRACTIONS, q.units[a]) + np.outer(self.ARC_FRACTIONS, q.units[b])
+            self.arcs[e] = chords / np.linalg.norm(chords, axis=1)[:, None]
         self.members = {}
         for ia in range(len(q.alphas)):
             for ib in range(len(q.betas)):

@@ -206,14 +206,15 @@ def test_modulus_scan_gaussian_max_at_origin():
     gau = get_field("gaussian")
     pair = OrthoPair(UnitImaginary.basis(1), UnitImaginary.basis(2))
     grid = GridSpec((0, 0, 0, 0), (1, 1, 1, 1), (5, 5, 5, 5))
-    rep = modulus_local_max_scan(gau.field, pair, grid)
+    rep = modulus_local_max_scan(gau.field, pair, grid, gau.domain)
     assert rep.strict_maxima == [[0.0, 0.0, 0.0, 0.0]]
     assert not rep.passed
 
 
 def test_modulus_scan_empty_for_identity_and_sqrt():
     pair = OrthoPair(UnitImaginary.basis(1), UnitImaginary.basis(2))
-    rep = modulus_local_max_scan(IDENT, pair, GridSpec((0, 0, 0, 0), (1, 1, 1, 1), (5, 5, 5, 5)))
+    grid = GridSpec((0, 0, 0, 0), (1, 1, 1, 1), (5, 5, 5, 5))
+    rep = modulus_local_max_scan(IDENT, pair, grid, get_field("identity").domain)
     assert rep.strict_maxima == [] and rep.passed
     sq = get_field("sqrt-example")
     grid = GridSpec((1, 2, 0, 0), (0.1, 0.1, 0.05, 0.05), (6, 6, 5, 5))

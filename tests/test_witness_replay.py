@@ -62,13 +62,19 @@ def _reference_members(grid, col):
     return grid.domain.contains_batch(pts)
 
 
+def _reference_arc_probes(units, fracs=np.linspace(0.0, 1.0, 25)[1:-1]):
+    """The 23 renormalised chord points of the arc between two units."""
+    chords = np.outer(1.0 - fracs, units[0]) + np.outer(fracs, units[1])
+    return chords / np.linalg.norm(chords, axis=1)[:, None]
+
+
 def _reference_arc_mask(grid, col):
     mem = _reference_members(grid, col)
     mask = mem[grid.edges[:, 0]] & mem[grid.edges[:, 1]]
     cand = np.flatnonzero(mask)
     if len(cand):
         z = grid.z_of(col)
-        arcs = grid.edge_arcs[cand]
+        arcs = np.stack([_reference_arc_probes(grid.units[grid.edges[e]]) for e in cand])
         pts = np.zeros((arcs.shape[0] * arcs.shape[1], 8))
         pts[:, 0] = z.real
         pts[:, 1:] = z.imag * arcs.reshape(-1, 7)
