@@ -210,6 +210,10 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
+# Entries up to which `row_norms` takes one reduce: about 128 rows.
+_SMALL_NORMS = 1024
+
+
 def row_norms(x: np.ndarray) -> np.ndarray:
     """Euclidean norms over the last axis, equal to the bit to `np.linalg.norm(x, axis=-1)`.
 
@@ -219,12 +223,13 @@ def row_norms(x: np.ndarray) -> np.ndarray:
     adds: 7 columns left to right, 8 columns as
     `((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7))`.  The squares are
     stored column-major so each column add reads contiguous memory.  Any
-    other width goes to `np.linalg.norm`.
+    other width, and any array of at most `_SMALL_NORMS` entries, whose
+    fixed costs outweigh the reduce's, goes to `np.linalg.norm`'s sum.
     """
     x = np.asarray(x, dtype=float)
     width = x.shape[-1]
-    if width not in (7, 8):
-        return np.linalg.norm(x, axis=-1)
+    if width not in (7, 8) or x.size <= _SMALL_NORMS:
+        return np.sqrt(np.add.reduce(x * x, axis=-1))
     s = np.multiply(x, x, order="F")
     if width == 8:
         pairs = s[..., 0::2] + s[..., 1::2]

@@ -170,7 +170,7 @@ class Domain:
         does not certify go into one `contains_batch`.
         """
         inside = np.ones(len(p0), dtype=bool)
-        ids = np.flatnonzero(~self.deep_legs(p0, p1, sag))
+        ids = (~self.deep_legs(p0, p1, sag)).nonzero()[0]
         if len(ids):
             pts, counts = rows(ids)
             out = ~self.contains_batch(pts)
@@ -329,14 +329,14 @@ def balls_hold_legs(
     """
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
-    sag = np.broadcast_to(_leg_sags(sag), (len(p0),))
-    out = np.zeros(len(p0), dtype=bool)
+    sag = _leg_sags(sag)
+    out = np.empty(len(p0), dtype=bool)
     reach0 = (row_norms(centers) + radii)[:, None] * _LEG_SLACK + _BAND_ABS
     step = max(1, _LEG_CELLS // len(centers))
     for start in range(0, len(p0), step):
         block = slice(start, start + step)
         # one row per ball
-        reach = _leg_reach(p0[block], p1[block], sag[block], centers[:, None, :])
+        reach = _leg_reach(p0[block], p1[block], sag[block] if sag.ndim else sag, centers[:, None, :])
         reach += reach0
         out[block] = (reach < radii[:, None]).any(axis=0)
     return out

@@ -19,8 +19,9 @@ instead, never a fabricated verdict.
 times by default, cached read-only per resolution; a base with more than
 two vertices adds its vertex times), so it tests at most 2 x 2048 rows per
 witness, in one `contains_batch` call.  Lifting checks, unit paths and
-spokes decide their legs with `Domain.legs_inside` (`_liftings_inside`
-cuts a lifting into 16 pieces); certified legs are not evaluated, and the
+spokes decide their legs with `Domain.legs_inside` (`_cut_liftings` cuts
+liftings over two-vertex bases into 16 pieces each, for these checks and
+for the replays of `quotient`); certified legs are not evaluated, and the
 other rows keep the bits of a full evaluation.
 """
 
@@ -99,24 +100,45 @@ def _base_at(times: np.ndarray, vertices: np.ndarray, ts) -> np.ndarray:
     return re + 1j * im
 
 
-def _units_at(times: np.ndarray, vertices: np.ndarray, ts) -> np.ndarray:
-    """Unit paths (vertex times, vertices (..., n, 7)) at the times ts, row by row, as (..., m, 7)."""
-    ts = np.clip(np.asarray(ts, dtype=float), 0.0, 1.0)
+def _segment_at(z0, z1, ts) -> np.ndarray:
+    """`_base_at` of the two-vertex bases from z0 to z1 at the times ts in [0, 1].
+
+    z0, z1 and ts broadcast against each other.  The result equals
+    `np.interp` over the vertex times [0, 1] to the bit: time 0 gives the
+    start, time 1 the end, and any other time t gives (end - start) t +
+    start, real and imaginary parts apart.
+    """
+    # real and imaginary parts on a first axis
+    a = np.array([z0.real, z0.imag])
+    b = np.array([z1.real, z1.imag])
+    parts = np.where(ts <= 0.0, a, np.where(ts >= 1.0, b, (b - a) * ts + a))
+    return parts[0] + 1j * parts[1]
+
+
+def _units_at(times, vertices, ts, paths=None) -> np.ndarray:
+    """Unit paths at the times ts in [0, 1].
+
+    The paths share their vertex times.  Without `paths`, every path of
+    vertices (..., n, 7) is taken at every time: (..., m, 7).  With them,
+    row k is path paths[k] of vertices (p, n, 7) at time ts[k]: (m, 7).
+    """
     if len(times) == 2:
         # times [0, 1]: the chord parameter is the time itself
         s = ts[:, None]
-        pts = vertices[..., :1, :] * (1.0 - s)
-        pts += vertices[..., 1:, :] * s
+        if paths is None:
+            lo, hi = vertices[..., :1, :], vertices[..., 1:, :]
+        else:
+            lo, hi = vertices[paths, 0], vertices[paths, 1]
     else:
         idx = np.minimum(np.maximum(np.searchsorted(times, ts, side="right") - 1, 0), len(times) - 2)
         t0, t1 = times[idx], times[idx + 1]
         s = ((ts - t0) / (t1 - t0))[:, None]
-        # (1 - s) v[idx] + s v[idx + 1], built in place
-        pts = np.take(vertices, idx, axis=-2)
-        pts *= 1.0 - s
-        tail = np.take(vertices, idx + 1, axis=-2)
-        tail *= s
-        pts += tail
+        if paths is None:
+            lo, hi = np.take(vertices, idx, axis=-2), np.take(vertices, idx + 1, axis=-2)
+        else:
+            lo, hi = vertices[paths, idx], vertices[paths, idx + 1]
+    pts = lo * (1.0 - s)
+    pts += hi * s
     pts /= row_norms(pts)[..., None]
     return pts
 
@@ -166,7 +188,7 @@ class PolyPathS:
         self.times = _path_times(times, len(self.vertices))
 
     def eval_many(self, ts) -> np.ndarray:
-        return _units_at(self.times, self.vertices, ts)
+        return _units_at(self.times, self.vertices, np.clip(np.asarray(ts, dtype=float), 0.0, 1.0))
 
     def eval(self, t: float) -> UnitImaginary:
         return UnitImaginary(self.eval_many([t])[0])
@@ -402,65 +424,123 @@ def _sample_times(base_times: np.ndarray, resolution: int) -> np.ndarray:
     return grid if len(base_times) == 2 else np.union1d(base_times, grid)
 
 
+@functools.cache
+def _piece_bounds(count: int) -> np.ndarray:
+    """Where each piece's run of `_even_times(count)` starts, and `count` last, as (17,)."""
+    bounds = np.searchsorted(_piece_of(count), np.arange(_PIECES + 1))
+    bounds.flags.writeable = False
+    return bounds
+
+
+@functools.cache
+def _piece_rows(count: int) -> int:
+    """The most of `_even_times(count)` that one piece holds."""
+    return int(np.diff(_piece_bounds(count)).max())
+
+
+def _fixed_units(times, vertices) -> np.ndarray:
+    """Whether each unit path of (times, vertices (p, n, 7)) is two equal vertices, as bool[p]."""
+    return (len(times) == 2) & (vertices[:, 0] == vertices[:, 1]).all(axis=-1)
+
+
+@functools.lru_cache(maxsize=16)
+def _knot_segments(times: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """The knot at each vertex time of a unit path (its times as bytes), and the segment that holds each piece.
+
+    Cut liftings have vertex times at knots, and few such time sets are in
+    use at once: times [0, 1] by far the most.
+    """
+    at = np.rint(np.frombuffer(times) * _PIECES).astype(np.intp)
+    return at, np.searchsorted(at, np.arange(_PIECES), side="right") - 1
+
+
+def _cut_liftings(z0, z1, times, vertices) -> tuple:
+    """The `_PIECES` legs of liftings over two-vertex bases, as `Domain.legs_inside` takes them.
+
+    Lifting k runs over the base from z0[k] to z1[k] with the unit path
+    (times, vertices[k]) (vertices (p, n, 7), the times shared).  Its unit
+    is fixed (`_fixed_units`), or its base is still and its unit vertices
+    sit at `_KNOTS`.  Leg `_PIECES` k + j is its piece between knots j and
+    j + 1: a segment with sag 0 when the unit is fixed, otherwise an arc
+    with its `arc_sags`, and none on a unit segment past a quarter turn.
+    Returns (knots (p, 17, 8), sag, rows): `rows(ids, count)` gives the
+    rows at the `_even_times(count)` the pieces `ids` hold, leg by leg, and
+    the rows per leg.  Every row equals, to the bit, the lifting's row at
+    its time.
+    """
+    z = _segment_at(z0[:, None], z1[:, None], _KNOTS)
+    w = _units_at(times, vertices, _KNOTS)
+    knots = tau_rows(z.real, z.imag, w)
+    # the chords of the unit path's segments, then of its pieces; no sag on
+    # the pieces of a segment past a quarter turn
+    at, seg = _knot_segments(times.tobytes())
+    chords = np.concatenate([w[:, at[1:]] - w[:, at[:-1]], w[:, 1:] - w[:, :-1]], axis=1)
+    sags = arc_sags(z0.imag[:, None], chords)
+    whole, sag = sags[:, : len(at) - 1], sags[:, len(at) - 1 :]
+    sag[np.isnan(whole[:, seg])] = np.nan
+    sag[_fixed_units(times, vertices)] = 0.0
+
+    def rows(ids, count):
+        path, piece = np.divmod(ids, _PIECES)
+        bounds = _piece_bounds(count)
+        sizes = bounds[piece + 1] - bounds[piece]
+        # each row's time, the pieces' runs one after another, and its
+        # lifting, gathered only when there are several
+        pos = np.arange(sizes.sum()) + np.repeat(bounds[piece] - (np.cumsum(sizes) - sizes), sizes)
+        ts = _even_times(count)[pos]
+        if len(vertices) == 1:
+            zs, units = _segment_at(z0, z1, ts), _units_at(times, vertices[0], ts)
+        else:
+            which = np.repeat(path, sizes)
+            zs, units = _segment_at(z0[which], z1[which], ts), _units_at(times, vertices, ts, which)
+        return tau_rows(zs.real, zs.imag, units), sizes
+
+    return knots, sag.reshape(-1), rows
+
+
 def _liftings_inside(domain: Domain, base, paths: list, resolution: int) -> tuple[np.ndarray, np.ndarray]:
     """Whether each lifting of one base stays inside at `_sample_times`, and its rows at t = 0, 1.
 
     Paths are (vertex times, vertices).  Over a two-vertex base, a lifting
-    is 16 legs between the 17 `_KNOTS` when its unit is fixed (segments) or
-    the base is fixed and its unit vertices sit at knots (arcs, none
-    certified on a unit segment past a quarter turn); any other lifting is
+    is the 16 legs of `_cut_liftings` when its unit is fixed or the base is
+    fixed and its unit vertices sit at knots (arcs); any other lifting is
     one uncertified leg.
     """
     times, verts = base
     ts = _sample_times(times, resolution)
     still = len(verts) == 2 and verts[0] == verts[1]
-    fixed = np.array([len(v) == 2 and np.array_equal(v[0], v[1]) for _, v in paths])
-    at_knots = [still and np.array_equal(np.floor(t * _PIECES), t * _PIECES) for t, _ in paths]
-    cut = (len(verts) == 2) & (fixed | at_knots)
-    sizes = np.where(cut, _PIECES, 1)
-    first = np.cumsum(sizes) - sizes
-    z = _base_at(times, verts, _KNOTS)
+    p0, p1, sag, makers = [], [], [], []
     # the rows at t = 0 and 1: a cut lifting's first and last knots, which
     # are to the bit those of the samples
     end_rows = np.empty((len(paths), 2, 8))
-    p0, p1, sag = [], [], []
     for k, (t, v) in enumerate(paths):
-        if not cut[k]:
-            z_ends = _base_at(times, verts, _even_times(2))
-            end_rows[k] = tau_rows(z_ends.real, z_ends.imag, _units_at(t, v, _even_times(2)))
-            # one leg between the end rows, which a NaN sag keeps uncertified
-            p0.append(end_rows[k, :1])
-            p1.append(end_rows[k, 1:])
-            sag.append([np.nan])
+        at_knots = still and np.array_equal(np.floor(t * _PIECES), t * _PIECES)
+        if len(verts) == 2 and (at_knots or _fixed_units(t, v[None])[0]):
+            knots, piece_sag, piece_rows = _cut_liftings(verts[:1], verts[1:], t, v[None])
+            end_rows[k] = knots[0, [0, -1]]
+            p0.append(knots[0, :-1])
+            p1.append(knots[0, 1:])
+            sag.append(piece_sag)
+            makers.append(lambda ids, make=piece_rows: make(ids, len(ts)))
             continue
-        w = _units_at(t, v, _KNOTS)
-        knots = tau_rows(z.real, z.imag, w)
-        end_rows[k] = knots[[0, -1]]
-        p0.append(knots[:-1])
-        p1.append(knots[1:])
-        if fixed[k]:
-            sag.append(np.zeros(_PIECES))
-            continue
-        # no sag on the pieces of a unit segment past a quarter turn
-        at = np.rint(t * _PIECES).astype(np.intp)
-        whole = arc_sags(verts[0].imag, w[at[1:]] - w[at[:-1]])
-        seg = np.searchsorted(at, np.arange(_PIECES), side="right") - 1
-        sag.append(np.where(np.isnan(whole[seg]), np.nan, arc_sags(verts[0].imag, np.diff(w, axis=0))))
+        z = _base_at(times, verts, ts)
+        pts = tau_rows(z.real, z.imag, _units_at(t, v, ts))
+        end_rows[k] = pts[[0, -1]]
+        # one leg between the end rows, which a NaN sag keeps uncertified
+        p0.append(pts[:1])
+        p1.append(pts[-1:])
+        sag.append([np.nan])
+        makers.append(lambda ids, pts=pts: (pts, [len(pts)]))
+    sizes = np.array([len(s) for s in sag])
+    first = np.cumsum(sizes) - sizes
 
     def rows(ids):
-        pieces = _piece_of(len(ts)) if cut.any() else None
-        z = _base_at(times, verts, ts)
-        pts, counts = [], []
-        for k, (t, v) in enumerate(paths):
-            mine = ids[(ids >= first[k]) & (ids < first[k] + sizes[k])] - first[k]
-            if not len(mine):
-                continue
-            tk, zk = ts, z
-            counts.append(np.bincount(pieces, minlength=_PIECES)[mine] if cut[k] else [len(ts)])
-            if len(mine) < sizes[k]:
-                keep = np.isin(pieces, mine)
-                tk, zk = ts[keep], z[keep]
-            pts.append(tau_rows(zk.real, zk.imag, _units_at(t, v, tk)))
+        mine = np.searchsorted(ids, first)
+        pts, counts = zip(*(
+            make(ids[lo:hi] - start)
+            for make, start, lo, hi in zip(makers, first, mine, np.append(mine[1:], len(ids)))
+            if hi > lo
+        ))
         return np.concatenate(pts), np.concatenate(counts)
 
     inside = domain.legs_inside(np.concatenate(p0), np.concatenate(p1), np.concatenate(sag), rows)
@@ -520,16 +600,11 @@ def ccl_verify(
     """
     base = (witness.base.times, witness.base.vertices)
     paths = [(p.times, p.vertices) for p in (witness.units1, witness.units2)]
-    return _coupled_check(domain, base, paths, x.coeffs, xp.coeffs, resolution)
-
-
-def _coupled_check(domain: Domain, base, paths: list, x, xp, resolution: int) -> tuple[bool, dict]:
-    """`ccl_verify` of two liftings given as (times, vertices) paths, ending at the rows x and xp."""
     inside, ((s1, e1), (s2, e2)) = _liftings_inside(domain, base, paths, resolution)
     detail = {
         "start_gap": float(np.linalg.norm(s1 - s2)),
-        "end1_error": float(np.linalg.norm(e1 - x)),
-        "end2_error": float(np.linalg.norm(e2 - xp)),
+        "end1_error": float(np.linalg.norm(e1 - x.coeffs)),
+        "end2_error": float(np.linalg.norm(e2 - xp.coeffs)),
         "in_domain1": bool(inside[0]),
         "in_domain2": bool(inside[1]),
     }

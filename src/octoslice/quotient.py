@@ -22,15 +22,18 @@ each column's classes: taking the column's arc or real edges in admissible
 order and then its ride edges, an edge is recorded when it joins two
 classes of the edges before it, so a column with m members and c classes
 has m - c records.  Classes are therefore the transitive closures of the
-records, and `replay_merge_record` re-verifies any single record from
-scratch, as the legs it stands for, without building a witness: an arc
-record as the constant lifting and the arc lifting at its column, 16
-pieces each, with the checks of `ccl_verify`; a real record as the real
-point every lifting at its column equals; a ride record as the two
-straight z legs of its units, 16 pieces each.  `Domain.legs_inside`
-decides the pieces, at most 2 x 2048 rows per record.  Since
-merging is certificate-backed only, component counts of the class graph
-are upper bounds on the true quotient's.
+records, and `replay_merge_records` re-verifies records from scratch, as
+the legs they stand for, without building a witness: an arc record as the
+constant lifting and the arc lifting at its column, 16 pieces each, with
+the checks of `ccl_verify`; a real record as the real point every lifting
+at its column equals; a ride record as the two straight z legs of its
+units, 16 pieces each.  The records of one kind are checked together:
+the real points in one membership call, and the pieces of all arc (or
+ride) liftings in blocks of at most `sampling._GRID_ROWS` sample rows,
+one `Domain.legs_inside` call per block, so a quotient of any size
+replays in bounded memory.  `replay_merge_record` is the one-record case.
+Since merging is certificate-backed only, component counts of the class
+graph are upper bounds on the true quotient's.
 """
 
 from __future__ import annotations
@@ -47,8 +50,9 @@ from .algebra import Octonion, row_norms, tau_rows
 from .diffops import OctField
 from .domains import Domain
 from .errors import DomainError, EmptySampleError, IntegrityError
-from .liftings import _coupled_check, _even_times, _liftings_inside
+from .liftings import _END_TOL, _PIECES, _cut_liftings, _even_times, _piece_rows
 from .report import Report
+from . import sampling
 from .sampling import SamplePlan, SlicePairGrid, arc_legs, components, near_antipodal
 from .stems import StemVector, gamma_stem_rows
 
@@ -60,6 +64,8 @@ _HOP_RADIUS = 4
 # Columns whose spanning forests `merge_records` builds at once; it bounds
 # the forest's temporaries to a block's edges.
 _FOREST_BLOCK = 16
+# Sample times per lifting of a replay, as in `ccl_verify`.
+_REPLAY_SAMPLES = 2048
 
 
 @dataclass(frozen=True)
@@ -408,8 +414,9 @@ def quotient_stem(f: OctField, q: QuotientSample, class_id: int) -> StemVector:
 def class_at(q: QuotientSample, x: Octonion) -> int:
     """Class index of a point whose projection lies on the sampled grid.
 
-    The unit need not be in the pool: it is attached to the nearest member
-    unit through a fully probed arc, which is itself a certified merge.
+    The point must lie in the domain.  Its unit need not be in the pool: it
+    is attached to the nearest member unit through a fully probed arc,
+    which is itself a certified merge.
     """
     a, b = x.re, x.im_norm
     ia = int(np.argmin(np.abs(q.alphas - a)))
@@ -419,6 +426,9 @@ def class_at(q: QuotientSample, x: Octonion) -> int:
     col = (ia, ib)
     if col not in q.members:
         raise DomainError("no sampled class at the point's column")
+    # the attachment arc's rows are its interior chord points only
+    if not q.domain.contains(x):
+        raise DomainError("the point lies outside the domain")
     lab = q.labels[col]
     if b <= 1e-9:
         return int(lab[np.where(q.members[col])[0][0]])
@@ -442,34 +452,112 @@ def class_at(q: QuotientSample, x: Octonion) -> int:
 
 
 def replay_merge_record(q: QuotientSample, record: tuple) -> bool:
-    """Re-verify one merge record's certificate from scratch, as the legs it stands for.
+    """`replay_merge_records` of one record."""
+    return bool(replay_merge_records(q, [record])[0])
+
+
+def replay_merge_records(q: QuotientSample, records) -> np.ndarray:
+    """Re-verify merge records' certificates from scratch, as the legs they stand for, as bool[n].
 
     An arc record is its coupled lifting at |beta|, the constant one and the
     arc, checked like `ccl_verify`; a real record is the real point every
     lifting at its column equals; a ride record is its units' two z legs,
-    and the source column must still merge the pair.
+    and the source column must still merge the pair.  Every record's kind
+    is checked before any work.  The records of one kind are checked
+    together: the real points in one `contains_batch` call, the liftings
+    of the arcs and of the rides each in blocks (`_liftings_inside_blocks`).
     """
-    if record[0] not in ("arc", "real", "ride"):
-        raise DomainError(f"unknown merge record kind {record[0]!r}")
-    kind, col, i, j = record[:4]
-    z = q.z_of(col)
-    if kind == "real":
-        return q.domain.contains(Octonion.from_real_imag(z.real, np.zeros(7)))
+    kinds = [r[0] for r in records]
+    known = tuple(_REPLAYS)
+    unknown = [kind for kind in kinds if kind not in known]
+    if unknown:
+        raise DomainError(f"unknown merge record kind {unknown[0]!r}")
+    flags = np.zeros(len(records), dtype=bool)
+    for kind, replay in _REPLAYS.items():
+        ids = [n for n, k in enumerate(kinds) if k == kind]
+        if ids:
+            recs = [records[n] for n in ids]
+            cols = np.array([r[1] for r in recs], dtype=np.intp)
+            pairs = np.array([r[2:4] for r in recs], dtype=np.intp)
+            flags[ids] = replay(q, _z_at(q, cols), pairs, recs)
+    return flags
+
+
+def _z_at(q: QuotientSample, cols: np.ndarray) -> np.ndarray:
+    """`q.z_of` of the columns (m, 2), as complex[m]."""
+    z = np.empty(len(cols), dtype=complex)
+    z.real = q.alphas[cols[:, 0]]
+    z.imag = q.betas[cols[:, 1]]
+    return z
+
+
+def _replay_real(q: QuotientSample, z: np.ndarray, pairs, records) -> np.ndarray:
+    return q.domain.contains_batch(tau_rows(z.real, 0.0, np.zeros(7)))
+
+
+def _replay_arcs(q: QuotientSample, z: np.ndarray, pairs: np.ndarray, records) -> np.ndarray:
     # an arc below the axis is lifted at |beta| with the units flipped, and
     # a unit path normalises its vertices
-    flip = -1.0 if kind == "arc" and z.imag < 0 else 1.0
-    units = flip * q.units[[i, j]]
-    units /= row_norms(units)[:, None]
-    # the vertex times of every two-vertex path
-    times = _even_times(2)
-    if kind == "arc":
-        zz = complex(z.real, abs(z.imag))
-        paths = [(times, units[[0, 0]]), (times, units)]
-        x, xp = tau_rows(z.real, z.imag, q.units[[i, j]])
-        return _coupled_check(q.domain, (times, np.array([zz, zz])), paths, x, xp, 2048)[0]
-    source = record[4]
-    if q.labels[source][i] != q.labels[source][j] or q.labels[source][i] < 0:
-        return False
-    base = (times, np.array([q.z_of(source), z]))
-    inside, _ = _liftings_inside(q.domain, base, [(times, units[[k, k]]) for k in (0, 1)], 2048)
-    return bool(inside.all())
+    ends_at = q.units[pairs]
+    units = np.where(z.imag < 0, -1.0, 1.0)[:, None, None] * ends_at
+    units /= row_norms(units)[..., None]
+    # each record's constant lifting, then its arc, over the still base at |beta|
+    verts = units[:, _ARC_LIFTINGS].reshape(-1, 2, 7)
+    base = np.repeat(z, 2)
+    base.imag = np.abs(base.imag)
+    inside, ends = _liftings_inside_blocks(q.domain, base, base, verts)
+    ends = ends.reshape(len(z), 2, 2, 8)
+    # the common start, and each lifting's end at its unit's point
+    x = tau_rows(z.real[:, None], z.imag[:, None], ends_at)
+    gaps = row_norms(np.concatenate([ends[:, :1, 0] - ends[:, 1:, 0], ends[:, :, 1] - x], axis=1))
+    return np.concatenate([gaps <= _END_TOL, inside.reshape(-1, 2)], axis=1).all(axis=1)
+
+
+def _replay_rides(q: QuotientSample, z: np.ndarray, pairs: np.ndarray, records) -> np.ndarray:
+    sources = np.array([r[4] for r in records], dtype=np.intp)
+    # the labels of the distinct source columns, one row each
+    cols, slot = np.unique(sources, axis=0, return_inverse=True)
+    labels = np.stack([q.labels[col] for col in map(tuple, cols.tolist())])[slot.reshape(-1, 1), pairs]
+    flags = (labels[:, 0] == labels[:, 1]) & (labels[:, 0] >= 0)
+    if flags.any():
+        units = q.units[pairs[flags]]
+        units /= row_norms(units)[..., None]
+        # each unit's z leg from the source column, a lifting with a fixed unit
+        verts = np.repeat(units[:, :, None], 2, axis=2).reshape(-1, 2, 7)
+        source = _z_at(q, sources[flags])
+        inside, _ = _liftings_inside_blocks(q.domain, np.repeat(source, 2), np.repeat(z[flags], 2), verts)
+        flags[flags] = inside.reshape(-1, 2).all(axis=1)
+    return flags
+
+
+# The unit vertices of an arc record's two liftings: the constant one, then the arc.
+_ARC_LIFTINGS = np.array([[0, 0], [0, 1]])
+_REPLAYS = {"arc": _replay_arcs, "real": _replay_real, "ride": _replay_rides}
+
+
+def _liftings_inside_blocks(domain: Domain, z0: np.ndarray, z1: np.ndarray, verts: np.ndarray) -> tuple:
+    """Whether each lifting over a two-vertex base stays inside at `_REPLAY_SAMPLES` times, and its rows at t = 0, 1.
+
+    Lifting k runs from z0[k] to z1[k] with the two-vertex unit path
+    verts[k], as `_cut_liftings` takes them.  Its pieces are decided in
+    blocks of at most `sampling._GRID_ROWS` sample rows, one
+    `Domain.legs_inside` call each; a block may straddle liftings, and its
+    legs are built for its own liftings only.
+    """
+    n = len(verts) * _PIECES
+    size = max(1, sampling._GRID_ROWS // _piece_rows(_REPLAY_SAMPLES))
+    inside = np.empty(n, dtype=bool)
+    ends = np.empty((len(verts), 2, 8))
+    for g0 in range(0, n, size):
+        g1 = min(g0 + size, n)
+        l0, l1 = g0 // _PIECES, -(-g1 // _PIECES)
+        knots, sag, rows = _cut_liftings(z0[l0:l1], z1[l0:l1], _even_times(2), verts[l0:l1])
+        ends[l0:l1, 0], ends[l0:l1, 1] = knots[:, 0], knots[:, -1]
+        lo, hi = g0 - l0 * _PIECES, g1 - l0 * _PIECES
+        inside[g0:g1] = domain.legs_inside(
+            knots[:, :-1].reshape(-1, 8)[lo:hi],
+            knots[:, 1:].reshape(-1, 8)[lo:hi],
+            sag[lo:hi],
+            lambda ids, lo=lo: rows(ids + lo, _REPLAY_SAMPLES),
+        )
+    return inside.reshape(-1, _PIECES).all(axis=1), ends

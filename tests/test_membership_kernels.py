@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.spatial import cKDTree
 
-from octoslice.algebra import Octonion, UnitImaginary, row_dot, row_norms
+from octoslice.algebra import _SMALL_NORMS, Octonion, UnitImaginary, row_dot, row_norms
 from octoslice.diffops import FD_STEP, stencil_safe
 from octoslice.domains import (
     _BALL_BLOCK,
@@ -131,6 +131,18 @@ def test_row_norms_equals_linalg_norm_on_stacks_and_views(x):
     with np.errstate(all="ignore"):
         assert same(row_norms(x), ref_row_norms(x))
         assert same(row_norms(x[..., 1:]), ref_row_norms(x[..., 1:]))
+
+
+@pytest.mark.parametrize("width", [7, 8])
+def test_row_norms_equals_linalg_norm_around_the_small_array_size(width):
+    # at most `_SMALL_NORMS` entries take one reduce, more the column sums
+    rng = np.random.default_rng(width)
+    for rows in (1, 2, _SMALL_NORMS // width, _SMALL_NORMS // width + 1, 3 * _SMALL_NORMS // width):
+        x = rng.normal(size=(rows, width)) * np.exp(3.0 * rng.normal(size=(rows, width)))
+        x[::13] = rng.choice(SPECIALS, size=x[::13].shape)
+        with np.errstate(all="ignore"):
+            assert same(row_norms(x), ref_row_norms(x))
+            assert same(row_norms(x[None]), ref_row_norms(x[None]))
 
 
 def test_row_norms_on_scaled_random_rows_and_specials():
@@ -555,6 +567,10 @@ def leg_case(kind, rng, scale, turn, at=None):
                 got = class_at(attach_quotient(domain, z, v), x)
             except DomainError:
                 got = None
+            if not member(x.coeffs[None])[0]:
+                # a point outside the domain is refused before any arc is tried
+                assert got is None and not calls
+                return np.empty((0, 8)), np.zeros(0, dtype=bool)
             rows, skip = checked_rows(calls, member, None if want is None else [want])
             assert (got == 0) == (want is not None and member(want).all())
             if turn > math.pi / 2:

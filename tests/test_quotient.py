@@ -132,6 +132,33 @@ def test_projection_and_class_lookup():
         class_at(q, Octonion.from_real_imag(0.123456, 0.5 * I1.vec))
 
 
+def test_class_at_refuses_points_outside_the_domain():
+    ball = Ball(0.8 * E[1], 1.0)
+    q = build_quotient(ball, SamplePlan(seed=0, pool_max=150, quotient_step_factor=0.1))
+    rng = np.random.default_rng(0)
+    cols = [col for col, mem in q.members.items() if mem.any() and q.betas[col[1]] > 0.0]
+    outside = inside = 0
+    for _ in range(1500):
+        col = cols[int(rng.integers(len(cols)))]
+        u = np.zeros(7)
+        u[:3] = rng.normal(size=3)
+        x = tau(UnitImaginary(u / np.linalg.norm(u)), q.z_of(col))
+        if ball.contains(x):
+            inside += 1
+            continue
+        outside += 1
+        with pytest.raises(DomainError, match="outside the domain"):
+            class_at(q, x)
+    assert outside > 500 and inside > 200
+    # a real column's point, once the domain no longer holds it
+    col = next(col for col in q.members if q.betas[col[1]] == 0.0)
+    real = Octonion.from_real_imag(q.z_of(col).real, np.zeros(7))
+    assert project_p(q, class_at(q, real)) == q.z_of(col)
+    shrunk = QuotientSample(**{**q.__dict__, "domain": Ball(0.8 * E[1], 0.5)})
+    with pytest.raises(DomainError, match="outside the domain"):
+        class_at(shrunk, real)
+
+
 def test_quotient_stems_on_golden_fields():
     qb = real_ball_quotient()
     ident = get_field("identity").field

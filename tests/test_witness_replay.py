@@ -1,6 +1,6 @@
 """Witness checks, replays and grid masks must give the verdicts of the all-rows checks.
 
-`ccl_verify`, `lift_in_domain`, `replay_merge_record` and the grid masks
+`ccl_verify`, `lift_in_domain`, `replay_merge_records` and the grid masks
 decide their legs with `Domain.legs_inside`, which tests only the rows of
 legs that no ball certifies.  The references below are the straightforward
 bodies: each lifting evaluated on its own, on `union1d(base times,
@@ -22,7 +22,8 @@ from octoslice.algebra import Octonion, UnitImaginary, tau
 from octoslice.domains import Ball, BallChain, BallUnion, PredicateDomain, SlabCone
 from octoslice.errors import DomainError
 from octoslice.liftings import CoupledLifting, PolyPathC, PolyPathS, ccl_search, ccl_verify, lift_in_domain
-from octoslice.quotient import build_quotient, class_at, replay_merge_record
+from octoslice.liftings import _PIECES, _piece_rows
+from octoslice.quotient import _REPLAY_SAMPLES, build_quotient, class_at, replay_merge_record, replay_merge_records
 from octoslice.sampling import _LEG_TIMES, SamplePlan, SlicePairGrid
 
 E = [Octonion.basis(k) for k in range(8)]
@@ -167,9 +168,13 @@ def test_replays_match_two_call_reference(name, monkeypatch):
         return out
 
     monkeypatch.setattr(domain, "deep_legs", deep_legs, raising=False)
-    got = [replay_merge_record(q, r) for r in records]
+    flags = replay_merge_records(q, records)
     monkeypatch.undo()
-    # the witness-based replay, with the all-rows checks and with the package's
+    got = flags.tolist()
+    assert flags.dtype == bool and flags.shape == (len(records),)
+    # the one-record wrapper, the witness-based replay with the all-rows
+    # checks, and with the package's
+    assert got == [replay_merge_record(q, r) for r in records]
     assert got == [_reference_replay(q, r) for r in records]
     assert got == [_reference_replay(q, r, ccl_verify, lift_in_domain) for r in records]
     assert (len(got), got.count(False)) == (count, failing)
@@ -187,7 +192,7 @@ def test_real_records_replay_as_their_real_point():
     q = build_quotient(*GRIDS["real-ball"])
     real = [r for r in q.merge_records if r[0] == "real"]
     assert len(real) > 100
-    got = [replay_merge_record(q, r) for r in real]
+    got = replay_merge_records(q, real).tolist()
     assert all(got) and got == [_reference_replay(q, r) for r in real]
     outside = ("real", (0, real[0][1][1]), *real[0][2:])
     assert not replay_merge_record(q, outside) and not _reference_replay(q, outside)
@@ -199,7 +204,139 @@ def test_every_record_of_the_chain_quotient_replays():
     chain = BallChain(UnitImaginary.basis(1), UnitImaginary.basis(2))
     q = build_quotient(chain, SamplePlan(seed=20260819 + 9, quotient_z_step=0.1, pool_sep=0.05))
     assert len(q.merge_records) == 8297
-    assert all(replay_merge_record(q, r) for r in q.merge_records)
+    assert replay_merge_records(q, q.merge_records).all()
+
+
+# name: (domain, plan, records, records that fail); criterion 9's far and
+# real-centred balls at the default seed, and the bridged union
+EVERY_RECORD = {
+    "far-ball": (Ball(2.0 * E[1] + 2.0 * E[2], 0.3), SamplePlan(seed=20260819 + 9), 634, 0),
+    "bridged-union": (_bridged_union(), SamplePlan(seed=1), 1164, 19),
+    # ROADMAP item 1's known defect: every failure sits on a column with
+    # |z| = 1 up to rounding; pinned, not tuned away
+    "real-ball": (Ball(Octonion.zero(), 1.0), SamplePlan(seed=20260819 + 9), 52953, 446),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVERY_RECORD))
+def test_every_record_replays_in_one_batched_call(name):
+    domain, plan, count, failing = EVERY_RECORD[name]
+    q = build_quotient(domain, plan)
+    flags = replay_merge_records(q, q.merge_records)
+    assert (len(flags), int((~flags).sum())) == (count, failing)
+
+
+def _mixed_records(q, rng, per_kind=40):
+    """Up to `per_kind` records of each kind, shuffled together."""
+    picked = []
+    for kind in ("arc", "real", "ride"):
+        pool = [r for r in q.merge_records if r[0] == kind]
+        picked += [pool[k] for k in rng.choice(len(pool), size=min(per_kind, len(pool)), replace=False)]
+    return [picked[k] for k in rng.permutation(len(picked))]
+
+
+def test_replays_of_mixed_and_shuffled_batches_keep_input_order():
+    # the real-ball grid has all three kinds, and its rides all fail
+    q = build_quotient(*GRIDS["real-ball"])
+    rng = np.random.default_rng(11)
+    records = _mixed_records(q, rng)
+    assert {r[0] for r in records} == {"arc", "real", "ride"}
+    flags = replay_merge_records(q, records)
+    assert flags.tolist() == [_reference_replay(q, r) for r in records]
+    assert flags.any() and not flags.all()
+    order = rng.permutation(len(records))
+    assert np.array_equal(replay_merge_records(q, [records[k] for k in order]), flags[order])
+    assert replay_merge_records(q, records + records).tolist() == 2 * flags.tolist()
+
+
+def test_replay_of_no_records_is_an_empty_bool_array():
+    q = build_quotient(*GRIDS["far-ball"])
+    flags = replay_merge_records(q, [])
+    assert flags.shape == (0,) and flags.dtype == bool
+
+
+class _CountingUnion(BallUnion):
+    """A ball union that counts its `legs_inside` and `contains_batch` calls."""
+
+    def __init__(self, balls):
+        super().__init__(balls)
+        self.legs, self.rows = [], []
+
+    def contains_batch(self, pts):
+        self.rows.append(len(pts))
+        return super().contains_batch(pts)
+
+    def legs_inside(self, p0, p1, sag, rows):
+        self.legs.append(len(p0))
+        return super().legs_inside(p0, p1, sag, rows)
+
+
+def test_unknown_record_kind_raises_before_any_leg_is_checked():
+    union = _CountingUnion(_bridged_union().balls)
+    q = build_quotient(union, SamplePlan(seed=1))
+    union.legs.clear()
+    union.rows.clear()
+    records = q.merge_records[:5] + [("cap", *q.merge_records[0][1:])] + q.merge_records[5:10]
+    with pytest.raises(DomainError, match="'cap'"):
+        replay_merge_records(q, records)
+    with pytest.raises(DomainError, match="'cap'"):
+        replay_merge_record(q, ("cap", *q.merge_records[0][1:]))
+    assert union.legs == [] and union.rows == []
+
+
+def test_replays_decide_their_pieces_in_blocks_of_bounded_rows(monkeypatch):
+    union = _CountingUnion(_bridged_union().balls)
+    q = build_quotient(union, SamplePlan(seed=1))
+    union.legs.clear()
+    flags = replay_merge_records(q, q.merge_records)
+    assert int((~flags).sum()) == 19
+    # two liftings of 16 pieces per record, each kind in blocks of at most
+    # `_GRID_ROWS` sample rows; every ride's source column still merges its
+    # pair, so no ride is left out
+    def blocks(records, size):
+        kinds = [r[0] for r in records]
+        return sum(-(-kinds.count(kind) * 2 * _PIECES // size) for kind in ("arc", "ride"))
+
+    size = sampling._GRID_ROWS // _piece_rows(_REPLAY_SAMPLES)
+    assert len(union.legs) == blocks(q.merge_records, size) < len(q.merge_records) / 10
+    assert max(union.legs) <= size and union.rows
+    # blocks of five pieces straddle liftings and records, and change no flag
+    some = q.merge_records[::7] + [r for r, ok in zip(q.merge_records, flags) if not ok]
+    want = replay_merge_records(q, some)
+    union.legs.clear()
+    monkeypatch.setattr(sampling, "_GRID_ROWS", 5 * _piece_rows(_REPLAY_SAMPLES))
+    assert np.array_equal(replay_merge_records(q, some), want)
+    assert len(union.legs) == blocks(some, 5) and max(union.legs) == 5
+    assert sum(union.legs) == len(some) * 2 * _PIECES
+
+
+def test_replay_rows_equal_the_liftings_rows_to_the_bit(monkeypatch):
+    # on the boundary column no piece is certified, so every row is tested;
+    # small blocks split the liftings between calls
+    domain, plan, select, _, _ = REPLAYS["ball-boundary-column"]
+    q = build_quotient(domain, plan)
+    records = select(q)[:6]
+    seen = []
+
+    def contains_batch(pts):
+        seen.append(pts.copy())
+        return type(domain).contains_batch(domain, pts)
+
+    monkeypatch.setattr(domain, "contains_batch", contains_batch, raising=False)
+    monkeypatch.setattr(sampling, "_GRID_ROWS", 7 * _piece_rows(_REPLAY_SAMPLES))
+    replay_merge_records(q, records)
+    monkeypatch.undo()
+    ts = np.linspace(0.0, 1.0, _REPLAY_SAMPLES)
+    want = []
+    for _, col, i, j, _ in records:
+        z = q.z_of(col)
+        sgn = -1.0 if z.imag < 0 else 1.0
+        base = PolyPathC([complex(z.real, abs(z.imag))] * 2)
+        for units in ([i, i], [i, j]):
+            lifting = CoupledLifting(base, PolyPathS(sgn * q.units[units]), PolyPathS(sgn * q.units[units]))
+            want.append(lifting.lifting(1).eval_many(ts))
+    got, want = np.concatenate(seen), np.concatenate(want)
+    assert got.tobytes() == want.tobytes()
 
 
 def _ball(real, im, radius):
