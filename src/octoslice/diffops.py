@@ -59,7 +59,7 @@ from .algebra import (
 from .domains import Domain
 from .errors import DomainError, EmptySampleError
 from .report import Report
-from .sampling import SamplePlan, components, sample_units, unit_graph_edges
+from .sampling import SamplePlan, cell_components, sample_units
 
 DERIVATION_PAIRS = tuple((m, n) for m in range(1, 8) for n in range(m + 1, 8))
 
@@ -277,46 +277,59 @@ def sliceness_check(
     On each nonempty sampled slice sphere, both f - Gamma f / 6 and
     Im(x)^{-1} Gamma f must be constant per connected component; the report's
     residual is the worst per-component spread of either quantity.
+
+    The cells take their components from `sampling.cell_components`: one
+    proximity graph over the sampled units for the whole scan, its
+    subgraph induced by each cell's members labelled in blocks of cells.
+    A cell's edges equal those of a graph over its members alone, save a
+    pair within rounding of the link chord.  Each cell then evaluates the
+    units it takes from all its components in one batch (one
+    `stencil_safe`, one Gamma); every kernel decides row by row, so the
+    report is that of one batch per component.
     """
     plan = plan or SamplePlan()
     a_values, b_values = plan.scan_grid()
     units = sample_units(plan.sphere_samples, plan.rng())
+    cells = [(a, b) for a in a_values for b in b_values if b >= plan.min_im]
+    min_members = max(2, plan.component_detect_min)
     worst = 0.0
     worst_point = None
     spreads = []
     n_samples = 0
-    for a in a_values:
-        for b in b_values:
-            if b < plan.min_im:
-                continue
-            members = units[domain.contains_batch(tau_rows(a, b, units))]
-            if len(members) < max(2, plan.component_detect_min):
-                continue
-            count, labels = components(len(members), unit_graph_edges(members, plan.link_angle))
-            # member indices of each component, smallest-member component first
-            order = np.argsort(labels, kind="stable")
-            for idx in np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1]):
-                if len(idx) < 2:
-                    continue
-                take = members[idx[:: max(1, len(idx) // plan.residual_unit_samples)]]
-                # slice points of the renormalised units; `np.sqrt(row_dot(x, x))` is the
-                # 1-D `np.linalg.norm` of `UnitImaginary.from_vector` and `Octonion.norm`
-                xs = tau_rows(a, b, take / np.sqrt(row_dot(take, take))[:, None])
-                xs = xs[stencil_safe(domain, xs, FD_STEP * (1.0 + np.sqrt(row_dot(xs, xs))))]
-                if len(xs) < 2:
-                    continue
-                n_samples += len(xs)
-                gamma = gamma_batch(f, xs, use_closed)
-                vals1 = f.evaluate_many(xs) - gamma / 6.0
-                vals2 = mul_batch(imag_inverse(xs), gamma)
-                for vals in (vals1, vals2):
-                    diffs = np.linalg.norm(vals[:, None, :] - vals[None, :, :], axis=2)
-                    spread = float(diffs.max())
-                    spreads.append(spread)
-                    if spread > worst:
-                        worst = spread
-                        far = np.unravel_index(int(diffs.argmax()), diffs.shape)
-                        worst_point = xs[far[0]]
+    for a, b, members, labels in cell_components(domain, units, cells, plan.link_angle, min_members):
+        # member indices of each component, smallest-member component first
+        order = np.argsort(labels, kind="stable")
+        parts = np.split(order, np.cumsum(np.bincount(labels))[:-1])
+        take = [idx[:: max(1, len(idx) // plan.residual_unit_samples)] for idx in parts if len(idx) >= 2]
+        if not take:
+            continue
+        picked = units[members[np.concatenate(take)]]
+        # slice points of the renormalised units; `np.sqrt(row_dot(x, x))` is the
+        # 1-D `np.linalg.norm` of `UnitImaginary.from_vector` and `Octonion.norm`
+        xs = tau_rows(a, b, picked / np.sqrt(row_dot(picked, picked))[:, None])
+        safe = stencil_safe(domain, xs, FD_STEP * (1.0 + np.sqrt(row_dot(xs, xs))))
+        # components with fewer than 2 safe rows resolve nothing
+        comp = np.repeat(np.arange(len(take)), [len(idx) for idx in take])
+        safe_counts = np.bincount(comp[safe], minlength=len(take))
+        resolved = safe_counts >= 2
+        keep = safe & resolved[comp]
+        if not keep.any():
+            continue
+        xs = xs[keep]
+        n_samples += len(xs)
+        gamma = gamma_batch(f, xs, use_closed)
+        vals1 = f.evaluate_many(xs) - gamma / 6.0
+        vals2 = mul_batch(imag_inverse(xs), gamma)
+        bounds = np.cumsum(safe_counts[resolved])[:-1]
+        for pts, v1, v2 in zip(np.split(xs, bounds), np.split(vals1, bounds), np.split(vals2, bounds)):
+            for vals in (v1, v2):
+                diffs = np.linalg.norm(vals[:, None, :] - vals[None, :, :], axis=2)
+                spread = float(diffs.max())
+                spreads.append(spread)
+                if spread > worst:
+                    worst = spread
+                    far = np.unravel_index(int(diffs.argmax()), diffs.shape)
+                    worst_point = pts[far[0]]
     if n_samples == 0:
         raise EmptySampleError("no resolvable slice spheres in the sampling grid")
     return Report(

@@ -117,6 +117,7 @@ s = 2^-30 (M + 1):
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -127,6 +128,7 @@ from .errors import DomainError, PreconditionError
 from .report import Report
 from .sampling import (
     SamplePlan,
+    cell_components,
     components,
     in_subsphere,
     json_count,
@@ -315,8 +317,13 @@ def balls_contain(pts: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> np
     return out
 
 
+def ball_slack(centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """The balls' terms 2^-30 (|c| + r) + 2^-1000 of the slack of `balls_hold_legs`."""
+    return (row_norms(centers) + radii) * _LEG_SLACK + _BAND_ABS
+
+
 def balls_hold_legs(
-    p0: np.ndarray, p1: np.ndarray, sag, centers: np.ndarray, radii: np.ndarray
+    p0: np.ndarray, p1: np.ndarray, sag, centers: np.ndarray, radii: np.ndarray, slack: np.ndarray
 ) -> np.ndarray:
     """Whether one open ball holds each leg with room to spare.
 
@@ -324,20 +331,21 @@ def balls_hold_legs(
     is certified when some ball has max(d0, d1) + sag + slack < r, with d0
     and d1 the `row_norms(p - c)` of its ends and slack
     2^-30 (max(|p0|, |p1|) + |c| + r) + 2^-1000; a NaN anywhere certifies
-    nothing.  The module docstring proves that every sample row of a
-    certified leg passes the per-ball test of that ball.
+    nothing.  `slack` holds each ball's part of it, `ball_slack(centers,
+    radii)`, which a domain computes once, on its first leg check.  The module docstring proves
+    that every sample row of a certified leg passes the per-ball test of
+    that ball.
     """
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
     sag = _leg_sags(sag)
     out = np.empty(len(p0), dtype=bool)
-    reach0 = (row_norms(centers) + radii)[:, None] * _LEG_SLACK + _BAND_ABS
     step = max(1, _LEG_CELLS // len(centers))
     for start in range(0, len(p0), step):
         block = slice(start, start + step)
         # one row per ball
         reach = _leg_reach(p0[block], p1[block], sag[block] if sag.ndim else sag, centers[:, None, :])
-        reach += reach0
+        reach += slack[:, None]
         out[block] = (reach < radii[:, None]).any(axis=0)
     return out
 
@@ -381,11 +389,16 @@ class Ball(Domain):
         self._centers = center.coeffs[None, :]
         self._radii = np.array([self.radius])
 
+    @cached_property
+    def _slack(self) -> np.ndarray:
+        # on the first leg check: a domain built for a query may check none
+        return ball_slack(self._centers, self._radii)
+
     def contains_batch(self, pts: np.ndarray) -> np.ndarray:
         return balls_contain(pts, self._centers, self._radii)
 
     def deep_legs(self, p0: np.ndarray, p1: np.ndarray, sag) -> np.ndarray:
-        return balls_hold_legs(p0, p1, sag, self._centers, self._radii)
+        return balls_hold_legs(p0, p1, sag, self._centers, self._radii, self._slack)
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         c = self.center.coeffs
@@ -431,11 +444,16 @@ class BallUnion(Domain):
         self._centers = np.stack([b.center.coeffs for b in self.balls])
         self._radii = np.array([b.radius for b in self.balls])
 
+    @cached_property
+    def _slack(self) -> np.ndarray:
+        # on the first leg check: a domain built for a query may check none
+        return ball_slack(self._centers, self._radii)
+
     def contains_batch(self, pts: np.ndarray) -> np.ndarray:
         return balls_contain(pts, self._centers, self._radii)
 
     def deep_legs(self, p0: np.ndarray, p1: np.ndarray, sag) -> np.ndarray:
-        return balls_hold_legs(p0, p1, sag, self._centers, self._radii)
+        return balls_hold_legs(p0, p1, sag, self._centers, self._radii, self._slack)
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         los, his = zip(*(b.bounding_box() for b in self.balls))
@@ -577,6 +595,11 @@ class BallChain(Domain):
         self.centers = self._centers(self.thetas)
         self._tree = cKDTree(self.centers)
 
+    @cached_property
+    def _slack(self) -> np.ndarray:
+        # on the first leg check: it costs a third of building the chain
+        return ball_slack(self.centers, self.RADIUS)
+
     def _centers(self, thetas: np.ndarray) -> np.ndarray:
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
         phi = np.outer(np.cos(thetas / 2.0), self.i.vec) + np.outer(
@@ -617,9 +640,10 @@ class BallChain(Domain):
         with np.errstate(invalid="ignore", over="ignore"):
             _, idx = self._nearest(0.5 * p0 + 0.5 * p1)
             # a midpoint too far for a finite distance comes back past the last centre
-            c = self.centers[np.minimum(idx, len(self.centers) - 1)]
+            idx = np.minimum(idx, len(self.centers) - 1)
+            c = self.centers[idx]
             reach = _leg_reach(p0, p1, _leg_sags(sag), np.concatenate([c, c]))
-        reach += (row_norms(c) + self.RADIUS) * _LEG_SLACK + _BAND_ABS
+        reach += self._slack[idx]
         return reach < self.RADIUS
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
@@ -713,12 +737,6 @@ def same_component(
     return "unknown"
 
 
-def _component_count(units: np.ndarray, link_angle: float, detect_min: int) -> int:
-    """Components of the unit proximity graph, ignoring undersampled ones."""
-    count, labels = components(len(units), unit_graph_edges(units, link_angle))
-    return int(np.count_nonzero(np.bincount(labels, minlength=count) >= detect_min))
-
-
 def circularly_connected_scan(
     domain: Domain,
     plan: Optional[SamplePlan] = None,
@@ -728,33 +746,33 @@ def circularly_connected_scan(
     Scans an (a, b) grid, counts proximity-graph components of the sampled
     members of each nonempty slice sphere, and passes iff every evaluated
     cell has exactly one detected component.  Cells with fewer than
-    component_detect_min members are skipped as unresolved.
+    component_detect_min members are skipped as unresolved, and so are
+    components with fewer members.  The components come from
+    `sampling.cell_components`: one graph over the sampled units for the
+    whole scan, its subgraph induced by each cell's members labelled in
+    blocks of cells.  A cell's edges equal those of a graph over its
+    members alone, save a pair within rounding of the link chord.
     """
     plan = plan or SamplePlan()
     a_values, b_values = plan.scan_grid()
     units = sample_units(plan.sphere_samples, plan.rng())
+    cells = [(a, b) for a in a_values for b in b_values]
     counts = []
     worst = None
     worst_count = 0
-    evaluated = 0
-    for a in a_values:
-        for b in b_values:
-            members = units[domain.contains_batch(tau_rows(a, b, units))]
-            if len(members) < plan.component_detect_min:
-                continue
-            evaluated += 1
-            count = _component_count(members, plan.link_angle, plan.component_detect_min)
-            count = max(count, 1)
-            counts.append(count)
-            if count > worst_count:
-                worst_count = count
-                worst = tau(UnitImaginary.from_vector(members[0]), complex(a, b))
+    detect_min = plan.component_detect_min
+    for a, b, members, labels in cell_components(domain, units, cells, plan.link_angle, detect_min):
+        count = max(int(np.count_nonzero(np.bincount(labels) >= detect_min)), 1)
+        counts.append(count)
+        if count > worst_count:
+            worst_count = count
+            worst = tau(UnitImaginary.from_vector(units[members[0]]), complex(a, b))
     if not counts:
         return Report("circular-connectivity", 0, 0.0, 0.0, 1.0, False, None)
     max_count = max(counts)
     return Report(
         op="circular-connectivity",
-        samples=evaluated,
+        samples=len(counts),
         max_residual=float(max_count),
         mean_residual=float(np.mean(counts)),
         tolerance=1.0,

@@ -45,6 +45,9 @@ _ARC_FRACS = np.linspace(0.0, 1.0, 25)[1:-1]
 # Rows per `contains_batch` call of the grid masks, and probe rows per
 # `legs_inside` call: an arc leg has `_ARC_FRACS`' 23, a z leg `_LEG_TIMES`' 5.
 _GRID_ROWS = 1 << 16
+# Graph nodes per `components` call of `cell_components`: a block holds
+# whole cells of `len(units)` nodes each, and at least one.
+_SCAN_NODES = 1 << 13
 
 
 # The sampling sphere: the unit sphere of span(e1, e2, e3), the imaginary
@@ -74,8 +77,8 @@ def in_subsphere(u) -> bool:
 # allocation its count drives under about 0.5 GB at the default link angle
 # (tracemalloc peaks, or the arithmetic given); every default sits far below.
 _PLAN_COUNTS = {
-    # A slice sphere's proximity graph has about 0.0028 n^2 unit pairs:
-    # 50 000 samples peak at 0.29 GB in a slice check.
+    # A slice scan's proximity graph has about 0.0028 n^2 unit pairs:
+    # 50 000 samples peak at 0.35 GB in a slice check.
     "sphere_samples": 50_000,
     # A threshold on those samples that allocates nothing; past them it is never met.
     "component_detect_min": 50_000,
@@ -96,9 +99,11 @@ _PLAN_COUNTS = {
 }
 # Unit pairs of a slice sphere's proximity graph, estimated before any unit
 # is sampled as sphere_samples^2 sin^2(link_angle / 2) / 2 (the share of the
-# sphere within the link, for the uniform samples).  A pair costs about 41 B
-# at its peak in a slice check (0.29 GB for the 7.0 M pairs of 50 000 samples
-# at the default angle), so 10 M pairs stay near 0.41 GB.
+# sphere within the link, for the uniform samples).  A pair costs about 50 B
+# at its peak in a slice check (the graph's pairs and one cell's edges, both
+# int32, and the labeller's sparse matrices: 56 MB for the 1.1 M pairs of
+# 20 000 samples at the default angle, so 0.35 GB for the 7.0 M pairs of
+# 50 000), so 10 M pairs stay near 0.50 GB.
 MAX_GRAPH_PAIRS = 10_000_000
 # (a, b) cells of a slice scan.  A cell keeps at most one spread float per
 # sampled unit (two per component of two or more units), 32 B each in a
@@ -404,11 +409,14 @@ def components(n: int, edges) -> tuple[int, np.ndarray]:
 
     Returns (count, labels).  Labels follow each component's smallest node,
     so component 0 holds node 0 and labels first appear in increasing order.
-    Self-loops and repeated edges are allowed.
+    Self-loops and repeated edges are allowed.  Integer edges are used as
+    they are (int32 ones are not widened); others are cast to int64.
     """
     if n == 0:
         return 0, np.empty(0, dtype=np.int64)
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    edges = np.asarray(edges).reshape(-1, 2)
+    if edges.dtype.kind != "i":
+        edges = edges.astype(np.int64)
     graph = coo_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(n, n))
     count, raw = connected_components(graph, directed=False)
     # renumber by smallest node, whatever order the traversal used
@@ -416,6 +424,56 @@ def components(n: int, edges) -> tuple[int, np.ndarray]:
     rank = np.empty(count, dtype=np.int64)
     rank[np.argsort(first)] = np.arange(count)
     return int(count), rank[raw]
+
+
+def cell_components(domain, units: np.ndarray, cells, link_angle: float, min_members: int):
+    """The proximity-graph components of the sampled slice spheres of a scan.
+
+    For each (a, b) of `cells` in order, the members are the units I with
+    a + b I in the domain (one `contains_batch` per cell); a cell with
+    fewer than `min_members` is skipped.  Yields (a, b, members, labels)
+    for every other cell: the members' unit indices in increasing order,
+    and each member's component, numbered 0, 1, ... by smallest member.
+
+    Every cell samples the same units, so a cell's graph is the subgraph
+    of one graph over all of them, `unit_graph_edges(units, link_angle)`,
+    induced by its members; it is built once, when the first cell has
+    enough members.  The components of many cells come from one
+    `components` call: a block stacks whole cells as nodes cell * n + unit
+    (n = len(units)), at most `_SCAN_NODES` nodes or one cell, and each
+    component is labelled by its smallest node.  The induced subgraph is
+    the graph of `unit_graph_edges(units[members], link_angle)`, save a
+    pair whose distance lies within rounding of the link chord, which the
+    two cKDTrees may decide differently.
+    """
+    n = len(units)
+    per_block = max(1, _SCAN_NODES // max(n, 1))
+    pairs = None
+    block: list = []
+    for k, (a, b) in enumerate(cells):
+        mem = domain.contains_batch(tau_rows(a, b, units))
+        if np.count_nonzero(mem) >= min_members:
+            if pairs is None:
+                # int32 node ids: a block has at most max(_SCAN_NODES, n) nodes,
+                # and the labeller's sparse matrix keeps them without a copy
+                pairs = unit_graph_edges(units, link_angle).astype(np.int32)
+            block.append((a, b, mem))
+        if block and (len(block) == per_block or k == len(cells) - 1):
+            yield from _label_block(block, pairs, n)
+            block = []
+
+
+def _label_block(block: list, pairs: np.ndarray, n: int):
+    """The components of a block of cells, from one `components` call (see `cell_components`)."""
+    # the cells' edges as one array, their parts freed before labelling
+    edges = np.concatenate(
+        [pairs[mem[pairs[:, 0]] & mem[pairs[:, 1]]] + c * n for c, (_, _, mem) in enumerate(block)]
+    )
+    _, labels = components(len(block) * n, edges)
+    for c, (a, b, mem) in enumerate(block):
+        members = np.flatnonzero(mem)
+        _, local = np.unique(labels[c * n + members], return_inverse=True)
+        yield a, b, members, local
 
 
 class SlicePairGrid:

@@ -740,6 +740,20 @@ def test_deep_legs_certifies_deep_legs_and_nothing_unsure():
     assert anywhere.deep_legs(p0, p1, 0.0).tolist() == [False, False, False]
 
 
+def test_ball_domains_keep_the_leg_slack_of_each_ball_to_the_bit():
+    """The slack a domain computes once is the one its legs took per call, ball by ball."""
+    rng = np.random.default_rng(19)
+    ball = Ball(Octonion(rng.normal(size=8)), 1.5)
+    union = BallUnion([Ball(Octonion(c), r) for c, r in zip(3 * rng.normal(size=(5, 8)), rng.uniform(0.5, 2.0, 5))])
+    chain = BallChain(UnitImaginary.basis(1), UnitImaginary.basis(2))
+    cases = [(d._centers, d._radii, d._slack) for d in (ball, union)] + [
+        (chain.centers, np.full(len(chain.centers), chain.RADIUS), chain._slack)
+    ]
+    for centers, radii, slack in cases:
+        want = [(ref_row_norms(c) + r) * 2.0**-30 + 2.0**-1000 for c, r in zip(centers, radii)]
+        assert np.array_equal(slack, want)
+
+
 @pytest.mark.parametrize("kind", ["arc", "lifting-arc", "attach-arc"])
 def test_arcs_over_a_cap_larger_than_a_hemisphere(kind):
     """A sweep of ball margins from 0 to past the sag, around arcs that bow out of their ball.
