@@ -570,6 +570,14 @@ class SlabCone(Domain):
         return {"type": "slab_cone", "i0": self.i0.to_list(), "half_angle": self.half_angle}
 
 
+# Upper limit on `BallChain.theta_steps`.  A chain keeps about 90 B per step
+# (the thetas, the (n, 8) centres, the tree's indices and the leg slacks) and
+# peaks near 210 B per step while it builds them (tracemalloc peaks): about
+# 0.22 GB at the limit.  A larger grid is refused before anything is
+# allocated.
+MAX_THETA_STEPS = 1 << 20
+
+
 class BallChain(Domain):
     """Union over theta in [-pi, pi] of balls of radius 1/4 around
 
@@ -588,6 +596,8 @@ class BallChain(Domain):
             raise PreconditionError("ball chain needs orthogonal units i, j")
         if theta_steps < 16:
             raise PreconditionError("theta grid too coarse")
+        if theta_steps > MAX_THETA_STEPS:
+            raise PreconditionError(f"{theta_steps} theta steps are over the limit {MAX_THETA_STEPS}")
         self.i = i
         self.j = j
         self.theta_steps = int(theta_steps)

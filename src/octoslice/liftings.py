@@ -18,11 +18,16 @@ instead, never a fabricated verdict.
 `ccl_verify` re-checks a witness at `linspace(0, 1, resolution)` (2048
 times by default, cached read-only per resolution; a base with more than
 two vertices adds its vertex times), so it tests at most 2 x 2048 rows per
-witness, in one `contains_batch` call.  Lifting checks, unit paths and
-spokes decide their legs with `Domain.legs_inside` (`_cut_liftings` cuts
-liftings over two-vertex bases into 16 pieces each, for these checks and
-for the replays of `quotient`); certified legs are not evaluated, and the
-other rows keep the bits of a full evaluation.
+witness.  A lifting over a two-vertex base whose unit is fixed, or whose
+base is still and unit vertices sit at knots, is cut into 16 pieces
+(`_cut_liftings`).  One kernel, `_pieces_inside`, decides cut liftings for
+`ccl_verify`, `lift_in_domain`, the unit paths of the direct
+constructions and the merge-record replays of `quotient`: in blocks of
+bounded rows, one `Domain.legs_inside` call each, so certified pieces are
+not evaluated and the other rows keep the bits of a full evaluation.  Any
+other lifting has no certificate, and its rows go straight to
+`contains_batch`.  The spokes of a real anchor are z legs, decided with
+`legs_inside` too.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from .algebra import Octonion, UnitImaginary, row_norms, tau_rows, unit_imaginar
 from .diffops import OctField
 from .domains import Domain
 from .errors import DomainError, PreconditionError
+from . import sampling
 from .sampling import SamplePlan, SlicePairGrid, arc_sags, in_subsphere, json_reals, z_legs
 from .stems import StemVector, gamma_stem_rows
 
@@ -65,14 +71,6 @@ def _even_times(count: int) -> np.ndarray:
     times = np.linspace(0.0, 1.0, count)
     times.flags.writeable = False
     return times
-
-
-@functools.cache
-def _piece_of(count: int) -> np.ndarray:
-    """The piece between two `_KNOTS` that holds each of `_even_times(count)`."""
-    pieces = np.minimum((_even_times(count) * _PIECES).astype(np.intp), _PIECES - 1)
-    pieces.flags.writeable = False
-    return pieces
 
 
 def _path_times(times, count: int) -> np.ndarray:
@@ -426,8 +424,13 @@ def _sample_times(base_times: np.ndarray, resolution: int) -> np.ndarray:
 
 @functools.cache
 def _piece_bounds(count: int) -> np.ndarray:
-    """Where each piece's run of `_even_times(count)` starts, and `count` last, as (17,)."""
-    bounds = np.searchsorted(_piece_of(count), np.arange(_PIECES + 1))
+    """Where each piece's run of `_even_times(count)` starts, and `count` last, as (17,).
+
+    A time t lies in the piece between knots j and j + 1 for j = floor(16 t),
+    the last piece also holding t = 1.
+    """
+    pieces = np.minimum((_even_times(count) * _PIECES).astype(np.intp), _PIECES - 1)
+    bounds = np.searchsorted(pieces, np.arange(_PIECES + 1))
     bounds.flags.writeable = False
     return bounds
 
@@ -484,73 +487,84 @@ def _cut_liftings(z0, z1, times, vertices) -> tuple:
         path, piece = np.divmod(ids, _PIECES)
         bounds = _piece_bounds(count)
         sizes = bounds[piece + 1] - bounds[piece]
-        # each row's time, the pieces' runs one after another, and its
-        # lifting, gathered only when there are several
+        # each row's time, the pieces' runs one after another, and its lifting
         pos = np.arange(sizes.sum()) + np.repeat(bounds[piece] - (np.cumsum(sizes) - sizes), sizes)
         ts = _even_times(count)[pos]
-        if len(vertices) == 1:
-            zs, units = _segment_at(z0, z1, ts), _units_at(times, vertices[0], ts)
-        else:
-            which = np.repeat(path, sizes)
-            zs, units = _segment_at(z0[which], z1[which], ts), _units_at(times, vertices, ts, which)
-        return tau_rows(zs.real, zs.imag, units), sizes
+        which = np.repeat(path, sizes)
+        zs = _segment_at(z0[which], z1[which], ts)
+        return tau_rows(zs.real, zs.imag, _units_at(times, vertices, ts, which)), sizes
 
     return knots, sag.reshape(-1), rows
+
+
+def _pieces_inside(domain: Domain, z0, z1, times, verts, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each cut lifting stays inside at `_even_times(count)`, and its rows at t = 0, 1.
+
+    Lifting k runs from z0[k] to z1[k] with the unit path (times,
+    verts[k]), as `_cut_liftings` takes them.  Its pieces are decided in
+    blocks of at most `sampling._GRID_ROWS` sample rows, one
+    `Domain.legs_inside` call each; a block may straddle liftings, and its
+    legs are built for its own liftings only.  The end rows are the first
+    and last knots, to the bit the rows of the samples at t = 0 and 1.
+    """
+    n = len(verts) * _PIECES
+    size = max(1, sampling._GRID_ROWS // _piece_rows(count))
+    inside = np.empty(n, dtype=bool)
+    ends = np.empty((len(verts), 2, 8))
+    for g0 in range(0, n, size):
+        g1 = min(g0 + size, n)
+        l0, l1 = g0 // _PIECES, -(-g1 // _PIECES)
+        knots, sag, rows = _cut_liftings(z0[l0:l1], z1[l0:l1], times, verts[l0:l1])
+        ends[l0:l1] = knots[:, [0, -1]]
+        lo, hi = g0 - l0 * _PIECES, g1 - l0 * _PIECES
+        inside[g0:g1] = domain.legs_inside(
+            knots[:, :-1].reshape(-1, 8)[lo:hi],
+            knots[:, 1:].reshape(-1, 8)[lo:hi],
+            sag[lo:hi],
+            lambda ids, lo=lo: rows(ids + lo, count),
+        )
+    return inside.reshape(-1, _PIECES).all(axis=1), ends
 
 
 def _liftings_inside(domain: Domain, base, paths: list, resolution: int) -> tuple[np.ndarray, np.ndarray]:
     """Whether each lifting of one base stays inside at `_sample_times`, and its rows at t = 0, 1.
 
     Paths are (vertex times, vertices).  Over a two-vertex base, a lifting
-    is the 16 legs of `_cut_liftings` when its unit is fixed or the base is
-    fixed and its unit vertices sit at knots (arcs); any other lifting is
-    one uncertified leg.
+    whose unit is fixed, or whose base is still and unit vertices sit at
+    knots (arcs), is cut: `_pieces_inside` decides the liftings of each set
+    of unit times in one call.  The other liftings have no certificate;
+    their rows all go into one `contains_batch` call.
     """
     times, verts = base
     ts = _sample_times(times, resolution)
     still = len(verts) == 2 and verts[0] == verts[1]
-    p0, p1, sag, makers = [], [], [], []
-    # the rows at t = 0 and 1: a cut lifting's first and last knots, which
-    # are to the bit those of the samples
-    end_rows = np.empty((len(paths), 2, 8))
+    inside = np.empty(len(paths), dtype=bool)
+    ends = np.empty((len(paths), 2, 8))
+    cut, rest = {}, []
     for k, (t, v) in enumerate(paths):
         at_knots = still and np.array_equal(np.floor(t * _PIECES), t * _PIECES)
         if len(verts) == 2 and (at_knots or _fixed_units(t, v[None])[0]):
-            knots, piece_sag, piece_rows = _cut_liftings(verts[:1], verts[1:], t, v[None])
-            end_rows[k] = knots[0, [0, -1]]
-            p0.append(knots[0, :-1])
-            p1.append(knots[0, 1:])
-            sag.append(piece_sag)
-            makers.append(lambda ids, make=piece_rows: make(ids, len(ts)))
-            continue
+            cut.setdefault(t.tobytes(), []).append(k)
+        else:
+            rest.append(k)
+    for ids in cut.values():
+        z0, z1 = np.full(len(ids), verts[0]), np.full(len(ids), verts[1])
+        unit_verts = np.stack([paths[k][1] for k in ids])
+        inside[ids], ends[ids] = _pieces_inside(domain, z0, z1, paths[ids[0]][0], unit_verts, len(ts))
+    if rest:
         z = _base_at(times, verts, ts)
-        pts = tau_rows(z.real, z.imag, _units_at(t, v, ts))
-        end_rows[k] = pts[[0, -1]]
-        # one leg between the end rows, which a NaN sag keeps uncertified
-        p0.append(pts[:1])
-        p1.append(pts[-1:])
-        sag.append([np.nan])
-        makers.append(lambda ids, pts=pts: (pts, [len(pts)]))
-    sizes = np.array([len(s) for s in sag])
-    first = np.cumsum(sizes) - sizes
-
-    def rows(ids):
-        mine = np.searchsorted(ids, first)
-        pts, counts = zip(*(
-            make(ids[lo:hi] - start)
-            for make, start, lo, hi in zip(makers, first, mine, np.append(mine[1:], len(ids)))
-            if hi > lo
-        ))
-        return np.concatenate(pts), np.concatenate(counts)
-
-    inside = domain.legs_inside(np.concatenate(p0), np.concatenate(p1), np.concatenate(sag), rows)
-    return np.logical_and.reduceat(inside, first), end_rows
+        pts = np.stack([tau_rows(z.real, z.imag, _units_at(*paths[k], ts)) for k in rest])
+        inside[rest] = domain.contains_batch(pts.reshape(-1, 8)).reshape(len(rest), -1).all(axis=1)
+        ends[rest] = pts[:, [0, -1]]
+    return inside, ends
 
 
 def lift_in_domain(lifting: CircularLifting, domain: Domain, resolution: int = 2048) -> bool:
     """Whether the lifting's points at `_sample_times` all lie in the domain.
 
-    Pieces that one ball certifies are not sampled; see `_liftings_inside`.
+    A cut lifting's pieces that one ball certifies are not sampled
+    (`_pieces_inside`); an uncut lifting's rows are all tested.  See
+    `_liftings_inside`.
     """
     base, units = lifting.base, lifting.units
     paths = [(units.times, units.vertices)]
@@ -594,9 +608,10 @@ def ccl_verify(
     """Re-check a coupled witness: common start, ends within `_END_TOL`, both inside.
 
     Both liftings are sampled at `_sample_times` (2048 even times by
-    default), less the pieces that one ball certifies, and their rows are
-    tested with one `contains_batch` call (`_liftings_inside`).  The gaps
-    come from the end rows.
+    default), less the pieces that one ball certifies (`_liftings_inside`):
+    cut liftings with equal unit times share one `_pieces_inside` call, and
+    the rows of uncut ones one `contains_batch` call.  The gaps come from
+    the end rows.
     """
     base = (witness.base.times, witness.base.vertices)
     paths = [(p.times, p.vertices) for p in (witness.units1, witness.units2)]

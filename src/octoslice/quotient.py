@@ -29,9 +29,10 @@ the checks of `ccl_verify`; a real record as the real point every lifting
 at its column equals; a ride record as the two straight z legs of its
 units, 16 pieces each.  The records of one kind are checked together:
 the real points in one membership call, and the pieces of all arc (or
-ride) liftings in blocks of at most `sampling._GRID_ROWS` sample rows,
-one `Domain.legs_inside` call per block, so a quotient of any size
-replays in bounded memory.  `replay_merge_record` is the one-record case.
+ride) liftings in one call of `liftings._pieces_inside`, the kernel of
+`ccl_verify`, which decides them in blocks of at most `sampling._GRID_ROWS`
+sample rows, so a quotient of any size replays in bounded memory.
+`replay_merge_record` is the one-record case.
 Since merging is certificate-backed only, component counts of the class
 graph are upper bounds on the true quotient's.
 """
@@ -50,9 +51,8 @@ from .algebra import Octonion, row_norms, tau_rows
 from .diffops import OctField
 from .domains import Domain
 from .errors import DomainError, EmptySampleError, IntegrityError
-from .liftings import _END_TOL, _PIECES, _cut_liftings, _even_times, _piece_rows
+from .liftings import _END_TOL, _even_times, _pieces_inside
 from .report import Report
-from . import sampling
 from .sampling import SamplePlan, SlicePairGrid, arc_legs, components, near_antipodal
 from .stems import StemVector, gamma_stem_rows
 
@@ -465,7 +465,8 @@ def replay_merge_records(q: QuotientSample, records) -> np.ndarray:
     and the source column must still merge the pair.  Every record's kind
     is checked before any work.  The records of one kind are checked
     together: the real points in one `contains_batch` call, the liftings
-    of the arcs and of the rides each in blocks (`_liftings_inside_blocks`).
+    of the arcs and of the rides each in one `_pieces_inside` call, which
+    decides their pieces in blocks of bounded rows.
     """
     kinds = [r[0] for r in records]
     known = tuple(_REPLAYS)
@@ -505,7 +506,7 @@ def _replay_arcs(q: QuotientSample, z: np.ndarray, pairs: np.ndarray, records) -
     verts = units[:, _ARC_LIFTINGS].reshape(-1, 2, 7)
     base = np.repeat(z, 2)
     base.imag = np.abs(base.imag)
-    inside, ends = _liftings_inside_blocks(q.domain, base, base, verts)
+    inside, ends = _pieces_inside(q.domain, base, base, _even_times(2), verts, _REPLAY_SAMPLES)
     ends = ends.reshape(len(z), 2, 2, 8)
     # the common start, and each lifting's end at its unit's point
     x = tau_rows(z.real[:, None], z.imag[:, None], ends_at)
@@ -525,7 +526,8 @@ def _replay_rides(q: QuotientSample, z: np.ndarray, pairs: np.ndarray, records) 
         # each unit's z leg from the source column, a lifting with a fixed unit
         verts = np.repeat(units[:, :, None], 2, axis=2).reshape(-1, 2, 7)
         source = _z_at(q, sources[flags])
-        inside, _ = _liftings_inside_blocks(q.domain, np.repeat(source, 2), np.repeat(z[flags], 2), verts)
+        z0, z1 = np.repeat(source, 2), np.repeat(z[flags], 2)
+        inside, _ = _pieces_inside(q.domain, z0, z1, _even_times(2), verts, _REPLAY_SAMPLES)
         flags[flags] = inside.reshape(-1, 2).all(axis=1)
     return flags
 
@@ -534,30 +536,3 @@ def _replay_rides(q: QuotientSample, z: np.ndarray, pairs: np.ndarray, records) 
 _ARC_LIFTINGS = np.array([[0, 0], [0, 1]])
 _REPLAYS = {"arc": _replay_arcs, "real": _replay_real, "ride": _replay_rides}
 
-
-def _liftings_inside_blocks(domain: Domain, z0: np.ndarray, z1: np.ndarray, verts: np.ndarray) -> tuple:
-    """Whether each lifting over a two-vertex base stays inside at `_REPLAY_SAMPLES` times, and its rows at t = 0, 1.
-
-    Lifting k runs from z0[k] to z1[k] with the two-vertex unit path
-    verts[k], as `_cut_liftings` takes them.  Its pieces are decided in
-    blocks of at most `sampling._GRID_ROWS` sample rows, one
-    `Domain.legs_inside` call each; a block may straddle liftings, and its
-    legs are built for its own liftings only.
-    """
-    n = len(verts) * _PIECES
-    size = max(1, sampling._GRID_ROWS // _piece_rows(_REPLAY_SAMPLES))
-    inside = np.empty(n, dtype=bool)
-    ends = np.empty((len(verts), 2, 8))
-    for g0 in range(0, n, size):
-        g1 = min(g0 + size, n)
-        l0, l1 = g0 // _PIECES, -(-g1 // _PIECES)
-        knots, sag, rows = _cut_liftings(z0[l0:l1], z1[l0:l1], _even_times(2), verts[l0:l1])
-        ends[l0:l1, 0], ends[l0:l1, 1] = knots[:, 0], knots[:, -1]
-        lo, hi = g0 - l0 * _PIECES, g1 - l0 * _PIECES
-        inside[g0:g1] = domain.legs_inside(
-            knots[:, :-1].reshape(-1, 8)[lo:hi],
-            knots[:, 1:].reshape(-1, 8)[lo:hi],
-            sag[lo:hi],
-            lambda ids, lo=lo: rows(ids + lo, _REPLAY_SAMPLES),
-        )
-    return inside.reshape(-1, _PIECES).all(axis=1), ends
