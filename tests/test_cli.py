@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from octoslice import cli, liftings
+from octoslice import cli, domains, liftings
 from octoslice.cli import _dump, main
 from octoslice.errors import IntegrityError
 
@@ -451,6 +451,24 @@ def test_plan_counts_past_their_limits_are_exit_2_before_allocating(capsys):
     assert code == 2 and out == "" and json.loads(err)["error"].startswith("PreconditionError")
     # the sampled units alone would take 80 TB
     assert peak < 2**20
+
+
+def test_chain_theta_steps_past_the_limit_are_exit_2_before_allocating(capsys):
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    for steps in (domains.MAX_THETA_STEPS + 1, 10**10):
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "quotient", "--domain", json.dumps(_chain(steps=steps)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        error = json.loads(err, parse_constant=reject)["error"]
+        assert error.startswith("PreconditionError") and "over the limit" in error
+        # the chain's thetas alone would take 8 MB, and 80 GB at 10^10 steps
+        assert peak < 2**20
 
 
 def test_plan_with_too_many_graph_pairs_is_exit_2_before_sampling(capsys):

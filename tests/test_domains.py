@@ -3,12 +3,14 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from octoslice.algebra import Octonion, UnitImaginary, tau
 from octoslice.domains import (
+    MAX_THETA_STEPS,
     Ball,
     BallChain,
     BallUnion,
@@ -328,6 +330,22 @@ def test_domain_json_roundtrip():
         Domain.from_json({"type": "nope"})
     with pytest.raises(PreconditionError):
         PredicateDomain(lambda x: True, (np.full(8, -1.0), np.full(8, 1.0))).to_json()
+
+
+def test_ball_chain_theta_steps_past_the_limit_raise_before_allocating():
+    chain = BallChain(E1, E2, theta_steps=64).to_json()
+    tracemalloc.start()
+    try:
+        for steps in (MAX_THETA_STEPS + 1, 10**10):
+            with pytest.raises(PreconditionError, match="over the limit"):
+                BallChain(E1, E2, theta_steps=steps)
+            with pytest.raises(PreconditionError, match="over the limit"):
+                Domain.from_json({**chain, "theta_steps": steps})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the thetas alone of the smaller grid would take 8 MB
+    assert peak < 2**20
 
 
 def test_predicate_domain():

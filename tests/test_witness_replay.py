@@ -1,8 +1,9 @@
 """Witness checks, replays and grid masks must give the verdicts of the all-rows checks.
 
 `ccl_verify`, `lift_in_domain`, `replay_merge_records` and the grid masks
-decide their legs with `Domain.legs_inside`, which tests only the rows of
-legs that no ball certifies.  The references below are the straightforward
+decide their legs, and the pieces of cut liftings, with
+`Domain.legs_inside`, which tests only the rows of legs that no ball
+certifies.  The references below are the straightforward
 bodies: each lifting evaluated on its own, on `union1d(base times,
 linspace(0, 1, resolution))`, with one membership call per lifting; a
 replay that builds its witness and checks it; and every probe of every
@@ -17,12 +18,13 @@ import math
 import numpy as np
 import pytest
 
-from octoslice import sampling
+from octoslice import liftings, sampling
 from octoslice.algebra import Octonion, UnitImaginary, tau
 from octoslice.domains import Ball, BallChain, BallUnion, PredicateDomain, SlabCone
 from octoslice.errors import DomainError
-from octoslice.liftings import CoupledLifting, PolyPathC, PolyPathS, ccl_search, ccl_verify, lift_in_domain
-from octoslice.liftings import _PIECES, _piece_rows
+from octoslice.liftings import CircularLifting, CoupledLifting, PolyPathC, PolyPathS
+from octoslice.liftings import ccl_search, ccl_verify, lift_in_domain
+from octoslice.liftings import _PIECES, _piece_rows, _unit_path_in_domain
 from octoslice.quotient import _REPLAY_SAMPLES, build_quotient, class_at, replay_merge_record, replay_merge_records
 from octoslice.sampling import _LEG_TIMES, SamplePlan, SlicePairGrid
 
@@ -584,3 +586,90 @@ def test_ccl_search_results_are_frozen(name):
     res = ccl_search(make(), x, xp, SamplePlan(seed=seed))
     assert (res.status, res.nodes) == (status, pops)
     assert _digest(res.to_json()) == digest
+
+
+def _search_witness(name):
+    """The witness a found search of `SEARCHES` returns, with its domain and query points."""
+    make, x, xp, seed, status, _, _ = SEARCHES[name]
+    domain = make()
+    result = ccl_search(domain, x, xp, SamplePlan(seed=seed))
+    assert result.status == status == "found"
+    return domain, result.witness, x, xp
+
+
+def _mixed_times_witness():
+    # over the still base 3i of the two balls: the constant lifting of e1,
+    # which stays inside, and a three-vertex arc from e1 to e2 whose middle
+    # leaves; its vertex time 0.3 is no knot, so that lifting is not cut
+    e = np.eye(7)
+    units2 = PolyPathS([e[0], (e[0] + e[1]) / math.sqrt(2.0), e[1]], [0.0, 0.3, 1.0])
+    witness = CoupledLifting(PolyPathC([3j, 3j]), PolyPathS(e[[0, 0]]), units2)
+    return _two_balls(), witness, _point(3j, 1), _point(3j, 2)
+
+
+def _multi_vertex_base_witness():
+    base = PolyPathC([2j, 0.3 + 2.1j, 1.5j], [0.0, 0.4, 1.0])
+    witness = CoupledLifting(base, PolyPathS(np.eye(7)[[0, 0]]), PolyPathS(np.eye(7)[[0, 2]]))
+    return Ball(Octonion.zero(), 2.3), witness, _point(1.5j, 1), _point(1.5j, 3)
+
+
+# name: () -> (domain, witness, x, x'); the witnesses of the found searches
+# of `SEARCHES`, a still base whose liftings have different unit times, one
+# of them uncut, and a base with three vertices
+WITNESSES = {
+    **{name: lambda name=name: _search_witness(name) for name, case in SEARCHES.items() if case[4] == "found"},
+    "mixed-times": _mixed_times_witness,
+    "multi-vertex-base": _multi_vertex_base_witness,
+}
+
+
+def _count_cut_liftings(monkeypatch):
+    """Patch `_cut_liftings` to record the liftings of each call; returns the record."""
+    calls = []
+    cut = liftings._cut_liftings
+
+    def counting(z0, z1, times, vertices):
+        calls.append(len(vertices))
+        return cut(z0, z1, times, vertices)
+
+    monkeypatch.setattr(liftings, "_cut_liftings", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name, calls", [("unit-path", [2]), ("unit-path-waypoint", [1, 1])])
+def test_ccl_verify_cuts_the_liftings_of_one_unit_times_in_one_call(name, calls, monkeypatch):
+    # the constant lifting and the arc of a unit path share the times [0, 1]
+    # and are cut together; a waypoint gives the arc the times [0, 0.5, 1]
+    domain, witness, x, xp = WITNESSES[name]()
+    got = _count_cut_liftings(monkeypatch)
+    assert ccl_verify(witness, x, xp, domain)[0]
+    assert got == calls
+
+
+@pytest.mark.parametrize("name", sorted(WITNESSES))
+def test_witness_checks_in_blocks_of_three_pieces_equal_the_reference(name, monkeypatch):
+    domain, witness, x, xp = WITNESSES[name]()
+    pair = [witness.lifting(k) for k in (1, 2)]
+    z = complex(witness.base.vertices[0])
+    still = len(witness.base.vertices) == 2 and witness.base.vertices[1] == z
+    ends = (witness.units1.vertices[0], witness.units2.vertices[-1])
+
+    def checks():
+        out = [ccl_verify(witness, x, xp, domain, resolution=r) for r in (64, 2048)]
+        out += [lift_in_domain(lifting, domain, resolution=r) for lifting in pair for r in (64, 2048)]
+        units = _unit_path_in_domain(domain, z, *ends) if still else None
+        return out, None if units is None else units.to_json()
+
+    calls = _count_cut_liftings(monkeypatch)
+    want, units = checks()
+    reference = [_reference_ccl_verify(witness, x, xp, domain, resolution=r) for r in (64, 2048)]
+    reference += [_reference_lift_in_domain(lifting, domain, resolution=r) for lifting in pair for r in (64, 2048)]
+    assert want == reference
+    if units is not None:
+        assert _reference_lift_in_domain(CircularLifting(PolyPathC([z, z]), PolyPathS.from_json(units)), domain, 512)
+    # blocks of three pieces at 2048 samples, twelve at the unit paths' 512:
+    # every cut check takes several blocks, and no result changes
+    whole = len(calls)
+    monkeypatch.setattr(sampling, "_GRID_ROWS", 3 * _piece_rows(2048))
+    assert checks() == (want, units)
+    assert (len(calls) > 2 * whole) == (whole > 0) == still
