@@ -1,11 +1,12 @@
-"""Octonion domains, membership, and sphere-slice connectivity.
+"""Octonion domains: membership, leg certificates and interior sampling.
 
 A domain is an open subset of 8-space.  Every variant provides exact
 membership, a vectorized batch form, leg certificates and interior
 sampling.  The slice sphere S(Omega, a, b) of a domain collects the unit
-imaginaries I with a + b I inside; connectivity questions about it are
-answered by sampled proximity graphs and report "unknown" whenever sampling
-cannot certify disjointness.
+imaginaries I with a + b I inside.  Whether two of its units lie in one
+piece is a question about liftings, so it is answered by the quotient,
+whose arcs between units are checked legs (`sampling.SlicePairGrid`),
+never from sampled points alone.
 
 Membership kernels.  `Ball` and `BallUnion` share one kernel,
 `balls_contain`, whose verdicts equal to the bit those of the per-ball test
@@ -123,19 +124,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .algebra import REAL_AXIS_TOL, Octonion, UnitImaginary, row_dot, row_norms, tau, tau_rows
-from .errors import DomainError, PreconditionError
-from .report import Report
-from .sampling import (
-    SamplePlan,
-    cell_components,
-    components,
-    in_subsphere,
-    json_count,
-    json_reals,
-    sample_units,
-    unit_graph_edges,
-)
+from .algebra import REAL_AXIS_TOL, Octonion, UnitImaginary, row_dot, row_norms, tau_rows
+from .errors import PreconditionError
+from .sampling import json_count, json_reals
 
 # Proposal rounds of `Domain.sample_interior`, each of max(4 need, 64) points.
 _SAMPLE_ROUNDS = 200
@@ -178,6 +169,16 @@ class Domain:
             out = ~self.contains_batch(pts)
             inside[ids[np.repeat(np.arange(len(ids)), counts)[out]]] = False
         return inside
+
+    def imaginary_data(self) -> np.ndarray:
+        """The imaginary vectors the domain is built from, as (k, 7).
+
+        A unit pool samples the sphere of span(e1, e2, e3), so it sees the
+        slice spheres whole only when these lie in that span;
+        `sampling.adaptive_unit_pool` refuses the domain otherwise.  The
+        default states none, and is never refused.
+        """
+        return np.empty((0, 7))
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
@@ -400,6 +401,9 @@ class Ball(Domain):
     def deep_legs(self, p0: np.ndarray, p1: np.ndarray, sag) -> np.ndarray:
         return balls_hold_legs(p0, p1, sag, self._centers, self._radii, self._slack)
 
+    def imaginary_data(self) -> np.ndarray:
+        return self._centers[:, 1:]
+
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         c = self.center.coeffs
         return c - self.radius, c + self.radius
@@ -454,6 +458,9 @@ class BallUnion(Domain):
 
     def deep_legs(self, p0: np.ndarray, p1: np.ndarray, sag) -> np.ndarray:
         return balls_hold_legs(p0, p1, sag, self._centers, self._radii, self._slack)
+
+    def imaginary_data(self) -> np.ndarray:
+        return self._centers[:, 1:]
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         los, his = zip(*(b.bounding_box() for b in self.balls))
@@ -535,6 +542,9 @@ class SlabCone(Domain):
             slab = np.maximum(row_norms(p0[:, 1:]), row_norms(p1[:, 1:])) + sag + slack < 1.0
             depth = np.minimum(self._wall_distance(p0[:, 1:]), self._wall_distance(p1[:, 1:])).max(axis=0)
             return slab | (depth > sag + slack * self._wall_slack)
+
+    def imaginary_data(self) -> np.ndarray:
+        return self.i0.vec[None, :]
 
     def _wall_distance(self, ims: np.ndarray) -> np.ndarray:
         """sin(h) <y, +-i0> - cos(h) |y - <y, i0> i0|, inside the cones around +i0 and -i0, as (2, m)."""
@@ -656,6 +666,9 @@ class BallChain(Domain):
         reach += self._slack[idx]
         return reach < self.RADIUS
 
+    def imaginary_data(self) -> np.ndarray:
+        return np.stack([self.i.vec, self.j.vec])
+
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         lo = self.centers.min(axis=0) - self.RADIUS
         hi = self.centers.max(axis=0) + self.RADIUS
@@ -702,90 +715,3 @@ class PredicateDomain(Domain):
 
     def to_json(self) -> dict:
         raise PreconditionError("predicate domains have no JSON form")
-
-
-def sphere_slice_member(domain: Domain, a: float, b: float, i: UnitImaginary) -> bool:
-    """Whether I belongs to S(Omega, a, b), i.e. a + b I lies in the domain."""
-    return domain.contains(tau(i, complex(a, b)))
-
-
-def same_component(
-    domain: Domain,
-    a: float,
-    b: float,
-    i1: UnitImaginary,
-    i2: UnitImaginary,
-    plan: Optional[SamplePlan] = None,
-) -> str:
-    """Sampled verdict "same" / "different" / "unknown" for two slice units.
-
-    "different" is only reported when both units' components were detected
-    with at least plan.component_detect_min samples each and stayed disjoint
-    at the sampled resolution; sampling never certifies disjointness beyond
-    that, so everything else non-connected is "unknown".
-    """
-    plan = plan or SamplePlan()
-    for u in (i1, i2):
-        if not in_subsphere(u):
-            raise PreconditionError("query unit lies outside the sampling sphere span(e1, e2, e3)")
-        if not sphere_slice_member(domain, a, b, u):
-            raise DomainError("query unit is not in the slice sphere")
-    if float(np.linalg.norm(i1.vec - i2.vec)) <= 1e-12:
-        return "same"
-    units = sample_units(plan.sphere_samples, plan.rng())
-    units = units[domain.contains_batch(tau_rows(a, b, units))]
-    nodes = np.vstack([units, i1.vec[None, :], i2.vec[None, :]])
-    n1, n2 = len(nodes) - 2, len(nodes) - 1
-    _, labels = components(len(nodes), unit_graph_edges(nodes, plan.link_angle))
-    if labels[n1] == labels[n2]:
-        return "same"
-    sampled = labels[: len(units)]
-    size1 = int(np.count_nonzero(sampled == labels[n1]))
-    size2 = int(np.count_nonzero(sampled == labels[n2]))
-    if size1 >= plan.component_detect_min and size2 >= plan.component_detect_min:
-        return "different"
-    return "unknown"
-
-
-def circularly_connected_scan(
-    domain: Domain,
-    plan: Optional[SamplePlan] = None,
-) -> Report:
-    """Sampled check that every nonempty slice sphere is connected.
-
-    Scans an (a, b) grid, counts proximity-graph components of the sampled
-    members of each nonempty slice sphere, and passes iff every evaluated
-    cell has exactly one detected component.  Cells with fewer than
-    component_detect_min members are skipped as unresolved, and so are
-    components with fewer members.  The components come from
-    `sampling.cell_components`: one graph over the sampled units for the
-    whole scan, its subgraph induced by each cell's members labelled in
-    blocks of cells.  A cell's edges equal those of a graph over its
-    members alone, save a pair within rounding of the link chord.
-    """
-    plan = plan or SamplePlan()
-    a_values, b_values = plan.scan_grid()
-    units = sample_units(plan.sphere_samples, plan.rng())
-    cells = [(a, b) for a in a_values for b in b_values]
-    counts = []
-    worst = None
-    worst_count = 0
-    detect_min = plan.component_detect_min
-    for a, b, members, labels in cell_components(domain, units, cells, plan.link_angle, detect_min):
-        count = max(int(np.count_nonzero(np.bincount(labels) >= detect_min)), 1)
-        counts.append(count)
-        if count > worst_count:
-            worst_count = count
-            worst = tau(UnitImaginary.from_vector(units[members[0]]), complex(a, b))
-    if not counts:
-        return Report("circular-connectivity", 0, 0.0, 0.0, 1.0, False, None)
-    max_count = max(counts)
-    return Report(
-        op="circular-connectivity",
-        samples=len(counts),
-        max_residual=float(max_count),
-        mean_residual=float(np.mean(counts)),
-        tolerance=1.0,
-        passed=max_count <= 1,
-        worst_point=worst.to_list() if worst is not None else None,
-    )

@@ -50,8 +50,10 @@ _ANTIPODAL_TOL = 1e-6
 # How far a witness's two starts and its ends at x and x' may miss.
 _END_TOL = 1e-9
 # Upper limit on the samples of `lift_decompose`, which holds a few
-# (samples, 8) arrays at once (about 0.4 GB at the limit); a larger
-# resolution is refused before anything is allocated.
+# (samples, 8) arrays at once (about 0.4 GB at the limit), and of a witness
+# check (`_sample_times`), whose uncut liftings peak near 288 B per sample
+# (0.29 GB at the limit); a larger resolution is refused before anything
+# is allocated.
 MAX_LIFT_SAMPLES = 1_000_000
 # Knots that split a lifting into pieces for `Domain.deep_legs`.
 _PIECES = 16
@@ -59,14 +61,22 @@ _KNOTS = np.linspace(0.0, 1.0, _PIECES + 1)
 _KNOTS.flags.writeable = False
 # Sample times of each unit path that `_unit_path_in_domain` tries.
 _UNIT_PATH_SAMPLES = 512
+# Counts kept by each cache of `_even_times`, `_piece_bounds` and
+# `_piece_rows`, the least recently used dropped first.  A round of the
+# benchmark's witness workload asks for at most 10 (its paths' vertex
+# counts and its checks' sample counts; `cache_info()` at seeds 1, 2, 3, 7
+# and 11), a quotient round for 2.  At `MAX_LIFT_SAMPLES` an array is 8 MB,
+# so the times cached stay under 0.26 GB whatever counts are asked for.
+_COUNT_CACHE = 32
 
 
-@functools.cache
+@functools.lru_cache(maxsize=_COUNT_CACHE)
 def _even_times(count: int) -> np.ndarray:
     """`linspace(0, 1, count)`, built once per count and read-only.
 
     It is the default times of a path with `count` vertices and the sample
-    grid of witness checks, so paths and checks share one array per count.
+    grid of witness checks, so paths and checks share one array per count
+    while it stays in the cache.
     """
     times = np.linspace(0.0, 1.0, count)
     times.flags.writeable = False
@@ -414,15 +424,18 @@ def _sample_times(base_times: np.ndarray, resolution: int) -> np.ndarray:
 
     A two-vertex base has times [0, 1], which the even grid holds already.
     A resolution below 3 leaves no interior sample, so it is refused: such a
-    check would test only the base's vertices.
+    check would test only the base's vertices.  So is one above
+    `MAX_LIFT_SAMPLES`, before anything is allocated.
     """
     if not isinstance(resolution, (int, np.integer)) or resolution < 3:
         raise PreconditionError(f"a witness check needs a resolution of at least 3, got {resolution!r}")
+    if resolution > MAX_LIFT_SAMPLES:
+        raise PreconditionError(f"a witness check of {resolution} samples is over the limit {MAX_LIFT_SAMPLES}")
     grid = _even_times(int(resolution))
     return grid if len(base_times) == 2 else np.union1d(base_times, grid)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=_COUNT_CACHE)
 def _piece_bounds(count: int) -> np.ndarray:
     """Where each piece's run of `_even_times(count)` starts, and `count` last, as (17,).
 
@@ -435,7 +448,7 @@ def _piece_bounds(count: int) -> np.ndarray:
     return bounds
 
 
-@functools.cache
+@functools.lru_cache(maxsize=_COUNT_CACHE)
 def _piece_rows(count: int) -> int:
     """The most of `_even_times(count)` that one piece holds."""
     return int(np.diff(_piece_bounds(count)).max())

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 @dataclass
 class Report:
-    """Outcome of a sampled residual or connectivity check."""
+    """Outcome of a sampled residual check."""
 
     op: str
     samples: int

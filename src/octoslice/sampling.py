@@ -45,8 +45,9 @@ _ARC_FRACS = np.linspace(0.0, 1.0, 25)[1:-1]
 # Rows per `contains_batch` call of the grid masks, and probe rows per
 # `legs_inside` call: an arc leg has `_ARC_FRACS`' 23, a z leg `_LEG_TIMES`' 5.
 _GRID_ROWS = 1 << 16
-# Graph nodes per `components` call of `cell_components`: a block holds
-# whole cells of `len(units)` nodes each, and at least one.
+# Graph nodes per `components` call of `cell_components`, the labeller of
+# `diffops.sliceness_check`: a block holds whole cells of `len(units)`
+# nodes each, and at least one.
 _SCAN_NODES = 1 << 13
 
 
@@ -54,7 +55,8 @@ _SCAN_NODES = 1 << 13
 # units of the quaternion subalgebra generated by e1 and e2 (e1 e2 = e3).
 # Every sampled unit of the package lies on it: the slice-sphere scans, the
 # unit pools of quotients and fiber searches, and the query units a search
-# or a component verdict accepts.  Rows are its orthonormal basis.
+# accepts.  A unit pool refuses a domain whose imaginary data leaves its
+# span (`adaptive_unit_pool`).  Rows are its orthonormal basis.
 SUBSPHERE_BASIS = np.eye(3, 7)
 SUBSPHERE_BASIS.flags.writeable = False
 
@@ -349,8 +351,17 @@ def adaptive_unit_pool(domain, plan: SamplePlan) -> tuple[np.ndarray, float]:
     `plan.rng()`), projects them onto the sampling sphere, mirrors them
     through the antipode, and thins them greedily (`thin_units`) to an
     angular separation derived from the observed spread.  Returns
-    (units (m, 7), separation used).
+    (units (m, 7), separation used).  A domain whose `imaginary_data`
+    leaves span(e1, e2, e3) is refused before any sample is drawn: its
+    slice spheres are not seen whole from the sampling sphere, so a pool
+    on it would give wrong counts.
     """
+    off = [v for v in domain.imaginary_data() if not in_subsphere(v)]
+    if off:
+        raise PreconditionError(
+            f"{type(domain).__name__} has imaginary data {off[0].tolist()} outside"
+            " span(e1, e2, e3), the span of the sampling sphere that unit pools draw on"
+        )
     pts = domain.sample_interior(plan.pool_harvest, plan.rng(), min_im=1e-6)
     if len(pts) == 0:
         raise EmptySampleError("no interior samples to harvest units from")
@@ -428,6 +439,13 @@ def components(n: int, edges) -> tuple[int, np.ndarray]:
 
 def cell_components(domain, units: np.ndarray, cells, link_angle: float, min_members: int):
     """The proximity-graph components of the sampled slice spheres of a scan.
+
+    They group the units whose values `diffops.sliceness_check`, the one
+    caller, compares with each other.  They are no verdict on whether a
+    slice sphere is connected: the graph checks no arc between neighbours,
+    so it may bridge a gap narrower than the link, and it splits where the
+    samples are sparse.  The quotient answers that question, from arcs it
+    checks (`SlicePairGrid.arc_masks`).
 
     For each (a, b) of `cells` in order, the members are the units I with
     a + b I in the domain (one `contains_batch` per cell); a cell with

@@ -216,6 +216,25 @@ def test_quotient_real_ball(capsys):
     assert len(payload["points"]) == len(payload["labels"])
 
 
+@pytest.mark.parametrize(
+    "domain",
+    [
+        {"type": "ball_union", "balls": [
+            {"center": [0, 2, 0, 0, 0, 0, 0, 0], "radius": 0.5},
+            {"center": [0, 0, 0, 0, 2, 0, 0, 0], "radius": 1.6},
+        ]},
+        {"type": "ball", "center": [0, 0, 0, 0, 3, 0, 0, 0], "radius": 0.5},
+        {"type": "slab_cone", "i0": [0, 0, 0, 0, 1, 0, 0]},
+    ],
+    ids=["union", "ball", "slab-cone"],
+)
+def test_quotient_of_a_domain_off_the_sampling_span_is_exit_2(capsys, domain):
+    code, out, err = run(capsys, "quotient", "--domain", json.dumps(domain), "--seed", "1")
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error.startswith("PreconditionError") and "span(e1, e2, e3)" in error
+
+
 def test_verify_suite_single_criterion(capsys):
     code, payload = run_json(capsys, "verify-suite", "--only", "1")
     assert code == 0

@@ -1,14 +1,12 @@
-"""Domain membership, point-leg margins, slice spheres, and connectivity verdicts."""
+"""Domain membership, point-leg margins, unit pools, plans and graph components."""
 
-import hashlib
-import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from octoslice.algebra import Octonion, UnitImaginary, tau
+from octoslice.algebra import Octonion, UnitImaginary
 from octoslice.domains import (
     MAX_THETA_STEPS,
     Ball,
@@ -17,11 +15,8 @@ from octoslice.domains import (
     Domain,
     PredicateDomain,
     SlabCone,
-    circularly_connected_scan,
-    same_component,
-    sphere_slice_member,
 )
-from octoslice.errors import DomainError, PreconditionError
+from octoslice.errors import PreconditionError
 from octoslice.sampling import (
     MAX_GRAPH_PAIRS,
     SUBSPHERE_BASIS,
@@ -154,119 +149,6 @@ def test_ball_chain_grid_resolution_shell():
     far = dist >= BallChain.RADIUS + 2e-3
     assert deep.sum() > 100 and far.sum() > 10
     assert inside[deep].all() and not inside[far].any()
-
-
-def test_sphere_slice_member():
-    dom = SlabCone(E1, math.pi / 4)
-    assert sphere_slice_member(dom, 0.0, 2.0, E1)
-    assert sphere_slice_member(dom, 0.0, 2.0, -E1)
-    assert not sphere_slice_member(dom, 0.0, 2.0, E2)
-    assert sphere_slice_member(dom, 0.0, 0.5, E2)
-    ball = Ball(oct_(0), 2.0)
-    assert sphere_slice_member(ball, 0.0, 1.0, E2)
-    assert not sphere_slice_member(ball, 0.0, 2.5, E2)
-
-
-def test_same_component_verdicts():
-    plan = SamplePlan()
-    cone = SlabCone(E1, math.pi / 4)
-    near = UnitImaginary.from_vector([math.cos(0.3), math.sin(0.3), 0, 0, 0, 0, 0])
-    assert same_component(cone, 0.0, 2.0, E1, near, plan=plan) == "same"
-    assert same_component(cone, 0.0, 2.0, E1, -E1, plan=plan) == "different"
-    ball = Ball(oct_(0), 3.0)
-    assert same_component(ball, 0.0, 2.0, E1, E2, plan=plan) == "same"
-    assert same_component(ball, 0.0, 2.0, E1, -E1, plan=plan) == "same"
-    with pytest.raises(DomainError):
-        same_component(cone, 0.0, 2.0, E1, E2, plan=plan)
-    probe = UnitImaginary.from_vector([0, 0, 0, 1, 0, 0, 0])
-    with pytest.raises(PreconditionError):
-        same_component(ball, 0.0, 2.0, E1, probe, plan=plan)
-
-
-def test_same_component_soundness_positive_cases():
-    # Never "different" for units joined by an in-domain great-circle arc.
-    rng = np.random.default_rng(33)
-    plan = SamplePlan()
-    for trial in range(100):
-        radius = rng.uniform(1.5, 3.0)
-        center = float(rng.uniform(-0.5, 0.5))
-        dom = Ball(oct_(center), radius)
-        b = rng.uniform(0.3, radius * 0.7)
-        u = sample_units(2, np.random.default_rng(1000 + trial))
-        i1 = UnitImaginary.from_vector(u[0])
-        i2 = UnitImaginary.from_vector(u[1])
-        # Real-centered ball: the whole great circle through i1, i2 is in-slice.
-        verdict = same_component(dom, 0.0, b, i1, i2, plan=plan.with_seed(trial))
-        assert verdict != "different"
-        # every verdict of the DisjointSet labelling here was "same"
-        assert verdict == "same"
-
-
-def test_circularly_connected_scan():
-    plan = SamplePlan()
-    ball = circularly_connected_scan(Ball(oct_(0), 2.0), plan)
-    assert ball.passed
-    rep = circularly_connected_scan(SlabCone(E1, math.pi / 4), plan)
-    assert not rep.passed
-    assert rep.max_residual >= 2.0
-    assert rep.to_json()["pass"] is False
-    # the reports of the DisjointSet labelling, to the last bit
-    assert ball.to_json() == {
-        "op": "circular-connectivity",
-        "samples": 6,
-        "max_residual": 1.0,
-        "mean_residual": 1.0,
-        "tolerance": 1.0,
-        "pass": True,
-        "worst_point": [
-            -1.0, 0.12525695114429128, -0.4060605918295994, 0.26348717606940975, 0.0, 0.0, 0.0, 0.0
-        ],
-    }
-    assert rep.to_json() == {
-        "op": "circular-connectivity",
-        "samples": 15,
-        "max_residual": 2.0,
-        "mean_residual": 1.6666666666666667,
-        "tolerance": 1.0,
-        "pass": False,
-        "worst_point": [
-            -2.0, -1.3376504148725021, 0.6723739672407298, -0.09276106817186304, 0.0, 0.0, 0.0, 0.0
-        ],
-    }
-
-
-# Sampled slice-sphere verdicts stay byte-identical for a seed: the digests
-# below were recorded before the sampling sphere became a module constant.
-_SCAN_DOMAINS = [
-    (Ball(oct_(0.3), 2.0), {}),
-    (SlabCone(E1, math.pi / 4), {}),
-    (BallUnion([Ball(oct_(0, 2), 1.6), Ball(oct_(0, 0, 2), 1.6)]), {}),
-    (BallChain(E1, E2), {"a_values": (-1.0, 0.0, 1.0), "b_values": (1.8, 2.0, 2.2)}),
-]
-
-
-def test_scan_and_component_verdicts_are_frozen():
-    scans = [
-        circularly_connected_scan(dom, SamplePlan(seed=40 + k, sphere_samples=1500, **grid)).to_json()
-        for k, (dom, grid) in enumerate(_SCAN_DOMAINS)
-    ]
-    digest = hashlib.sha256(json.dumps(scans, sort_keys=True).encode()).hexdigest()
-    assert digest == "eb550e06280ad97a7684b4e2b7fb222707b771c6496b2fed5bf850c487ae9dd7"
-
-    verdicts = []
-    rng = np.random.default_rng(50)
-    for (dom, _), a, b in zip(_SCAN_DOMAINS, (0.3, 0.0, 0.0, -1.0), (1.5, 2.0, 2.0, 2.0)):
-        g = rng.normal(size=(400, 3))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        units = [UnitImaginary.from_vector(np.r_[u, np.zeros(4)]) for u in g]
-        units = [u for u in units if sphere_slice_member(dom, a, b, u)][:8]
-        for i in range(0, len(units) - 1, 2):
-            plan = SamplePlan(seed=60 + i, sphere_samples=1000)
-            verdicts.append(same_component(dom, a, b, units[i], units[i + 1], plan=plan))
-    assert verdicts == [
-        "same", "same", "unknown", "same", "different", "different",
-        "different", "different", "different", "unknown", "same", "same",
-    ]
 
 
 def _plain_union_find(n, edges):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -311,6 +312,41 @@ def test_witness_checks_refuse_a_resolution_without_interior_samples():
         assert not ok and info["in_domain1"] and not info["in_domain2"]
         assert lift_in_domain(witness.lifting(1), two_balls, resolution=resolution)
         assert not lift_in_domain(witness.lifting(2), two_balls, resolution=resolution)
+
+
+def test_witness_checks_past_the_sample_limit_raise_before_allocating(monkeypatch):
+    two_balls = BallUnion([Ball(2 * E[2], 0.3), Ball(2 * E[3], 0.3)])
+    x, xp = tau(UnitImaginary.basis(2), 2j), tau(UnitImaginary.basis(3), 2j)
+    e2, e3 = np.eye(7)[1], np.eye(7)[2]
+    witness = CoupledLifting(PolyPathC([2j, 2j]), PolyPathS(np.vstack([e2, e2])), PolyPathS(np.vstack([e2, e3])))
+    for resolution in (liftings.MAX_LIFT_SAMPLES + 1, 10**12):
+        tracemalloc.start()
+        try:
+            with pytest.raises(PreconditionError, match="over the limit"):
+                ccl_verify(witness, x, xp, two_balls, resolution=resolution)
+            with pytest.raises(PreconditionError, match="over the limit"):
+                lift_in_domain(witness.lifting(1), two_balls, resolution=resolution)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the sample times alone would take 8 MB
+        assert peak < 2**20
+    # the limit itself is allowed
+    monkeypatch.setattr(liftings, "MAX_LIFT_SAMPLES", 4096)
+    assert lift_in_domain(witness.lifting(1), two_balls, resolution=4096)
+    with pytest.raises(PreconditionError, match="over the limit"):
+        lift_in_domain(witness.lifting(1), two_balls, resolution=4097)
+
+
+def test_count_caches_stay_bounded():
+    size = liftings._COUNT_CACHE
+    for count in range(3, 3 + 2 * size):
+        liftings._piece_rows(count)
+    for cached in (liftings._even_times, liftings._piece_bounds, liftings._piece_rows):
+        info = cached.cache_info()
+        assert info.maxsize == size and info.currsize <= size
+    # a count dropped from the cache is built again, to the same bits
+    assert liftings._even_times(3).tobytes() == np.linspace(0.0, 1.0, 3).tobytes()
 
 
 def test_path_failing_reverification_is_unverified():

@@ -551,3 +551,30 @@ def test_quotient_matches_union_find_reference(name, seed):
             i, j = record[2], record[3]
             assert lab[i] == lab[j] >= 0, record
             assert forest.union(i, j), record
+
+
+# domains whose imaginary data leaves span(e1, e2, e3), the span of the
+# sampling sphere: the union is congruent to Ball(2e1, 0.5) u Ball(2e2, 1.6)
+OFF_SPAN = {
+    "union": BallUnion([Ball(2 * E[1], 0.5), Ball(2 * E[4], 1.6)]),
+    "ball": Ball(3 * E[4], 0.5),
+    "slab-cone": SlabCone(UnitImaginary.basis(5), math.pi / 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OFF_SPAN))
+def test_domains_off_the_sampling_span_are_refused_before_sampling(name, monkeypatch):
+    domain = OFF_SPAN[name]
+    monkeypatch.setattr(domain, "sample_interior", lambda *args, **kwargs: pytest.fail("sampled"))
+    with pytest.raises(PreconditionError, match=r"outside span\(e1, e2, e3\), the span of the sampling sphere"):
+        build_quotient(domain, SamplePlan(seed=1))
+
+
+def test_every_built_in_domain_states_its_imaginary_data():
+    union = BallUnion([Ball(E[0] + 2 * E[1], 0.5), Ball(2 * E[4], 1.6)])
+    assert union.imaginary_data().tolist() == [[2, 0, 0, 0, 0, 0, 0], [0, 0, 0, 2, 0, 0, 0]]
+    assert Ball(E[0], 1.0).imaginary_data().tolist() == [[0] * 7]
+    assert SlabCone(I2).imaginary_data().tolist() == [I2.vec.tolist()]
+    assert BallChain(I1, I2).imaginary_data().tolist() == [I1.vec.tolist(), I2.vec.tolist()]
+    predicate = PredicateDomain(lambda x: True, (np.full(8, -1.0), np.full(8, 1.0)))
+    assert predicate.imaginary_data().shape == (0, 7)

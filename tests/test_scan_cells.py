@@ -1,10 +1,10 @@
 """The cells of a slice scan, labelled from one unit graph (`sampling.cell_components`).
 
-`sliceness_check` and `circularly_connected_scan` take their components
-from one proximity graph over all sampled units, labelled in blocks of
-cells.  These tests pin the property that makes that byte-identical to a
-graph per cell (the induced subgraph), the reports against the per-cell
-reference, and how many graph, labelling and stencil calls a check makes.
+`sliceness_check` takes its components from one proximity graph over all
+sampled units, labelled in blocks of cells.  These tests pin the property
+that makes that byte-identical to a graph per cell (the induced subgraph),
+the reports against the per-cell reference, and how many graph, labelling
+and stencil calls a check makes.
 """
 
 import math
@@ -17,7 +17,7 @@ from scalar_reference import scalar_field
 from octoslice import diffops, sampling
 from octoslice.algebra import Octonion, UnitImaginary, tau_rows
 from octoslice.diffops import sliceness_check
-from octoslice.domains import Ball, BallChain, SlabCone, circularly_connected_scan
+from octoslice.domains import Ball, BallChain, SlabCone
 from octoslice.golden import get_field
 from octoslice.sampling import SamplePlan, cell_components, sample_units, unit_graph_edges
 
@@ -91,18 +91,14 @@ def test_sliceness_matches_the_per_cell_reference_at_the_workload_plan(monkeypat
     assert dropped > 0 or not thin
 
 
-def test_sliceness_and_scan_do_not_depend_on_the_block_size(monkeypatch):
+def test_sliceness_does_not_depend_on_the_block_size(monkeypatch):
     gf = get_field("slab-cone")
     plan = WORKLOAD_PLAN.with_seed(3)
-    chain_plan = SamplePlan(seed=2, sphere_samples=1500, a_values=(-1.0, 0.0, 1.0), b_values=(1.8, 2.0, 2.2))
-    chain = BallChain(E1, E2)
 
     def reports():
         return [
             sliceness_check(gf.field, gf.domain, plan).to_json(),
             sliceness_check(gf.field, gf.domain, SamplePlan(seed=4)).to_json(),
-            circularly_connected_scan(gf.domain, plan).to_json(),
-            circularly_connected_scan(chain, chain_plan).to_json(),
         ]
 
     want = reports()
@@ -111,17 +107,13 @@ def test_sliceness_and_scan_do_not_depend_on_the_block_size(monkeypatch):
         assert reports() == want
 
 
-@pytest.mark.parametrize("check", ["slice", "scan"])
-def test_one_graph_per_check_and_one_labelling_per_block(monkeypatch, check):
+def test_one_graph_per_check_and_one_labelling_per_block(monkeypatch):
     gf = get_field("slab-cone")
     plan = WORKLOAD_PLAN.with_seed(6)
     counts = {}
     for module, name in ((sampling, "unit_graph_edges"), (sampling, "components"), (diffops, "stencil_safe")):
         _counting(monkeypatch, module, name, counts)
-    if check == "slice":
-        sliceness_check(gf.field, gf.domain, plan)
-    else:
-        circularly_connected_scan(gf.domain, plan)
+    sliceness_check(gf.field, gf.domain, plan)
     a_values, b_values = plan.scan_grid()
     cells = len(a_values) * len(b_values)
     per_block = sampling._SCAN_NODES // plan.sphere_samples
@@ -129,8 +121,8 @@ def test_one_graph_per_check_and_one_labelling_per_block(monkeypatch, check):
     assert counts["unit_graph_edges"] == 1
     assert counts["components"] <= math.ceil(cells / per_block)
     # every cell of the slab-cone has members, so each is labelled and runs
-    # one stencil check in a slice check, and none in a connectivity scan
-    assert counts.get("stencil_safe", 0) == (cells if check == "slice" else 0)
+    # one stencil check
+    assert counts["stencil_safe"] == cells
 
 
 def test_no_graph_is_built_when_no_cell_has_enough_members(monkeypatch):
