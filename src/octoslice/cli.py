@@ -87,6 +87,14 @@ def _unit(data) -> UnitImaginary:
     return UnitImaginary.from_vector(json_reals(data, (7,), "a unit"))
 
 
+def _unit_pair(text: str) -> tuple[UnitImaginary, UnitImaginary]:
+    """The two units of --units, a JSON list of two 7-vectors."""
+    pair = _json_arg(text)
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise PreconditionError("--units expects a JSON list of two 7-vectors")
+    return _unit(pair[0]), _unit(pair[1])
+
+
 def _z_arg(text: str) -> complex:
     alpha, beta = json_reals(_json_arg(text), (2,), '--z "[alpha, beta]"').tolist()
     return complex(alpha, beta)
@@ -160,10 +168,7 @@ def _cmd_stem(args) -> int:
     if (args.units is None) == (args.unit is None):
         raise PreconditionError("give exactly one of --units or --unit")
     if args.units is not None:
-        pair = _json_arg(args.units)
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise PreconditionError("--units expects a JSON list of two 7-vectors")
-        i1, i2 = (_unit(unit).vec[None] for unit in pair)
+        i1, i2 = (unit.vec[None] for unit in _unit_pair(args.units))
         stem = StemVector(*(Octonion(w[0]) for w in stem_from_two_units(gf.field, np.array([z]), i1, i2)))
     else:
         x = tau(_unit(_json_arg(args.unit)), z)
@@ -215,10 +220,7 @@ def _cmd_maxmod(args) -> int:
     gf = get_field(args.field)
     grid = GridSpec.from_json(_json_arg(args.grid))
     if args.units is not None:
-        pair = _json_arg(args.units)
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise PreconditionError("--units expects a JSON list of two 7-vectors")
-        ortho = OrthoPair(_unit(pair[0]), _unit(pair[1]))
+        ortho = OrthoPair(*_unit_pair(args.units))
     else:
         ortho = OrthoPair(UnitImaginary.basis(1), UnitImaginary.basis(2))
     report = modulus_local_max_scan(gf.field, ortho, grid, _domain(args, gf.domain))

@@ -16,8 +16,10 @@ grid crossed with an adapted unit pool, shared with the fiber search of
 * infectivity: a pair already merged at a neighboring column rides over
   when both unit legs stay inside the domain.
 
-Classes are the connected components of the certified edges, the ride
-edges iterated to a fixpoint.  The merge records are a spanning forest of
+Classes are the least partition that holds each column's arc or real
+classes and is closed under riding, so no visit order is needed: the ride
+edges are found in whole-grid rounds, one `components` call per round,
+until a round joins nothing.  The merge records are a spanning forest of
 each column's classes: taking the column's arc or real edges in admissible
 order and then its ride edges, an edge is recorded when it joins two
 classes of the edges before it, so a column with m members and c classes
@@ -39,7 +41,6 @@ graph are upper bounds on the true quotient's.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -162,25 +163,24 @@ class _Builder:
         self.domain = domain
         self.plan = plan
         self.grid = SlicePairGrid(domain, plan)
-        # the nonempty columns, in order, and each one's slot in that order
+        # the nonempty columns, in order; a column's slot is its place here
         cols = list(self.grid.columns())
         self.cols = [col for col, mem in zip(cols, self.grid.members_many(cols)) if mem.any()]
         if not self.cols:
             raise EmptySampleError("no sampled slice pair lies in the domain")
-        self.slot = {col: k for k, col in enumerate(self.cols)}
-        # the units that ride between neighbouring nonempty columns, under
-        # both orders of the pair
-        pairs = [(col, nb) for col in self.cols for nb in self.neighbors(col) if nb > col]
-        self.ridable: dict[tuple[ColKey, ColKey], np.ndarray] = {}
-        for (col, nb), move in zip(pairs, self.grid.move_masks(pairs)):
-            self.ridable[col, nb] = self.ridable[nb, col] = np.flatnonzero(move)
+        # The ride table: one row (lo, hi, unit) per unit that rides between
+        # neighbouring nonempty columns, lo and hi their slots in `cols`, the
+        # smaller column first.
+        slot = {col: k for k, col in enumerate(self.cols)}
+        pairs = [(col, nb) for col in self.cols for nb in self.grid.neighbors(col) if nb > col and nb in slot]
+        n = len(self.grid.units)
+        pair, unit = np.nonzero(np.array(self.grid.move_masks(pairs), dtype=bool).reshape(-1, n))
+        ends = np.array([(slot[col], slot[nb]) for col, nb in pairs], dtype=np.int64).reshape(-1, 2)
+        self.table = np.column_stack([ends[pair], unit])
         # Edges live on all columns side by side: unit u of slot k is node
         # k*n + u.  Ride edges that joined two classes, each tagged with its
         # source slot:
         self.rides: list[tuple[np.ndarray, np.ndarray]] = []
-
-    def neighbors(self, col: ColKey):
-        return (nb for nb in self.grid.neighbors(col) if nb in self.slot)
 
     def merge_within_columns(self) -> None:
         """Certified edges at fixed z, and the classes they make per column.
@@ -210,37 +210,33 @@ class _Builder:
         self.labels -= self.labels[:, :1]
 
     def propagate_infectivity(self) -> None:
-        """Merge the units that ride over together from one neighbouring class, to the fixpoint."""
-        work = deque(self.cols)
-        queued = set(work)
-        while work:
-            col = work.popleft()
-            queued.discard(col)
-            lab = self.labels[self.slot[col]]
-            heads, tails = [], []
-            for nb in self.neighbors(col):
-                ridable = self.ridable[col, nb]
-                if len(ridable) < 2:
-                    continue
-                # each unit rides with the first ridable unit of its class at nb
-                _, first, group = np.unique(
-                    self.labels[self.slot[nb], ridable], return_index=True, return_inverse=True
-                )
-                head = ridable[first][group]
-                joins = lab[head] != lab[ridable]
-                if joins.any():
-                    node = self.slot[col] * len(lab)
-                    ends = np.column_stack([head[joins], ridable[joins]]) + node
-                    self.rides.append((ends, np.full(len(ends), self.slot[nb])))
-                    heads.append(lab[head[joins]])
-                    tails.append(lab[ridable[joins]])
-            if heads:
-                pairs = np.column_stack([np.concatenate(heads), np.concatenate(tails)])
-                lab[:] = components(int(lab.max()) + 1, pairs)[1][lab]
-                for nb in self.neighbors(col):
-                    if nb not in queued:
-                        work.append(nb)
-                        queued.add(nb)
+        """Merge the units that ride over together from one neighbouring class, in whole-grid rounds.
+
+        A round takes every row of the ride table in both directions: each
+        unit rides with the first ridable unit of its class at the source
+        column, and where the two sit in different classes at the target,
+        the edge between them is kept as a ride and the classes join.  The
+        rounds stop when nothing joins, at the least partition that holds
+        the classes of `merge_within_columns` and is closed under riding.
+        """
+        n = len(self.grid.units)
+        lo, hi, unit = self.table.T
+        src, dst, unit = np.concatenate([lo, hi]), np.concatenate([hi, lo]), np.tile(unit, 2)
+        sources, targets = src * n + unit, dst * n + unit
+        # the rows of one pair in one direction share a key prefix
+        prefix = (src * len(self.cols) + dst) * n
+        while True:
+            flat = self.labels.reshape(-1)
+            _, first, group = np.unique(prefix + flat[sources], return_index=True, return_inverse=True)
+            ends = np.column_stack([targets[first][group], targets])
+            joins = flat[ends[:, 0]] != flat[ends[:, 1]]
+            if not joins.any():
+                return
+            self.rides.append((ends[joins], src[joins]))
+            # the classes join as nodes slot * n + label, one per class of every column
+            _, comp = components(flat.size, ends[joins] // n * n + flat[ends[joins]])
+            self.labels = np.take_along_axis(comp.reshape(self.labels.shape), self.labels, axis=1)
+            self.labels -= self.labels[:, :1]
 
     def merge_records(self) -> list[tuple]:
         """One certified edge per merge: a spanning forest of every column's classes.
@@ -289,11 +285,8 @@ class _Builder:
                 zip(slots[order][starts].tolist(), np.split(units[order], starts[1:]))
             )
         ]
-        pairs = [np.empty((0, 2), dtype=int)]
-        for (col, nb), ridable in self.ridable.items():
-            if col < nb:
-                pairs.append(labels[[self.slot[col], self.slot[nb]]][:, ridable].T)
-        pairs = np.concatenate(pairs)
+        lo, hi, unit = self.table.T
+        pairs = np.column_stack([labels[lo, unit], labels[hi, unit]])
         # both directions of every pair, sorted by (a, b) through the key a * C + b
         n_cls = len(classes)
         a, b = pairs[:, 0], pairs[:, 1]

@@ -28,6 +28,12 @@ from .errors import EmptySampleError, PreconditionError
 # Upper limit on the columns of a z grid (alphas x betas).  The default plans
 # build about a thousand; a grid past the limit is refused before it is built.
 MAX_Z_COLUMNS = 50_000
+# Upper limit on the bool mask cells of a `SlicePairGrid`, counted as
+# columns x (2 units + arc edges): the move masks of a column's two larger
+# neighbours and its arc mask.  Each plan limit holds alone, yet together
+# they allow grids of tens of GB; 2^29 cells are 0.54 GB.  The largest
+# grids in use, criterion 9's chain among them, hold about 5 M.
+MAX_GRID_CELLS = 1 << 29
 # The (a, b) grid of slice scans whose plan gives none.
 _SCAN_GRID = ((-2.0, -1.0, 0.0, 1.0, 2.0), (0.5, 1.5, 2.5))
 # The cKDTree radius of `thin_units` over min_chord: a relative slack far
@@ -527,6 +533,9 @@ class SlicePairGrid:
 
     A column is real when its beta is 0: every unit lifts one real point
     there, so its units are all members or none are.
+
+    A grid whose masks could pass `MAX_GRID_CELLS` cells is refused once
+    its pool and arc graph are built, before any mask is.
     """
 
     def __init__(self, domain, plan: SamplePlan, query=None) -> None:
@@ -551,6 +560,13 @@ class SlicePairGrid:
             )
         self.link = max(chord_of_angle(plan.link_angle), 2.5 * self.sep)
         self.edges = arc_probe_graph(self.units, self.link)[0]
+        columns = len(self.alphas) * len(self.betas)
+        cells = columns * (2 * len(self.units) + len(self.edges))
+        if cells > MAX_GRID_CELLS:
+            raise PreconditionError(
+                f"the grid of {columns} columns x (2 x {len(self.units)} units + {len(self.edges)} arc edges)"
+                f" has {cells} mask cells, over the limit {MAX_GRID_CELLS}"
+            )
         self._members: dict[tuple[int, int], np.ndarray] = {}
         self._arcs: dict[tuple[int, int], np.ndarray] = {}
         self._moves: dict[tuple[tuple[int, int], tuple[int, int]], np.ndarray] = {}

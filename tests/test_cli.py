@@ -504,6 +504,18 @@ def test_plan_with_too_many_graph_pairs_is_exit_2_before_sampling(capsys):
     assert peak < 2**20
 
 
+def test_plan_whose_grid_is_too_large_is_exit_2(capsys):
+    # Each count is within its own limit, but the grid's masks would take
+    # about 12 GB; the pool and the arc graph are built, no mask is.
+    ball = json.dumps({"type": "ball", "center": [0] * 8, "radius": 3})
+    plan = json.dumps({"pool_harvest": 500000, "pool_max": 10000, "pool_sep": 0.02, "quotient_z_step": 0.03})
+    code, out, err = run(capsys, "quotient", "--domain", ball, "--plan", plan)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error.startswith("PreconditionError") and "40803 columns x (2 x 10000 units + " in error
+    assert "mask cells, over the limit" in error
+
+
 def test_plan_field_the_plan_lacks_is_exit_2(capsys):
     # witness checks take no sample count from the plan, and the fiber
     # search no base step

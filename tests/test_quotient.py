@@ -1,12 +1,15 @@
 """Sampled CCL quotients: components, projection, infectivity, class stems."""
 
 import functools
+import hashlib
+import json
 import math
 from collections import deque
 
 import numpy as np
 import pytest
 
+from octoslice import quotient, sampling
 from octoslice.algebra import Octonion, UnitImaginary, tau
 from octoslice.domains import Ball, BallChain, BallUnion, PredicateDomain, SlabCone
 from octoslice.errors import DomainError, EmptySampleError, IntegrityError, PreconditionError
@@ -24,7 +27,7 @@ from octoslice.quotient import (
     quotient_stem,
     replay_merge_record,
 )
-from octoslice.sampling import SamplePlan
+from octoslice.sampling import SamplePlan, SlicePairGrid
 
 E = [Octonion.basis(k) for k in range(8)]
 I1 = UnitImaginary.basis(1)
@@ -349,6 +352,60 @@ def test_runaway_z_grid_is_refused_before_it_is_built():
         build_quotient(Ball(Octonion.zero(), 1.0), SamplePlan(quotient_z_step=1e-7))
     with pytest.raises(PreconditionError, match="grid columns"):
         build_quotient(Ball(Octonion.zero(), 1.0), SamplePlan(quotient_step_factor=1e-5))
+
+
+def test_runaway_grid_masks_are_refused_before_any_is_built(monkeypatch):
+    domain, plan = Ball(2 * E[1] + 2 * E[2], 0.3), SamplePlan(pool_max=60)
+    grid = SlicePairGrid(domain, plan)
+    cells = len(grid.alphas) * len(grid.betas) * (2 * len(grid.units) + len(grid.edges))
+    monkeypatch.setattr(sampling, "MAX_GRID_CELLS", cells)
+    assert len(build_quotient(domain, plan).classes) > 0
+    monkeypatch.setattr(sampling, "MAX_GRID_CELLS", cells - 1)
+    for mask in ("members_many", "arc_masks", "move_masks"):
+        monkeypatch.setattr(SlicePairGrid, mask, lambda *args: pytest.fail("a mask was built"))
+    with pytest.raises(PreconditionError, match=f"has {cells} mask cells, over the limit {cells - 1}$"):
+        build_quotient(domain, plan)
+
+
+def test_infectivity_takes_a_few_whole_grid_rounds(monkeypatch):
+    # the workload's slab-cone plan, whose classes take 5 joining rounds
+    builder = _Builder(SlabCone(I1), SamplePlan(seed=0, pool_max=90, quotient_step_factor=0.1))
+    builder.merge_within_columns()
+    calls = []
+    monkeypatch.setattr(quotient, "components", lambda *args: calls.append(1) or sampling.components(*args))
+    builder.propagate_infectivity()
+    # one call per round that joins anything, and each such round keeps its rides
+    assert 0 < len(calls) <= 8 and len(builder.rides) == len(calls)
+    assert count_components(builder.finish()) == 1
+
+
+# Builds whose nonempty columns have no neighbour, so no unit rides: sha256s
+# of their classes, adjacency, components and records as the per-column
+# worklist built them.
+LONE_COLUMNS = {
+    "real-column": (
+        Ball(Octonion.zero(), 0.3),
+        SamplePlan(seed=3, quotient_z_step=0.45),
+        1,
+        "c8ee1e2315409378418a247d19832ec4755fd78e382ac3de212e1243613ed39c",
+    ),
+    "one-column-per-sheet": (
+        Ball(0.3 * E[0] + 1.95 * E[1], 0.2),
+        SamplePlan(seed=3, quotient_z_step=0.25),
+        2,
+        "cd6a56741efc316fc35bd17852b2dcbae89d2e462d27b9fead2932e3fcebb2bf",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONE_COLUMNS))
+def test_a_grid_without_rides_builds_as_before(name):
+    domain, plan, columns, digest = LONE_COLUMNS[name]
+    assert _Builder(domain, plan).table.shape == (0, 3)
+    q = build_quotient(domain, plan)
+    assert len(q.members) == columns
+    payload = json.dumps([q.to_json(), q.class_adjacency, q.component_of.tolist(), q.merge_records], sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == digest
 
 
 # -- reference: one union-find per column ------------------------------------
