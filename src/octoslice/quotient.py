@@ -23,15 +23,23 @@ until a round joins nothing.  The merge records are a spanning forest of
 each column's classes: taking the column's arc or real edges in admissible
 order and then its ride edges, an edge is recorded when it joins two
 classes of the edges before it, so a column with m members and c classes
-has m - c records.  Classes are therefore the transitive closures of the
-records, and `replay_merge_records` re-verifies records from scratch, as
-the legs they stand for, without building a witness: an arc record as the
-constant lifting and the arc lifting at its column, 16 pieces each, with
-the checks of `ccl_verify`; a real record as the real point every lifting
-at its column equals; a ride record as the two straight z legs of its
-units, 16 pieces each.  The records of one kind are checked together:
-the real points in one membership call, and the pieces of all arc (or
-ride) liftings in one call of `liftings._pieces_inside`, the kernel of
+has m - c records.  That is Kruskal's forest with the edges' order as
+their weights, and `_ordered_forest` finds it exactly in Borůvka rounds:
+once over the arc and real edges of every column, which also gives the
+within-column classes, and once over the ride edges between those
+classes.  `QuotientSample.records` keeps the records as one integer
+table, a row (kind code, column, i, j, tag) per record, and
+`merge_records` is its tuple view, built on first read.
+
+Classes are therefore the transitive closures of the records, and
+`replay_merge_records` re-verifies records from scratch, as the legs they
+stand for, without building a witness: an arc record as the constant
+lifting and the arc lifting at its column, 16 pieces each, with the checks
+of `ccl_verify`; a real record as the real point every lifting at its
+column equals; a ride record as the two straight z legs of its units, 16
+pieces each.  The records of one kind are checked together: the real
+points in one membership call, and the pieces of all arc (or ride)
+liftings in one call of `liftings._pieces_inside`, the kernel of
 `ccl_verify`, which decides them in blocks of at most `sampling._GRID_ROWS`
 sample rows, so a quotient of any size replays in bounded memory.
 `replay_merge_record` is the one-record case.
@@ -42,11 +50,11 @@ graph are upper bounds on the true quotient's.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import minimum_spanning_tree
 
 from .algebra import Octonion, row_norms, tau_rows
 from .diffops import OctField
@@ -62,9 +70,9 @@ ColKey = tuple[int, int]
 _Z_MATCH_TOL = 1e-9
 # Adjacency hops within which the injectivity check compares classes.
 _HOP_RADIUS = 4
-# Columns whose spanning forests `merge_records` builds at once; it bounds
-# the forest's temporaries to a block's edges.
-_FOREST_BLOCK = 16
+# The kinds of merge record, by their code in the record table.
+RECORD_KINDS = ("arc", "real", "ride")
+_ARC, _REAL, _RIDE = range(len(RECORD_KINDS))
 # Sample times per lifting of a replay, as in `ccl_verify`.
 _REPLAY_SAMPLES = 2048
 
@@ -81,7 +89,13 @@ class QuotientClass:
 
 @dataclass
 class QuotientSample:
-    """Sampled CCL quotient with class labels and the adjacency actually used."""
+    """Sampled CCL quotient with class labels and the adjacency actually used.
+
+    `records` is the merge record table, int64 (m, 5): per record its kind
+    code (its place in `RECORD_KINDS`), its column and its units i and j,
+    and a tag: an arc's edge index, -1 at a real column, or a ride's
+    source column.  A column is flat, alpha * len(betas) + beta.
+    """
 
     domain: Domain
     plan: SamplePlan
@@ -94,12 +108,31 @@ class QuotientSample:
     classes: list[QuotientClass]
     class_adjacency: list[tuple[int, ...]]
     component_of: np.ndarray
-    merge_records: list[tuple]
+    records: np.ndarray
     link: float
     separation: float
 
     def z_of(self, col: ColKey) -> complex:
         return complex(self.alphas[col[0]], self.betas[col[1]])
+
+    @cached_property
+    def merge_records(self) -> list[tuple]:
+        """`records` as tuples of Python ints, built on first read.
+
+        ("arc", col, i, j, arc edge index), ("real", col, i, j) and
+        ("ride", col, i, j, source col), a column as its (alpha, beta)
+        index pair.
+        """
+        kinds, cols, i, j, tags = self.records.T
+        cols, i, j = _col_keys(self, cols), i.tolist(), j.tolist()
+        # most records are arcs: every row as one, then the others rewritten
+        records = list(zip(repeat("arc"), cols, i, j, tags.tolist()))
+        for k in np.flatnonzero(kinds == _REAL).tolist():
+            records[k] = ("real", cols[k], i[k], j[k])
+        rides = np.flatnonzero(kinds == _RIDE)
+        for k, source in zip(rides.tolist(), _col_keys(self, tags[rides])):
+            records[k] = ("ride", cols[k], i[k], j[k], source)
+        return records
 
     def to_json(self) -> dict:
         points, labels = [], []
@@ -125,37 +158,66 @@ class QuotientSample:
         }
 
 
-def _ordered_forest(edges: np.ndarray, width: int) -> np.ndarray:
-    """Indices of the edges that join two components when taken in order.
+def _col_keys(q: QuotientSample, cols: np.ndarray) -> list[ColKey]:
+    """The flat columns alpha * len(betas) + beta as (alpha, beta) pairs of Python ints."""
+    alphas, betas = np.divmod(cols, len(q.betas))
+    return list(zip(alphas.tolist(), betas.tolist()))
 
-    This is the spanning forest Kruskal's algorithm builds from the edge
-    order, i.e. the minimum spanning forest under weights 1, 2, 3, ...
-    Nodes k * width to (k + 1) * width - 1 make up column k, and no edge
-    joins two columns, so the forest is built `_FOREST_BLOCK` columns at a
-    time, on each block's edges in their order; its temporaries scale with
-    one block's edges.
+
+def _ordered_forest(n: int, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The edges that join two components when taken in order, and the components.
+
+    The graph has nodes 0..n-1 and the edges `ends` (m, 2), self-loops and
+    repeated edges allowed.  Returns (forest, labels): the increasing
+    indices of the edges that Kruskal's algorithm keeps when it takes them
+    in order, and each node's component, numbered by smallest node as
+    `sampling.components` numbers them.  Weighed by their indices the edges
+    have distinct weights, so the minimum spanning forest is unique and is
+    the one Kruskal keeps.  Borůvka rounds find it exactly: each component
+    takes its lowest outgoing edge, and the components those edges join
+    become one, named by its smallest node.  A round at least halves the
+    components that still have an outgoing edge.
     """
-    slot = edges[:, 0] // width
-    by_col = np.argsort(slot, kind="stable")
-    firsts = np.arange(0, int(slot.max(initial=0)) + _FOREST_BLOCK + 1, _FOREST_BLOCK)
-    bounds = np.searchsorted(slot, firsts, sorter=by_col)
-    return np.sort(np.concatenate([
-        block[_block_forest(_FOREST_BLOCK * width, edges[block] - first * width)]
-        for first, block in zip(firsts, np.split(by_col, bounds[1:-1]))
-    ]))
-
-
-def _block_forest(n: int, edges: np.ndarray) -> np.ndarray:
-    """`_ordered_forest` of one block of columns, whose nodes are 0..n-1."""
-    if len(edges) == 0:
-        return np.empty(0, dtype=np.int64)
-    lo, hi = np.minimum(*edges.T), np.maximum(*edges.T)
-    # a repeat of an earlier edge, or a self-loop, never joins anything
-    _, first = np.unique(lo * n + hi, return_index=True)
-    keep = np.sort(first)
-    keep = keep[lo[keep] != hi[keep]]
-    graph = coo_matrix((keep + 1.0, (lo[keep], hi[keep])), shape=(n, n))
-    return np.sort(minimum_spanning_tree(graph).tocoo().data.astype(np.int64) - 1)
+    name = np.arange(n)
+    # per node, scratch that each round leaves as it found it
+    best, top, rename = np.full(n, len(ends)), np.arange(n), np.arange(n)
+    # the edges between two components, and their ends' component names
+    a, b = ends.T
+    live = np.flatnonzero(a != b)
+    a, b = a[live], b[live]
+    forest = []
+    while len(live):
+        # each component's lowest outgoing edge, by its place in `live`
+        place = np.arange(len(live))
+        np.minimum.at(best, a, place)
+        np.minimum.at(best, b, place)
+        roots = np.flatnonzero(best < len(ends))
+        pick = best[roots]
+        best[roots] = len(ends)
+        # each component points at the other end of its edge; two that took
+        # one edge point at each other, and the smaller becomes their top
+        other = a[pick] + b[pick] - roots
+        top[roots] = other
+        pair = top[other] == roots
+        forest.append(live[pick[~pair | (roots < other)]])
+        lead = roots[pair & (roots < other)]
+        top[lead] = lead
+        # the pointers jump until every component points at its top
+        while True:
+            up = top[top[roots]]
+            if np.array_equal(up, top[roots]):
+                break
+            top[roots] = up
+        # a joined component is named by its smallest node, the least of its tree's names
+        np.minimum.at(rename, up, roots)
+        rename[roots] = rename[up]
+        name, a, b = rename[name], rename[a], rename[b]
+        top[roots] = rename[roots] = roots
+        keep = a != b
+        live, a, b = live[keep], a[keep], b[keep]
+    forest = np.sort(np.concatenate(forest)) if forest else np.empty(0, dtype=np.int64)
+    first = name == np.arange(n)
+    return forest, (np.cumsum(first) - 1)[name]
 
 
 class _Builder:
@@ -183,12 +245,14 @@ class _Builder:
         self.rides: list[tuple[np.ndarray, np.ndarray]] = []
 
     def merge_within_columns(self) -> None:
-        """Certified edges at fixed z, and the classes they make per column.
+        """Certified edges at fixed z, the classes they make per column, and their records.
 
-        `within` holds the edges in the order the records take them, as
-        (ends (m, 2), tags), a tag being the arc edge index or -1 at a real
-        column.  `labels[k]` numbers the classes of slot k by smallest unit;
-        non-members are singletons.
+        A column's edges are its arc edges, or a star on its members at a
+        real column, in admissible order, tagged with the arc edge index or
+        -1.  `labels[k]` numbers the classes of slot k by smallest unit;
+        non-members are singletons.  `within` holds the records, as (ends
+        (m, 2), tags): the edges of all columns, in order, that join two
+        classes of the edges before them.
         """
         grid = self.grid
         n = len(grid.units)
@@ -203,11 +267,13 @@ class _Builder:
             else:
                 tags.append(np.flatnonzero(next(arcs)))
                 ends.append(grid.edges[tags[-1]] + k * n)
-        self.within = (np.concatenate(ends), np.concatenate(tags))
+        ends, tags = np.concatenate(ends), np.concatenate(tags)
+        forest, labels = _ordered_forest(len(self.cols) * n, ends)
+        self.within = (ends[forest], tags[forest])
         # a slot's components are numbered consecutively from its unit 0's
-        _, labels = components(len(self.cols) * n, self.within[0])
         self.labels = labels.reshape(len(self.cols), n)
         self.labels -= self.labels[:, :1]
+        self.within_labels = self.labels
 
     def propagate_infectivity(self) -> None:
         """Merge the units that ride over together from one neighbouring class, in whole-grid rounds.
@@ -238,34 +304,29 @@ class _Builder:
             self.labels = np.take_along_axis(comp.reshape(self.labels.shape), self.labels, axis=1)
             self.labels -= self.labels[:, :1]
 
-    def merge_records(self) -> list[tuple]:
-        """One certified edge per merge: a spanning forest of every column's classes.
+    def records(self) -> np.ndarray:
+        """The merge records, as `QuotientSample.records`.
 
-        Each column's edges are taken in certified order, its arc or real
-        edges in admissible order and then its ride edges; a record is an
-        edge that joins two classes of the edges before it.
+        Each column's own records come first, column by column, then the
+        ride edges that join two classes of the within-column classes and
+        the rides before them: Kruskal over the within edges and then the
+        rides keeps exactly these, so one spanning forest of every
+        column's classes.
         """
         n = len(self.grid.units)
-        ends = np.concatenate([self.within[0]] + [e for e, _ in self.rides])
-        tags = np.concatenate([self.within[1]] + [t for _, t in self.rides])
-        chosen = _ordered_forest(ends, n)
-        slot = ends[chosen, 0] // n
-        ks, tag = slot.tolist(), tags[chosen].tolist()
-        i, j = (ends[chosen] % n).T.tolist()
-        cols = self.cols
-        # the records of each column's own edges come first, column by column:
-        # all "real" at a real column, all "arc" at any other; the rides follow
-        w = int(np.searchsorted(chosen, len(self.within[1])))
-        starts = np.flatnonzero(np.diff(slot[:w], prepend=-1)).tolist()
-        records: list[tuple] = []
-        for s, e in zip(starts, starts[1:] + [w]):
-            col = cols[ks[s]]
-            if tag[s] < 0:
-                records += [("real", col, a, b) for a, b in zip(i[s:e], j[s:e])]
-            else:
-                records += [("arc", col, a, b, t) for a, b, t in zip(i[s:e], j[s:e], tag[s:e])]
-        records += [("ride", cols[k], a, b, cols[t]) for k, a, b, t in zip(ks[w:], i[w:], j[w:], tag[w:])]
-        return records
+        nb = len(self.grid.betas)
+        flat = np.array([a * nb + b for a, b in self.cols], dtype=np.int64)
+        ends, tags = self.within
+        kinds = np.where(tags < 0, _REAL, _ARC)
+        if self.rides:
+            rides = np.concatenate([e for e, _ in self.rides])
+            sources = np.concatenate([t for _, t in self.rides])
+            # the rides join the within-column classes, as nodes slot * n + label
+            keep, _ = _ordered_forest(self.labels.size, rides // n * n + self.within_labels.reshape(-1)[rides])
+            ends = np.concatenate([ends, rides[keep]])
+            kinds = np.concatenate([kinds, np.full(len(keep), _RIDE)])
+            tags = np.concatenate([tags, flat[sources[keep]]])
+        return np.column_stack([kinds, flat[ends[:, 0] // n], ends % n, tags]).astype(np.int64, copy=False)
 
     def finish(self) -> QuotientSample:
         grid = self.grid
@@ -309,7 +370,7 @@ class _Builder:
             classes=classes,
             class_adjacency=adjacency,
             component_of=smallest[comp],
-            merge_records=self.merge_records(),
+            records=self.records(),
             link=grid.link,
             separation=grid.sep,
         )
@@ -452,7 +513,9 @@ def replay_merge_record(q: QuotientSample, record: tuple) -> bool:
 def replay_merge_records(q: QuotientSample, records) -> np.ndarray:
     """Re-verify merge records' certificates from scratch, as the legs they stand for, as bool[n].
 
-    An arc record is its coupled lifting at |beta|, the constant one and the
+    `records` is a record table (`QuotientSample.records`) or a sequence
+    of record tuples (`merge_records`), which become one table first.  An
+    arc record is its coupled lifting at |beta|, the constant one and the
     arc, checked like `ccl_verify`; a real record is the real point every
     lifting at its column equals; a ride record is its units' two z legs,
     and the source column must still merge the pair.  Every record's kind
@@ -461,35 +524,47 @@ def replay_merge_records(q: QuotientSample, records) -> np.ndarray:
     of the arcs and of the rides each in one `_pieces_inside` call, which
     decides their pieces in blocks of bounded rows.
     """
-    kinds = [r[0] for r in records]
-    known = tuple(_REPLAYS)
-    unknown = [kind for kind in kinds if kind not in known]
+    table = records if isinstance(records, np.ndarray) else _record_table(q, records)
+    kinds = table[:, 0]
+    codes = set(kinds.tolist())
+    unknown = codes.difference(range(len(RECORD_KINDS)))
     if unknown:
-        raise DomainError(f"unknown merge record kind {unknown[0]!r}")
-    flags = np.zeros(len(records), dtype=bool)
-    for kind, replay in _REPLAYS.items():
-        ids = [n for n, k in enumerate(kinds) if k == kind]
-        if ids:
-            recs = [records[n] for n in ids]
-            cols = np.array([r[1] for r in recs], dtype=np.intp)
-            pairs = np.array([r[2:4] for r in recs], dtype=np.intp)
-            flags[ids] = replay(q, _z_at(q, cols), pairs, recs)
+        raise DomainError(f"unknown merge record kind code {min(unknown)}")
+    flags = np.zeros(len(table), dtype=bool)
+    for kind in sorted(codes):
+        ids = np.flatnonzero(kinds == kind) if len(codes) > 1 else slice(None)
+        rows = table[ids]
+        flags[ids] = _REPLAYS[kind](q, _z_at(q, rows[:, 1]), rows[:, 2:4], rows[:, 4])
     return flags
 
 
+def _record_table(q: QuotientSample, records) -> np.ndarray:
+    """Record tuples as rows of a record table; an unknown kind raises `DomainError`."""
+    nb = len(q.betas)
+    rows = []
+    for r in records:
+        if r[0] not in RECORD_KINDS:
+            raise DomainError(f"unknown merge record kind {r[0]!r}")
+        kind = RECORD_KINDS.index(r[0])
+        tag = -1 if kind == _REAL else r[4] if kind == _ARC else r[4][0] * nb + r[4][1]
+        rows.append((kind, r[1][0] * nb + r[1][1], r[2], r[3], tag))
+    return np.array(rows, dtype=np.int64).reshape(-1, 5)
+
+
 def _z_at(q: QuotientSample, cols: np.ndarray) -> np.ndarray:
-    """`q.z_of` of the columns (m, 2), as complex[m]."""
+    """`q.z_of` of the flat columns alpha * len(betas) + beta, as complex[m]."""
+    a, b = np.divmod(cols, len(q.betas))
     z = np.empty(len(cols), dtype=complex)
-    z.real = q.alphas[cols[:, 0]]
-    z.imag = q.betas[cols[:, 1]]
+    z.real = q.alphas[a]
+    z.imag = q.betas[b]
     return z
 
 
-def _replay_real(q: QuotientSample, z: np.ndarray, pairs, records) -> np.ndarray:
+def _replay_real(q: QuotientSample, z: np.ndarray, pairs, tags) -> np.ndarray:
     return q.domain.contains_batch(tau_rows(z.real, 0.0, np.zeros(7)))
 
 
-def _replay_arcs(q: QuotientSample, z: np.ndarray, pairs: np.ndarray, records) -> np.ndarray:
+def _replay_arcs(q: QuotientSample, z: np.ndarray, pairs: np.ndarray, tags) -> np.ndarray:
     # an arc below the axis is lifted at |beta| with the units flipped, and
     # a unit path normalises its vertices
     ends_at = q.units[pairs]
@@ -507,11 +582,10 @@ def _replay_arcs(q: QuotientSample, z: np.ndarray, pairs: np.ndarray, records) -
     return np.concatenate([gaps <= _END_TOL, inside.reshape(-1, 2)], axis=1).all(axis=1)
 
 
-def _replay_rides(q: QuotientSample, z: np.ndarray, pairs: np.ndarray, records) -> np.ndarray:
-    sources = np.array([r[4] for r in records], dtype=np.intp)
+def _replay_rides(q: QuotientSample, z: np.ndarray, pairs: np.ndarray, sources) -> np.ndarray:
     # the labels of the distinct source columns, one row each
-    cols, slot = np.unique(sources, axis=0, return_inverse=True)
-    labels = np.stack([q.labels[col] for col in map(tuple, cols.tolist())])[slot.reshape(-1, 1), pairs]
+    cols, slot = np.unique(sources, return_inverse=True)
+    labels = np.stack([q.labels[col] for col in _col_keys(q, cols)])[slot.reshape(-1, 1), pairs]
     flags = (labels[:, 0] == labels[:, 1]) & (labels[:, 0] >= 0)
     if flags.any():
         units = q.units[pairs[flags]]
@@ -527,5 +601,6 @@ def _replay_rides(q: QuotientSample, z: np.ndarray, pairs: np.ndarray, records) 
 
 # The unit vertices of an arc record's two liftings: the constant one, then the arc.
 _ARC_LIFTINGS = np.array([[0, 0], [0, 1]])
-_REPLAYS = {"arc": _replay_arcs, "real": _replay_real, "ride": _replay_rides}
+# The replay of each kind, by code.
+_REPLAYS = (_replay_arcs, _replay_real, _replay_rides)
 

@@ -534,14 +534,15 @@ class SlicePairGrid:
     A column is real when its beta is 0: every unit lifts one real point
     there, so its units are all members or none are.
 
-    A grid whose masks could pass `MAX_GRID_CELLS` cells is refused once
-    its pool and arc graph are built, before any mask is.
+    A grid whose masks could pass `MAX_GRID_CELLS` cells is refused before
+    its pool is harvested when its member and move masks alone could pass
+    it at the largest pool the plan allows, and otherwise once its pool and
+    arc graph are built, before any mask is.
     """
 
     def __init__(self, domain, plan: SamplePlan, query=None) -> None:
         """`query`, when given, is (z, units (k, 7)): a point's projection and units."""
         self.domain = domain
-        self.units, self.sep = adaptive_unit_pool(domain, plan)
         window = domain.z_window()
         a_lo, a_hi, b_max = window
         step = z_grid_step(window, plan)
@@ -551,16 +552,25 @@ class SlicePairGrid:
         self.query_col = None
         if query is not None:
             z, query_units = query
-            self.units = np.vstack([self.units, query_units])
             self.alphas = np.sort(np.append(self.alphas, z.real))
             self.betas = np.sort(np.append(self.betas, z.imag))
             self.query_col = (
                 int(np.searchsorted(self.alphas, z.real)),
                 int(np.searchsorted(self.betas, z.imag)),
             )
+        columns = len(self.alphas) * len(self.betas)
+        # a pool keeps at most pool_max of its harvest and the harvest's antipodes
+        most = min(plan.pool_max, 2 * plan.pool_harvest) + (0 if query is None else len(query_units))
+        if columns * 2 * most > MAX_GRID_CELLS:
+            raise PreconditionError(
+                f"the grid of {columns} columns x 2 x up to {most} units has up to {columns * 2 * most}"
+                f" member and move mask cells, over the limit {MAX_GRID_CELLS}"
+            )
+        self.units, self.sep = adaptive_unit_pool(domain, plan)
+        if query is not None:
+            self.units = np.vstack([self.units, query_units])
         self.link = max(chord_of_angle(plan.link_angle), 2.5 * self.sep)
         self.edges = arc_probe_graph(self.units, self.link)[0]
-        columns = len(self.alphas) * len(self.betas)
         cells = columns * (2 * len(self.units) + len(self.edges))
         if cells > MAX_GRID_CELLS:
             raise PreconditionError(

@@ -501,7 +501,8 @@ def attach_quotient(domain, z, units):
         domain=domain, plan=None,
         alphas=np.array([z.real]), betas=np.array([z.imag]), units=units,
         edges=None, members={(0, 0): np.ones(len(units), dtype=bool)}, labels={(0, 0): np.arange(len(units))},
-        classes=[], class_adjacency=[], component_of=None, merge_records=[], link=0.0, separation=ATTACH_SEP,
+        classes=[], class_adjacency=[], component_of=None, records=np.empty((0, 5), dtype=np.int64),
+        link=0.0, separation=ATTACH_SEP,
     )
 
 

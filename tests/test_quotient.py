@@ -1,5 +1,6 @@
 """Sampled CCL quotients: components, projection, infectivity, class stems."""
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -109,7 +110,7 @@ def test_degenerate_single_class_quotient():
         classes=[QuotientClass(0, (0, 0), complex(2, 1), (0,))],
         class_adjacency=[()],
         component_of=np.array([0]),
-        merge_records=[],
+        records=np.empty((0, 5), dtype=np.int64),
         link=q.link,
         separation=q.separation,
     )
@@ -157,7 +158,7 @@ def test_class_at_refuses_points_outside_the_domain():
     col = next(col for col in q.members if q.betas[col[1]] == 0.0)
     real = Octonion.from_real_imag(q.z_of(col).real, np.zeros(7))
     assert project_p(q, class_at(q, real)) == q.z_of(col)
-    shrunk = QuotientSample(**{**q.__dict__, "domain": Ball(0.8 * E[1], 0.5)})
+    shrunk = dataclasses.replace(q, domain=Ball(0.8 * E[1], 0.5))
     with pytest.raises(DomainError, match="outside the domain"):
         class_at(shrunk, real)
 
@@ -224,7 +225,7 @@ def test_seam_classes_carry_opposite_branches():
         classes=patched,
         class_adjacency=q.class_adjacency,
         component_of=q.component_of,
-        merge_records=q.merge_records,
+        records=q.records,
         link=q.link,
         separation=q.separation,
     )
@@ -332,7 +333,7 @@ def test_injectivity_detector_flags_adjacent_same_z_classes():
         ],
         class_adjacency=[(1, 2), (0,), (0,)],
         component_of=np.array([0, 0, 0]),
-        merge_records=[],
+        records=np.empty((0, 5), dtype=np.int64),
         link=q.link,
         separation=q.separation,
     )
@@ -365,6 +366,28 @@ def test_runaway_grid_masks_are_refused_before_any_is_built(monkeypatch):
         monkeypatch.setattr(SlicePairGrid, mask, lambda *args: pytest.fail("a mask was built"))
     with pytest.raises(PreconditionError, match=f"has {cells} mask cells, over the limit {cells - 1}$"):
         build_quotient(domain, plan)
+
+
+def test_runaway_grid_is_refused_before_its_pool_is_harvested(monkeypatch):
+    domain = Ball(2 * E[1] + 2 * E[2], 0.3)
+    grid = SlicePairGrid(domain, SamplePlan(pool_max=60))
+    columns = len(grid.alphas) * len(grid.betas)
+    harvests = []
+    pool = sampling.adaptive_unit_pool
+    monkeypatch.setattr(sampling, "adaptive_unit_pool", lambda *args: harvests.append(1) or pool(*args))
+    # the largest pool is pool_max units, or twice the harvest when that is fewer
+    for plan, most in ((SamplePlan(pool_max=60), 60), (SamplePlan(pool_max=60, pool_harvest=25), 50)):
+        monkeypatch.setattr(sampling, "MAX_GRID_CELLS", columns * 2 * most - 1)
+        with pytest.raises(PreconditionError, match=f"x 2 x up to {most} units has up to {columns * 2 * most} "):
+            build_quotient(domain, plan)
+        assert harvests == []
+        monkeypatch.setattr(sampling, "MAX_GRID_CELLS", columns * 2 * most)
+        try:
+            SlicePairGrid(domain, plan)
+        except PreconditionError as error:
+            assert "arc edges" in str(error)
+        assert harvests == [1]
+        harvests.clear()
 
 
 def test_infectivity_takes_a_few_whole_grid_rounds(monkeypatch):
@@ -406,6 +429,105 @@ def test_a_grid_without_rides_builds_as_before(name):
     assert len(q.members) == columns
     payload = json.dumps([q.to_json(), q.class_adjacency, q.component_of.tolist(), q.merge_records], sort_keys=True)
     assert hashlib.sha256(payload.encode()).hexdigest() == digest
+
+
+# sha256s over the test fixtures' output, adjacency, components, labels and
+# full record lists, as the scipy spanning forest in column blocks built them
+FIXTURE_DIGESTS = {
+    far_ball_quotient: "683a01c2687f680e860cf0632a236f81299f0cbae57fb23fb96a8da5b348a303",
+    real_ball_quotient: "f527e1e7e98c9ff43e50227d0081d28c0e58cc63e2f27e863277971b3181b0c4",
+    chain_quotient: "a5c7b83a54f7d6c3b2158d49918c729def786309968982567648d88ec0df864b",
+    slab_cone_quotient: "6d90c8f37b78abcd4a02ef21dcf81acb8703dd033167868bf4291d289aa22549",
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(FIXTURE_DIGESTS, key=lambda f: f.__name__), ids=lambda f: f.__name__)
+def test_records_and_labels_are_those_of_the_ordered_forest(fixture):
+    q = fixture()
+    labels = [[list(col), lab.tolist()] for col, lab in q.labels.items()]
+    payload = json.dumps(
+        [q.to_json(), q.class_adjacency, q.component_of.tolist(), labels, q.merge_records], sort_keys=True
+    )
+    assert hashlib.sha256(payload.encode()).hexdigest() == FIXTURE_DIGESTS[fixture]
+
+
+def test_merge_records_are_the_table_as_tuples_of_python_ints():
+    q = slab_cone_quotient()
+    assert q.records.dtype == np.int64 and q.records.shape == (len(q.merge_records), 5)
+    assert q.merge_records is q.merge_records
+    kinds = {"arc": 5, "real": 4, "ride": 5}
+    for record, row in zip(q.merge_records, q.records.tolist()):
+        assert type(record) is tuple and len(record) == kinds[record[0]]
+        assert quotient.RECORD_KINDS[row[0]] == record[0]
+        assert type(record[1]) is tuple and all(type(v) is int for v in record[1] + record[2:4])
+        assert record[1][0] * len(q.betas) + record[1][1] == row[1] and list(record[2:4]) == row[2:4]
+        if record[0] == "ride":
+            assert type(record[4]) is tuple and all(type(v) is int for v in record[4]) and record[4] in q.members
+        elif record[0] == "arc":
+            assert type(record[4]) is int and record[4] == row[4]
+        else:
+            assert row[4] == -1
+    assert {r[0] for r in q.merge_records} == set(kinds)
+    # a table replays as its tuples do, and a table row of no kind is refused
+    pick = np.random.default_rng(3).choice(len(q.records), size=40, replace=False)
+    table = q.records[pick]
+    flags = quotient.replay_merge_records(q, table)
+    assert flags.all() and np.array_equal(flags, quotient.replay_merge_records(q, [q.merge_records[k] for k in pick]))
+    bad = table.copy()
+    bad[5, 0] = len(quotient.RECORD_KINDS)
+    with pytest.raises(DomainError, match="unknown merge record kind"):
+        quotient.replay_merge_records(q, bad)
+
+
+def _kruskal_in_order(n, ends):
+    """The edges a union-find keeps taking `ends` in order, and labels by smallest node."""
+    forest = _UnionFind(n)
+    kept = [k for k, (i, j) in enumerate(ends.tolist()) if forest.union(i, j)]
+    roots = [forest.find(i) for i in range(n)]
+    rank = {root: k for k, root in enumerate(sorted(set(roots)))}
+    return kept, [rank[root] for root in roots]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ordered_forest_equals_kruskal_in_order(seed):
+    rng = np.random.default_rng(seed)
+    columns, width = int(rng.integers(1, 6)), int(rng.integers(1, 40))
+    n = columns * width
+    parts = []
+    for k in range(columns):
+        # a sparse or a dense column, with isolated units, repeats and self-loops
+        m = int(rng.integers(0, 3 * width))
+        cut = int(rng.integers(1, width + 1))
+        parts.append(rng.integers(0, cut, size=(m, 2)) + k * width)
+    ends = np.concatenate(parts)
+    ends = np.concatenate([ends, ends[rng.integers(0, len(ends), size=len(ends) // 4)]]) if len(ends) else ends
+    ends = ends[rng.permutation(len(ends))]
+    if len(ends):
+        ends[: len(ends) // 10, 1] = ends[: len(ends) // 10, 0]
+    forest, labels = quotient._ordered_forest(n, ends)
+    kept, want = _kruskal_in_order(n, ends)
+    assert forest.tolist() == kept and labels.tolist() == want
+    assert labels.tolist() == sampling.components(n, ends)[1].tolist()
+
+
+@pytest.mark.parametrize("order", ["forward", "backward", "shuffled"])
+def test_ordered_forest_of_a_long_path_and_its_shortcuts(order):
+    # a path whose components join over many rounds, and chords that close cycles
+    n = 300
+    path = np.column_stack([np.arange(n - 1), np.arange(1, n)])
+    path = {"forward": path, "backward": path[::-1], "shuffled": path[np.random.default_rng(1).permutation(n - 1)]}
+    chords = np.random.default_rng(2).integers(0, n, size=(100, 2))
+    ends = np.concatenate([chords[:50], path[order], chords[50:]])
+    forest, labels = quotient._ordered_forest(n, ends)
+    kept, want = _kruskal_in_order(n, ends)
+    assert forest.tolist() == kept and labels.tolist() == want == [0] * n
+
+
+def test_ordered_forest_of_no_edges():
+    forest, labels = quotient._ordered_forest(7, np.empty((0, 2), dtype=np.int64))
+    assert forest.tolist() == [] and labels.tolist() == list(range(7))
+    forest, labels = quotient._ordered_forest(0, np.empty((0, 2), dtype=np.int64))
+    assert forest.tolist() == [] and labels.tolist() == []
 
 
 # -- reference: one union-find per column ------------------------------------
