@@ -33,7 +33,31 @@ finite row whose |Im x| overflows takes it on Im x scaled to a largest
 |coordinate| of 1, as the cones do not depend on scale.
 
 Interior sampling.  `Domain.sample_interior` stops testing proposals once
-it has enough; its docstring says why the points it keeps do not change.
+it has enough, and on its margin-0 path it does not test the rows that
+`_propose` marks held; its docstring says why the points it keeps do not
+change.  `Ball`, `BallUnion` and `BallChain` draw each proposal in one
+ball: p = c + g r, with g = n / |n| for a normal draw n (finite, as
+numpy's always are) and r = R U^(1/8) below the ball's radius R.  The row
+is held when r + s < R and |n| >= 2^-500, where s = 2^-30 (|c| + R) +
+2^-500 is the ball's `ball_slack`, the one its leg certificates use
+(infinite when |c| + R passes 2^500 or is not finite).  A held row passes
+`contains_batch`:
+
+* Rounding.  With u = 2^-53, the norm of n rounds by 3 u relative, and
+  underflow in its squares moves it by 2^-72 relative at most, as
+  |n|^2 >= 2^-1000; so |g| <= 1 + 5 u.  Each coordinate of g r, of
+  c + g r and of the test's p - c rounds once, by u of its size, or by
+  2^-1075 where it underflows, so the computed d = p - c has
+  |d| <= r + 12 u (|c| + R) + 2^-1073.  `row_norms(d)` adds 3 u relative,
+  and at most 2^-535 from squares that underflow; no square overflows,
+  since every coordinate of d is below 2^501.  So `row_norms(p - c)` <=
+  r + 2^-49 (|c| + R) + 2^-535, which the rounded test r + s < R (within
+  u R of the exact one) keeps below R: the per-ball test passes, and with
+  it `balls_contain`, whose verdicts are that test's.
+* The chain.  The exact |p - c| is below r + 2^-49 (|c| + R) too, so
+  below R - 2^-31 (|c| + R) <= R (1 - 2^-31): the bound of the chain's
+  tree below, under which cKDTree finds c, or a centre closer, at
+  `dist < RADIUS`.
 
 Leg checks.  A leg is every point within `sag` of a segment [p0, p1];
 `Domain.legs_inside` decides every leg of the package, testing the sample
@@ -46,7 +70,8 @@ the 16 stencil rows x +- 2h e_k as the point leg (x, x, 2h).  The default
 certifies nothing, and so does `PredicateDomain`.  `Ball` and `BallUnion`
 share `balls_hold_legs`, which certifies a leg when one ball has
 max(d0, d1) + sag + s < r, with d0 and d1 the `row_norms(p - c)` of the
-ends and the slack s = 2^-30 (max(|p0|, |p1|) + |c| + r) + 2^-1000.
+ends and the slack s = 2^-30 (max(|p0|, |p1|) + |c| + r) + 2^-500,
+infinite when |c| + r passes 2^500.
 `BallChain` makes the same test with the one ball whose centre its cKDTree
 finds nearest the leg's midpoint.  `SlabCone` certifies a leg that the
 slab or one cone holds (below).  Why the rows of a ball's leg are inside:
@@ -73,9 +98,13 @@ slab or one cone holds (below).  Why the rows of a ball's leg are inside:
   certified), and a time that falls into the neighbouring piece near a
   knot all stay that small.  `row_norms` rounds by at most 5 u relative,
   the certificate's sums by 3 u more, and sag <= |b| / 2 <= |p|.  Together
-  these stay below 2^-40 (|p| + |c| + r), a thousandth of the slack, so
-  every row of a certified leg has `row_norms(q - c) < r`, which is the
-  verdict of `balls_contain`.  A NaN or infinity anywhere fails the
+  these stay below 2^-40 (|p| + |c| + r), a thousandth of the slack.
+  Underflow moves a coordinate by 2^-1075 at most, and a `row_norms` by at
+  most 2^-535 (8 subnormal squares each rounded by 2^-1075), far below the
+  slack's floor 2^-500; no square overflows while |c| + r <= 2^500 and the
+  ends are within r of c.  So every row of a certified leg has
+  `row_norms(q - c) < r`, which is the verdict of `balls_contain`.  A
+  NaN or infinity anywhere fails the
   comparison and certifies nothing.  The rows of a point leg are
   x +- 2h e_k, each coordinate rounded once, so within u (|x| + 2h) of an
   exact point of the leg, and 2h < r on a certified one.
@@ -209,18 +238,26 @@ class Domain:
         does not depend on how they are tested, and tests them in order, a
         block at a time, until `need` have passed: the first block is `need`
         rows, each later one `_BLOCK_GROWTH` times what is still missing.
-        Every verdict is decided row by row, so the points kept are those of
-        testing every proposal, in the same order.
+        With margin 0, only the rows of a block that `_propose` did not mark
+        held go to `contains_batch`: a held row passes it (module docstring,
+        "Interior sampling").  Every verdict is decided row by row, so the
+        points kept are those of testing every proposal, in the same order.
         """
         out = []
         need = n
         for _ in range(_SAMPLE_ROUNDS):
-            cand = self._propose(max(4 * need, 64), rng)
-            cand = cand[np.linalg.norm(cand[:, 1:], axis=1) >= min_im]
+            cand, held = self._propose(max(4 * need, 64), rng)
+            keep = row_norms(cand[:, 1:]) >= min_im
+            cand, held = cand[keep], held[keep]
             start, block = 0, need
             while need > 0 and start < len(cand):
                 rows = cand[start : start + block]
-                ok = self.deep_legs(rows, rows, margin) if margin > 0.0 else self.contains_batch(rows)
+                if margin > 0.0:
+                    ok = self.deep_legs(rows, rows, margin)
+                else:
+                    ok = held[start : start + len(rows)].copy()
+                    if not ok.all():
+                        ok[~ok] = self.contains_batch(rows[~ok])
                 kept = rows[ok][:need]
                 if len(kept):
                     out.append(kept)
@@ -231,9 +268,13 @@ class Domain:
                 break
         return np.vstack(out) if out else np.empty((0, 8))
 
-    def _propose(self, n: int, rng: np.random.Generator) -> np.ndarray:
+    def _propose(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """n proposals (n, 8), and which of them are held: inside by construction, as bool[n].
+
+        The default draws in the bounding box and holds none.
+        """
         lo, hi = self.bounding_box()
-        return rng.uniform(lo, hi, size=(n, 8))
+        return rng.uniform(lo, hi, size=(n, 8)), np.zeros(n, dtype=bool)
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -277,6 +318,10 @@ _BAND_HUGE = 2.0**900
 # which bounds its (balls, 2 legs, 8) temporaries.
 _LEG_SLACK = 2.0**-30
 _LEG_CELLS = 2**13
+# The absolute floor of `ball_slack`, which is also the least norm of a
+# held proposal's normal draw, and the largest |c| + r it leaves finite.
+_SLACK_ABS = 2.0**-500
+_SLACK_HUGE = 2.0**500
 
 
 # a NaN or infinite row makes a NaN gap or band, which the per-ball test decides
@@ -318,9 +363,16 @@ def balls_contain(pts: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> np
     return out
 
 
-def ball_slack(centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """The balls' terms 2^-30 (|c| + r) + 2^-1000 of the slack of `balls_hold_legs`."""
-    return (row_norms(centers) + radii) * _LEG_SLACK + _BAND_ABS
+# a centre or radius too large for its squares gets an infinite slack
+@np.errstate(over="ignore", invalid="ignore")
+def ball_slack(centers: np.ndarray, radii) -> np.ndarray:
+    """The balls' slack 2^-30 (|c| + r) + 2^-500, infinite past |c| + r = 2^500.
+
+    It is each ball's term of the slack of `balls_hold_legs`, and the
+    slack of its held proposals (module docstring, "Interior sampling").
+    """
+    size = row_norms(centers) + radii
+    return np.where(size <= _SLACK_HUGE, size * _LEG_SLACK + _SLACK_ABS, np.inf)
 
 
 def balls_hold_legs(
@@ -331,7 +383,7 @@ def balls_hold_legs(
     Leg k is every point within sag[k] of the segment [p0[k], p1[k]].  It
     is certified when some ball has max(d0, d1) + sag + slack < r, with d0
     and d1 the `row_norms(p - c)` of its ends and slack
-    2^-30 (max(|p0|, |p1|) + |c| + r) + 2^-1000; a NaN anywhere certifies
+    2^-30 (max(|p0|, |p1|) + |c| + r) + 2^-500; a NaN anywhere certifies
     nothing.  `slack` holds each ball's part of it, `ball_slack(centers,
     radii)`, which a domain computes once, on its first leg check.  The module docstring proves
     that every sample row of a certified leg passes the per-ball test of
@@ -372,11 +424,19 @@ def _leg_reach(p0: np.ndarray, p1: np.ndarray, sag, centers: np.ndarray) -> np.n
     return reach
 
 
-def _ball_points(center: np.ndarray, radius: float, n: int, rng: np.random.Generator) -> np.ndarray:
+# rows of a ball too large for floats overflow, and none of them is held
+@np.errstate(over="ignore", invalid="ignore")
+def _ball_points(center, radius, n: int, rng: np.random.Generator, slack) -> tuple[np.ndarray, np.ndarray]:
+    """n points drawn in the ball (or balls, per row), and which of them are held.
+
+    A row is held when its radius r has r + slack < radius and its normal
+    draw a norm of at least 2^-500 (module docstring, "Interior sampling").
+    """
     g = rng.normal(size=(n, 8))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    norms = row_norms(g)
+    g /= norms[:, None]
     r = radius * rng.uniform(size=(n, 1)) ** (1.0 / 8.0)
-    return center + g * r
+    return center + g * r, (r[:, 0] + slack < radius) & (norms >= _SLACK_ABS)
 
 
 class Ball(Domain):
@@ -392,7 +452,7 @@ class Ball(Domain):
 
     @cached_property
     def _slack(self) -> np.ndarray:
-        # on the first leg check: a domain built for a query may check none
+        # on the first leg check or proposals: a domain built for a query may make neither
         return ball_slack(self._centers, self._radii)
 
     def contains_batch(self, pts: np.ndarray) -> np.ndarray:
@@ -413,8 +473,8 @@ class Ball(Domain):
         im_norm = float(np.linalg.norm(c[1:]))
         return c[0] - self.radius, c[0] + self.radius, im_norm + self.radius
 
-    def _propose(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return _ball_points(self.center.coeffs, self.radius, n, rng)
+    def _propose(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        return _ball_points(self.center.coeffs, self.radius, n, rng, self._slack[0])
 
     def slice_cap(self, a: float, b: float) -> tuple[Optional[np.ndarray], float]:
         """Unit directions admissible at a + b I, as (cap center, cos threshold).
@@ -450,7 +510,7 @@ class BallUnion(Domain):
 
     @cached_property
     def _slack(self) -> np.ndarray:
-        # on the first leg check: a domain built for a query may check none
+        # on the first leg check or proposals: a domain built for a query may make neither
         return ball_slack(self._centers, self._radii)
 
     def contains_batch(self, pts: np.ndarray) -> np.ndarray:
@@ -474,14 +534,15 @@ class BallUnion(Domain):
             max(w[2] for w in windows),
         )
 
-    def _propose(self, n: int, rng: np.random.Generator) -> np.ndarray:
+    def _propose(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         idx = rng.integers(0, len(self.balls), size=n)
         out = np.empty((n, 8))
+        held = np.empty(n, dtype=bool)
         for k, ball in enumerate(self.balls):
             sel = idx == k
             if sel.any():
-                out[sel] = _ball_points(ball.center.coeffs, ball.radius, int(sel.sum()), rng)
-        return out
+                out[sel], held[sel] = _ball_points(ball.center.coeffs, ball.radius, int(sel.sum()), rng, self._slack[k])
+        return out, held
 
     def to_json(self) -> dict:
         return {
@@ -559,7 +620,7 @@ class SlabCone(Domain):
     def z_window(self) -> tuple[float, float, float]:
         return -4.0, 4.0, 4.0
 
-    def _propose(self, n: int, rng: np.random.Generator) -> np.ndarray:
+    def _propose(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         out = rng.uniform(-4.0, 4.0, size=(n, 8))
         # Half the proposals go into the cones, which the uniform box misses.
         half = n // 2
@@ -574,7 +635,7 @@ class SlabCone(Domain):
         units = sign * (np.cos(angles) * axis + np.sin(angles) * seed)
         t = rng.uniform(1.0, 3.5, size=(half, 1))
         out[:half, 1:] = units * t
-        return out
+        return out, np.zeros(n, dtype=bool)
 
     def to_json(self) -> dict:
         return {"type": "slab_cone", "i0": self.i0.to_list(), "half_angle": self.half_angle}
@@ -617,7 +678,7 @@ class BallChain(Domain):
 
     @cached_property
     def _slack(self) -> np.ndarray:
-        # on the first leg check: it costs a third of building the chain
+        # on the first leg check or proposals: it costs a third of building the chain
         return ball_slack(self.centers, self.RADIUS)
 
     def _centers(self, thetas: np.ndarray) -> np.ndarray:
@@ -678,12 +739,9 @@ class BallChain(Domain):
         # projections c(theta) -> cos(theta) + (2 + sin(theta)) i
         return -1.0 - self.RADIUS, 1.0 + self.RADIUS, 3.0 + self.RADIUS
 
-    def _propose(self, n: int, rng: np.random.Generator) -> np.ndarray:
+    def _propose(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         idx = rng.integers(0, len(self.centers), size=n)
-        g = rng.normal(size=(n, 8))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        r = self.RADIUS * rng.uniform(size=(n, 1)) ** (1.0 / 8.0)
-        return self.centers[idx] + g * r
+        return _ball_points(self.centers[idx], self.RADIUS, n, rng, self._slack[idx])
 
     def to_json(self) -> dict:
         return {

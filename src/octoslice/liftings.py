@@ -653,28 +653,46 @@ def _constant_path(value: np.ndarray) -> PolyPathS:
 def _unit_path_in_domain(
     domain: Domain, z: complex, u1: np.ndarray, u2: np.ndarray
 ) -> Optional[PolyPathS]:
-    """Unit polyline from u1 to u2 whose slice points at z stay in the domain."""
-    candidates = []
+    """Unit polyline from u1 to u2 whose slice points at z stay in the domain.
+
+    The direct path [u1, u2], tried when |u1 + u2| >= 0.5, is decided
+    alone first.  Only when it fails (or is not tried) are the paths
+    through an orthogonal waypoint built, one per basis vector whose part
+    orthogonal to u1 has norm at least 0.3; all of them are decided in one
+    `_liftings_inside` call, and the first that stays inside, in that
+    order, is returned.  Each path is checked at `_UNIT_PATH_SAMPLES`
+    times.
+    """
+    base = (_even_times(2), np.array([z, z]))
+
+    def first_inside(candidates):
+        paths = []
+        for verts in candidates:
+            try:
+                paths.append(PolyPathS(verts))
+            except PreconditionError:
+                continue
+        if paths:
+            inside, _ = _liftings_inside(domain, base, [(p.times, p.vertices) for p in paths], _UNIT_PATH_SAMPLES)
+            for units, ok in zip(paths, inside):
+                if ok:
+                    return units
+        return None
+
     if np.linalg.norm(u1 + u2) >= 0.5:
-        candidates.append(np.vstack([u1, u2]))
-    # antipodal or nearly so: route through an orthogonal waypoint
+        direct = first_inside([np.vstack([u1, u2])])
+        if direct is not None:
+            return direct
+    # antipodal or nearly so, or the direct arc leaves: route through an orthogonal waypoint
+    waypoints = []
     for k in range(7):
         w = np.zeros(7)
         w[k] = 1.0
         w = w - (w @ u1) * u1
         n = np.linalg.norm(w)
-        if n < 0.3:
-            continue
-        candidates.append(np.vstack([u1, w / n, u2]))
-    base = (_even_times(2), np.array([z, z]))
-    for verts in candidates:
-        try:
-            units = PolyPathS(verts)
-        except PreconditionError:
-            continue
-        if _liftings_inside(domain, base, [(units.times, units.vertices)], _UNIT_PATH_SAMPLES)[0][0]:
-            return units
-    return None
+        if n >= 0.3:
+            waypoints.append(np.vstack([u1, w / n, u2]))
+    return first_inside(waypoints)
 
 
 def _real_anchor(domain: Domain, z: complex, u1: np.ndarray, u2: np.ndarray) -> Optional[CoupledLifting]:

@@ -41,6 +41,11 @@ _SCAN_GRID = ((-2.0, -1.0, 0.0, 1.0, 2.0), (0.5, 1.5, 2.5))
 # still stands above underflow.
 _THIN_REL = 2.0**-20
 _THIN_ABS = 2.0**-500
+# `arc_edges_at_least`: its relative shrink of the link, far above the
+# rounding of either cKDTree, and its antipodal radius, twice the reach of
+# `near_antipodal` (2e-6 in |u + w|).
+_LINK_REL = 2.0**-20
+_OPPOSED = 4e-6
 # Interior sample times of a z leg between neighbouring grid columns; the
 # two end columns are checked by their membership.
 _LEG_TIMES = np.linspace(0.0, 1.0, 7)[1:-1]
@@ -332,22 +337,43 @@ def z_legs(z0, z1, units: np.ndarray, times: np.ndarray) -> tuple:
     return tau_rows(z0.real, z0.imag, units), tau_rows(z1.real, z1.imag, units), 0.0, rows
 
 
-def arc_probe_graph(units: np.ndarray, link: float) -> tuple[np.ndarray, np.ndarray]:
+def arc_probe_graph(units: np.ndarray, link: float, tree=None) -> tuple[np.ndarray, np.ndarray]:
     """Unit-pool edges within chord `link`, with the sags of their arcs at height 1.
 
     Returns (ends, sags): ends is (E, 2) int, sags is `arc_sags(1, du)` of
     each edge's chord.  A `near_antipodal` pair has no arc and gets no
     edge.  The probes of an arc are built only when a leg check asks for
-    them (`arc_legs`).
+    them (`arc_legs`).  `tree`, when given, is `cKDTree(units)`.
     """
     pairs = (
-        cKDTree(units).query_pairs(link, output_type="ndarray")
+        (cKDTree(units) if tree is None else tree).query_pairs(link, output_type="ndarray")
         if len(units)
         else np.empty((0, 2), dtype=int)
     )
     u, w = units[pairs[:, 0]], units[pairs[:, 1]]
     keep = ~near_antipodal(u, w)
     return pairs[keep].astype(int), arc_sags(1.0, w[keep] - u[keep])
+
+
+def arc_edges_at_least(tree, units: np.ndarray, link: float) -> int:
+    """A lower bound on the edges of `arc_probe_graph(units, link, tree)`, listing no pair.
+
+    `tree` is `cKDTree(units)`.  `count_neighbors` counts the ordered pairs
+    within link (1 - 2^-20), each unit with itself among them.  The tree
+    accepts a pair, or a whole node pair by its bounding rectangles, within
+    rounding of its true distance, so every pair it counts lies within
+    `query_pairs`' reach of link.  A `near_antipodal` pair has
+    |u + w| < 2e-6 up to rounding, so |u - w|^2 = 4 - |u + w|^2 puts it
+    beyond a chord of 1.99; past that chord, half of the ordered pairs with
+    |u + w| <= 4e-6 (`query_ball_point` at the antipodes), a superset of
+    them, is taken from half of the other pairs counted.  No pair is
+    listed, so the count needs no memory per pair.
+    """
+    shrunk = link * (1.0 - _LINK_REL)
+    within = (int(tree.count_neighbors(tree, shrunk)) - len(units)) // 2
+    if shrunk < 1.99:
+        return within
+    return within - int(tree.query_ball_point(-units, _OPPOSED, return_length=True).sum()) // 2
 
 
 def adaptive_unit_pool(domain, plan: SamplePlan) -> tuple[np.ndarray, float]:
@@ -372,12 +398,13 @@ def adaptive_unit_pool(domain, plan: SamplePlan) -> tuple[np.ndarray, float]:
     if len(pts) == 0:
         raise EmptySampleError("no interior samples to harvest units from")
     ims = pts[:, 1:]
-    units = ims / np.linalg.norm(ims, axis=1, keepdims=True)
+    units = ims / row_norms(ims)[:, None]
     proj = units @ SUBSPHERE_BASIS.T @ SUBSPHERE_BASIS
-    keep = np.linalg.norm(proj, axis=1) > 0.7
+    norms = row_norms(proj)
+    keep = norms > 0.7
     if not keep.any():
         raise EmptySampleError("domain units do not meet the sampling sphere")
-    units = proj[keep] / np.linalg.norm(proj[keep], axis=1, keepdims=True)
+    units = proj[keep] / norms[keep, None]
     units = np.vstack([units, -units])
     spread = 2.0 * float(
         np.arccos(np.clip(np.abs(units @ units[0]), -1.0, 1.0)).max(initial=0.0)
@@ -536,8 +563,9 @@ class SlicePairGrid:
 
     A grid whose masks could pass `MAX_GRID_CELLS` cells is refused before
     its pool is harvested when its member and move masks alone could pass
-    it at the largest pool the plan allows, and otherwise once its pool and
-    arc graph are built, before any mask is.
+    it at the largest pool the plan allows; once its pool is built, before
+    its arc graph is, when `arc_edges_at_least` puts it past the limit; and
+    otherwise once its arc graph is built, before any mask is.
     """
 
     def __init__(self, domain, plan: SamplePlan, query=None) -> None:
@@ -570,7 +598,15 @@ class SlicePairGrid:
         if query is not None:
             self.units = np.vstack([self.units, query_units])
         self.link = max(chord_of_angle(plan.link_angle), 2.5 * self.sep)
-        self.edges = arc_probe_graph(self.units, self.link)[0]
+        tree = cKDTree(self.units)
+        least = arc_edges_at_least(tree, self.units, self.link)
+        cells = columns * (2 * len(self.units) + least)
+        if cells > MAX_GRID_CELLS:
+            raise PreconditionError(
+                f"the grid of {columns} columns x (2 x {len(self.units)} units + at least {least} arc edges)"
+                f" has at least {cells} mask cells, over the limit {MAX_GRID_CELLS}"
+            )
+        self.edges = arc_probe_graph(self.units, self.link, tree)[0]
         cells = columns * (2 * len(self.units) + len(self.edges))
         if cells > MAX_GRID_CELLS:
             raise PreconditionError(

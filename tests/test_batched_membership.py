@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from octoslice.algebra import Octonion, UnitImaginary, row_norms
@@ -345,7 +347,7 @@ def _reference_sample_interior(domain, n, rng, margin=0.0, min_im=0.0):
     out = []
     need = n
     for _ in range(_SAMPLE_ROUNDS):
-        cand = domain._propose(max(4 * need, 64), rng)
+        cand, _ = domain._propose(max(4 * need, 64), rng)
         ok = np.linalg.norm(cand[:, 1:], axis=1) >= min_im
         ok &= domain.deep_legs(cand, cand, margin) if margin > 0.0 else domain.contains_batch(cand)
         cand = cand[ok]
@@ -418,6 +420,101 @@ def test_sample_interior_tests_blocks_until_enough_pass():
     assert _reference_sample_interior(nothing, 5, ref_rng).shape == (0, 8)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     assert sum(nothing.calls) == 2 * _SAMPLE_ROUNDS * 64
+
+
+class _NearSurface:
+    """A generator whose uniform draws crowd towards 1, so that proposals crowd towards their ball's sphere."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def integers(self, *args, **kwargs):
+        return self.rng.integers(*args, **kwargs)
+
+    def normal(self, size):
+        return self.rng.normal(size=size)
+
+    def uniform(self, size):
+        return 1.0 - self.rng.uniform(size=size) * np.power(10.0, -self.rng.uniform(0.0, 17.0, size=size))
+
+
+HELD_SETTINGS = settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@HELD_SETTINGS
+@given(
+    st.lists(st.tuples(st.floats(-320.0, 308.0), st.floats(-320.0, 308.0)), min_size=1, max_size=4),
+    st.sampled_from((1, 7, 64, 500)),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+def test_held_proposals_pass_the_membership_test(balls, n, seed, near_surface):
+    """Every row `_propose` holds passes `contains_batch`, at any scale.
+
+    Centres and radii run from 1e-320 (subnormal) to 1e308, so the squares
+    of the rows' norms underflow and overflow, and so may the rows; where a
+    ball's rows can be held at all, most are.  Rows drawn within rounding
+    of their sphere are held only by the slack.
+    """
+    rng = _NearSurface(seed) if near_surface else np.random.default_rng(seed)
+    with np.errstate(over="ignore"):
+        centres = rng.normal(size=(len(balls), 8)) * np.power(10.0, [c for c, _ in balls])[:, None]
+        radii = np.power(10.0, [r for _, r in balls])
+    radii[radii == 0.0] = 1e-320
+    domains = [Ball(Octonion(c), r) for c, r in zip(centres, radii)]
+    domains.append(BallUnion(domains))
+    for domain in domains:
+        pts, held = domain._propose(n, rng)
+        assert held.dtype == bool and held.shape == (n,)
+        assert domain.contains_batch(pts[held]).all()
+        # the per-ball test itself, on the ball each row was drawn in
+        if isinstance(domain, Ball):
+            assert (row_norms(pts[held] - domain.center.coeffs) < domain.radius).all()
+            with np.errstate(over="ignore"):
+                size = np.linalg.norm(domain.center.coeffs) + domain.radius
+            if 1e-140 < domain.radius and size < 1e150 and domain.radius > 1e-6 * size and n >= 64:
+                assert held.mean() > (0.05 if near_surface else 0.9)
+    pts, held = CHAIN._propose(4000, _NearSurface(seed) if near_surface else np.random.default_rng(seed))
+    assert held.mean() > (0.3 if near_surface else 0.99) and CHAIN.contains_batch(pts[held]).all()
+
+
+def test_held_proposals_where_norms_underflow_or_overflow():
+    """Balls at the origin whose rows' squares underflow, or whose rows' squares overflow.
+
+    Near 1e-160 a norm's squares are subnormal and it rounds by up to
+    2^-536, so a slack without its 2^-500 floor holds rows that fail the
+    test; near 1e154 the squares overflow, and past 2^500 no row is held.
+    """
+    for exponent in (-140, -150, -155, -158, -160, -165, -200, -300, 100, 150, 152, 154, 160, 300):
+        for seed in range(3):
+            ball = Ball(Octonion.zero(), 10.0**exponent)
+            pts, held = ball._propose(500, _NearSurface(seed))
+            assert ball.contains_batch(pts[held]).all(), (exponent, seed)
+            assert held.any() == (-150 < exponent <= 150)
+
+
+def test_other_domains_hold_no_proposal():
+    for domain in (SAMPLED_DOMAINS["slab-cone"], SAMPLED_DOMAINS["predicate"]):
+        pts, held = domain._propose(100, np.random.default_rng(0))
+        assert pts.shape == (100, 8) and held.shape == (100,) and not held.any()
+
+
+def test_chain_pool_at_a_seam_plan_tests_under_one_percent_of_its_harvest():
+    # the witness workload's seam plan: every harvest row lies in the chain ball it was drawn in
+    plan = SamplePlan(seed=3, quotient_z_step=0.25, pool_sep=0.08)
+    chain = _CountingChain(UnitImaginary.basis(1), UnitImaginary.basis(2))
+    units, _ = adaptive_unit_pool(chain, plan)
+    assert chain.rows < plan.pool_harvest // 100
+    reference = _CountingChain(UnitImaginary.basis(1), UnitImaginary.basis(2))
+    want = _reference_sample_interior(reference, plan.pool_harvest, plan.rng(), min_im=1e-6)
+    assert want.shape == (plan.pool_harvest, 8) and reference.rows == 4 * plan.pool_harvest
+    assert len(units) > 0
 
 
 def test_chain_harvest_tests_at_most_twice_its_count():

@@ -2,12 +2,13 @@
 
 import hashlib
 import json
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from octoslice import cli, domains, liftings
+from octoslice import cli, domains, liftings, sampling
 from octoslice.cli import _dump, main
 from octoslice.errors import IntegrityError
 
@@ -515,6 +516,24 @@ def test_plan_whose_grid_is_too_large_is_exit_2(capsys):
     error = json.loads(err)["error"]
     assert error.startswith("PreconditionError") and "40803 columns x 2 x up to 10000 units" in error
     assert "has up to 816060000 member and move mask cells, over the limit 536870912" in error
+
+
+def test_plan_whose_arc_graph_is_too_large_is_exit_2_before_it_is_built(capsys, monkeypatch):
+    # The member and move masks pass the first check (25 columns x 2 x
+    # 10 000 units), but the pool has about 50 M unit pairs within the
+    # link: listing them would take several GB, so they are only counted.
+    ball = json.dumps({"type": "ball", "center": [0] * 8, "radius": 1})
+    plan = json.dumps(
+        {"link_angle": 3.0, "pool_max": 10000, "pool_sep": 0.001, "pool_harvest": 20000, "quotient_z_step": 0.9}
+    )
+    monkeypatch.setattr(sampling, "arc_probe_graph", lambda *args: pytest.fail("the arc graph was built"))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "quotient", "--domain", ball, "--plan", plan)
+    assert time.perf_counter() - start < 2.0
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error.startswith("PreconditionError") and "25 columns x (2 x 10000 units + at least " in error
+    assert "mask cells, over the limit 536870912" in error
 
 
 def test_plan_field_the_plan_lacks_is_exit_2(capsys):

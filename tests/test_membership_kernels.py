@@ -42,7 +42,7 @@ from octoslice.liftings import (
     lift_in_domain,
 )
 from octoslice.quotient import QuotientSample, class_at
-from octoslice.sampling import _ARC_FRACS, _LEG_TIMES, arc_legs, arc_probe_graph
+from octoslice.sampling import _ARC_FRACS, _LEG_TIMES, arc_edges_at_least, arc_legs, arc_probe_graph
 
 # Fixed examples, no example database: a run repeats the last one exactly.
 KERNEL_SETTINGS = settings(
@@ -296,6 +296,33 @@ def test_arc_probe_graph_equals_the_pair_loop(n, link):
         assert np.isnan(want[1]).any() and not np.isnan(want[1]).all()
 
 
+@pytest.mark.parametrize("n, link", [(0, 0.3), (1, 0.3), (60, 1.995), (60, 2.5), (300, 0.5), (900, 0.25)])
+def test_arc_edge_count_is_a_lower_bound_of_the_arc_graph(n, link):
+    """`arc_edges_at_least` never counts more edges than `arc_probe_graph` lists.
+
+    The units hold antipodal and near-antipodal pairs, which get no edge,
+    and pairs whose chord is the link to within rounding, which the
+    listing may take or leave; the count leaves them, and misses no other
+    edge.
+    """
+    rng = np.random.default_rng(n)
+    units = unit_rows(rng, n, 7)
+    borderline = []
+    for k in range(0, n - 1, 6):
+        units[k + 1] = -units[k]
+        if k + 3 < n:
+            units[k + 3] = -turned(rng, units[k + 2], 2.0 * math.asin(rng.uniform(0.0, 3e-6)))
+        if k + 5 < n and link < 2.0:
+            units[k + 5] = turned(rng, units[k + 4], 2.0 * math.asin(link / 2.0))
+            borderline.append((k + 4, k + 5))
+    edges = arc_probe_graph(units, link)[0]
+    least = arc_edges_at_least(cKDTree(units), units, link)
+    # the count may also leave out every pair within twice `near_antipodal`'s reach
+    opposed = np.count_nonzero(np.triu(ref_row_norms(units[:, None] + units[None]) < 5e-6, 1))
+    assert len(edges) - len(borderline) - opposed <= least <= len(edges)
+    assert opposed >= n // 6
+
+
 def test_arc_probe_graph_decides_near_antipodal_pairs_as_every_probe():
     # pairs whose chord midpoint has norm m, around the 1e-6 threshold
     rng = np.random.default_rng(17)
@@ -310,6 +337,22 @@ def test_arc_probe_graph_decides_near_antipodal_pairs_as_every_probe():
     kept = {tuple(e) for e in want[0].tolist()}
     pairs = [(k, k + 1) for k in range(0, len(units), 2)]
     assert 0 < sum(p in kept for p in pairs) < len(pairs)
+
+
+def test_a_seam_pair_decides_its_waypoints_in_one_call():
+    """Antipodal units on the chain's seam have no direct path, and every waypoint path leaves."""
+    e2 = np.eye(7)[1]
+    for z, u, v in ((complex(-1.0, 2.0), e2, -e2), (complex(-1.01, 2.02), turned(np.random.default_rng(5), e2, 0.02), -e2)):
+        paths = ref_unit_path_candidates(u, v)
+        assert [len(p.vertices) for p in paths] == [3] * 6
+        chain = BallChain(UnitImaginary.basis(1), UnitImaginary.basis(2))
+        calls = record_legs(chain)
+        assert _unit_path_in_domain(chain, z, u, v) is None
+        (pts, counts, _, inside, _), = calls
+        ts = np.linspace(0.0, 1.0, 512)
+        want = [np.stack([slice_point(z, w) for w in p.eval_many(ts)]) for p in paths]
+        assert same(pts, np.concatenate(want)) and len(counts) == len(_KNOTS[1:]) * len(paths)
+        assert not inside.reshape(len(paths), -1).all(axis=1).any()
 
 
 @KERNEL_SETTINGS
@@ -593,12 +636,18 @@ def leg_case(kind, rng, scale, turn, at=None):
             calls = record_legs(domain)
             got = _unit_path_in_domain(domain, z, u, v)
             verdicts = [member(rows).all() for rows in want]
-            tried = verdicts.index(True) + 1 if True in verdicts else len(verdicts)
-            assert len(calls) == tried
-            assert (got is None) == (True not in verdicts)
+            # the direct path alone, and only when it fails every waypoint path in one call
+            direct = len(paths[0].vertices) == 2
+            groups = [[0], list(range(1, len(paths)))] if direct else [list(range(len(paths)))]
+            groups = [g for g in groups[: 1 if direct and verdicts[0] else 2] if g]
+            assert len(calls) == len(groups) <= 2
+            assert [len(c[1]) for c in calls] == [len(_KNOTS[1:]) * len(g) for g in groups]
+            tried = [k for g in groups for k in g]
+            first = next((k for k in tried if verdicts[k]), None)
+            assert (got is None) == (first is None) == (True not in verdicts)
             if got is not None:
-                assert same(got.vertices, paths[tried - 1].vertices)
-            return checked_rows(calls, member, want[:tried])
+                assert same(got.vertices, paths[first].vertices)
+            return checked_rows(calls, member, [want[k] for k in tried])
 
         first = CircularLifting(PolyPathC([z, z]), paths[0])
         bulge = np.concatenate([[0.0], np.sign(z.imag) * paths[0].eval_many([0.27])[0]])
@@ -751,8 +800,29 @@ def test_ball_domains_keep_the_leg_slack_of_each_ball_to_the_bit():
         (chain.centers, np.full(len(chain.centers), chain.RADIUS), chain._slack)
     ]
     for centers, radii, slack in cases:
-        want = [(ref_row_norms(c) + r) * 2.0**-30 + 2.0**-1000 for c, r in zip(centers, radii)]
+        want = [(ref_row_norms(c) + r) * 2.0**-30 + 2.0**-500 for c, r in zip(centers, radii)]
         assert np.array_equal(slack, want)
+    # past |c| + r = 2^500 a ball's slack is infinite, so it certifies nothing
+    huge = Ball(Octonion(np.full(8, 2.0**500)), 1.0)
+    assert huge._slack.tolist() == [np.inf] and not huge.deep_legs(huge._centers, huge._centers, 0.0).any()
+
+
+def test_leg_certificates_where_norms_underflow():
+    """Short segment legs near the sphere of a ball of radius 1e-160 at the origin.
+
+    The squares of their rows' coordinates are subnormal, so `row_norms`
+    rounds by up to 2^-536 absolute, 4 % of the radius: a slack floor of
+    2^-1000 certifies legs whose rows fail the membership test.
+    """
+    rng = np.random.default_rng(0)
+    for radius in (1e-140, 1e-155, 1e-160, 1e-170):
+        ball = Ball(Octonion.zero(), radius)
+        p0 = unit_rows(rng, 4000) * radius * (1.0 - 10.0 ** -rng.uniform(1.0, 4.0, size=(4000, 1)))
+        p1 = p0 + unit_rows(rng, 4000) * radius * 1e-3
+        held = ball.deep_legs(p0, p1, 0.0)
+        rows = ((1.0 - _KNOTS[:, None, None]) * p0[held] + _KNOTS[:, None, None] * p1[held]).reshape(-1, 8)
+        assert ball.contains_batch(rows).all()
+        assert held.any() == (radius > 1e-150)
 
 
 @pytest.mark.parametrize("kind", ["arc", "lifting-arc", "attach-arc"])

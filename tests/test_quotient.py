@@ -364,6 +364,14 @@ def test_runaway_grid_masks_are_refused_before_any_is_built(monkeypatch):
     monkeypatch.setattr(sampling, "MAX_GRID_CELLS", cells - 1)
     for mask in ("members_many", "arc_masks", "move_masks"):
         monkeypatch.setattr(SlicePairGrid, mask, lambda *args: pytest.fail("a mask was built"))
+    # the pair count finds every arc edge here, so the arc graph is not built either
+    graph = sampling.arc_probe_graph
+    monkeypatch.setattr(sampling, "arc_probe_graph", lambda *args: pytest.fail("the arc graph was built"))
+    with pytest.raises(PreconditionError, match=f"has at least {cells} mask cells, over the limit {cells - 1}$"):
+        build_quotient(domain, plan)
+    # a count that finds fewer edges leaves the grid to the exact check, once its graph is built
+    monkeypatch.setattr(sampling, "arc_probe_graph", graph)
+    monkeypatch.setattr(sampling, "arc_edges_at_least", lambda *args: 0)
     with pytest.raises(PreconditionError, match=f"has {cells} mask cells, over the limit {cells - 1}$"):
         build_quotient(domain, plan)
 
