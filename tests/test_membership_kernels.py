@@ -342,7 +342,8 @@ def test_arc_probe_graph_decides_near_antipodal_pairs_as_every_probe():
 def test_a_seam_pair_decides_its_waypoints_in_one_call():
     """Antipodal units on the chain's seam have no direct path, and every waypoint path leaves."""
     e2 = np.eye(7)[1]
-    for z, u, v in ((complex(-1.0, 2.0), e2, -e2), (complex(-1.01, 2.02), turned(np.random.default_rng(5), e2, 0.02), -e2)):
+    near = turned(np.random.default_rng(5), e2, 0.02)
+    for z, u, v in ((complex(-1.0, 2.0), e2, -e2), (complex(-1.01, 2.02), near, -e2)):
         paths = ref_unit_path_candidates(u, v)
         assert [len(p.vertices) for p in paths] == [3] * 6
         chain = BallChain(UnitImaginary.basis(1), UnitImaginary.basis(2))
